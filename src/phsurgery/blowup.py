@@ -27,8 +27,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import dualnum
-from .dualnum import Dual, value
-from .saddle import DEFAULT_STEP, DomainEscape, _rk4_step
+from .dualnum import value
+from .saddle import DEFAULT_STEP, DomainEscape, _field, _fixed_steps, rk4_step
 
 _CHART_SWITCH = 1.05  # hysteresis: transition once an affine coordinate passes this
 
@@ -222,6 +222,61 @@ class _LiftedBatchResult:
         return [BlowupPoint(int(c), u.copy()) for c, u in zip(self.charts, self.U)]
 
 
+def _chart_fields(lifted, tangent):
+    """Per-chart right-hand sides f(t, rows) for `_chart_step`.
+
+    Rows are chart coordinates u, or with `tangent` the packed state
+    [u | vec J] of a point and its tangent map.
+    """
+    k = lifted.spec.k
+
+    def field(c):
+        if not tangent:
+            return lambda _, u: lifted.field(c, u)
+
+        def f(_, y):
+            u = y[:, :k]
+            AJ = np.einsum("nab,nbc->nac", lifted.field_jacobian(c, u), y[:, k:].reshape(-1, k, k))
+            return np.hstack([lifted.field(c, u), AJ.reshape(-1, k * k)])
+
+        return f
+
+    return [field(c) for c in range(k)]
+
+
+def _chart_step(fields, charts, Y, t, h):
+    """Advance rows Y in place by one RK4 step in their own charts, then switch.
+
+    Raises DomainEscape if a row leaves the disk.  A row switches to the
+    dominant chart of its line once an affine coordinate exceeds the
+    threshold; its tangent block (if any) is conjugated by the exact
+    transition Jacobian.
+    """
+    k = len(fields)
+    rows = np.arange(len(Y))
+    for c in np.unique(charts):
+        sel = charts == c
+        Y[sel] = rk4_step(fields[c], t, Y[sel], h)
+    U = Y[:, :k]
+    x = U * U[rows, charts][:, None]
+    x[rows, charts] = U[rows, charts]
+    r = np.linalg.norm(x, axis=1)
+    if (r >= 1.0).any():
+        raise DomainEscape(t + h, x[int(np.argmax(r))])
+    absU = np.abs(U)
+    absU[rows, charts] = 0.0
+    for m in np.flatnonzero(absU.max(axis=1) > _CHART_SWITCH):
+        p = BlowupPoint(int(charts[m]), U[m])
+        affine = np.abs(p.line())
+        affine[p.chart] = 1.0
+        target = int(np.argmax(affine))
+        if Y.shape[1] > k:
+            Y[m, k:] = (transition_jacobian(p, target) @ Y[m, k:].reshape(k, k)).ravel()
+        q = chart_transition(p, target)
+        charts[m] = q.chart
+        U[m] = q.u
+
+
 def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP,
                        want_jacobian=False, checkpoints=()):
     """Fixed-step RK4 on chart coordinates for a batch of BlowupPoints.
@@ -231,69 +286,30 @@ def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP,
     transition Jacobians.  `checkpoints` are times (multiples of the step)
     at which state snapshots are recorded.
     """
-    lifted = LiftedSaddle(spec, profile)
     k = spec.k
     n = len(points)
-    rows = np.arange(n)
     charts = np.array([p.chart for p in points], dtype=int)
-    U = np.stack([p.u for p in points]).astype(float)
-    J = np.tile(np.eye(k), (n, 1, 1)) if want_jacobian else None
+    Y = np.stack([p.u for p in points]).astype(float)
+    if want_jacobian:
+        Y = np.hstack([Y, np.tile(np.eye(k).ravel(), (n, 1))])
+
+    def result():
+        J = Y[:, k:].reshape(n, k, k).copy() if want_jacobian else None
+        return charts.copy(), Y[:, :k].copy(), J
+
     snapshots = {}
-
     if t == 0:
-        return _LiftedBatchResult(charts, U, J, snapshots)
+        return _LiftedBatchResult(*result(), snapshots)
 
-    sgn = 1.0 if t > 0 else -1.0
-    total = abs(t)
-    nsteps = max(1, int(math.ceil(total / step)))
-    h = sgn * total / nsteps
+    nsteps, h = _fixed_steps(t, step)
     checkpoint_steps = {int(round(abs(c) / abs(h))): c for c in checkpoints}
-
-    def stage(ch, u, j):
-        f = lifted.field(ch, u)
-        if want_jacobian:
-            A = lifted.field_jacobian(ch, u)
-            return f, np.einsum("nab,nbc->nac", A, j)
-        return f, None
-
+    fields = _chart_fields(LiftedSaddle(spec, profile), want_jacobian)
     for istep in range(nsteps):
-        for c in np.unique(charts):
-            sel = charts == c
-            u = U[sel]
-            j = J[sel] if want_jacobian else None
-            k1, K1 = stage(c, u, j)
-            k2, K2 = stage(c, u + 0.5 * h * k1, None if not want_jacobian else j + 0.5 * h * K1)
-            k3, K3 = stage(c, u + 0.5 * h * k2, None if not want_jacobian else j + 0.5 * h * K2)
-            k4, K4 = stage(c, u + h * k3, None if not want_jacobian else j + h * K3)
-            U[sel] = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-            if want_jacobian:
-                J[sel] = j + (h / 6.0) * (K1 + 2 * K2 + 2 * K3 + K4)
-
-        # vectorized escape test and chart-switch detection
-        x = U * U[rows, charts][:, None]
-        x[rows, charts] = U[rows, charts]
-        r = np.linalg.norm(x, axis=1)
-        if (r >= 1.0).any():
-            bad = int(np.argmax(r))
-            raise DomainEscape((istep + 1) * h, x[bad])
-        absU = np.abs(U)
-        absU[rows, charts] = 0.0
-        switch = absU.max(axis=1) > _CHART_SWITCH
-        for m in np.flatnonzero(switch):
-            p = BlowupPoint(int(charts[m]), U[m])
-            affine = np.abs(p.line())
-            affine[p.chart] = 1.0
-            target = int(np.argmax(affine))
-            if want_jacobian:
-                J[m] = transition_jacobian(p, target) @ J[m]
-            q = chart_transition(p, target)
-            charts[m] = q.chart
-            U[m] = q.u
+        _chart_step(fields, charts, Y, istep * h, h)
         if istep + 1 in checkpoint_steps:
-            snapshots[checkpoint_steps[istep + 1]] = (
-                charts.copy(), U.copy(), J.copy() if want_jacobian else None)
+            snapshots[checkpoint_steps[istep + 1]] = result()
 
-    return _LiftedBatchResult(charts, U, J, snapshots)
+    return _LiftedBatchResult(*result(), snapshots)
 
 
 def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
@@ -306,11 +322,8 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
     of the samples start on the exceptional set, whose blow-down orbit is
     the origin.  Returns (max residual, witness dict).
     """
-    from .saddle import _field  # local import to keep module load cheap
-
     rng = np.random.default_rng(seed)
     k = spec.k
-    lifted = LiftedSaddle(spec, profile)
     rows = np.arange(n)
 
     charts = rng.integers(0, k, size=n)
@@ -326,40 +339,19 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
     X = U * U[rows, charts][:, None]
     X[rows, charts] = U[rows, charts]
 
-    nsteps = max(1, int(math.ceil(t_max / step)))
-    h = t_max / nsteps
+    nsteps, h = _fixed_steps(t_max, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
     due = {}
     for i, m in enumerate(maturity):
         due.setdefault(int(m), []).append(i)
 
+    fields = _chart_fields(LiftedSaddle(spec, profile), tangent=False)
+    disk_field = lambda _, y: _field(spec, profile, y)
     worst = -1.0
     witness = None
     for istep in range(1, nsteps + 1):
-        for c in np.unique(charts):
-            sel = charts == c
-            u = U[sel]
-            k1 = lifted.field(c, u)
-            k2 = lifted.field(c, u + 0.5 * h * k1)
-            k3 = lifted.field(c, u + 0.5 * h * k2)
-            k4 = lifted.field(c, u + h * k3)
-            U[sel] = u + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        k1 = _field(spec, profile, X)
-        k2 = _field(spec, profile, X + 0.5 * h * k1)
-        k3 = _field(spec, profile, X + 0.5 * h * k2)
-        k4 = _field(spec, profile, X + h * k3)
-        X = X + (h / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-
-        absU = np.abs(U)
-        absU[rows, charts] = 0.0
-        for m in np.flatnonzero(absU.max(axis=1) > _CHART_SWITCH):
-            p = BlowupPoint(int(charts[m]), U[m])
-            affine = np.abs(p.line())
-            affine[p.chart] = 1.0
-            q = chart_transition(p, int(np.argmax(affine)))
-            charts[m] = q.chart
-            U[m] = q.u
-
+        _chart_step(fields, charts, U, (istep - 1) * h, h)
+        X = rk4_step(disk_field, (istep - 1) * h, X, h)
         for i in due.get(istep, ()):
             p = BlowupPoint(int(charts[i]), U[i])
             res = float(np.linalg.norm(blowdown(p) - X[i]))

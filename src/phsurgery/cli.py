@@ -11,10 +11,8 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from .config import CampaignConfig, ConfigError, SUITES
@@ -26,31 +24,15 @@ _SUBCOMMANDS = {f"verify-{name}": (name,) for name in SUITES}
 _SUBCOMMANDS["all"] = SUITES
 
 
-def build_report(cfg: CampaignConfig, suite_names, max_workers=None):
+def build_report(cfg: CampaignConfig, suite_names):
     """Run the requested suites and assemble the canonical report dict."""
-    if max_workers is None:
-        max_workers = int(os.environ.get("PHSURGERY_THREADS", "1"))
     timings = {}
-    results = {}
-
-    def run(name):
+    suites = {}
+    for name in suite_names:
         t0 = time.perf_counter()
-        out = SUITE_RUNNERS[name](cfg)
-        return name, out, time.perf_counter() - t0
+        suites[name] = SUITE_RUNNERS[name](cfg)
+        timings[name] = time.perf_counter() - t0
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            for name, out, dt in pool.map(run, suite_names):
-                results[name] = out
-                timings[name] = dt
-    else:
-        for name in suite_names:
-            name, out, dt = run(name)
-            results[name] = out
-            timings[name] = dt
-
-    # assembly is ordered and single threaded
-    suites = {name: results[name] for name in suite_names}
     report = {
         "schema_version": SCHEMA_VERSION,
         "config": cfg.to_dict(),

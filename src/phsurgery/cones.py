@@ -153,7 +153,7 @@ class ProductModel:
 
     def reversed(self):
         """Time-reversed model: all rates negated, comparison constants swapped."""
-        spec = SaddleSpec(rates=tuple(-r for r in self.spec.rates), c=self.spec.c)
+        spec = SaddleSpec(rates=tuple(-r for r in self.spec.rates))
         an = self.anosov
         anosov = AnosovModel(
             stable_rates=tuple(sorted(-r for r in an.unstable_rates)),
@@ -271,14 +271,6 @@ class PropagationReport:
     min_backward_contraction: float | None = None
     violations: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
-
-    @property
-    def mu_meas(self):
-        return math.exp(self.min_u_exponent)
-
-    @property
-    def kappa_meas(self):
-        return math.exp(self.domination_exponent)
 
     def passed(self, min_exponent=None, demand_domination=True, max_burn_in=1.0):
         ok = not self.violations

@@ -104,16 +104,6 @@ def _lift(f, dfdx):
 dexp = _lift(math.exp, lambda a: dexp(a))
 dlog = _lift(math.log, lambda a: 1.0 / a)
 dsqrt = _lift(math.sqrt, lambda a: 0.5 / dsqrt(a))
-dsin = _lift(math.sin, lambda a: dcos(a))
-dcos = _lift(math.cos, lambda a: -dsin(a))
-
-
-def dabs(x):
-    """|x| with derivative sign(re x); undefined at 0 like the real abs."""
-    if isinstance(x, Dual):
-        s = 1.0 if value(x) >= 0 else -1.0
-        return x * s
-    return abs(x)
 
 
 def seed(x, i):

@@ -16,11 +16,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from itertools import combinations
 
 import numpy as np
 
-from .dualnum import Dual, partial, seed, value
+from .dualnum import Dual, value
+from .saddle import rk4_step
 
 MAX_DIM = 6
 
@@ -389,23 +389,17 @@ class MoserMap:
         return v
 
     def _integrate(self, x, s0, s1):
-        x = [float(c) for c in x]
+        """RK4 in s for x1 alone: Y_s moves only x1, so x2..x4 are parameters."""
+        x1, *rest = (float(c) for c in x)
+        f = lambda s, y: self.velocity(s, [y, *rest])[0]
         h = (s1 - s0) / self.steps
         s = s0
         for _ in range(self.steps):
-            k1 = self.velocity(s, x)
-            y = [c + 0.5 * h * k for c, k in zip(x, k1)]
-            k2 = self.velocity(s + 0.5 * h, y)
-            y = [c + 0.5 * h * k for c, k in zip(x, k2)]
-            k3 = self.velocity(s + 0.5 * h, y)
-            y = [c + h * k for c, k in zip(x, k3)]
-            k4 = self.velocity(s + h, y)
-            x = [c + (h / 6.0) * (a + 2 * b + 2 * cc + dd)
-                 for c, a, b, cc, dd in zip(x, k1, k2, k3, k4)]
-            if math.sqrt(sum(c * c for c in x)) > self.radius:
-                raise PathDegenerate(s, x, math.nan)
+            x1 = rk4_step(f, s, x1, h)
+            if math.sqrt(sum(c * c for c in [x1, *rest])) > self.radius:
+                raise PathDegenerate(s, [x1, *rest], math.nan)
             s += h
-        return np.array(x)
+        return np.array([x1, *rest])
 
     def __call__(self, x):
         return self._integrate(x, 0.0, 1.0)

@@ -116,13 +116,6 @@ def random_algebra_element(n, rng, scale=0.3):
     return algebra_element(A, v, D, n)
 
 
-def preserves_form(g, n, kind="split", tol=1e-10):
-    g = np.asarray(g, dtype=complex)
-    J = form_matrix(n, kind)
-    return bool(np.abs(g.conj().T @ J @ g - J).max() <= tol
-                and abs(np.linalg.det(g) - 1.0) <= tol)
-
-
 def group_invariant_defect(g, n, kind="split"):
     """Max of the form-preservation and determinant residuals."""
     g = np.asarray(g, dtype=complex)

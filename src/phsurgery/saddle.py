@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import Dual, dexp, dsqrt, value
+from .dualnum import Dual, dexp
 
 # Transition sharpness for the flat-ended bump profile.  sigma(r)=exp(-M/r)
 # gives sup|S'| ~= 1.5616 (measured on a 2e6 grid); the steeper M=1 variant
@@ -56,12 +56,10 @@ class SaddleSpec:
 
     rates must contain at least one negative and one positive entry.  The
     derived per-time bounds exp(min rate) <= |Da^t v|/|v| <= exp(max rate)
-    hold with constant c = 1 because the generator is diagonal; `c` is kept
-    as a field for future block saddles.
+    hold with constant 1 because the generator is diagonal.
     """
 
     rates: tuple
-    c: float = 1.0
 
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
@@ -84,14 +82,6 @@ class SaddleSpec:
     def mu_prime(self):
         """Fastest expansion bound: exp(max rate) >= 1."""
         return math.exp(max(self.rates))
-
-    @property
-    def matrix(self):
-        return np.diag(self.rates)
-
-    def generator(self, x):
-        """X(x) = diag(rates) * x."""
-        return np.asarray(self.rates) * np.asarray(x)
 
 
 @dataclass(frozen=True)
@@ -291,9 +281,11 @@ def _field(spec, profile, x):
     return (np.asarray(spec.rates) * x) * (rho[..., None] if np.ndim(rho) else rho)
 
 
-def _field_jacobian(spec, profile, x):
-    """D(rho X)(x) = X(x) grad(rho)^T + rho diag(rates), batched (n,k,k)."""
-    x = np.atleast_2d(np.asarray(x, dtype=float))
+def _field_and_jacobian(spec, profile, x):
+    """rho X and D(rho X) = X grad(rho)^T + rho diag(rates) on an (n, k) batch.
+
+    r, rho and the profile slope are evaluated once for both.
+    """
     r = np.linalg.norm(x, axis=-1)
     rho = profile.value(r)
     slope = profile.slope(r)
@@ -301,15 +293,23 @@ def _field_jacobian(spec, profile, x):
     X = rates * x
     with np.errstate(invalid="ignore", divide="ignore"):
         gradrho = np.where(r[:, None] > 0, slope[:, None] * x / r[:, None], 0.0)
-    return X[:, :, None] * gradrho[:, None, :] + rho[:, None, None] * np.diag(rates)[None, :, :]
+    A = X[:, :, None] * gradrho[:, None, :] + rho[:, None, None] * np.diag(rates)[None, :, :]
+    return X * rho[:, None], A
 
 
-def _rk4_step(f, y, h):
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
+def rk4_step(f, t, y, h):
+    """One classical RK4 step of y' = f(t, y); y is a float or an ndarray."""
+    k1 = f(t, y)
+    k2 = f(t + 0.5 * h, y + 0.5 * h * k1)
+    k3 = f(t + 0.5 * h, y + 0.5 * h * k2)
+    k4 = f(t + h, y + h * k3)
     return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+
+def _fixed_steps(t, step):
+    """(number of steps, signed step) covering time t with steps of at most `step`."""
+    nsteps = max(1, int(math.ceil(abs(t) / step)))
+    return nsteps, math.copysign(abs(t) / nsteps, t)
 
 
 def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
@@ -323,13 +323,10 @@ def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
         raise DomainEscape(0.0, x)
     if t == 0:
         return x
-    sgn = 1.0 if t > 0 else -1.0
-    total = abs(t)
-    nsteps = max(1, int(math.ceil(total / step)))
-    h = sgn * total / nsteps
-    f = lambda y: _field(spec, profile, y)
+    nsteps, h = _fixed_steps(t, step)
+    f = lambda _, y: _field(spec, profile, y)
     for i in range(nsteps):
-        x = _rk4_step(f, x, h)
+        x = rk4_step(f, i * h, x, h)
         if np.linalg.norm(x) >= 1.0:
             raise DomainEscape((i + 1) * h, x)
     return x
@@ -348,19 +345,16 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     state = np.concatenate([x, np.eye(k).ravel()])
     if t == 0:
         return x.copy(), np.eye(k)
-    sgn = 1.0 if t > 0 else -1.0
-    total = abs(t)
-    nsteps = max(1, int(math.ceil(total / step)))
-    h = sgn * total / nsteps
+    nsteps, h = _fixed_steps(t, step)
 
-    def f(y):
-        pt = y[:k]
-        J = y[k:].reshape(k, k)
-        A = _field_jacobian(spec, profile, pt[None, :])[0]
-        return np.concatenate([_field(spec, profile, pt), (A @ J).ravel()])
+    # A @ J here and einsum in `_transit_batch` round differently in the last
+    # bit; each keeps the product that its reports were recorded with
+    def f(_, y):
+        fx, A = _field_and_jacobian(spec, profile, y[None, :k])
+        return np.concatenate([fx[0], (A[0] @ y[k:].reshape(k, k)).ravel()])
 
     for i in range(nsteps):
-        state = _rk4_step(f, state, h)
+        state = rk4_step(f, i * h, state, h)
         if not np.all(np.isfinite(state)):
             raise FloatingPointError(f"non-finite tangent state at t={(i + 1) * h:.6g}: {state}")
         if np.linalg.norm(state[:k]) >= 1.0:
@@ -408,16 +402,14 @@ def _radial_speed_sign(spec, x):
     return np.sum(np.asarray(spec.rates) * x * x, axis=-1)
 
 
-def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None,
-                    distortion_cap=None):
+def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None):
     """Integrate one annulus crossing and report time and tangent distortion.
 
     `entry` must sit on a boundary sphere (radius delta or 2*delta) with
     velocity pointing into the annulus.  Exit through either sphere is
     located by bisection on the crossing step to 1e-10 in time.  Orbits that
     exhaust `budget` (default 10*ln2/rho0 flow time) raise NonExitingOrbit;
-    campaigns catch this and count the orbit instead.  If `distortion_cap`
-    is given, the report's singular values are checked against it.
+    campaigns catch this and count the orbit instead.
     """
     reports = _transit_batch(spec, profile, np.asarray(entry, dtype=float)[None, :],
                              step=step, budget=budget)
@@ -425,15 +417,14 @@ def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None,
     if rep.exit_sphere == "trapped":
         raise NonExitingOrbit(
             f"no boundary crossing within budget; last |x|={np.linalg.norm(rep.exit):.3e}")
-    if distortion_cap is not None:
-        if rep.sigma_max > distortion_cap or rep.sigma_min < 1.0 / distortion_cap:
-            raise FloatingPointError(
-                f"distortion {rep.sigma_max:.3g} exceeds configured cap {distortion_cap}")
     return rep
 
 
 def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
-    """Vectorized annulus transits; one TransitReport per entry row."""
+    """Vectorized annulus transits; one TransitReport per entry row.
+
+    Each row is the packed state [x | vec J] of a point and its tangent map.
+    """
     delta = profile.delta
     k = spec.k
     n = entries.shape[0]
@@ -452,77 +443,65 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
         if entry_sphere[i] == "outer" and q >= 0:
             raise ValueError(f"entry {i} on the outer sphere must move inward")
 
-    x = entries.copy()
-    J = np.tile(np.eye(k), (n, 1, 1))
+    state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
     t = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    exit_x = entries.copy()
+    exit_state = state.copy()
     exit_t = np.zeros(n)
-    exit_J = J.copy()
     exit_sphere = np.array(["trapped"] * n, dtype=object)
 
-    def stage(xa, Ja):
-        A = _field_jacobian(spec, profile, xa)
-        return _field(spec, profile, xa), np.einsum("nij,njk->nik", A, Ja)
-
-    def rk4(xa, Ja, h):
-        k1x, k1J = stage(xa, Ja)
-        k2x, k2J = stage(xa + 0.5 * h * k1x, Ja + 0.5 * h * k1J)
-        k3x, k3J = stage(xa + 0.5 * h * k2x, Ja + 0.5 * h * k2J)
-        k4x, k4J = stage(xa + h * k3x, Ja + h * k3J)
-        return (xa + (h / 6.0) * (k1x + 2 * k2x + 2 * k3x + k4x),
-                Ja + (h / 6.0) * (k1J + 2 * k2J + 2 * k3J + k4J))
+    def f(_, y):
+        fx, A = _field_and_jacobian(spec, profile, y[:, :k])
+        J = y[:, k:].reshape(-1, k, k)
+        return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
 
     nmax = int(math.ceil(budget / step))
     for _ in range(nmax):
         if not alive.any():
             break
-        xa, Ja = x[alive], J[alive]
-        xn, Jn = rk4(xa, Ja, step)
-        rn = np.linalg.norm(xn, axis=1)
+        idx = np.flatnonzero(alive)
+        sn = rk4_step(f, 0.0, state[idx], step)
+        rn = np.linalg.norm(sn[:, :k], axis=1)
         out_hi = rn >= 2 * delta
         out_lo = rn <= delta
         # entries start on a sphere; ignore the entry sphere at t ~ 0 by the
         # strict crossing direction enforced above (first step moves inside)
-        idx = np.flatnonzero(alive)
         crossed = out_hi | out_lo
-        if crossed.any():
-            for j in np.flatnonzero(crossed):
-                gi = idx[j]
-                target = 2 * delta if out_hi[j] else delta
-                tau = _bisect_crossing(spec, profile, x[gi], J[gi], step, target)
-                xe, Je = rk4(x[gi][None, :], J[gi][None, :], tau)
-                exit_x[gi] = xe[0]
-                exit_J[gi] = Je[0]
-                exit_t[gi] = t[gi] + tau
-                exit_sphere[gi] = "outer" if out_hi[j] else "inner"
-            alive[idx[crossed]] = False
+        for j in np.flatnonzero(crossed):
+            gi = idx[j]
+            target = 2 * delta if out_hi[j] else delta
+            tau = _bisect_crossing(spec, profile, state[gi, :k], step, target)
+            exit_state[gi] = rk4_step(f, 0.0, state[gi][None, :], tau)[0]
+            exit_t[gi] = t[gi] + tau
+            exit_sphere[gi] = "outer" if out_hi[j] else "inner"
+        alive[idx[crossed]] = False
         keep = ~crossed
-        x[idx[keep]] = xn[keep]
-        J[idx[keep]] = Jn[keep]
+        state[idx[keep]] = sn[keep]
         t[idx[keep]] += step
 
     reports = []
     for i in range(n):
         if exit_sphere[i] == "trapped":
-            reports.append(TransitReport(entries[i], x[i], t[i], math.nan, math.nan,
-                                         str(entry_sphere[i]), "trapped", J[i]))
+            reports.append(TransitReport(entries[i], state[i, :k], t[i], math.nan, math.nan,
+                                         str(entry_sphere[i]), "trapped",
+                                         state[i, k:].reshape(k, k)))
             continue
-        s = np.linalg.svd(exit_J[i], compute_uv=False)
-        reports.append(TransitReport(entries[i], exit_x[i], exit_t[i],
+        J = exit_state[i, k:].reshape(k, k)
+        s = np.linalg.svd(J, compute_uv=False)
+        reports.append(TransitReport(entries[i], exit_state[i, :k], exit_t[i],
                                      float(s.max()), float(s.min()),
-                                     str(entry_sphere[i]), str(exit_sphere[i]), exit_J[i]))
+                                     str(entry_sphere[i]), str(exit_sphere[i]), J))
     return reports
 
 
-def _bisect_crossing(spec, profile, x0, J0, h, target, tol=1e-10):
+def _bisect_crossing(spec, profile, x0, h, target, tol=1e-10):
     """Crossing time tau in (0, h] with |x(tau)| = target, bisected to tol."""
+    f = lambda _, z: _field(spec, profile, z)
 
     def radius(tau):
         if tau == 0.0:
             return np.linalg.norm(x0)
-        y = _rk4_step(lambda z: _field(spec, profile, z), x0.copy(), tau)
-        return np.linalg.norm(y)
+        return np.linalg.norm(rk4_step(f, 0.0, x0.copy(), tau))
 
     lo, hi = 0.0, h
     sign_hi = radius(h) - target
@@ -615,7 +594,7 @@ def shear_bound_margin(spec, profile, x, v):
     """
     x = np.asarray(x, dtype=float)
     v = np.asarray(v, dtype=float)
-    A = _field_jacobian(spec, profile, x[None, :])[0]
+    A = _field_and_jacobian(spec, profile, x[None, :])[1][0]
     lhs = float(v @ A @ v)
     r = float(np.linalg.norm(x))
     c2 = max(abs(np.asarray(spec.rates)))

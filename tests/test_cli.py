@@ -122,6 +122,18 @@ class TestCli:
         assert (cli.canonical_json(cli.strip_timing(r1))
                 == cli.canonical_json(cli.strip_timing(r2)))
 
+    def test_moser_starts_outside_the_domain_are_skipped(self, tmp_path):
+        # seed 5 draws transport probes whose start 0.8 p lies outside the
+        # normalization domain |x| < moser_radius: the suite skips them
+        cfgpath = tmp_path / "moser.yaml"
+        cfgpath.write_text(yaml.safe_dump({"moser_steps": 40}), encoding="utf-8")
+        out = tmp_path / "rep"
+        code = cli.main(["verify-moser", "--config", str(cfgpath), "--seed", "5",
+                         "--out", str(out)])
+        assert code in (0, 1)
+        report = json.loads((out / "verify_moser_report.json").read_text())
+        assert set(report["suites"]) == {"moser"}
+
     def test_strict_rejects_loosened_tolerances(self, tmp_path, capsys):
         loose = tmp_path / "loose.yaml"
         loose.write_text(yaml.safe_dump({
@@ -139,11 +151,3 @@ class TestCli:
         }), encoding="utf-8")
         assert cli.main(["verify-volume", "--config", str(tight), "--strict",
                          "--out", str(tmp_path / "r2")]) == 0
-
-    def test_thread_pool_matches_serial(self, monkeypatch):
-        cfg = CampaignConfig(samples=48, crossing_entries=30, cone_orbits=8,
-                             delta_sweep=[0.1], moser_steps=150)
-        serial = cli.build_report(cfg, ("volume", "homogeneous"), max_workers=1)
-        threaded = cli.build_report(cfg, ("volume", "homogeneous"), max_workers=2)
-        assert (cli.canonical_json(cli.strip_timing(serial))
-                == cli.canonical_json(cli.strip_timing(threaded)))

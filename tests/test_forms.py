@@ -173,12 +173,38 @@ def h():
                             radius=0.5, steps=400)
 
 
+def _four_component_integrate(h, x, s0, s1):
+    """The Moser map's RK4 written over all four components (x2..x4 stay put)."""
+    x = [float(c) for c in x]
+    step = (s1 - s0) / h.steps
+    s = s0
+    for _ in range(h.steps):
+        k1 = h.velocity(s, x)
+        y = [c + 0.5 * step * k for c, k in zip(x, k1)]
+        k2 = h.velocity(s + 0.5 * step, y)
+        y = [c + 0.5 * step * k for c, k in zip(x, k2)]
+        k3 = h.velocity(s + 0.5 * step, y)
+        y = [c + step * k for c, k in zip(x, k3)]
+        k4 = h.velocity(s + step, y)
+        x = [c + (step / 6.0) * (a + 2 * b + 2 * cc + dd)
+             for c, a, b, cc, dd in zip(x, k1, k2, k3, k4)]
+        s += step
+    return np.array(x)
+
+
 class TestMoserMap:
     def test_trivial_density_is_identity(self):
         h = forms.moser_flow(Form.volume(4), Form.volume(4).scale(lambda x: 1.0),
                              radius=0.5, steps=100)
         x = np.array([0.2, -0.1, 0.05, 0.3])
         assert np.linalg.norm(h(x) - x) < 1e-13
+
+    def test_one_component_flow_matches_four_component_loop(self, h):
+        rng = np.random.default_rng(12)
+        for x in [np.zeros(4), np.array([0.1, 0.15, -0.1, 0.2]),
+                  *rng.uniform(-0.2, 0.2, size=(4, 4))]:
+            assert (h(x) == _four_component_integrate(h, x, 0.0, 1.0)).all()
+            assert (h.inverse(x) == _four_component_integrate(h, x, 1.0, 0.0)).all()
 
     def test_fixes_origin(self, h):
         assert np.linalg.norm(h(np.zeros(4))) == 0.0

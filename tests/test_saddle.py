@@ -28,7 +28,6 @@ class TestSpecs:
     def test_derived_bounds(self, spec4):
         assert spec4.lam_prime == pytest.approx(math.exp(-1))
         assert spec4.mu_prime == pytest.approx(math.exp(1))
-        assert spec4.c == 1.0
 
     def test_rejects_degenerate(self):
         with pytest.raises(InfeasibleRates):
@@ -144,6 +143,22 @@ class TestFlow:
         y = saddle.flow_slow(spec2, profile, x, 0.4)
         back = saddle.flow_slow(spec2, profile, y, -0.4)
         assert back == pytest.approx(x, abs=1e-12)
+
+
+class TestRk4Step:
+    @pytest.mark.parametrize("lam,h", [(-1.3, 0.1), (0.7, 0.25), (2.0, -0.05)])
+    def test_linear_growth_factor(self, lam, h):
+        z = lam * h
+        factor = 1 + z + z**2 / 2 + z**3 / 6 + z**4 / 24
+        f = lambda _, y: lam * y
+        assert saddle.rk4_step(f, 0.0, 0.8, h) == pytest.approx(0.8 * factor, rel=1e-14)
+        y0 = np.array([[0.3, -1.1], [2.0, 0.0]])
+        assert saddle.rk4_step(f, 0.0, y0, h) == pytest.approx(y0 * factor, rel=1e-14)
+
+    def test_stage_times(self):
+        # Simpson weights: a cubic right-hand side in t integrates exactly
+        y = saddle.rk4_step(lambda t, _: 3.0 * t**2, 1.0, 0.0, 0.5)
+        assert y == pytest.approx(1.5**3 - 1.0, rel=1e-15)
 
 
 class TestVariational:
