@@ -13,10 +13,11 @@ import csv
 import json
 import sys
 import time
+import traceback
 from pathlib import Path
 
 from .config import CampaignConfig, ConfigError, SUITES
-from .suites import SUITE_RUNNERS
+from .suites import SUITE_RUNNERS, _check, _suite
 
 SCHEMA_VERSION = 1
 
@@ -25,12 +26,23 @@ _SUBCOMMANDS["all"] = SUITES
 
 
 def build_report(cfg: CampaignConfig, suite_names):
-    """Run the requested suites and assemble the canonical report dict."""
+    """Run the requested suites and assemble the canonical report dict.
+
+    A suite that raises is reported as one failed `suite-error` check whose
+    witness names the exception; the remaining suites still run.
+    """
     timings = {}
     suites = {}
     for name in suite_names:
         t0 = time.perf_counter()
-        suites[name] = SUITE_RUNNERS[name](cfg)
+        try:
+            suites[name] = SUITE_RUNNERS[name](cfg)
+        except Exception as exc:
+            traceback.print_exc()
+            suites[name] = _suite(name, [_check(
+                "suite-error", False,
+                "the suite ran to completion without raising",
+                witness={"type": type(exc).__name__, "message": str(exc)})])
         timings[name] = time.perf_counter() - t0
 
     report = {

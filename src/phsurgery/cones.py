@@ -174,8 +174,7 @@ def sobol_directions(n, dim, seed):
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
-def cone_boundary_frame(model: ProductModel, cone: ConeSpec, n, seed,
-                        include_axes=True):
+def cone_boundary_frame(model: ProductModel, cone: ConeSpec, n, seed):
     """Unit vectors on (and in) a cone: boundary tilts plus center axes.
 
     Boundary vectors sit at angle exactly `aperture`; the center axes are
@@ -192,59 +191,35 @@ def cone_boundary_frame(model: ProductModel, cone: ConeSpec, n, seed,
     wdirs = sobol_directions(n, d - m, seed + 1)
     vecs = (math.cos(cone.aperture) * cdirs @ C.T
             + math.sin(cone.aperture) * wdirs @ W.T)
-    frames = [vecs]
-    if include_axes:
-        frames.append(C.T)
-        frames.append(-C.T)
-        # axis-aligned boundary tilts: worst cases of the closed-form bounds
-        tilts = []
-        for i in range(m):
-            for j in range(d - m):
-                tilts.append(math.cos(cone.aperture) * C[:, i]
-                             + math.sin(cone.aperture) * W[:, j])
-                tilts.append(math.cos(cone.aperture) * C[:, i]
-                             - math.sin(cone.aperture) * W[:, j])
-        frames.append(np.array(tilts))
-    return np.vstack(frames)
+    # axis-aligned boundary tilts: worst cases of the closed-form bounds
+    tilts = []
+    for i in range(m):
+        for j in range(d - m):
+            tilts.append(math.cos(cone.aperture) * C[:, i]
+                         + math.sin(cone.aperture) * W[:, j])
+            tilts.append(math.cos(cone.aperture) * C[:, i]
+                         - math.sin(cone.aperture) * W[:, j])
+    return np.vstack([vecs, C.T, -C.T, np.array(tilts)])
 
 
 # ---------------------------------------------------------------------------
 # propagation
 
 
-def propagate(flowkind, state, t, frame, *, spec, anosov, profile=None, rho0=None,
-              step=DEFAULT_STEP):
-    """Apply the block tangent map of the chosen flow to a frame of vectors.
+def propagate(state, t, frame, *, spec, anosov, rho0, step=DEFAULT_STEP):
+    """Apply the block tangent map of the uniformly slowed product to a frame.
 
-    flowkind 'inner-product': uniformly slowed product at the disk point
-    `state` (rho == rho0 must hold along the orbit).  'annulus': slow-down
-    flow with the given bump profile at disk point `state`.  'lifted':
-    chart dynamics at the BlowupPoint `state`.  frame rows are model
-    tangent vectors; returns the propagated rows.
+    The disk block is the tangent map of the saddle slowed by the constant
+    rho0 at the disk point `state` (rho == rho0 must hold along the orbit);
+    the restricted block is the exact cocycle.  frame rows are model tangent
+    vectors; returns the propagated rows.
     """
     model = ProductModel(spec=spec, anosov=anosov)
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     if frame.shape[1] != model.dim:
         raise ValueError(f"frame vectors have dimension {frame.shape[1]}, model {model.dim}")
-    if flowkind == "inner-product":
-        if rho0 is None:
-            raise ValueError("inner-product propagation needs rho0")
-        flat = saddle.BumpProfile.flat(rho0)
-        _, J = saddle.variational_flow_slow(spec, flat, state, t, step=step)
-    elif flowkind == "annulus":
-        if profile is None:
-            raise ValueError("annulus propagation needs a bump profile")
-        _, J = saddle.variational_flow_slow(spec, profile, state, t, step=step)
-    elif flowkind == "lifted":
-        if profile is None and rho0 is not None:
-            profile = saddle.BumpProfile.flat(rho0)
-        if profile is None:
-            raise ValueError("lifted propagation needs a profile or rho0")
-        _, J = blowup.lifted_variational_flow(spec, profile, state, t, step=step)
-    else:
-        raise ValueError(f"unknown flow kind {flowkind!r}")
-    M = model.full_map(J, t)
-    return frame @ M.T
+    _, J = saddle.variational_flow_slow(spec, saddle.BumpProfile.flat(rho0), state, t, step=step)
+    return frame @ model.full_map(J, t).T
 
 
 # ---------------------------------------------------------------------------
@@ -272,14 +247,12 @@ class PropagationReport:
     violations: list = field(default_factory=list)
     extras: dict = field(default_factory=dict)
 
-    def passed(self, min_exponent=None, demand_domination=True, max_burn_in=1.0):
-        ok = not self.violations
+    def passed(self, min_exponent=None):
+        ok = not self.violations and self.domination_exponent > 0.0
         if self.burn_in is not None:
-            ok = ok and self.burn_in <= max_burn_in
+            ok = ok and self.burn_in <= 1.0
         if min_exponent is not None:
             ok = ok and self.min_u_exponent >= min_exponent
-        if demand_domination:
-            ok = ok and self.domination_exponent > 0.0
         return bool(ok)
 
     def to_dict(self):
@@ -331,9 +304,7 @@ def _inner_orbit_points(model: ProductModel, n_orbits, seed, radius):
 
 
 def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=24,
-                        times=(1.0, 2.0, 4.0), grid_step=0.25, metric=None,
-                        seed=0, step=DEFAULT_STEP, reverse=False,
-                        core_radius=None):
+                        times=(1.0, 2.0, 4.0), seed=0, step=DEFAULT_STEP, reverse=False):
     """Cone invariance, expansion and domination in the uniformly slowed core.
 
     Orbits run in the blow-up charts (the exceptional set included), where
@@ -356,10 +327,10 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     csframe = cone_boundary_frame(model, cscone, n_vectors, seed + 7)
 
     tmax = max(times)
-    grid = [round(grid_step * i, 10) for i in range(1, int(round(tmax / grid_step)) + 1)]
-    if core_radius is None:
-        # keep whole segments inside the uniformly slowed core (and the disk)
-        core_radius = min(0.012, 0.5 * math.exp(-rho0 * max(abs(r) for r in spec.rates) * tmax))
+    # checkpoints every 0.25 time units up to tmax
+    grid = [round(0.25 * i, 10) for i in range(1, int(round(tmax / 0.25)) + 1)]
+    # keep whole segments inside the uniformly slowed core (and the disk)
+    core_radius = min(0.012, 0.5 * math.exp(-rho0 * max(abs(r) for r in spec.rates) * tmax))
     points = _inner_orbit_points(model, n_orbits, seed + 3, core_radius)
     flat = saddle.BumpProfile.flat(rho0)
     res = blowup._lifted_flow_batch(spec, flat, points, tmax, step=step,
@@ -380,7 +351,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
         for m in range(len(points)):
             M = model.full_map(J[m], t)
             vu = uframe @ M.T
-            ang = angle_to_center(vu, ucone, metric)
+            ang = angle_to_center(vu, ucone)
             inside = ang < omega
             inside_all = inside_all and bool(inside.all())
             member_frac.setdefault(t, []).append(float(inside.mean()))
@@ -388,7 +359,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
 
             Minv = np.linalg.inv(M)
             wb = csframe @ Minv.T
-            angb = angle_to_center(wb, cscone, metric)
+            angb = angle_to_center(wb, cscone)
             if not (angb < omega + 1e-12).all():
                 cs_back_ok = False
                 worst = int(np.argmax(angb))
@@ -400,7 +371,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
                 expo_u = np.log(growth_u) / t
                 min_u_exp = min(min_u_exp, float(expo_u.min()))
                 vcs = csframe @ M.T
-                angf = angle_to_center(vcs, cscone, metric)
+                angf = angle_to_center(vcs, cscone)
                 # staying vectors: inside the cs cone now (boundary tolerated)
                 stay = angf <= omega + 1e-12
                 if stay.any():
@@ -438,7 +409,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
 
 
 def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
-                           n_vectors=200, metric=None, seed=0, step=DEFAULT_STEP):
+                           n_vectors=200, seed=0, step=DEFAULT_STEP):
     """Cone damage across the transition shell, measured per annulus transit.
 
     For each transit with tangent map M: the aperture ratio max angle(M v)
@@ -475,12 +446,12 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
         t_max = max(t_max, rep.time)
         M = model.full_map(rep.jacobian, rep.time)
         vu = uframe @ M.T
-        aperture = max(aperture, float(angle_to_center(vu, ucone, metric).max()) / omega)
+        aperture = max(aperture, float(angle_to_center(vu, ucone).max()) / omega)
         min_grow = min(min_grow, float((np.linalg.norm(vu, axis=1)
                                         / np.linalg.norm(uframe, axis=1)).min()))
         Minv = np.linalg.inv(M)
         wb = csframe @ Minv.T
-        aperture_b = max(aperture_b, float(angle_to_center(wb, cscone, metric).max()) / omega)
+        aperture_b = max(aperture_b, float(angle_to_center(wb, cscone).max()) / omega)
         min_contract = min(min_contract, float((np.linalg.norm(wb, axis=1)
                                                 / np.linalg.norm(csframe, axis=1)).min()))
     report.aperture_ratio = aperture
@@ -495,7 +466,7 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
 
 
 def rate_chain_check(spec, anosov, rho0, *, region="far", times=(1.0, 2.0),
-                     n_samples=100, seed=0, tol=1e-9, step=DEFAULT_STEP):
+                     n_samples=100, seed=0, tol=1e-9):
     """Three-scale chain: stable < lam^t < center < mu^t < unstable growth.
 
     Samples unit vectors in each invariant block of the product flow (disk

@@ -16,7 +16,6 @@ DEFAULT_TOLERANCES = {
     "volume_residual": 1e-10,
     "volume_control_min": 1e-3,
     "density_match": 1e-6,
-    "density_floor": 0.05,
     "distortion_ratio": 2.0,
     "cone_ratio": 2.0,
     "expansion_deficit": 0.05,
@@ -48,7 +47,6 @@ class CampaignConfig:
     automatically (0.5), aperture 0.1, atlas exponent -(k-1)/k.
     """
 
-    suite: str = "all"
     seed: int = 42
     saddle_rates: list = field(default_factory=lambda: [-1.0, -1.0, 1.0, 1.0])
     anosov_stable: list = field(default_factory=lambda: [-2.0])
@@ -72,9 +70,6 @@ class CampaignConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        if self.suite not in SUITES + ("all",):
-            raise ConfigError(f"suite: unknown suite {self.suite!r}; "
-                              f"expected one of {('all',) + SUITES}")
         tol = dict(DEFAULT_TOLERANCES)
         unknown = set(self.tolerances) - set(tol)
         if unknown:
@@ -89,6 +84,19 @@ class CampaignConfig:
             raise ConfigError("omega: aperture must lie in (0, pi/4)")
         if self.samples < 1:
             raise ConfigError("samples: must be positive")
+        if not self.delta > 0:
+            raise ConfigError("delta: must be positive")
+        if not all(d > 0 for d in self.delta_sweep):
+            raise ConfigError("delta_sweep: every entry must be positive")
+        # the model must be buildable.  pick_rho0 checks lam < lam' <= 1 <= mu' < mu,
+        # which an explicit rho0 needs too; its value is a measured input.
+        for fields, build in (("saddle_rates", self.saddle_spec),
+                              ("anosov_stable, anosov_unstable, lam, mu", self.anosov_model),
+                              ("lam, mu, saddle_rates", self._picked_rho0)):
+            try:
+                build()
+            except ValueError as exc:
+                raise ConfigError(f"{fields}: {exc}") from exc
 
     # derived model objects -------------------------------------------------
 
@@ -105,8 +113,10 @@ class CampaignConfig:
                                   lam=self.lam, mu=self.mu)
 
     def resolved_rho0(self):
-        if self.rho0 != "auto":
-            return float(self.rho0)
+        return self._picked_rho0() if self.rho0 == "auto" else float(self.rho0)
+
+    def _picked_rho0(self):
+        """The automatic rho0; raises InfeasibleRates when the rates admit none."""
         spec = self.saddle_spec()
         return saddle.pick_rho0(self.lam, self.mu, spec.lam_prime, spec.mu_prime,
                                 k=self.k, volume_mode=self.volume_mode)

@@ -116,7 +116,7 @@ def _du(y):
 
 
 def partial(f, x, i):
-    """Exact partial derivative of scalar f at point x."""
+    """Exact partial derivative of scalar f at point x (whose entries may be duals)."""
     return _du(f(seed(x, i)))
 
 

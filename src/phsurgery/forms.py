@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import Dual, value
+from .dualnum import Dual, partial, value
 from .saddle import rk4_step
 
 MAX_DIM = 6
@@ -136,19 +136,12 @@ def d(form: Form) -> Form:
         def coeff(x):
             total = 0.0
             for sign, j, f in termlist:
-                total = total + sign * _partial_at(f, x, j)
+                total = total + sign * partial(f, x, j)
             return total
 
         return coeff
 
     return Form(form.dim, form.degree + 1, {idx: make(t) for idx, t in terms.items()})
-
-
-def _partial_at(f, x, j):
-    """d f / d x_j at a point whose entries may already be dual."""
-    xs = [Dual(c, 1.0 if m == j else 0.0) for m, c in enumerate(x)]
-    out = f(xs)
-    return out.du if isinstance(out, Dual) else 0.0
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -219,7 +212,7 @@ def lie(X, form: Form) -> Form:
         def xf(x, f=f):
             total = 0.0
             for j in range(n):
-                total = total + X[j](x) * _partial_at(f, x, j)
+                total = total + X[j](x) * partial(f, x, j)
             return total
 
         add(idx, xf)
@@ -227,7 +220,7 @@ def lie(X, form: Form) -> Form:
             for j in range(n):
                 # replace slot pos by j with coefficient d_j X^{i_m}
                 if j == im:
-                    add(idx, (lambda f, Xm, j: lambda x: f(x) * _partial_at(Xm, x, j))(f, X[im], j))
+                    add(idx, (lambda f, Xm, j: lambda x: f(x) * partial(Xm, x, j))(f, X[im], j))
                     continue
                 if j in idx:
                     continue
@@ -238,7 +231,7 @@ def lie(X, form: Form) -> Form:
                 new_idx, s_ins = ins
                 s_rem = (-1) ** pos
                 sgn = s_rem * s_ins
-                add(new_idx, (lambda f, Xm, j, s: lambda x: s * f(x) * _partial_at(Xm, x, j))
+                add(new_idx, (lambda f, Xm, j, s: lambda x: s * f(x) * partial(Xm, x, j))
                     (f, X[im], j, sgn))
     return Form(n, form.degree, out)
 
@@ -318,7 +311,7 @@ def moser_beta(gamma):
         if a == 0.0:
             # removable singularity: beta = gamma(0,.) + (d1 gamma)(0,.) x1/2
             g0 = gamma([x1 * 0.0] + rest)
-            slope = _partial_at(lambda y: gamma(list(y)), [0.0] + [value(c) for c in rest], 0)
+            slope = partial(lambda y: gamma(list(y)), [0.0] + [value(c) for c in rest], 0)
             return g0 + 0.5 * slope * x1
 
         def integrand(q):
@@ -469,9 +462,9 @@ def equivariance_audit(h: MoserMap, X, probes, s_values=(0.0, 0.5, 1.0)):
             x = [float(c) for c in x]
             Xx = [value(Xi(x)) for Xi in X]
             Yx = [value(c) for c in h.velocity(s, x)]
-            DY = np.array([[_partial_at(lambda y, i=i: h.velocity(s, list(y))[i], x, j)
+            DY = np.array([[partial(lambda y, i=i: h.velocity(s, list(y))[i], x, j)
                             for j in range(4)] for i in range(4)])
-            DX = np.array([[_partial_at(lambda y, i=i: X[i](list(y)), x, j)
+            DX = np.array([[partial(lambda y, i=i: X[i](list(y)), x, j)
                             for j in range(4)] for i in range(4)])
             comm = DY @ np.asarray(Xx) - DX @ np.asarray(Yx)
             size = float(np.linalg.norm(comm))

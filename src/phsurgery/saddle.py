@@ -312,23 +312,39 @@ def _fixed_steps(t, step):
     return nsteps, math.copysign(abs(t) / nsteps, t)
 
 
+def _radius(x):
+    """|x| of a point, or per row of an (n, k) batch, rounded like `np.linalg.norm(point)`.
+
+    The 1-D norm is a dot product; `vecdot` computes the same dot product row
+    by row, where the `axis=` norm sums the squares and can differ in the last
+    bit.
+    """
+    return np.sqrt(np.vecdot(x, x))
+
+
+def _check_inside(x, time):
+    """Raise DomainEscape if the point, or any row of a batch, reached the unit sphere."""
+    r = _radius(x)
+    if (r >= 1.0).any():
+        raise DomainEscape(time, np.atleast_2d(x)[int(np.argmax(r))])
+
+
 def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow of x' = rho(x) X(x) for time t (either sign), fixed-step RK4.
 
-    Raises DomainEscape as soon as the trajectory reaches the unit sphere.
-    For rho == 1 this reproduces the closed form exp(t diag(rates)) x.
+    x is a point or an (n, k) batch; each row gives the result of its own
+    one-point call.  Raises DomainEscape as soon as a row reaches the unit
+    sphere.  For rho == 1 this reproduces the closed form exp(t diag(rates)) x.
     """
-    x = np.asarray(x, dtype=float).copy()
-    if np.linalg.norm(x) >= 1.0:
-        raise DomainEscape(0.0, x)
+    x = np.array(x, dtype=float)
+    _check_inside(x, 0.0)
     if t == 0:
         return x
     nsteps, h = _fixed_steps(t, step)
     f = lambda _, y: _field(spec, profile, y)
     for i in range(nsteps):
         x = rk4_step(f, i * h, x, h)
-        if np.linalg.norm(x) >= 1.0:
-            raise DomainEscape((i + 1) * h, x)
+        _check_inside(x, (i + 1) * h)
     return x
 
 
@@ -340,8 +356,7 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """
     k = spec.k
     x = np.asarray(x, dtype=float)
-    if np.linalg.norm(x) >= 1.0:
-        raise DomainEscape(0.0, x)
+    _check_inside(x, 0.0)
     state = np.concatenate([x, np.eye(k).ravel()])
     if t == 0:
         return x.copy(), np.eye(k)
@@ -357,8 +372,7 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
         state = rk4_step(f, i * h, state, h)
         if not np.all(np.isfinite(state)):
             raise FloatingPointError(f"non-finite tangent state at t={(i + 1) * h:.6g}: {state}")
-        if np.linalg.norm(state[:k]) >= 1.0:
-            raise DomainEscape((i + 1) * h, state[:k])
+        _check_inside(state[:k], (i + 1) * h)
     J = state[k:].reshape(k, k)
     if np.linalg.det(J) <= 0:
         raise FloatingPointError("tangent map lost orientation")
@@ -396,12 +410,6 @@ class TransitReport:
         return f"{self.entry_sphere}->{self.exit_sphere}"
 
 
-def _radial_speed_sign(spec, x):
-    """Sign of d|x|/dt: the quadratic form sum(rates_i * x_i^2)."""
-    x = np.asarray(x, dtype=float)
-    return np.sum(np.asarray(spec.rates) * x * x, axis=-1)
-
-
 def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None):
     """Integrate one annulus crossing and report time and tangent distortion.
 
@@ -432,16 +440,19 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
         budget = 10.0 * math.log(2.0) / profile.rho0
 
     r0 = np.linalg.norm(entries, axis=1)
-    entry_sphere = np.where(np.abs(r0 - delta) < np.abs(r0 - 2 * delta), "inner", "outer")
-    for i in range(n):
-        target = delta if entry_sphere[i] == "inner" else 2 * delta
-        if abs(r0[i] - target) > 1e-8 * delta:
+    inner = np.abs(r0 - delta) < np.abs(r0 - 2 * delta)
+    entry_sphere = np.where(inner, "inner", "outer")
+    # d|x|/dt has the sign of the quadratic form sum(rates_i * x_i^2)
+    q = np.sum(np.asarray(spec.rates) * entries * entries, axis=1)
+    off_sphere = np.abs(r0 - np.where(inner, delta, 2 * delta)) > 1e-8 * delta
+    wrong_way = np.where(inner, q <= 0, q >= 0)
+    if (off_sphere | wrong_way).any():
+        i = int(np.argmax(off_sphere | wrong_way))
+        if off_sphere[i]:
             raise ValueError(f"entry {i} not on a boundary sphere: |x|={r0[i]:.6g}")
-        q = _radial_speed_sign(spec, entries[i])
-        if entry_sphere[i] == "inner" and q <= 0:
+        if inner[i]:
             raise ValueError(f"entry {i} on the inner sphere must move outward")
-        if entry_sphere[i] == "outer" and q >= 0:
-            raise ValueError(f"entry {i} on the outer sphere must move inward")
+        raise ValueError(f"entry {i} on the outer sphere must move inward")
 
     state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
     t = np.zeros(n)
@@ -467,13 +478,13 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
         # entries start on a sphere; ignore the entry sphere at t ~ 0 by the
         # strict crossing direction enforced above (first step moves inside)
         crossed = out_hi | out_lo
-        for j in np.flatnonzero(crossed):
-            gi = idx[j]
-            target = 2 * delta if out_hi[j] else delta
-            tau = _bisect_crossing(spec, profile, state[gi, :k], step, target)
-            exit_state[gi] = rk4_step(f, 0.0, state[gi][None, :], tau)[0]
-            exit_t[gi] = t[gi] + tau
-            exit_sphere[gi] = "outer" if out_hi[j] else "inner"
+        if crossed.any():
+            rows, hi = idx[crossed], out_hi[crossed]
+            tau = _bisect_crossing(spec, profile, state[rows, :k], step,
+                                   np.where(hi, 2 * delta, delta))
+            exit_state[rows] = rk4_step(f, 0.0, state[rows], tau[:, None])
+            exit_t[rows] = t[rows] + tau
+            exit_sphere[rows] = np.where(hi, "outer", "inner")
         alive[idx[crossed]] = False
         keep = ~crossed
         state[idx[keep]] = sn[keep]
@@ -495,24 +506,25 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
 
 
 def _bisect_crossing(spec, profile, x0, h, target, tol=1e-10):
-    """Crossing time tau in (0, h] with |x(tau)| = target, bisected to tol."""
+    """Crossing times tau in (0, h] with |x(tau)| = target, bisected to tol.
+
+    x0 holds one row per orbit and target one radius per row.  Every row
+    starts from the bracket [0, h], so the rows halve together; a row stops
+    once its own bracket is shorter than tol.
+    """
     f = lambda _, z: _field(spec, profile, z)
-
-    def radius(tau):
-        if tau == 0.0:
-            return np.linalg.norm(x0)
-        return np.linalg.norm(rk4_step(f, 0.0, x0.copy(), tau))
-
-    lo, hi = 0.0, h
-    sign_hi = radius(h) - target
+    radius = lambda tau: _radius(rk4_step(f, 0.0, x0, tau[:, None]))
+    lo = np.zeros(len(x0))
+    hi = np.full(len(x0), h)
+    sign_hi = radius(hi) - target
     for _ in range(200):
-        if hi - lo < tol:
+        active = hi - lo >= tol
+        if not active.any():
             break
         mid = 0.5 * (lo + hi)
-        if (radius(mid) - target) * sign_hi > 0:
-            hi = mid
-        else:
-            lo = mid
+        above = (radius(mid) - target) * sign_hi > 0
+        hi = np.where(active & above, mid, hi)
+        lo = np.where(active & ~above, mid, lo)
     return 0.5 * (lo + hi)
 
 

@@ -15,7 +15,7 @@ import numpy as np
 from . import blowup, cones, forms, homogeneous as hg, saddle
 from .blowup import BlowupPoint, KLStructure
 from .config import CampaignConfig
-from .dualnum import dsqrt
+from .dualnum import dsqrt, partial
 
 
 def _check(name, passed, meaning, measured=None, witness=None):
@@ -201,12 +201,9 @@ def run_saddle_suite(cfg: CampaignConfig):
             continue
         pt, J = saddle.variational_flow_slow(spec, profile, x, 1.0, step=cfg.step)
         eps = 1e-6
-        Jfd = np.zeros((cfg.k, cfg.k))
-        for i in range(cfg.k):
-            e = np.zeros(cfg.k)
-            e[i] = eps
-            Jfd[:, i] = (saddle.flow_slow(spec, profile, x + e, 1.0, step=cfg.step)
-                         - saddle.flow_slow(spec, profile, x - e, 1.0, step=cfg.step)) / (2 * eps)
+        E = eps * np.eye(cfg.k)
+        ends = saddle.flow_slow(spec, profile, np.vstack([x + E, x - E]), 1.0, step=cfg.step)
+        Jfd = (ends[: cfg.k] - ends[cfg.k:]).T / (2 * eps)
         fd_errs.append(float(np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd)))
         rich.append(saddle.richardson_residual(spec, profile, x, 1.0, step=cfg.step))
     checks.append(_check(
@@ -265,16 +262,16 @@ def run_blowup_suite(cfg: CampaignConfig):
         measured={"max_residual": worst}, witness=wit))
 
     # exceptional set invariance
-    stays = True
+    starts = []
     for _ in range(50):
         u = rng.uniform(-0.9, 0.9, size=k)
         chart = int(rng.integers(0, k))
         u[chart] = 0.0
-        p = BlowupPoint(chart=chart, u=u)
-        q = blowup.lifted_slow_flow(spec, profile, p, 1.5, step=cfg.step)
-        stays = stays and q.u[q.chart] == 0.0
+        starts.append(BlowupPoint(chart=chart, u=u))
+    res = blowup._lifted_flow_batch(spec, profile, starts, 1.5, step=cfg.step)
     checks.append(_check(
-        "exceptional-invariance", stays,
+        "exceptional-invariance",
+        bool((res.U[np.arange(len(starts)), res.charts] == 0.0).all()),
         "the exceptional set {u_i = 0} is exactly flow invariant"))
 
     # density identities and nondegeneracy floors
@@ -373,17 +370,15 @@ def run_blowup_suite(cfg: CampaignConfig):
     p0 = BlowupPoint(chart=0, u=np.array([0.05] + [0.3] * (k - 1)))
     end, J = blowup.lifted_variational_flow(spec, profile, p0, 1.0, step=cfg.step)
     eps = 1e-6
+    shifted = [BlowupPoint(0, p0.u + sign * eps * e) for sign in (1, -1) for e in np.eye(k)]
+    a, *ends = blowup._lifted_flow_batch(spec, profile, [p0] + shifted, 1.0,
+                                         step=cfg.step).points()
     err = 0.0
-    for i in range(k):
-        e = np.zeros(k)
-        e[i] = eps
-        qa = blowup.lifted_slow_flow(spec, profile, BlowupPoint(0, p0.u + e), 1.0, step=cfg.step)
-        qb = blowup.lifted_slow_flow(spec, profile, BlowupPoint(0, p0.u - e), 1.0, step=cfg.step)
+    for i, (qa, qb) in enumerate(zip(ends[:k], ends[k:])):
         if qa.chart != qb.chart or qa.chart != end.chart:
             continue
         col = (qa.u - qb.u) / (2 * eps)
         err = max(err, float(np.abs(J[:, i] - col).max() / max(np.abs(col).max(), 1.0)))
-    a = blowup.lifted_slow_flow(spec, profile, p0, 1.0, step=cfg.step)
     b = blowup.lifted_slow_flow(spec, profile, p0, 1.0, step=cfg.step / 2)
     rich = float(np.linalg.norm(blowup.blowdown(a) - blowup.blowdown(b)))
     checks.append(_check(
@@ -398,7 +393,7 @@ def run_blowup_suite(cfg: CampaignConfig):
 # cones suite
 
 
-def run_cones_suite(cfg: CampaignConfig, negative_control=True):
+def run_cones_suite(cfg: CampaignConfig):
     spec = cfg.saddle_spec()
     anosov = cfg.anosov_model()
     rho0 = cfg.resolved_rho0()
@@ -450,26 +445,26 @@ def run_cones_suite(cfg: CampaignConfig, negative_control=True):
                   "core_center_margin": chain_core["center_margin"]},
         witness={"far": chain_far["witnesses"], "core": chain_core["witnesses"]}))
 
-    if negative_control:
-        bad_rho0 = 1.5 * _feasible_bound(spec, cfg)
-        neg = cones.inner_cone_campaign(spec, anosov, bad_rho0, cfg.omega,
-                                        n_vectors=max(cfg.samples // 4, 64),
-                                        n_orbits=max(cfg.cone_orbits // 2, 8),
-                                        seed=cfg.seed, step=cfg.step)
-        neg_types = {v["type"] for v in neg.violations}
-        chain_bound = min(log_mu, -math.log(cfg.lam)) / max(abs(r) for r in spec.rates)
-        neg_chain = cones.rate_chain_check(spec, anosov, 1.5 * chain_bound,
-                                           region="core", seed=cfg.seed)
-        checks.append(_check(
-            "negative-controls",
-            (not neg.passed()) and "domination" in neg_types and not neg_chain["ok"],
-            "with the domination inequality deliberately violated the "
-            "campaign reports violations and the rate chain breaks "
-            "(the checkers are not vacuous)",
-            measured={"forced_rho0": bad_rho0,
-                      "violation_types": sorted(neg_types),
-                      "domination_exponent": neg.domination_exponent,
-                      "chain_forced_rho0": 1.5 * chain_bound}))
+    # pick_rho0 returns the midpoint of (0, largest rho0 meeting the domination inequality)
+    bad_rho0 = 1.5 * (2 * saddle.pick_rho0(cfg.lam, cfg.mu, spec.lam_prime, spec.mu_prime))
+    neg = cones.inner_cone_campaign(spec, anosov, bad_rho0, cfg.omega,
+                                    n_vectors=max(cfg.samples // 4, 64),
+                                    n_orbits=max(cfg.cone_orbits // 2, 8),
+                                    seed=cfg.seed, step=cfg.step)
+    neg_types = {v["type"] for v in neg.violations}
+    chain_bound = min(log_mu, -math.log(cfg.lam)) / max(abs(r) for r in spec.rates)
+    neg_chain = cones.rate_chain_check(spec, anosov, 1.5 * chain_bound,
+                                       region="core", seed=cfg.seed)
+    checks.append(_check(
+        "negative-controls",
+        (not neg.passed()) and "domination" in neg_types and not neg_chain["ok"],
+        "with the domination inequality deliberately violated the "
+        "campaign reports violations and the rate chain breaks "
+        "(the checkers are not vacuous)",
+        measured={"forced_rho0": bad_rho0,
+                  "violation_types": sorted(neg_types),
+                  "domination_exponent": neg.domination_exponent,
+                  "chain_forced_rho0": 1.5 * chain_bound}))
 
     sweep = {}
     try:
@@ -517,13 +512,12 @@ def run_cones_suite(cfg: CampaignConfig, negative_control=True):
     x0 = np.zeros(cfg.k)
     x0[0] = 1e-3
     frame = np.eye(model.dim)[:3]
-    one = cones.propagate("inner-product", x0, 0.7, frame, spec=spec, anosov=anosov,
-                          rho0=rho0, step=cfg.step)
+    one = cones.propagate(x0, 0.7, frame, spec=spec, anosov=anosov, rho0=rho0, step=cfg.step)
     flat = saddle.BumpProfile.flat(rho0)
     mid = saddle.flow_slow(spec, flat, x0, 0.3, step=cfg.step)
-    two = cones.propagate("inner-product", mid, 0.4,
-                          cones.propagate("inner-product", x0, 0.3, frame,
-                                          spec=spec, anosov=anosov, rho0=rho0, step=cfg.step),
+    two = cones.propagate(mid, 0.4,
+                          cones.propagate(x0, 0.3, frame, spec=spec, anosov=anosov,
+                                          rho0=rho0, step=cfg.step),
                           spec=spec, anosov=anosov, rho0=rho0, step=cfg.step)
     cocycle = float(np.abs(one - two).max())
     checks.append(_check(
@@ -546,15 +540,6 @@ def run_cones_suite(cfg: CampaignConfig, negative_control=True):
         "metric reweighting"))
 
     return _suite("cones", checks)
-
-
-def _feasible_bound(spec, cfg):
-    """Largest rho0 satisfying the slowed-rate domination inequality."""
-    q = spec.lam_prime / spec.mu_prime
-    floor = max(cfg.lam, 1.0 / cfg.mu)
-    if q >= 1.0:
-        return 1.0
-    return min(1.0, math.log(floor) / math.log(q))
 
 
 # ---------------------------------------------------------------------------
@@ -657,7 +642,7 @@ def run_moser_suite(cfg: CampaignConfig):
     worst_inv = 0.0
     for x in probes[:200]:
         xb = [float(c) for c in x]
-        xbeta = sum(X[i](xb) * forms._partial_at(beta, xb, i) for i in range(4))
+        xbeta = sum(X[i](xb) * partial(beta, xb, i) for i in range(4))
         worst_inv = max(worst_inv, abs(xbeta))
     # the corrected product-rule identity: d(beta eta0) = beta vol + dbeta ^ eta0
     lhs = forms.d(eta0.scale(beta))
@@ -728,12 +713,15 @@ def run_moser_suite(cfg: CampaignConfig):
 
     # step-halving for the s-integration
     x0 = np.array([0.1, 0.15, -0.1, 0.2])
-    h2 = forms.moser_flow(vol, om1, radius=cfg.moser_radius, steps=2 * cfg.moser_steps)
-    rich = float(np.linalg.norm(h(x0) - h2(x0)))
+    rich = math.nan
+    if inside(x0):
+        h2 = forms.moser_flow(vol, om1, radius=cfg.moser_radius, steps=2 * cfg.moser_steps)
+        rich = float(np.linalg.norm(h(x0) - h2(x0)))
     checks.append(_check(
         "normalization-richardson", rich < tol["richardson"],
         "step halving of the interpolation integration agrees",
-        measured={"residual": rich}))
+        measured={"residual": rich},
+        witness={"start_point": x0, "moser_radius": cfg.moser_radius}))
 
     return _suite("moser", checks)
 

@@ -111,6 +111,19 @@ class TestLiftedFlow:
         assert worst < 1e-7
         assert witness["residual"] == worst
 
+    def test_batch_matches_single_points(self, spec4, profile):
+        # rows on the exceptional set, in the transition shell and switching charts
+        rng = np.random.default_rng(4)
+        points = [BlowupPoint(int(c), rng.uniform(-0.3, 0.3, size=4))
+                  for c in rng.integers(0, 4, size=12)]
+        points[0].u[points[0].chart] = 0.0
+        res = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
+        assert (res.charts != [p.chart for p in points]).any()
+        for p, chart, u in zip(points, res.charts, res.U):
+            q = blowup.lifted_slow_flow(spec4, profile, p, 1.2)
+            assert q.chart == chart
+            assert (q.u == u).all()
+
     def test_atlas_escape(self, spec2):
         flat = BumpProfile.flat(1.0)
         p = BlowupPoint(chart=1, u=np.array([0.0, 0.5]))

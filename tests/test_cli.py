@@ -45,10 +45,6 @@ class TestConfig:
         with pytest.raises(ConfigError, match="tolerances"):
             CampaignConfig(tolerances={"bogus": 1.0})
 
-    def test_bad_suite_rejected(self):
-        with pytest.raises(ConfigError, match="suite"):
-            CampaignConfig(suite="nonsense")
-
     def test_volume_mode_changes_nothing_for_defaults(self):
         plain = CampaignConfig().resolved_rho0()
         vol = CampaignConfig(volume_mode=True).resolved_rho0()
@@ -80,6 +76,42 @@ class TestCli:
         assert cli.main(["all", "--config", str(bad)]) == 2
         err = capsys.readouterr().err
         assert "samples" in err
+
+    @pytest.mark.parametrize("fields, named", [
+        ({"saddle_rates": [1, 1]}, "saddle_rates"),
+        ({"lam": 2.0}, "lam"),
+        # lam above the saddle's contraction lam' = exp(-1), whatever rho0 is
+        ({"rho0": 0.5, "lam": 0.5}, "lam"),
+        ({"delta": 0.0}, "delta"),
+        ({"delta_sweep": [0.1, -0.01]}, "delta_sweep"),
+    ])
+    def test_exit_2_names_the_model_field(self, tmp_path, capsys, fields, named):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump(fields), encoding="utf-8")
+        assert cli.main(["verify-volume", "--config", str(bad), "--out", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and named in err
+
+    @pytest.mark.parametrize("fields, subcommand, suite, failing, present", [
+        # the bump profile rejects rho0 0.2 inside the suite
+        ({"rho0": 0.2}, "verify-volume", "volume", "suite-error", ["suite-error"]),
+        # the Richardson start point |x0| = 0.29 lies outside the Moser domain
+        ({"moser_radius": 0.25, "moser_steps": 40}, "verify-moser", "moser",
+         "normalization-richardson",
+         ["exterior-calculus-identities", "invariant-primitive", "averaged-density-solution",
+          "volume-normalization", "normalization-controls", "normalization-richardson"]),
+    ])
+    def test_exit_1_with_witness_instead_of_traceback(self, tmp_path, fields, subcommand,
+                                                      suite, failing, present):
+        cfgpath = tmp_path / "config.yaml"
+        cfgpath.write_text(yaml.safe_dump(fields), encoding="utf-8")
+        out = tmp_path / "rep"
+        assert cli.main([subcommand, "--config", str(cfgpath), "--out", str(out)]) == 1
+        report = json.loads((out / f"{subcommand.replace('-', '_')}_report.json").read_text())
+        checks = {c["name"]: c for c in report["suites"][suite]["checks"]}
+        assert list(checks) == present
+        assert checks[failing]["passed"] is False
+        assert checks[failing]["witness"]
 
     def test_exit_2_on_missing_file(self, tmp_path, capsys):
         assert cli.main(["all", "--config", str(tmp_path / "none.yaml")]) == 2

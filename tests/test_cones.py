@@ -76,14 +76,14 @@ class TestMembership:
 class TestPropagate:
     def test_identity_at_zero(self, spec, anosov, model):
         frame = np.eye(model.dim)[:4]
-        out = cones.propagate("inner-product", np.array([1e-3, 0, 0, 0]), 0.0, frame,
+        out = cones.propagate(np.array([1e-3, 0, 0, 0]), 0.0, frame,
                               spec=spec, anosov=anosov, rho0=0.5)
         assert out == pytest.approx(frame)
 
     def test_pure_unstable_growth(self, spec, anosov, model):
         e_u = np.zeros(model.dim)
         e_u[model.dim - 1] = 1.0
-        out = cones.propagate("inner-product", np.array([1e-3, 0, 0, 0]), 1.0, e_u,
+        out = cones.propagate(np.array([1e-3, 0, 0, 0]), 1.0, e_u,
                               spec=spec, anosov=anosov, rho0=0.5)
         assert np.linalg.norm(out) == pytest.approx(math.exp(2.0), rel=1e-9)
 
@@ -91,36 +91,30 @@ class TestPropagate:
         rho0 = 0.5
         x0 = np.array([1e-3, 1e-3, 0, 0])
         v = np.ones(model.dim) / math.sqrt(model.dim)
-        out = cones.propagate("inner-product", x0, 1.0, v, spec=spec, anosov=anosov,
-                              rho0=rho0)
+        out = cones.propagate(x0, 1.0, v, spec=spec, anosov=anosov, rho0=rho0)
         expected = np.concatenate([np.exp(rho0 * np.asarray(spec.rates)),
                                    np.exp(np.asarray(anosov.rates))]) * v
         assert out[0] == pytest.approx(expected, rel=1e-9)
 
-    def test_lifted_kind(self, spec, anosov, model):
-        from phsurgery.blowup import BlowupPoint
+    def test_lifted_kind(self, spec):
+        from phsurgery.blowup import BlowupPoint, _lifted_flow_batch
         p = BlowupPoint(chart=0, u=np.zeros(4))
-        frame = np.eye(model.dim)
-        out = cones.propagate("lifted", p, 1.0, frame, spec=spec, anosov=anosov,
-                              rho0=0.5)
+        res = _lifted_flow_batch(spec, BumpProfile.flat(0.5), [p], 1.0, want_jacobian=True)
         # chart of a contracting axis: radial -rho0, affine spreads
-        diag = np.linalg.norm(out, axis=1)
-        assert diag[0] == pytest.approx(math.exp(-0.5), rel=1e-9)
-        assert diag[2] == pytest.approx(math.exp(1.0), rel=1e-9)
-        assert diag[model.dim - 1] == pytest.approx(math.exp(2.0), rel=1e-9)
+        growth = np.linalg.norm(res.J[0], axis=0)
+        assert growth[0] == pytest.approx(math.exp(-0.5), rel=1e-9)
+        assert growth[2] == pytest.approx(math.exp(1.0), rel=1e-9)
 
     def test_cocycle_property(self, spec, anosov, model):
         rho0 = 0.5
         x0 = np.array([2e-3, 1e-3, 5e-4, 0])
         frame = np.eye(model.dim)[:3]
-        whole = cones.propagate("inner-product", x0, 0.9, frame, spec=spec,
-                                anosov=anosov, rho0=rho0)
+        whole = cones.propagate(x0, 0.9, frame, spec=spec, anosov=anosov, rho0=rho0)
         flat = BumpProfile.flat(rho0)
         mid = saddle.flow_slow(spec, flat, x0, 0.4)
         parts = cones.propagate(
-            "inner-product", mid, 0.5,
-            cones.propagate("inner-product", x0, 0.4, frame, spec=spec,
-                            anosov=anosov, rho0=rho0),
+            mid, 0.5,
+            cones.propagate(x0, 0.4, frame, spec=spec, anosov=anosov, rho0=rho0),
             spec=spec, anosov=anosov, rho0=rho0)
         assert np.abs(whole - parts).max() < 1e-8
 

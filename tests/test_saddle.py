@@ -9,6 +9,23 @@ from phsurgery.saddle import (AnosovModel, BumpProfile, DomainEscape, Infeasible
                               NonExitingOrbit, SaddleSpec)
 
 
+def _scalar_bisection(spec, profile, x0, h, target, tol=1e-10):
+    """Crossing time of one orbit by scalar bisection: the oracle for the batched locator."""
+    f = lambda _, z: saddle._field(spec, profile, z)
+    radius = lambda tau: np.linalg.norm(saddle.rk4_step(f, 0.0, x0.copy(), tau))
+    lo, hi = 0.0, h
+    sign_hi = radius(h) - target
+    for _ in range(200):
+        if hi - lo < tol:
+            break
+        mid = 0.5 * (lo + hi)
+        if (radius(mid) - target) * sign_hi > 0:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
 @pytest.fixture(scope="module")
 def spec2():
     return SaddleSpec(rates=(-1.0, 1.0))
@@ -138,6 +155,20 @@ class TestFlow:
         x[0] = 0.03
         assert saddle.richardson_residual(spec4, profile, x, 1.5) < 1e-8
 
+    def test_batch_matches_single_points(self, spec4, profile):
+        x = np.random.default_rng(8).uniform(-0.3, 0.3, size=(12, 4))
+        batch = saddle.flow_slow(spec4, profile, x, 0.7)
+        single = np.array([saddle.flow_slow(spec4, profile, row, 0.7) for row in x])
+        assert (batch == single).all()
+
+    def test_batch_escape_names_the_row(self, spec2):
+        flat = BumpProfile.flat(1.0)
+        x = np.array([[0.01, 0.01], [0.0, 0.5], [0.02, 0.0]])
+        with pytest.raises(DomainEscape) as err:
+            saddle.flow_slow(spec2, flat, x, 2.0)
+        assert err.value.time == pytest.approx(math.log(2.0), abs=1e-3)
+        assert err.value.point[0] == 0.0 and np.linalg.norm(err.value.point) >= 1.0
+
     def test_negative_time(self, spec2, profile):
         x = np.array([0.03, 0.02])
         y = saddle.flow_slow(spec2, profile, x, 0.4)
@@ -213,6 +244,27 @@ class TestTransit:
             saddle.annulus_transit(spec2, profile, np.array([0.1, 0.0]))
         with pytest.raises(ValueError, match="boundary sphere"):
             saddle.annulus_transit(spec2, profile, np.array([0.15, 0.0]))
+        with pytest.raises(ValueError, match="inward"):
+            saddle.annulus_transit(spec2, profile, np.array([0.0, 0.2]))
+        # a batch names its first bad row
+        with pytest.raises(ValueError, match="entry 1 on the inner sphere"):
+            saddle._transit_batch(spec2, profile, np.array([[0.0, 0.1], [0.1, 0.0], [0.15, 0.0]]))
+
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    def test_batched_crossing_matches_scalar_bisection(self, spec4, profile, step):
+        # start a fraction of a step before seeded exits through both spheres
+        rng = np.random.default_rng(21)
+        entries = saddle.sample_entries(spec4, profile.delta, 60, rng)
+        reports = saddle._transit_batch(spec4, profile, entries, step=step)
+        exits = np.array([r.exit for r in reports])
+        x0 = saddle.flow_slow(spec4, profile, exits, -0.37 * step, step=step)
+        target = np.where([r.exit_sphere == "outer" for r in reports],
+                          2 * profile.delta, profile.delta)
+        assert len(set(target)) == 2
+        tau = saddle._bisect_crossing(spec4, profile, x0, step, target)
+        for row, tau_row, target_row in zip(x0, tau, target):
+            assert tau_row == _scalar_bisection(spec4, profile, row, step, target_row)
+            assert 0.0 < tau_row < step
 
     def test_campaign_scale_invariance(self, spec4):
         stats = {}
