@@ -55,14 +55,6 @@ class BlowupPoint:
     def k(self):
         return len(self.u)
 
-    @property
-    def radial(self):
-        return float(self.u[self.chart])
-
-    @property
-    def on_exceptional_set(self):
-        return self.u[self.chart] == 0.0
-
     def line(self):
         """Homogeneous line coordinates (1 in the chart slot)."""
         ell = self.u.copy()
@@ -74,6 +66,14 @@ def blowdown(p: BlowupPoint) -> np.ndarray:
     """Project to D^k: x_j = u_j u_i, x_i = u_i.  Collapses {u_i = 0} to 0."""
     x = p.u * p.u[p.chart]
     x[p.chart] = p.u[p.chart]
+    return x
+
+
+def _blowdown_rows(charts, U):
+    """`blowdown` of every row of an (n, k) batch, row m read in chart charts[m]."""
+    rows = np.arange(len(U))
+    x = U * U[rows, charts][:, None]
+    x[rows, charts] = U[rows, charts]
     return x
 
 
@@ -155,42 +155,38 @@ def _chart_rate_matrix(rates):
 
 @dataclass(frozen=True)
 class LiftedSaddle:
-    """Chart dynamics of the slowed saddle on the blown-up disk."""
+    """Chart dynamics of the slowed saddle on the blown-up disk.
+
+    Every method takes one chart index per row, so a batch may mix charts.
+    """
 
     spec: object
     profile: object
 
     def __post_init__(self):
-        object.__setattr__(self, "chart_rates", _chart_rate_matrix(self.spec.rates))
+        rates = _chart_rate_matrix(self.spec.rates)
+        object.__setattr__(self, "chart_rates", rates)
+        object.__setattr__(self, "chart_diags", np.array([np.diag(d) for d in rates]))
 
-    def disk_point(self, chart, u):
-        u = np.atleast_2d(u)
-        x = u * u[:, chart][:, None]
-        x[:, chart] = u[:, chart]
-        return x
+    def field(self, charts, u):
+        """du/dt for an (n, k) batch, row m in chart charts[m]."""
+        rho = self.profile(_blowdown_rows(charts, u))
+        return self.chart_rates[charts] * u * rho[:, None]
 
-    def field(self, chart, u):
-        """du/dt for an (n, k) batch in a single chart."""
-        u = np.atleast_2d(u)
-        x = self.disk_point(chart, u)
-        rho = self.profile(x)
-        return self.chart_rates[chart][None, :] * u * rho[:, None]
-
-    def field_jacobian(self, chart, u):
+    def field_jacobian(self, charts, u):
         """Derivative of `field` in chart coordinates, batched (n, k, k)."""
-        u = np.atleast_2d(u)
-        n, k = u.shape
-        x = self.disk_point(chart, u)
-        r = np.linalg.norm(x, axis=1)
+        rows = np.arange(len(u))
+        r = np.linalg.norm(_blowdown_rows(charts, u), axis=1)
         rho = self.profile.value(r)
         slope = self.profile.slope(r)
-        lin = self.chart_rates[chart][None, :] * u  # (n, k)
+        lin = self.chart_rates[charts] * u  # (n, k)
+        ui = u[rows, charts]
         # dr/du: r = |u_i| * s with s = sqrt of (1 + sum of affine squares)
-        s = np.sqrt(np.maximum(r**2 / np.maximum(u[:, chart] ** 2, 1e-300), 1.0))
-        drdu = np.abs(u[:, chart])[:, None] * u / np.where(s[:, None] > 0, s[:, None], 1.0)
-        drdu[:, chart] = np.sign(u[:, chart]) * s
+        s = np.sqrt(np.maximum(r**2 / np.maximum(ui**2, 1e-300), 1.0))
+        drdu = np.abs(ui)[:, None] * u / np.where(s[:, None] > 0, s[:, None], 1.0)
+        drdu[rows, charts] = np.sign(ui) * s
         J = lin[:, :, None] * (slope[:, None] * drdu)[:, None, :]
-        J += rho[:, None, None] * np.diag(self.chart_rates[chart])[None, :, :]
+        J += rho[:, None, None] * self.chart_diags[charts]
         return J
 
 
@@ -205,12 +201,6 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
     return res.points()[0]
 
 
-def lifted_variational_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
-    """Lifted flow together with the chart tangent map (transition-adjusted)."""
-    res = _lifted_flow_batch(spec, profile, [p], t, step=step, want_jacobian=True)
-    return res.points()[0], res.J[0]
-
-
 @dataclass
 class _LiftedBatchResult:
     charts: np.ndarray
@@ -222,49 +212,32 @@ class _LiftedBatchResult:
         return [BlowupPoint(int(c), u.copy()) for c, u in zip(self.charts, self.U)]
 
 
-def _chart_fields(lifted, tangent):
-    """Per-chart right-hand sides f(t, rows) for `_chart_step`.
+def _chart_step(lifted, charts, Y, t, h):
+    """Advance rows Y in place by one RK4 step in their own charts, then switch.
 
-    Rows are chart coordinates u, or with `tangent` the packed state
-    [u | vec J] of a point and its tangent map.
+    Rows are chart coordinates u, or the packed state [u | vec J] of a point
+    and its tangent map.  Raises DomainEscape if a row leaves the disk.  A
+    row switches to the dominant chart of its line once an affine coordinate
+    exceeds the threshold; its tangent block (if any) is conjugated by the
+    exact transition Jacobian.
     """
     k = lifted.spec.k
 
-    def field(c):
-        if not tangent:
-            return lambda _, u: lifted.field(c, u)
+    def f(_, y):
+        u = y[:, :k]
+        if y.shape[1] == k:
+            return lifted.field(charts, u)
+        AJ = np.einsum("nab,nbc->nac", lifted.field_jacobian(charts, u), y[:, k:].reshape(-1, k, k))
+        return np.hstack([lifted.field(charts, u), AJ.reshape(-1, k * k)])
 
-        def f(_, y):
-            u = y[:, :k]
-            AJ = np.einsum("nab,nbc->nac", lifted.field_jacobian(c, u), y[:, k:].reshape(-1, k, k))
-            return np.hstack([lifted.field(c, u), AJ.reshape(-1, k * k)])
-
-        return f
-
-    return [field(c) for c in range(k)]
-
-
-def _chart_step(fields, charts, Y, t, h):
-    """Advance rows Y in place by one RK4 step in their own charts, then switch.
-
-    Raises DomainEscape if a row leaves the disk.  A row switches to the
-    dominant chart of its line once an affine coordinate exceeds the
-    threshold; its tangent block (if any) is conjugated by the exact
-    transition Jacobian.
-    """
-    k = len(fields)
-    rows = np.arange(len(Y))
-    for c in np.unique(charts):
-        sel = charts == c
-        Y[sel] = rk4_step(fields[c], t, Y[sel], h)
+    Y[:] = rk4_step(f, t, Y, h)
     U = Y[:, :k]
-    x = U * U[rows, charts][:, None]
-    x[rows, charts] = U[rows, charts]
+    x = _blowdown_rows(charts, U)
     r = np.linalg.norm(x, axis=1)
     if (r >= 1.0).any():
         raise DomainEscape(t + h, x[int(np.argmax(r))])
     absU = np.abs(U)
-    absU[rows, charts] = 0.0
+    absU[np.arange(len(U)), charts] = 0.0
     for m in np.flatnonzero(absU.max(axis=1) > _CHART_SWITCH):
         p = BlowupPoint(int(charts[m]), U[m])
         affine = np.abs(p.line())
@@ -303,9 +276,9 @@ def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP,
 
     nsteps, h = _fixed_steps(t, step)
     checkpoint_steps = {int(round(abs(c) / abs(h))): c for c in checkpoints}
-    fields = _chart_fields(LiftedSaddle(spec, profile), want_jacobian)
+    lifted = LiftedSaddle(spec, profile)
     for istep in range(nsteps):
-        _chart_step(fields, charts, Y, istep * h, h)
+        _chart_step(lifted, charts, Y, istep * h, h)
         if istep + 1 in checkpoint_steps:
             snapshots[checkpoint_steps[istep + 1]] = result()
 
@@ -336,8 +309,7 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
     radial[rng.random(n) < 0.25] = 0.0
     U[rows, charts] = radial
 
-    X = U * U[rows, charts][:, None]
-    X[rows, charts] = U[rows, charts]
+    X = _blowdown_rows(charts, U)
 
     nsteps, h = _fixed_steps(t_max, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
@@ -345,12 +317,12 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
     for i, m in enumerate(maturity):
         due.setdefault(int(m), []).append(i)
 
-    fields = _chart_fields(LiftedSaddle(spec, profile), tangent=False)
+    lifted = LiftedSaddle(spec, profile)
     disk_field = lambda _, y: _field(spec, profile, y)
     worst = -1.0
     witness = None
     for istep in range(1, nsteps + 1):
-        _chart_step(fields, charts, U, (istep - 1) * h, h)
+        _chart_step(lifted, charts, U, (istep - 1) * h, h)
         X = rk4_step(disk_field, (istep - 1) * h, X, h)
         for i in due.get(istep, ()):
             p = BlowupPoint(int(charts[i]), U[i])

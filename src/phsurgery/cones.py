@@ -35,21 +35,18 @@ from .saddle import DEFAULT_STEP, AnosovModel, SaddleSpec
 
 @dataclass(frozen=True)
 class MetricSpec:
-    """Diagonal model metric: the default product metric or a weighted one."""
+    """Diagonal model metric: the product metric (no weights) or a weighted one."""
 
-    kind: str = "product"
     weights: tuple | None = None
 
     def __post_init__(self):
-        if self.kind not in ("product", "weighted"):
-            raise ValueError("metric kind must be 'product' or 'weighted'")
-        if self.kind == "weighted":
-            if self.weights is None or any(w <= 0 for w in self.weights):
+        if self.weights is not None:
+            if any(w <= 0 for w in self.weights):
                 raise ValueError("weighted metric needs positive weights")
             object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
 
     def half_weights(self, dim):
-        if self.kind == "product":
+        if self.weights is None:
             return np.ones(dim)
         if len(self.weights) != dim:
             raise ValueError(f"metric has {len(self.weights)} weights, model dimension is {dim}")
@@ -254,29 +251,6 @@ class PropagationReport:
         if min_exponent is not None:
             ok = ok and self.min_u_exponent >= min_exponent
         return bool(ok)
-
-    def to_dict(self):
-        out = {
-            "kind": self.kind,
-            "n_orbits": self.n_orbits,
-            "n_vectors": self.n_vectors,
-            "times": [float(t) for t in self.times],
-            "seed": self.seed,
-            "membership_fraction": {str(k): float(v) for k, v in self.membership_fraction.items()},
-            "burn_in": None if self.burn_in is None else float(self.burn_in),
-            "min_u_exponent": float(self.min_u_exponent),
-            "domination_exponent": float(self.domination_exponent),
-            "backward_cs_ok": bool(self.backward_cs_ok),
-            "n_violations": len(self.violations),
-            "violations": self.violations[:5],
-        }
-        for key in ("aperture_ratio", "min_crossing_expansion",
-                    "backward_aperture_ratio", "min_backward_contraction"):
-            val = getattr(self, key)
-            out[key] = None if val is None else float(val)
-        out.update({k: (float(v) if isinstance(v, (int, float, np.floating)) else v)
-                    for k, v in self.extras.items()})
-        return out
 
 
 def _inner_orbit_points(model: ProductModel, n_orbits, seed, radius):

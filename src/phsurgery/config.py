@@ -82,12 +82,17 @@ class CampaignConfig:
             raise ConfigError("alpha: must be a number or 'auto'")
         if not 0 < self.omega < math.pi / 4:
             raise ConfigError("omega: aperture must lie in (0, pi/4)")
-        if self.samples < 1:
-            raise ConfigError("samples: must be positive")
-        if not self.delta > 0:
-            raise ConfigError("delta: must be positive")
-        if not all(d > 0 for d in self.delta_sweep):
-            raise ConfigError("delta_sweep: every entry must be positive")
+        for name in ("samples", "cone_orbits", "crossing_entries", "moser_steps"):
+            count = getattr(self, name)
+            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+                raise ConfigError(f"{name}: must be a positive integer, got {count!r}")
+        if not self.step > 0:
+            raise ConfigError("step: must be positive")
+        # the transition shell (delta, 2 delta) must lie inside the unit disk
+        if not 0 < self.delta < 0.5:
+            raise ConfigError("delta: must lie in (0, 0.5)")
+        if not all(0 < d < 0.5 for d in self.delta_sweep):
+            raise ConfigError("delta_sweep: every entry must lie in (0, 0.5)")
         # the model must be buildable.  pick_rho0 checks lam < lam' <= 1 <= mu' < mu,
         # which an explicit rho0 needs too; its value is a measured input.
         for fields, build in (("saddle_rates", self.saddle_spec),
@@ -126,9 +131,8 @@ class CampaignConfig:
             return float(self.alpha)
         return -(self.k - 1) / self.k
 
-    def bump_profile(self, delta=None):
-        return saddle.BumpProfile(delta=self.delta if delta is None else delta,
-                                  rho0=self.resolved_rho0())
+    def bump_profile(self):
+        return saddle.BumpProfile(delta=self.delta, rho0=self.resolved_rho0())
 
     # serialization ----------------------------------------------------------
 

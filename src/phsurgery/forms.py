@@ -400,31 +400,29 @@ class MoserMap:
     def inverse(self, y):
         return self._integrate(y, 1.0, 0.0)
 
-    def jacobian(self, x, eps=1e-6):
-        J = np.zeros((4, 4))
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = eps
-            J[:, i] = (self(np.asarray(x) + e) - self(np.asarray(x) - e)) / (2 * eps)
-        return J
-
     def transport_residuals(self, x):
         """Both readings of the volume transport at a point.
 
         forward: det Dh(x) * alpha(h(x)) - 1   (h carries the flat volume to
         the alpha volume); inverse: det Dh^{-1}(y) - alpha(y) at y = h(x).
         """
-        J = self.jacobian(x)
+        J = _central_jacobian(self, x)
         y = self(x)
         forward = float(np.linalg.det(J)) * float(value(self.alpha(list(y)))) - 1.0
-        Ji = np.zeros((4, 4))
-        eps = 1e-6
-        for i in range(4):
-            e = np.zeros(4)
-            e[i] = eps
-            Ji[:, i] = (self.inverse(y + e) - self.inverse(y - e)) / (2 * eps)
+        Ji = _central_jacobian(self.inverse, y)
         inverse = float(np.linalg.det(Ji)) - float(value(self.alpha(list(y))))
         return forward, inverse
+
+
+def _central_jacobian(fn, x):
+    """Jacobian of a map of R^4 by central differences with step 1e-6."""
+    eps = 1e-6
+    J = np.zeros((4, 4))
+    for i in range(4):
+        e = np.zeros(4)
+        e[i] = eps
+        J[:, i] = (fn(np.asarray(x) + e) - fn(np.asarray(x) - e)) / (2 * eps)
+    return J
 
 
 def moser_flow(omega0: Form, omega1: Form, radius, steps=1000) -> MoserMap:

@@ -194,48 +194,16 @@ def horocycle_scaling_residual(n, t, tau):
     return float(rs), float(ru)
 
 
-@dataclass(frozen=True)
-class TransversalParam:
-    """Column parameters of the transversal slice, gated by |(v1, v2)| < eps0."""
-
-    v1: np.ndarray
-    v2: np.ndarray
-    eps0: float = 0.5
-
-    def __post_init__(self):
-        object.__setattr__(self, "v1", np.atleast_1d(np.asarray(self.v1, dtype=complex)))
-        object.__setattr__(self, "v2", np.atleast_1d(np.asarray(self.v2, dtype=complex)))
-        if len(self.v1) != len(self.v2):
-            raise ValueError("v1 and v2 must have equal length n-1")
-        if self.norm >= self.eps0:
-            raise ValueError(f"transversal parameter too large: {self.norm:.3g} >= {self.eps0}")
-
-    @property
-    def norm(self):
-        return math.sqrt(float(np.sum(np.abs(self.v1) ** 2 + np.abs(self.v2) ** 2)))
-
-    @property
-    def n(self):
-        return len(self.v1) + 1
-
-    def element(self):
-        return transversal_element(self.v1, self.v2, eps0=self.eps0)
-
-
-def transversal_element(v1, v2, eps0=0.5):
-    """sigma(v1, v2) = exp of the pure-v algebra element; |(v1, v2)| < eps0."""
+def transversal_element(v1, v2):
+    """sigma(v1, v2) = exp of the pure-v algebra element; |(v1, v2)| < 0.5."""
     v1 = np.atleast_1d(np.asarray(v1, dtype=complex))
     v2 = np.atleast_1d(np.asarray(v2, dtype=complex))
     if len(v1) != len(v2):
         raise ValueError("v1 and v2 must have equal length n-1")
     norm = math.sqrt(float(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2)))
-    if norm >= eps0:
-        raise ValueError(f"transversal parameter too large: {norm:.3g} >= {eps0}")
-    n = len(v1) + 1
-    A = np.zeros((n - 1, n - 1), dtype=complex)
-    v = np.column_stack([v1, v2])
-    D = np.zeros((2, 2), dtype=complex)
-    return expm(algebra_element(A, v, D, n))
+    if norm >= 0.5:
+        raise ValueError(f"transversal parameter too large: {norm:.3g} >= 0.5")
+    return expm(transversal_generator(v1, v2))
 
 
 def transversal_generator(v1, v2):
@@ -254,7 +222,7 @@ def conj_identity_residual(v1, v2, t):
     v2 = np.atleast_1d(np.asarray(v2, dtype=complex))
     n = len(v1) + 1
     lhs = geodesic(n, t) @ transversal_element(v1, v2) @ geodesic(n, -t)
-    # the conjugated parameters may exceed eps0, so exponentiate directly
+    # the conjugated parameters may exceed the size gate, so exponentiate directly
     rhs = expm(transversal_generator(np.exp(-t) * v1, np.exp(t) * v2))
     return float(np.abs(lhs - rhs).max())
 

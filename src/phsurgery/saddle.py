@@ -218,15 +218,6 @@ class BumpProfile:
         return self.value(np.linalg.norm(x, axis=-1))
 
 
-def eval_bump(profile: BumpProfile, x) -> float:
-    """rho at a point of the open unit disk."""
-    x = np.asarray(x, dtype=float)
-    r = float(np.linalg.norm(x))
-    if r >= 1.0:
-        raise DomainEscape(0.0, x)
-    return float(profile.value(r))
-
-
 def pick_rho0(lam, mu, lam_prime, mu_prime, k=None, volume_mode=False):
     """Deterministic admissible slow-down exponent rho0.
 

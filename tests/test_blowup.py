@@ -85,6 +85,48 @@ class TestCharts:
             assert J[:, i] == pytest.approx(col, abs=1e-6)
 
 
+def _mixed_points():
+    """Twelve points in mixed charts: one on the exceptional set, some in the
+    transition shell, and some that switch charts within time 1.2."""
+    rng = np.random.default_rng(4)
+    points = [BlowupPoint(int(c), rng.uniform(-0.3, 0.3, size=4))
+              for c in rng.integers(0, 4, size=12)]
+    points[0].u[points[0].chart] = 0.0
+    return points
+
+
+class TestLiftedField:
+    @pytest.fixture()
+    def batch(self):
+        # every chart, blow-down radii across the core, the shell and beyond
+        rng = np.random.default_rng(9)
+        charts = np.arange(12) % 4
+        U = rng.uniform(-0.25, 0.25, size=(12, 4))
+        U[5, charts[5]] = 0.0  # on the exceptional set
+        return charts, U
+
+    def test_rows_match_one_row_calls(self, spec4, profile, batch):
+        lifted = blowup.LiftedSaddle(spec4, profile)
+        charts, U = batch
+        F = lifted.field(charts, U)
+        A = lifted.field_jacobian(charts, U)
+        for m in range(len(U)):
+            one = slice(m, m + 1)
+            assert (lifted.field(charts[one], U[one]) == F[one]).all()
+            assert (lifted.field_jacobian(charts[one], U[one]) == A[one]).all()
+
+    def test_jacobian_matches_central_differences(self, spec4, profile, batch):
+        lifted = blowup.LiftedSaddle(spec4, profile)
+        charts, U = batch
+        A = lifted.field_jacobian(charts, U)
+        eps = 1e-6
+        for j in range(4):
+            e = np.zeros(4)
+            e[j] = eps
+            col = (lifted.field(charts, U + e) - lifted.field(charts, U - e)) / (2 * eps)
+            assert A[:, :, j] == pytest.approx(col, rel=1e-6, abs=1e-8)
+
+
 class TestLiftedFlow:
     def test_exceptional_invariance(self, spec2, profile):
         p = BlowupPoint(chart=0, u=np.array([0.0, 0.4]))
@@ -112,11 +154,7 @@ class TestLiftedFlow:
         assert witness["residual"] == worst
 
     def test_batch_matches_single_points(self, spec4, profile):
-        # rows on the exceptional set, in the transition shell and switching charts
-        rng = np.random.default_rng(4)
-        points = [BlowupPoint(int(c), rng.uniform(-0.3, 0.3, size=4))
-                  for c in rng.integers(0, 4, size=12)]
-        points[0].u[points[0].chart] = 0.0
+        points = _mixed_points()
         res = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
         assert (res.charts != [p.chart for p in points]).any()
         for p, chart, u in zip(points, res.charts, res.U):
@@ -130,9 +168,24 @@ class TestLiftedFlow:
         with pytest.raises(saddle.DomainEscape):
             blowup.lifted_slow_flow(spec2, flat, p, 2.0)
 
+    def test_tangent_batch_matches_single_points(self, spec4, profile):
+        # the packed [u | vec J] rows step in one call across charts; every
+        # row equals its one-point run, and its u-part equals the plain flow
+        points = _mixed_points()
+        res = blowup._lifted_flow_batch(spec4, profile, points, 1.2, step=0.01,
+                                        want_jacobian=True)
+        assert (res.charts != [p.chart for p in points]).any()
+        for p, chart, u, J in zip(points, res.charts, res.U, res.J):
+            one = blowup._lifted_flow_batch(spec4, profile, [p], 1.2, step=0.01,
+                                            want_jacobian=True)
+            assert one.charts[0] == chart
+            assert (one.U[0] == u).all()
+            assert (one.J[0] == J).all()
+            assert (blowup.lifted_slow_flow(spec4, profile, p, 1.2, step=0.01).u == u).all()
+
     def test_variational_against_fd(self, spec2, profile):
         p = BlowupPoint(chart=0, u=np.array([0.05, 0.3]))
-        _, J = blowup.lifted_variational_flow(spec2, profile, p, 1.0)
+        J = blowup._lifted_flow_batch(spec2, profile, [p], 1.0, want_jacobian=True).J[0]
         eps = 1e-6
         for i in range(2):
             e = np.zeros(2)

@@ -84,6 +84,17 @@ class TestCli:
         ({"rho0": 0.5, "lam": 0.5}, "lam"),
         ({"delta": 0.0}, "delta"),
         ({"delta_sweep": [0.1, -0.01]}, "delta_sweep"),
+        # a negative step leaves every transit trapped
+        ({"step": -0.01}, "step"),
+        ({"samples": 2.5}, "samples"),
+        ({"samples": 0.5}, "samples"),
+        ({"samples": True}, "samples"),
+        ({"moser_steps": 0}, "moser_steps"),
+        ({"cone_orbits": 0}, "cone_orbits"),
+        ({"crossing_entries": 0}, "crossing_entries"),
+        # the shell (delta, 2 delta) must stay inside the unit disk
+        ({"delta": 0.6}, "delta"),
+        ({"delta_sweep": [0.1, 0.5]}, "delta_sweep"),
     ])
     def test_exit_2_names_the_model_field(self, tmp_path, capsys, fields, named):
         bad = tmp_path / "bad.yaml"

@@ -49,7 +49,7 @@ class TestMembership:
     def test_scaling_invariances(self, model):
         rng = np.random.default_rng(0)
         uc = model.unstable_cone(0.2)
-        heavy = MetricSpec(kind="weighted", weights=tuple([3.0] * model.dim))
+        heavy = MetricSpec(weights=tuple([3.0] * model.dim))
         for v in rng.standard_normal((100, model.dim)):
             base = cones.in_cone(v, uc)
             assert base == cones.in_cone(7.3 * v, uc)
@@ -62,7 +62,7 @@ class TestMembership:
         v = math.cos(0.09) * e_u + math.sin(0.09) * e_s
         w = [1.0] * model.dim
         w[model.spec.k] = 25.0  # stable block much heavier
-        tilted = MetricSpec(kind="weighted", weights=tuple(w))
+        tilted = MetricSpec(weights=tuple(w))
         assert cones.in_cone(v, uc)
         assert not cones.in_cone(v, uc, tilted)
 
@@ -143,11 +143,10 @@ class TestCoreCampaign:
         # so the ideal gap is 1; transitions can only shave a bounded amount
         assert 0.9 < campaign.domination_exponent <= 1.0 + 1e-9
 
-    def test_report_serializable(self, campaign):
-        d = campaign.to_dict()
-        assert d["kind"] == "core"
-        assert d["n_violations"] == 0
-        assert d["burn_in"] == 0.25
+    def test_report_fields(self, campaign):
+        assert campaign.kind == "core"
+        assert campaign.violations == []
+        assert campaign.burn_in == 0.25
 
     def test_negative_control_fails(self, spec, anosov):
         neg = cones.inner_cone_campaign(spec, anosov, 1.5, 0.1,

