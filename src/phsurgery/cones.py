@@ -228,11 +228,6 @@ class PropagationReport:
     """Measured cone statistics over a batch of orbit segments."""
 
     kind: str
-    n_orbits: int
-    n_vectors: int
-    times: list
-    seed: int
-    membership_fraction: dict = field(default_factory=dict)   # time -> fraction
     burn_in: float | None = None
     min_u_exponent: float = math.nan       # log growth rate on the unstable cone
     domination_exponent: float = math.nan  # log of the domination ratio rate
@@ -310,9 +305,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     res = blowup._lifted_flow_batch(spec, flat, points, tmax, step=step,
                                     want_jacobian=True, checkpoints=grid)
 
-    report = PropagationReport(kind="reversed-core" if reverse else "core",
-                               n_orbits=len(points), n_vectors=len(uframe),
-                               times=list(times), seed=seed)
+    report = PropagationReport(kind="reversed-core" if reverse else "core")
     min_u_exp = math.inf
     dom_exp = math.inf
     member_frac = {}
@@ -372,25 +365,23 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
                     "type": "u-invariance", "time": t,
                     "fraction": min(member_frac[t])})
 
-    report.membership_fraction = {t: float(np.mean(v)) for t, v in member_frac.items()}
     report.burn_in = burn_in
     report.min_u_exponent = min_u_exp
     report.domination_exponent = dom_exp
     report.backward_cs_ok = cs_back_ok
-    report.extras["rho0"] = rho0
-    report.extras["chart_spread_exponent"] = rho0 * (max(spec.rates) - min(spec.rates))
     return report
 
 
 def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
-                           n_vectors=200, seed=0, step=DEFAULT_STEP):
+                           n_vectors=200, seed=0):
     """Cone damage across the transition shell, measured per annulus transit.
 
     For each transit with tangent map M: the aperture ratio max angle(M v)
     / omega over unstable-cone vectors (how much the cone opens), the
     minimal expansion on the unstable cone, and the backward quantities for
     the center-stable cone.  The entries are seeded identically across
-    delta values, so a sweep isolates the delta dependence.
+    delta values, so a sweep isolates the delta dependence.  The transits
+    are exact (`saddle.time_change_transits`).
     """
     model = ProductModel(spec=spec, anosov=anosov)
     ucone = model.unstable_cone(omega)
@@ -400,24 +391,17 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
 
     rng = np.random.default_rng(seed + 11)
     entries = saddle.sample_entries(spec, profile.delta, n_entries, rng)
-    reports = saddle._transit_batch(spec, profile, entries, step=step)
+    reports = saddle.time_change_transits(spec, profile, entries)
 
-    report = PropagationReport(kind="crossing", n_orbits=len(reports),
-                               n_vectors=len(uframe), times=[], seed=seed)
+    report = PropagationReport(kind="crossing")
     aperture = 0.0
     min_grow = math.inf
     aperture_b = 0.0
     min_contract = math.inf
-    distortion = 0.0
-    t_max = 0.0
     classes = {"inner->outer": 0, "outer->inner": 0, "outer->outer": 0,
                "inner->inner": 0, "trapped": 0}
     for rep in reports:
         classes[rep.crossing_class] += 1
-        if rep.exit_sphere == "trapped":
-            continue
-        distortion = max(distortion, rep.sigma_max)
-        t_max = max(t_max, rep.time)
         M = model.full_map(rep.jacobian, rep.time)
         vu = uframe @ M.T
         aperture = max(aperture, float(angle_to_center(vu, ucone).max()) / omega)
@@ -432,10 +416,7 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
     report.min_crossing_expansion = min_grow
     report.backward_aperture_ratio = aperture_b
     report.min_backward_contraction = min_contract
-    report.extras["delta"] = profile.delta
     report.extras["class_counts"] = classes
-    report.extras["transit_distortion"] = distortion
-    report.extras["transit_time_max"] = t_max
     return report
 
 

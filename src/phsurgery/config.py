@@ -21,6 +21,7 @@ DEFAULT_TOLERANCES = {
     "expansion_deficit": 0.05,
     "jacobian_fd": 1e-5,
     "richardson": 1e-8,
+    "time_change_oracle": 1e-7,
     "moser_identity": 1e-10,
     "moser_invariance": 1e-9,
     "moser_transport": 1e-6,

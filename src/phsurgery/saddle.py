@@ -3,7 +3,13 @@
 The model flow on the unit disk D^k is x' = rho(x) * diag(rates) * x, where
 rho(x) = rhobar(|x|) is a radial bump equal to rho0 inside radius delta and
 equal to 1 outside radius 2*delta.  Everything here is deterministic: fixed
-step RK4, event location by bisection, seeded sampling.
+step RK4, seeded sampling, and exact annulus transits.
+
+Because rho depends on |x| only, the slowed flow is a time change of the
+linear one (Katok's slow-down): x(t) = exp(sigma(t) A) x0 with
+dsigma/dt = rho(|exp(sigma A) x0|).  `time_change_transits` computes every
+annulus transit from that closed-form orbit; the RK4 transit `_transit_batch`
+with its bisection event locator is kept as the measured oracle.
 
 Scale invariance is the organizing fact: rhobar's transition has width delta
 by construction, so x -> x/delta conjugates the annulus dynamics at scale
@@ -39,7 +45,7 @@ class DomainEscape(RuntimeError):
 
 
 class NonExitingOrbit(RuntimeError):
-    """Annulus orbit exhausted its time budget without reaching a boundary sphere."""
+    """Annulus orbit does not reach a boundary sphere (within the RK4 time budget)."""
 
 
 class InfeasibleRates(ValueError):
@@ -402,13 +408,12 @@ class TransitReport:
 
 
 def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None):
-    """Integrate one annulus crossing and report time and tangent distortion.
+    """Integrate one annulus crossing by RK4 and report time and tangent distortion.
 
     `entry` must sit on a boundary sphere (radius delta or 2*delta) with
     velocity pointing into the annulus.  Exit through either sphere is
     located by bisection on the crossing step to 1e-10 in time.  Orbits that
-    exhaust `budget` (default 10*ln2/rho0 flow time) raise NonExitingOrbit;
-    campaigns catch this and count the orbit instead.
+    exhaust `budget` (default 10*ln2/rho0 flow time) raise NonExitingOrbit.
     """
     reports = _transit_batch(spec, profile, np.asarray(entry, dtype=float)[None, :],
                              step=step, budget=budget)
@@ -419,20 +424,15 @@ def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None):
     return rep
 
 
-def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
-    """Vectorized annulus transits; one TransitReport per entry row.
+def _entry_spheres(spec, profile, entries):
+    """Per entry row, whether it sits on the inner sphere (else the outer one).
 
-    Each row is the packed state [x | vec J] of a point and its tangent map.
+    Raises ValueError naming the first row that is off both spheres or whose
+    velocity does not point into the annulus.
     """
     delta = profile.delta
-    k = spec.k
-    n = entries.shape[0]
-    if budget is None:
-        budget = 10.0 * math.log(2.0) / profile.rho0
-
     r0 = np.linalg.norm(entries, axis=1)
     inner = np.abs(r0 - delta) < np.abs(r0 - 2 * delta)
-    entry_sphere = np.where(inner, "inner", "outer")
     # d|x|/dt has the sign of the quadratic form sum(rates_i * x_i^2)
     q = np.sum(np.asarray(spec.rates) * entries * entries, axis=1)
     off_sphere = np.abs(r0 - np.where(inner, delta, 2 * delta)) > 1e-8 * delta
@@ -444,6 +444,23 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
         if inner[i]:
             raise ValueError(f"entry {i} on the inner sphere must move outward")
         raise ValueError(f"entry {i} on the outer sphere must move inward")
+    return inner
+
+
+def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
+    """Vectorized RK4 annulus transits; one TransitReport per entry row.
+
+    Each row is the packed state [x | vec J] of a point and its tangent map.
+    The exit is found by the endpoint test |x| outside [delta, 2 delta] after
+    each step, so an orbit that dips below delta for less than one step is
+    reported as outer->outer.  This is the oracle of `time_change_transits`.
+    """
+    delta = profile.delta
+    k = spec.k
+    n = entries.shape[0]
+    if budget is None:
+        budget = 10.0 * math.log(2.0) / profile.rho0
+    entry_sphere = np.where(_entry_spheres(spec, profile, entries), "inner", "outer")
 
     state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
     t = np.zeros(n)
@@ -519,19 +536,134 @@ def _bisect_crossing(spec, profile, x0, h, target, tol=1e-10):
     return 0.5 * (lo + hi)
 
 
+def _bracket(done, start):
+    """Per row, start + w with w = 1, 2, 4, ... the first width at which `done` holds."""
+    width = np.ones_like(start)
+    for _ in range(64):
+        ok = done(start + width)
+        if ok.all():
+            return start + width
+        width = np.where(ok, width, 2.0 * width)
+    raise NonExitingOrbit("an annulus orbit never reaches a boundary sphere")
+
+
+def _bisect_root(fn, lo, hi):
+    """Per row, the root of an increasing fn with fn(lo) <= 0 < fn(hi).
+
+    The brackets halve together until no midpoint lies strictly inside any
+    of them, i.e. to the last bit of the root.
+    """
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        if not ((lo < mid) & (mid < hi)).any():
+            break
+        up = fn(mid) > 0
+        hi = np.where(up, mid, hi)
+        lo = np.where(up, lo, mid)
+    return 0.5 * (lo + hi)
+
+
+def time_change_transits(spec, profile, entries, panels=16):
+    """Exact annulus transits of the slowed saddle; one TransitReport per entry row.
+
+    The orbit of x0 is exp(sigma A) x0, A = diag(rates), run at the clock
+    dsigma/dt = rho(r(sigma)), where r^2(sigma) = sum x0_i^2 exp(2 a_i sigma)
+    is strictly convex.  So an inner entry leaves through the outer sphere,
+    and an outer entry leaves through the inner sphere exactly when the
+    radial minimum r(sigma_min) is below delta, else through the outer
+    sphere.  Every exit parameter sigma* is a bracketed root, bisected in
+    sigma; no grazing dip is missed and no orbit is trapped.
+
+    The transit time is T = int_0^sigma* ds / rho(r(s)), and the tangent map
+    at fixed time T is J = exp(sigma* A) + (A x_exit) (x) grad sigma with
+    grad sigma = rho(r(sigma*)) int_0^sigma* rho'(r) / (rho^2 r) exp(2 s A) x0 ds.
+    Both integrals use composite 32-point Gauss-Legendre on `panels` equal
+    panels of [0, sigma*], evaluated one panel at a time.
+    """
+    entries = np.asarray(entries, dtype=float)
+    inner = _entry_spheres(spec, profile, entries)
+    a = np.asarray(spec.rates)
+    x2 = entries * entries
+    d2 = profile.delta**2
+    n, k = entries.shape
+
+    def r2(rows, s):
+        return (x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+
+    def half_dr2(rows, s):
+        return (a * x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+
+    # outer entries: the radial minimum sigma_min is the root of the increasing
+    # d(r^2)/dsigma; an orbit that drops below delta first needs no minimum
+    outer = np.flatnonzero(~inner)
+    hi = _bracket(lambda s: (half_dr2(outer, s) > 0) | (r2(outer, s) < d2), np.zeros(len(outer)))
+    s_min = hi.copy()
+    turned = half_dr2(outer, hi) > 0
+    rows = outer[turned]
+    s_min[turned] = _bisect_root(lambda s: half_dr2(rows, s), np.zeros(len(rows)), hi[turned])
+    dips = r2(outer, s_min) < d2
+
+    sigma = np.empty(n)
+    down = outer[dips]
+    sigma[down] = _bisect_root(lambda s: d2 - r2(down, s), np.zeros(len(down)), s_min[dips])
+    up = np.concatenate([np.flatnonzero(inner), outer[~dips]])
+    start = np.concatenate([np.zeros(int(inner.sum())), s_min[~dips]])
+    hi = _bracket(lambda s: r2(up, s) >= 4.0 * d2, start)
+    sigma[up] = _bisect_root(lambda s: r2(up, s) - 4.0 * d2, start, hi)
+
+    nodes, weights = np.polynomial.legendre.leggauss(32)
+    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
+    width = sigma / panels
+    T = np.zeros(n)
+    grad = np.zeros((n, k))
+    for p in range(panels):
+        e2 = np.exp(2.0 * a * (width[:, None] * (p + nodes))[:, :, None])  # (n, nodes, k)
+        r = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
+        rho = profile.value(r)
+        T += width * (weights / rho).sum(axis=1)
+        g = weights * profile.slope(r) / (rho * rho * r)
+        grad += width[:, None] * np.einsum("nm,nmk->nk", g, e2)
+    scale = np.exp(a * sigma[:, None])
+    exits = entries * scale
+    grad *= entries * profile.value(np.linalg.norm(exits, axis=1))[:, None]
+    J = scale[:, :, None] * np.eye(k) + (a * exits)[:, :, None] * grad[:, None, :]
+    s = np.linalg.svd(J, compute_uv=False)
+    exits_inner = np.zeros(n, dtype=bool)
+    exits_inner[down] = True
+    return [TransitReport(entries[i], exits[i], float(T[i]), float(s[i, 0]), float(s[i, -1]),
+                          "inner" if inner[i] else "outer",
+                          "inner" if exits_inner[i] else "outer", J[i])
+            for i in range(n)]
+
+
+def transit_differences(exact, oracle, delta):
+    """Largest differences between two report lists for the same entries.
+
+    Times are compared absolutely, exit points relative to delta and tangent
+    maps relative to the exact map's norm.
+    """
+    return {
+        "class_mismatches": sum(a.crossing_class != b.crossing_class
+                                for a, b in zip(exact, oracle)),
+        "time": max(float(abs(a.time - b.time)) for a, b in zip(exact, oracle)),
+        "exit_over_delta": max(float(np.linalg.norm(a.exit - b.exit)) / delta
+                               for a, b in zip(exact, oracle)),
+        "jacobian_rel": max(float(np.linalg.norm(a.jacobian - b.jacobian)
+                                  / np.linalg.norm(a.jacobian))
+                            for a, b in zip(exact, oracle)),
+    }
+
+
 @dataclass
 class TransitCampaign:
     """Summary of a batch of annulus transits at one delta."""
 
     delta: float
     times: np.ndarray
-    sigma_max: np.ndarray
-    sigma_min: np.ndarray
     class_counts: dict
     distortion: float           # sup over transits of max singular value
     distortion_inv: float       # sup of 1/min singular value
-    trapped: int
-    worst: TransitReport | None
+    reports: list               # one TransitReport per entry, in entry order
 
 
 def sample_entries(spec, delta, n, rng, inner_fraction=0.5):
@@ -539,7 +671,8 @@ def sample_entries(spec, delta, n, rng, inner_fraction=0.5):
 
     Directions are drawn once per seed and scaled to the requested radius,
     so sweeps over delta see literally the same direction set.  Pure axis
-    entries are prepended so the closed-form crossings are always sampled.
+    entries are prepended (row i is the axis of rate i) so the closed-form
+    crossings are always sampled.
     """
     k = spec.k
     axes = []
@@ -563,29 +696,26 @@ def sample_entries(spec, delta, n, rng, inner_fraction=0.5):
     return np.vstack(axes + [inner, outer])
 
 
-def transit_campaign(spec, profile, n_entries, seed, step=DEFAULT_STEP, budget=None):
-    """Measure transit times and tangent distortion over seeded entries."""
+def transit_campaign(spec, profile, n_entries, seed):
+    """Measure transit times and tangent distortion over seeded entries.
+
+    The transits are exact (`time_change_transits`); no class is "trapped",
+    and the count is kept at zero in `class_counts`.
+    """
     rng = np.random.default_rng(seed)
     entries = sample_entries(spec, profile.delta, n_entries, rng)
-    reports = _transit_batch(spec, profile, entries, step=step, budget=budget)
-    crossed = [r for r in reports if r.exit_sphere != "trapped"]
+    reports = time_change_transits(spec, profile, entries)
     counts = {"inner->outer": 0, "outer->inner": 0, "outer->outer": 0,
               "inner->inner": 0, "trapped": 0}
     for r in reports:
         counts[r.crossing_class] += 1
-    sig_max = np.array([r.sigma_max for r in crossed])
-    sig_min = np.array([r.sigma_min for r in crossed])
-    worst = max(crossed, key=lambda r: r.sigma_max, default=None)
     return TransitCampaign(
         delta=profile.delta,
-        times=np.array([r.time for r in crossed]),
-        sigma_max=sig_max,
-        sigma_min=sig_min,
+        times=np.array([r.time for r in reports]),
         class_counts=counts,
-        distortion=float(sig_max.max()) if len(crossed) else math.nan,
-        distortion_inv=float((1.0 / sig_min).max()) if len(crossed) else math.nan,
-        trapped=counts["trapped"],
-        worst=worst,
+        distortion=max(r.sigma_max for r in reports),
+        distortion_inv=max(1.0 / r.sigma_min for r in reports),
+        reports=reports,
     )
 
 

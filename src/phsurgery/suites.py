@@ -155,8 +155,7 @@ def run_saddle_suite(cfg: CampaignConfig):
     sweep = {}
     for delta in cfg.delta_sweep:
         prof_d = saddle.BumpProfile(delta=delta, rho0=rho0)
-        sweep[delta] = saddle.transit_campaign(spec, prof_d, cfg.samples, cfg.seed,
-                                               step=cfg.step)
+        sweep[delta] = saddle.transit_campaign(spec, prof_d, cfg.samples, cfg.seed)
     dist = [sweep[d].distortion for d in cfg.delta_sweep]
     dist_inv = [sweep[d].distortion_inv for d in cfg.delta_sweep]
     t_means = [float(sweep[d].times.mean()) for d in cfg.delta_sweep]
@@ -192,8 +191,8 @@ def run_saddle_suite(cfg: CampaignConfig):
     # tangent map against finite differences, and step halving
     fd_errs = []
     rich = []
-    probes = [np.array([0.12, 0.05, -0.04, 0.02])[: cfg.k],
-              np.array([0.05, -0.15, 0.11, -0.03])[: cfg.k],
+    probes = [np.resize([0.12, 0.05, -0.04, 0.02], cfg.k),
+              np.resize([0.05, -0.15, 0.11, -0.03], cfg.k),
               e_u * 1.2]
     for x in probes:
         x = x.copy()
@@ -215,7 +214,48 @@ def run_saddle_suite(cfg: CampaignConfig):
         "step-halving agreement of the fixed-step integrator",
         measured={"max_residual": max(rich)}))
 
+    # the exact transits of the sweep against RK4 on a fixed subsample
+    diffs = {}
+    for delta in cfg.delta_sweep:
+        reports = sweep[delta].reports
+        rows = _oracle_rows(reports, cfg.k)
+        oracle = saddle._transit_batch(spec, saddle.BumpProfile(delta=delta, rho0=rho0),
+                                       np.array([reports[i].entry for i in rows]),
+                                       step=cfg.step)
+        diffs[str(delta)] = {"rows": len(rows), **saddle.transit_differences(
+            [reports[i] for i in rows], oracle, delta)}
+    worst = {key: max(d[key] for d in diffs.values())
+             for key in ("time", "exit_over_delta", "jacobian_rel")}
+    checks.append(_check(
+        "time-change-oracle",
+        all(d["class_mismatches"] == 0 for d in diffs.values())
+        and max(worst.values()) < tol["time_change_oracle"],
+        "exact time-change transits (closed-form orbit, Gauss-Legendre time "
+        "and tangent map) against fixed-step RK4 transits: crossing class, "
+        "transit time, exit point / delta and relative tangent-map error",
+        measured={"max_time_error": worst["time"],
+                  "max_exit_error_over_delta": worst["exit_over_delta"],
+                  "max_jacobian_rel_error": worst["jacobian_rel"],
+                  "class_mismatches": sum(d["class_mismatches"] for d in diffs.values()),
+                  "rows_by_delta": {d: v["rows"] for d, v in diffs.items()}},
+        witness={"by_delta": diffs}))
+
     return _suite("saddle", checks)
+
+
+def _oracle_rows(reports, k):
+    """Indices of the RK4 oracle subsample of a transit campaign.
+
+    The first two non-axis rows of each crossing class, then the axis rows
+    (the first k, see `saddle.sample_entries`) up to 12 rows in all.
+    """
+    picked, seen = [], {}
+    for i in range(k, len(reports)):
+        cls = reports[i].crossing_class
+        if seen.get(cls, 0) < 2:
+            picked.append(i)
+            seen[cls] = seen.get(cls, 0) + 1
+    return sorted(picked + list(range(min(k, 12 - len(picked)))))
 
 
 # ---------------------------------------------------------------------------
@@ -474,7 +514,7 @@ def run_cones_suite(cfg: CampaignConfig):
             sweep[delta] = cones.crossing_cone_campaign(
                 spec, prof_d, anosov, cfg.omega,
                 n_entries=cfg.crossing_entries, n_vectors=min(cfg.samples, 256),
-                seed=cfg.seed, step=cfg.step)
+                seed=cfg.seed)
     except ValueError as exc:
         checks.append(_check(
             "crossing-cone-stability", False,

@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phsurgery import saddle
+from phsurgery import saddle, suites
+from phsurgery.config import DEFAULT_TOLERANCES, CampaignConfig
 from phsurgery.saddle import (AnosovModel, BumpProfile, DomainEscape, InfeasibleRates,
                               NonExitingOrbit, SaddleSpec)
 
@@ -39,6 +40,25 @@ def spec4():
 @pytest.fixture(scope="module")
 def profile():
     return BumpProfile(delta=0.1, rho0=0.5)
+
+
+@pytest.fixture(scope="module")
+def sixty(spec4, profile):
+    """A seeded 60-row entry batch that covers all three crossing classes."""
+    return saddle.sample_entries(spec4, profile.delta, 60, np.random.default_rng(21))
+
+
+@pytest.fixture(scope="module")
+def rk4_sixty(spec4, profile, sixty):
+    """RK4 transits of `sixty` at a given step, each step integrated once per module."""
+    done = {}
+
+    def at(step):
+        if step not in done:
+            done[step] = saddle._transit_batch(spec4, profile, sixty, step=step)
+        return done[step]
+
+    return at
 
 
 class TestSpecs:
@@ -247,11 +267,9 @@ class TestTransit:
             saddle._transit_batch(spec2, profile, np.array([[0.0, 0.1], [0.1, 0.0], [0.15, 0.0]]))
 
     @pytest.mark.parametrize("step", [1e-2, 1e-3])
-    def test_batched_crossing_matches_scalar_bisection(self, spec4, profile, step):
+    def test_batched_crossing_matches_scalar_bisection(self, spec4, profile, rk4_sixty, step):
         # start a fraction of a step before seeded exits through both spheres
-        rng = np.random.default_rng(21)
-        entries = saddle.sample_entries(spec4, profile.delta, 60, rng)
-        reports = saddle._transit_batch(spec4, profile, entries, step=step)
+        reports = rk4_sixty(step)
         exits = np.array([r.exit for r in reports])
         x0 = saddle.flow_slow(spec4, profile, exits, -0.37 * step, step=step)
         target = np.where([r.exit_sphere == "outer" for r in reports],
@@ -281,3 +299,67 @@ class TestTransit:
             x *= r / np.linalg.norm(x)
             v = rng.standard_normal(4)
             assert saddle.shear_bound_margin(spec4, profile, x, v) >= -1e-12
+
+
+class TestTimeChange:
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    def test_matches_rk4_transits(self, spec4, profile, sixty, rk4_sixty, step):
+        exact = saddle.time_change_transits(spec4, profile, sixty)
+        diff = saddle.transit_differences(exact, rk4_sixty(step), profile.delta)
+        assert diff["class_mismatches"] == 0
+        bound = DEFAULT_TOLERANCES["time_change_oracle"]
+        assert diff["time"] < bound
+        assert diff["exit_over_delta"] < bound
+        assert diff["jacobian_rel"] < bound
+        assert ({r.crossing_class for r in exact}
+                == {"inner->outer", "outer->inner", "outer->outer"})
+
+    def test_panel_doubling_moves_nothing(self, spec4, profile, sixty):
+        a = saddle.time_change_transits(spec4, profile, sixty)
+        b = saddle.time_change_transits(spec4, profile, sixty, panels=32)
+        diff = saddle.transit_differences(a, b, profile.delta)
+        assert diff["class_mismatches"] == 0
+        assert diff["time"] < 1e-12
+        assert diff["jacobian_rel"] < 1e-12
+
+    def test_scale_invariance(self, spec4, sixty):
+        small = saddle.sample_entries(spec4, 0.001, 60, np.random.default_rng(21))
+        big = saddle.time_change_transits(spec4, BumpProfile(delta=0.1, rho0=0.5), sixty)
+        tiny = saddle.time_change_transits(spec4, BumpProfile(delta=0.001, rho0=0.5), small)
+        for a, b in zip(big, tiny):
+            assert a.crossing_class == b.crossing_class
+            assert b.time == pytest.approx(a.time, rel=1e-12)
+            assert np.linalg.norm(b.exit / 0.001 - a.exit / 0.1) < 1e-12
+            assert np.linalg.norm(b.jacobian - a.jacobian) < 1e-12 * np.linalg.norm(a.jacobian)
+
+    def test_axis_closed_forms(self):
+        # distinct rates; with rho == rho0 the axis orbit is r = r0 exp(rho0 |rate| t)
+        spec = SaddleSpec(rates=(-2.0, -0.5, 1.0, 3.0))
+        flat = BumpProfile.flat(0.5, delta=0.1)
+        axes = saddle.sample_entries(spec, 0.1, 2, np.random.default_rng(0))[:4]
+        for rep, rate in zip(saddle.time_change_transits(spec, flat, axes), spec.rates):
+            assert rep.crossing_class == ("inner->outer" if rate > 0 else "outer->inner")
+            assert abs(rep.time - math.log(2) / (0.5 * abs(rate))) < 1e-12
+            expected = np.diag(np.exp(0.5 * np.asarray(spec.rates) * rep.time))
+            assert np.abs(rep.jacobian - expected).max() < 1e-12
+
+    def test_grazing_entry(self, spec2, profile):
+        # an outer entry whose radial minimum 2|x1 x2| is delta * sqrt(1 - 1e-9)
+        d2, m2 = 4 * profile.delta**2, profile.delta**2 * (1 - 1e-9)
+        plus, minus = math.sqrt(d2 + m2), math.sqrt(d2 - m2)
+        entry = np.array([[(plus + minus) / 2, (plus - minus) / 2]])
+        rep = saddle.time_change_transits(spec2, profile, entry)[0]
+        assert rep.crossing_class == "outer->inner"
+        assert np.linalg.norm(rep.exit) == pytest.approx(profile.delta, rel=1e-12)
+        # the RK4 endpoint test does not see the dip below delta within one step
+        rk4 = saddle._transit_batch(spec2, profile, entry, step=1e-2)[0]
+        assert rk4.crossing_class == "outer->outer"
+
+
+def test_saddle_suite_passes_at_k8():
+    cfg = CampaignConfig(saddle_rates=[-1.0] * 4 + [1.0] * 4, samples=64,
+                         delta_sweep=[0.1, 0.01], step=0.01)
+    out = suites.run_saddle_suite(cfg)
+    assert [c["name"] for c in out["checks"] if not c["passed"]] == []
+    oracle = next(c for c in out["checks"] if c["name"] == "time-change-oracle")
+    assert all(rows <= 12 for rows in oracle["measured"]["rows_by_delta"].values())
