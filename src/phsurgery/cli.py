@@ -126,10 +126,13 @@ def main(argv=None):
         print(f"cannot read config: {exc}", file=sys.stderr)
         return 2
 
-    suite_names = _SUBCOMMANDS[args.subcommand]
-    report = build_report(cfg, suite_names)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"cannot create output directory: {exc}", file=sys.stderr)
+        return 2
 
-    args.out.mkdir(parents=True, exist_ok=True)
+    report = build_report(cfg, _SUBCOMMANDS[args.subcommand])
     report_path = args.out / f"{args.subcommand.replace('-', '_')}_report.json"
     report_path.write_text(canonical_json(report) + "\n", encoding="utf-8")
     if args.csv:

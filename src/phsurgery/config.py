@@ -38,6 +38,10 @@ class ConfigError(ValueError):
     """Malformed campaign configuration; message carries the field path."""
 
 
+def _integer_at_least(value, low):
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 @dataclass
 class CampaignConfig:
     """Everything a verification run needs, serializable to YAML.
@@ -85,8 +89,15 @@ class CampaignConfig:
             raise ConfigError("omega: aperture must lie in (0, pi/4)")
         for name in ("samples", "cone_orbits", "crossing_entries", "moser_steps"):
             count = getattr(self, name)
-            if isinstance(count, bool) or not isinstance(count, int) or count < 1:
+            if not _integer_at_least(count, 1):
                 raise ConfigError(f"{name}: must be a positive integer, got {count!r}")
+        if not _integer_at_least(self.seed, 0):
+            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
+        # n = 1 has no transversal block
+        if not (isinstance(self.n_values, list)
+                and all(_integer_at_least(n, 2) for n in self.n_values)):
+            raise ConfigError(f"n_values: every entry must be an integer >= 2, "
+                              f"got {self.n_values!r}")
         if not self.step > 0:
             raise ConfigError("step: must be positive")
         # the transition shell (delta, 2 delta) must lie inside the unit disk

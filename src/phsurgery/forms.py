@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import Dual, partial, value
+from .dualnum import partial, value
 from .saddle import rk4_step
 
 MAX_DIM = 6
@@ -293,56 +293,29 @@ def moser_eta0(n=4) -> Form:
     return Form(4, 3, {(1, 2, 3): lambda x: x[0]})
 
 
+# 8-point Gauss-Legendre rule on [0, 1], as Python floats so that a numpy
+# scalar never multiplies a Dual
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
+_THETA = ((_GL_NODES + 1.0) / 2.0).tolist()
+_WEIGHT = (_GL_WEIGHTS / 2.0).tolist()
+
+
 def moser_beta(gamma):
     """Solve d/dx1 (x1 beta) = gamma by radial averaging.
 
-    beta(x) = (1/x1) * integral of gamma(q, x2, x3, x4) for q in [0, x1],
-    with the removable value beta(0, .) = gamma(0, .).  The quadrature is
-    adaptive Simpson to 1e-12; dual first-order terms propagate through the
-    integrand and the moving endpoint, so beta can be differentiated like
-    any other coefficient.  If gamma is invariant under the saddle flow, so
-    is beta.
+    beta(x) = integral of gamma(theta x1, x2, x3, x4) for theta in [0, 1],
+    on an 8-point Gauss-Legendre rule: exact for gamma of degree <= 15 in
+    x1.  The rule has no node at theta = 0 and no moving endpoint, so floats,
+    (nested) duals and numpy columns all pass through it; beta can be
+    differentiated like any other coefficient.  If gamma is invariant under
+    the saddle flow, so is beta.
     """
 
     def beta(x):
-        x1 = x[0]
-        a = value(x1)
-        rest = list(x[1:])
-        if a == 0.0:
-            # removable singularity: beta = gamma(0,.) + (d1 gamma)(0,.) x1/2
-            g0 = gamma([x1 * 0.0] + rest)
-            slope = partial(lambda y: gamma(list(y)), [0.0] + [value(c) for c in rest], 0)
-            return g0 + 0.5 * slope * x1
-
-        def integrand(q):
-            return gamma([q] + rest)
-
-        total = _adaptive_simpson(integrand, 0.0, a, 1e-12)
-        if isinstance(x1, Dual) or any(isinstance(c, Dual) for c in rest):
-            total = total + (x1 - a) * gamma([x1] + rest)  # moving endpoint
-        return total / x1
+        x1, *rest = x
+        return sum(w * gamma([t * x1, *rest]) for t, w in zip(_THETA, _WEIGHT))
 
     return beta
-
-
-def _adaptive_simpson(f, a, b, tol, depth=24):
-    fa, fm, fb = f(a), f(0.5 * (a + b)), f(b)
-    whole = (b - a) / 6.0 * (fa + 4.0 * fm + fb)
-    return _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth)
-
-
-def _simpson_rec(f, a, b, fa, fm, fb, whole, tol, depth):
-    m = 0.5 * (a + b)
-    lm, rm = 0.5 * (a + m), 0.5 * (m + b)
-    flm, frm = f(lm), f(rm)
-    left = (m - a) / 6.0 * (fa + 4.0 * flm + fm)
-    right = (b - m) / 6.0 * (fm + 4.0 * frm + fb)
-    err = left + right - whole
-    if depth <= 0 or abs(value(err)) <= 15.0 * tol:
-        return left + right + err / 15.0
-    half = 0.5 * tol
-    return (_simpson_rec(f, a, m, fa, flm, fm, left, half, depth - 1)
-            + _simpson_rec(f, m, b, fm, frm, fb, right, half, depth - 1))
 
 
 @dataclass
@@ -353,17 +326,15 @@ class MoserMap:
     built so that h transports the flat volume to the alpha one:
     det Dh(x) * alpha(h(x)) = 1.  The generating field Y_s is radial along
     x1 (the invariant-primitive direction) and commutes with the saddle.
+    Points are one 4-vector or an (n, 4) batch; every row moves on its own.
     """
 
     alpha: object
     radius: float
     steps: int = 1000
-    _beta: object = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self._beta is None:
-            gamma = (lambda a: lambda x: a(x) - 1.0)(self.alpha)
-            self._beta = moser_beta(gamma)
+        self._beta = moser_beta(lambda x: self.alpha(x) - 1.0)
 
     def density(self, s, x):
         return (1.0 - s) + s * self.alpha(x)
@@ -372,27 +343,36 @@ class MoserMap:
         """Y_s solving  i_{Y_s} omega_s = -(omega_1 - omega_0) primitive.
 
         With eta = beta * eta0 the only nonzero component is along x1:
-        Y_1 = -beta(x) x1 / density_s(x).
+        Y_1 = -beta(x) x1 / density_s(x).  x is a point of floats or duals,
+        or four columns of a batch.
         """
         den = self.density(s, x)
-        if value(den) <= 0.0:
-            raise PathDegenerate(s, [value(c) for c in x], value(den))
+        bad = np.flatnonzero(np.asarray(value(den)) <= 0.0)
+        if bad.size:
+            i = bad[0]
+            point = np.array([value(c) for c in x], dtype=float).reshape(4, -1)[:, i]
+            raise PathDegenerate(s, point, np.ravel(value(den))[i])
         v = [0.0, 0.0, 0.0, 0.0]
         v[0] = -self._beta(x) * x[0] / den
         return v
 
     def _integrate(self, x, s0, s1):
         """RK4 in s for x1 alone: Y_s moves only x1, so x2..x4 are parameters."""
-        x1, *rest = (float(c) for c in x)
+        x = np.array(x, dtype=float)
+        rows = x.reshape(-1, 4)
+        x1, *rest = rows.T
         f = lambda s, y: self.velocity(s, [y, *rest])[0]
         h = (s1 - s0) / self.steps
         s = s0
         for _ in range(self.steps):
             x1 = rk4_step(f, s, x1, h)
-            if math.sqrt(sum(c * c for c in [x1, *rest])) > self.radius:
-                raise PathDegenerate(s, [x1, *rest], math.nan)
+            r = np.sqrt(sum(c * c for c in [x1, *rest]))
+            if (r > self.radius).any():
+                i = np.argmax(r)
+                raise PathDegenerate(s, [x1[i], *(c[i] for c in rest)], math.nan)
             s += h
-        return np.array([x1, *rest])
+        rows[:, 0] = x1
+        return x
 
     def __call__(self, x):
         return self._integrate(x, 0.0, 1.0)
@@ -400,29 +380,26 @@ class MoserMap:
     def inverse(self, y):
         return self._integrate(y, 1.0, 0.0)
 
-    def transport_residuals(self, x):
-        """Both readings of the volume transport at a point.
+    def transport_residuals(self, points):
+        """Both readings of the volume transport at each row of an (n, 4) batch.
 
         forward: det Dh(x) * alpha(h(x)) - 1   (h carries the flat volume to
         the alpha volume); inverse: det Dh^{-1}(y) - alpha(y) at y = h(x).
         """
-        J = _central_jacobian(self, x)
-        y = self(x)
-        forward = float(np.linalg.det(J)) * float(value(self.alpha(list(y)))) - 1.0
-        Ji = _central_jacobian(self.inverse, y)
-        inverse = float(np.linalg.det(Ji)) - float(value(self.alpha(list(y))))
-        return forward, inverse
+        y, J = _central_jacobian(self, np.reshape(points, (-1, 4)))
+        _, Ji = _central_jacobian(self.inverse, y)
+        a = self.alpha(list(y.T))
+        return np.linalg.det(J) * a - 1.0, np.linalg.det(Ji) - a
 
 
 def _central_jacobian(fn, x):
-    """Jacobian of a map of R^4 by central differences with step 1e-6."""
+    """(fn(x), Jacobians at the rows of x) of a map of R^4, by central differences
+    with step 1e-6; fn is called once, on the n rows and their 8n neighbours."""
     eps = 1e-6
-    J = np.zeros((4, 4))
-    for i in range(4):
-        e = np.zeros(4)
-        e[i] = eps
-        J[:, i] = (fn(np.asarray(x) + e) - fn(np.asarray(x) - e)) / (2 * eps)
-    return J
+    e = np.eye(4) * eps
+    rows = np.concatenate([x[:, None, :], x[:, None, :] + e, x[:, None, :] - e], axis=1)
+    out = fn(rows.reshape(-1, 4)).reshape(-1, 9, 4)
+    return out[:, 0], ((out[:, 1:5] - out[:, 5:]) / (2 * eps)).transpose(0, 2, 1)
 
 
 def moser_flow(omega0: Form, omega1: Form, radius, steps=1000) -> MoserMap:

@@ -4,8 +4,11 @@ import math
 import pytest
 import yaml
 
+import numpy as np
+
 from phsurgery import cli
 from phsurgery.config import CampaignConfig, ConfigError
+from phsurgery.suites import _check
 
 
 @pytest.fixture()
@@ -95,6 +98,11 @@ class TestCli:
         # the shell (delta, 2 delta) must stay inside the unit disk
         ({"delta": 0.6}, "delta"),
         ({"delta_sweep": [0.1, 0.5]}, "delta_sweep"),
+        ({"seed": -1}, "seed"),
+        ({"seed": 1.5}, "seed"),
+        # n = 1 has no transversal block
+        ({"n_values": [1]}, "n_values"),
+        ({"n_values": [2.5]}, "n_values"),
     ])
     def test_exit_2_names_the_model_field(self, tmp_path, capsys, fields, named):
         bad = tmp_path / "bad.yaml"
@@ -126,6 +134,17 @@ class TestCli:
 
     def test_exit_2_on_missing_file(self, tmp_path, capsys):
         assert cli.main(["all", "--config", str(tmp_path / "none.yaml")]) == 2
+
+    @pytest.mark.parametrize("out", [
+        "taken",            # --out names an existing file
+        "taken/reports",    # --out lies under an existing file
+    ])
+    def test_exit_2_when_out_cannot_be_a_directory(self, tmp_path, capsys, out):
+        (tmp_path / "taken").write_text("not a directory\n", encoding="utf-8")
+        assert cli.main(["verify-volume", "--out", str(tmp_path / out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("cannot create output directory: ")
+        assert captured.out == ""  # no suite ran
 
     def test_forced_inadmissible_rho0_exits_1_with_witnesses(self, tmp_path, capsys):
         cfgpath = tmp_path / "bad_rho.yaml"
@@ -194,3 +213,19 @@ class TestCli:
         }), encoding="utf-8")
         assert cli.main(["verify-volume", "--config", str(tight), "--strict",
                          "--out", str(tmp_path / "r2")]) == 0
+
+
+class TestReportValues:
+    @pytest.mark.parametrize("value, text", [
+        (np.float64("nan"), "nan"),
+        (np.float64("inf"), "inf"),
+        (np.float64("-inf"), "-inf"),
+        (np.float32("nan"), "nan"),
+        (float("inf"), "inf"),
+    ])
+    def test_non_finite_values_serialize_as_strings(self, value, text):
+        check = _check("x", False, "m", {"v": value, "row": np.array([1.0, value])},
+                       witness={"w": value, "nested": {"w": [value]}})
+        again = json.loads(cli.canonical_json(check))
+        assert again["measured"] == {"v": text, "row": [1.0, text]}
+        assert again["witness"] == {"w": text, "nested": {"w": [text]}}

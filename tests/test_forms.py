@@ -154,6 +154,34 @@ class TestBeta:
             xbeta = sum(X[i](xb) * partial(beta, xb, i) for i in range(4))
             assert abs(xbeta) < 1e-9
 
+    def test_closed_form_for_the_suite_density(self):
+        # gamma = s (x1 x3 + x2 x4) averages to s (x1 x3 / 2 + x2 x4)
+        s = 0.1
+        gens = forms.invariant_products()
+        beta = forms.moser_beta(lambda x: s * (gens[0](x) + gens[3](x)))
+        rng = np.random.default_rng(14)
+        for x in rng.uniform(-0.4, 0.4, size=(50, 4)).tolist():
+            want = s * (x[0] * x[2] / 2 + x[1] * x[3])
+            assert abs(beta(x) - want) < 1e-15
+
+    def test_exact_for_degree_15_in_x1(self):
+        beta = forms.moser_beta(lambda x: x[0] ** 15 * x[3])
+        for x1 in (0.45, -0.3, 1.0):
+            assert beta([x1, 0.2, -0.1, 0.7]) == pytest.approx(x1 ** 15 / 16 * 0.7,
+                                                               rel=1e-14)
+
+    def test_agrees_with_adaptive_quadrature(self):
+        # a smooth non-polynomial gamma: the 8-node rule's error is far below
+        # rounding on |x1| <= 0.5, so the bound is a few ulps of beta
+        from scipy.integrate import quad
+        gamma = lambda x: math.exp(x[0]) * x[2]
+        beta = forms.moser_beta(gamma)
+        rng = np.random.default_rng(15)
+        for x in rng.uniform(-0.5, 0.5, size=(20, 4)).tolist():
+            want, _ = quad(lambda t: gamma([t * x[0], *x[1:]]), 0.0, 1.0, epsabs=0.0,
+                           epsrel=1e-13)
+            assert abs(beta(x) - want) < 1e-15
+
     def test_corrected_product_rule(self, probes):
         # d(beta eta0) = beta vol + dbeta ^ eta0
         gamma = lambda x: 0.1 * x[0] * x[2]
@@ -244,6 +272,51 @@ class TestMoserMap:
         h_bad = MoserMap(alpha=lambda x: 1.0 + 40.0 * x[0] * x[2], radius=0.5, steps=100)
         with pytest.raises(PathDegenerate):
             h_bad(np.array([0.3, 0.0, -0.3, 0.0]))
+
+    def test_batch_rows_equal_one_row_calls(self, h):
+        batch = np.array([[0.0, 0.0, 0.0, 0.0],
+                          [0.1, 0.15, -0.1, 0.2],
+                          [0.0, 0.3, -0.2, 0.1],
+                          [-0.25, 0.1, 0.3, -0.05],
+                          [0.3, -0.2, 0.25, 0.1],
+                          [-0.05, -0.2, -0.3, -0.1],
+                          [0.2, 0.0, 0.0, 0.0]])
+        before = batch.copy()
+        fw, inv = h(batch), h.inverse(batch)
+        assert (batch == before).all()  # the input is not moved in place
+        for i, x in enumerate(batch):
+            assert (fw[i] == h(x)).all()
+            assert (inv[i] == h.inverse(x)).all()
+
+    def test_empty_batch(self, h):
+        assert h(np.zeros((0, 4))).shape == (0, 4)
+        assert h.inverse(np.zeros((0, 4))).shape == (0, 4)
+        fw, inv = h.transport_residuals(np.zeros((0, 4)))
+        assert fw.shape == inv.shape == (0,)
+
+    @pytest.mark.parametrize("radius", [0.5, 5.0])
+    def test_degenerate_row_is_named(self, radius):
+        # the middle row leaves the radius 0.5; inside radius 5 its density
+        # turns negative instead
+        h_bad = MoserMap(alpha=lambda x: 1.0 + 40.0 * x[0] * x[2], radius=radius, steps=100)
+        batch = np.array([[0.1, 0.1, 0.1, 0.1],
+                          [0.3, 0.0, -0.3, 0.0],
+                          [-0.1, 0.2, 0.0, 0.1]])
+        with pytest.raises(PathDegenerate) as info:
+            h_bad(batch)
+        assert (info.value.x[1:] == batch[1, 1:]).all()
+        if radius == 0.5:
+            assert np.linalg.norm(info.value.x) > radius
+        else:
+            assert info.value.density <= 0.0
+
+    def test_batched_transport_equals_per_row_calls(self, h):
+        rng = np.random.default_rng(16)
+        points = rng.uniform(-0.3, 0.3, size=(5, 4))
+        fw, inv = h.transport_residuals(points)
+        for i, x in enumerate(points):
+            fw1, inv1 = h.transport_residuals(x)
+            assert fw[i] == fw1[0] and inv[i] == inv1[0]
 
     def test_requires_standard_base_volume(self):
         scaled = Form.volume(4).scale(lambda x: 2.0)
