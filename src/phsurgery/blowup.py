@@ -21,6 +21,7 @@ bounded away from zero on the exceptional set.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -125,14 +126,15 @@ def transition_jacobian(p: BlowupPoint, target: int) -> np.ndarray:
 # lifted slow-down flow
 
 
+@functools.lru_cache(maxsize=16)
 def _chart_rate_matrix(rates):
     """Per-chart diagonal factors d[i, j] of the lifted linear field.
 
     Derived by pushing the saddle field through each chart map with dual
     numbers at a probe point and verified linear; a failure here would mean
-    the chart algebra is wrong.
+    the chart algebra is wrong.  `rates` is a tuple of floats; the result
+    is computed once per tuple and is read-only.
     """
-    rates = tuple(float(r) for r in rates)
     k = len(rates)
     d = np.empty((k, k))
     for i in range(k):
@@ -150,6 +152,7 @@ def _chart_rate_matrix(rates):
         expected = np.array([rates[j] - rates[i] if j != i else rates[i] for j in range(k)])
         if not np.allclose(d[i], expected, atol=1e-11):
             raise AssertionError(f"chart push-forward is not the expected linear field: {d[i]}")
+    d.flags.writeable = False
     return d
 
 
@@ -164,30 +167,12 @@ class LiftedSaddle:
     profile: object
 
     def __post_init__(self):
-        rates = _chart_rate_matrix(self.spec.rates)
-        object.__setattr__(self, "chart_rates", rates)
-        object.__setattr__(self, "chart_diags", np.array([np.diag(d) for d in rates]))
+        object.__setattr__(self, "chart_rates", _chart_rate_matrix(self.spec.rates))
 
     def field(self, charts, u):
         """du/dt for an (n, k) batch, row m in chart charts[m]."""
         rho = self.profile(_blowdown_rows(charts, u))
         return self.chart_rates[charts] * u * rho[:, None]
-
-    def field_jacobian(self, charts, u):
-        """Derivative of `field` in chart coordinates, batched (n, k, k)."""
-        rows = np.arange(len(u))
-        r = np.linalg.norm(_blowdown_rows(charts, u), axis=1)
-        rho = self.profile.value(r)
-        slope = self.profile.slope(r)
-        lin = self.chart_rates[charts] * u  # (n, k)
-        ui = u[rows, charts]
-        # dr/du: r = |u_i| * s with s = sqrt of (1 + sum of affine squares)
-        s = np.sqrt(np.maximum(r**2 / np.maximum(ui**2, 1e-300), 1.0))
-        drdu = np.abs(ui)[:, None] * u / np.where(s[:, None] > 0, s[:, None], 1.0)
-        drdu[rows, charts] = np.sign(ui) * s
-        J = lin[:, :, None] * (slope[:, None] * drdu)[:, None, :]
-        J += rho[:, None, None] * self.chart_diags[charts]
-        return J
 
 
 def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
@@ -205,33 +190,20 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
 class _LiftedBatchResult:
     charts: np.ndarray
     U: np.ndarray
-    J: np.ndarray | None
-    snapshots: dict  # time -> (charts, U, J)
+    snapshots: dict  # time -> (charts, U)
 
     def points(self):
         return [BlowupPoint(int(c), u.copy()) for c, u in zip(self.charts, self.U)]
 
 
-def _chart_step(lifted, charts, Y, t, h):
-    """Advance rows Y in place by one RK4 step in their own charts, then switch.
+def _chart_step(lifted, charts, U, t, h):
+    """Advance the rows U in place by one RK4 step in their own charts, then switch.
 
-    Rows are chart coordinates u, or the packed state [u | vec J] of a point
-    and its tangent map.  Raises DomainEscape if a row leaves the disk.  A
-    row switches to the dominant chart of its line once an affine coordinate
-    exceeds the threshold; its tangent block (if any) is conjugated by the
-    exact transition Jacobian.
+    Raises DomainEscape if a row leaves the disk.  A row switches to the
+    dominant chart of its line once an affine coordinate exceeds the
+    threshold.
     """
-    k = lifted.spec.k
-
-    def f(_, y):
-        u = y[:, :k]
-        if y.shape[1] == k:
-            return lifted.field(charts, u)
-        AJ = np.einsum("nab,nbc->nac", lifted.field_jacobian(charts, u), y[:, k:].reshape(-1, k, k))
-        return np.hstack([lifted.field(charts, u), AJ.reshape(-1, k * k)])
-
-    Y[:] = rk4_step(f, t, Y, h)
-    U = Y[:, :k]
+    U[:] = rk4_step(lambda _, u: lifted.field(charts, u), t, U, h)
     x = _blowdown_rows(charts, U)
     r = np.linalg.norm(x, axis=1)
     if (r >= 1.0).any():
@@ -242,47 +214,50 @@ def _chart_step(lifted, charts, Y, t, h):
         p = BlowupPoint(int(charts[m]), U[m])
         affine = np.abs(p.line())
         affine[p.chart] = 1.0
-        target = int(np.argmax(affine))
-        if Y.shape[1] > k:
-            Y[m, k:] = (transition_jacobian(p, target) @ Y[m, k:].reshape(k, k)).ravel()
-        q = chart_transition(p, target)
+        q = chart_transition(p, int(np.argmax(affine)))
         charts[m] = q.chart
         U[m] = q.u
 
 
-def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP,
-                       want_jacobian=False, checkpoints=()):
+def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP, checkpoints=()):
     """Fixed-step RK4 on chart coordinates for a batch of BlowupPoints.
 
     Chart transitions are applied between steps once an affine coordinate
-    exceeds the switch threshold; tangent maps are conjugated by the exact
-    transition Jacobians.  `checkpoints` are times (multiples of the step)
-    at which state snapshots are recorded.
+    exceeds the switch threshold.  `checkpoints` are times (multiples of
+    the step) at which (charts, U) snapshots are recorded.
     """
-    k = spec.k
-    n = len(points)
     charts = np.array([p.chart for p in points], dtype=int)
-    Y = np.stack([p.u for p in points]).astype(float)
-    if want_jacobian:
-        Y = np.hstack([Y, np.tile(np.eye(k).ravel(), (n, 1))])
-
-    def result():
-        J = Y[:, k:].reshape(n, k, k).copy() if want_jacobian else None
-        return charts.copy(), Y[:, :k].copy(), J
-
+    U = np.stack([p.u for p in points]).astype(float)
     snapshots = {}
     if t == 0:
-        return _LiftedBatchResult(*result(), snapshots)
+        return _LiftedBatchResult(charts, U, snapshots)
 
     nsteps, h = _fixed_steps(t, step)
     checkpoint_steps = {int(round(abs(c) / abs(h))): c for c in checkpoints}
     lifted = LiftedSaddle(spec, profile)
     for istep in range(nsteps):
-        _chart_step(lifted, charts, Y, istep * h, h)
+        _chart_step(lifted, charts, U, istep * h, h)
         if istep + 1 in checkpoint_steps:
-            snapshots[checkpoint_steps[istep + 1]] = result()
+            snapshots[checkpoint_steps[istep + 1]] = (charts.copy(), U.copy())
+    return _LiftedBatchResult(charts, U, snapshots)
 
-    return _LiftedBatchResult(*result(), snapshots)
+
+def core_tangent_maps(spec, rho0, points, charts, t):
+    """Exact time-t tangent maps of the lift of the saddle slowed by the constant rho0.
+
+    One (k, k) map per start point p = (chart c, u), read from chart c into
+    the chart charts[m] that a flow of p holds at time t.  In chart c the
+    flow is u -> g u with g = exp(rho0 d[c] t), and chart c's domain is
+    invariant under it; chart transitions compose, so whatever charts the
+    orbit passed through, the map is
+    transition_jacobian((c, g u), charts[m]) diag(g).
+    """
+    d = _chart_rate_matrix(spec.rates)
+    maps = []
+    for p, target in zip(points, charts):
+        g = np.exp(rho0 * d[p.chart] * t)
+        maps.append(transition_jacobian(BlowupPoint(p.chart, p.u * g), int(target)) * g)
+    return np.stack(maps)
 
 
 def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,

@@ -3,9 +3,10 @@
 The model tangent space is R^k + R^(s+c+u): first the disk (chart) block,
 then the restricted-flow blocks in the order stable, flow direction,
 unstable.  Cones are metric balls of directions around a center subspace;
-the restricted-flow block always evolves by the exact rate cocycle while
-the disk block evolves by the tangent map of whichever flow a campaign
-runs (uniformly slowed core in blow-up charts, or annulus transits).
+the restricted-flow block always evolves by the exact rate cocycle.  The
+disk block evolves by an exact tangent map too: the closed-form chart map
+in the uniformly slowed core (`blowup.core_tangent_maps`), the time-change
+map across the annulus (`saddle.time_change_transits`).
 
 The campaigns measure, rather than assume, the three quantities the cone
 criterion needs: invariance of the unstable cone (after a reported burn-in),
@@ -277,13 +278,16 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     """Cone invariance, expansion and domination in the uniformly slowed core.
 
     Orbits run in the blow-up charts (the exceptional set included), where
-    the slowed field is exactly linear; the restricted block moves by the
-    exact cocycle.  Reports: burn-in time after which every sampled
-    unstable-cone boundary vector is strictly inside, the minimum expansion
-    exponent over the unstable cone, the domination exponent against
-    vectors that remain in the center-stable cone, and backward invariance
-    of the center-stable cone.  `reverse` runs the time-reversed flow (the
-    statistics must reproduce by symmetry of the construction).
+    the slowed field is exactly linear.  The RK4 lifted flow moves the
+    points and picks their charts; at each checkpoint the disk block is the
+    closed-form tangent map into the chart the flow holds, and the
+    restricted block moves by the exact cocycle.  Reports: burn-in time
+    after which every sampled unstable-cone boundary vector is strictly
+    inside, the minimum expansion exponent over the unstable cone, the
+    domination exponent against vectors that remain in the center-stable
+    cone, and backward invariance of the center-stable cone.  `reverse`
+    runs the time-reversed flow (the statistics must reproduce by symmetry
+    of the construction).
     """
     model = ProductModel(spec=spec, anosov=anosov)
     if reverse:
@@ -302,8 +306,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     core_radius = min(0.012, 0.5 * math.exp(-rho0 * max(abs(r) for r in spec.rates) * tmax))
     points = _inner_orbit_points(model, n_orbits, seed + 3, core_radius)
     flat = saddle.BumpProfile.flat(rho0)
-    res = blowup._lifted_flow_batch(spec, flat, points, tmax, step=step,
-                                    want_jacobian=True, checkpoints=grid)
+    res = blowup._lifted_flow_batch(spec, flat, points, tmax, step=step, checkpoints=grid)
 
     report = PropagationReport(kind="reversed-core" if reverse else "core")
     min_u_exp = math.inf
@@ -313,7 +316,8 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     cs_back_ok = True
 
     for it, t in enumerate(grid):
-        charts, U, J = res.snapshots[t]
+        charts, _ = res.snapshots[t]
+        J = blowup.core_tangent_maps(spec, rho0, points, charts, t)
         inside_all = True
         for m in range(len(points)):
             M = model.full_map(J[m], t)

@@ -42,6 +42,11 @@ def _integer_at_least(value, low):
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
+def _finite_number(value):
+    return (isinstance(value, (int, float)) and not isinstance(value, bool)
+            and math.isfinite(value))
+
+
 @dataclass
 class CampaignConfig:
     """Everything a verification run needs, serializable to YAML.
@@ -75,10 +80,15 @@ class CampaignConfig:
     tolerances: dict = field(default_factory=dict)
 
     def __post_init__(self):
+        if not isinstance(self.tolerances, dict):
+            raise ConfigError(f"tolerances: must be a mapping, got {self.tolerances!r}")
         tol = dict(DEFAULT_TOLERANCES)
         unknown = set(self.tolerances) - set(tol)
         if unknown:
             raise ConfigError(f"tolerances: unknown keys {sorted(unknown)}")
+        bad = {key: value for key, value in self.tolerances.items() if not _finite_number(value)}
+        if bad:
+            raise ConfigError(f"tolerances: values must be finite numbers, got {bad!r}")
         tol.update(self.tolerances)
         self.tolerances = tol
         if self.rho0 != "auto" and not isinstance(self.rho0, (int, float)):
@@ -94,17 +104,23 @@ class CampaignConfig:
         if not _integer_at_least(self.seed, 0):
             raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
         # n = 1 has no transversal block
-        if not (isinstance(self.n_values, list)
+        if not (isinstance(self.n_values, list) and self.n_values
                 and all(_integer_at_least(n, 2) for n in self.n_values)):
-            raise ConfigError(f"n_values: every entry must be an integer >= 2, "
+            raise ConfigError(f"n_values: needs at least one entry, each an integer >= 2, "
                               f"got {self.n_values!r}")
         if not self.step > 0:
             raise ConfigError("step: must be positive")
         # the transition shell (delta, 2 delta) must lie inside the unit disk
         if not 0 < self.delta < 0.5:
             raise ConfigError("delta: must lie in (0, 0.5)")
-        if not all(0 < d < 0.5 for d in self.delta_sweep):
-            raise ConfigError("delta_sweep: every entry must lie in (0, 0.5)")
+        if not (isinstance(self.delta_sweep, list)
+                and all(_finite_number(d) and 0 < d < 0.5 for d in self.delta_sweep)):
+            raise ConfigError(f"delta_sweep: every entry must be a number in (0, 0.5), "
+                              f"got {self.delta_sweep!r}")
+        # the sweep checks compare values across delta and fit a log-log slope
+        if len(set(self.delta_sweep)) < 2:
+            raise ConfigError(f"delta_sweep: needs at least 2 distinct entries, "
+                              f"got {self.delta_sweep!r}")
         # the model must be buildable.  pick_rho0 checks lam < lam' <= 1 <= mu' < mu,
         # which an explicit rho0 needs too; its value is a measured input.
         for fields, build in (("saddle_rates", self.saddle_spec),

@@ -109,22 +109,9 @@ class TestLiftedField:
         lifted = blowup.LiftedSaddle(spec4, profile)
         charts, U = batch
         F = lifted.field(charts, U)
-        A = lifted.field_jacobian(charts, U)
         for m in range(len(U)):
             one = slice(m, m + 1)
             assert (lifted.field(charts[one], U[one]) == F[one]).all()
-            assert (lifted.field_jacobian(charts[one], U[one]) == A[one]).all()
-
-    def test_jacobian_matches_central_differences(self, spec4, profile, batch):
-        lifted = blowup.LiftedSaddle(spec4, profile)
-        charts, U = batch
-        A = lifted.field_jacobian(charts, U)
-        eps = 1e-6
-        for j in range(4):
-            e = np.zeros(4)
-            e[j] = eps
-            col = (lifted.field(charts, U + e) - lifted.field(charts, U - e)) / (2 * eps)
-            assert A[:, :, j] == pytest.approx(col, rel=1e-6, abs=1e-8)
 
 
 class TestLiftedFlow:
@@ -168,24 +155,12 @@ class TestLiftedFlow:
         with pytest.raises(saddle.DomainEscape):
             blowup.lifted_slow_flow(spec2, flat, p, 2.0)
 
-    def test_tangent_batch_matches_single_points(self, spec4, profile):
-        # the packed [u | vec J] rows step in one call across charts; every
-        # row equals its one-point run, and its u-part equals the plain flow
-        points = _mixed_points()
-        res = blowup._lifted_flow_batch(spec4, profile, points, 1.2, step=0.01,
-                                        want_jacobian=True)
-        assert (res.charts != [p.chart for p in points]).any()
-        for p, chart, u, J in zip(points, res.charts, res.U, res.J):
-            one = blowup._lifted_flow_batch(spec4, profile, [p], 1.2, step=0.01,
-                                            want_jacobian=True)
-            assert one.charts[0] == chart
-            assert (one.U[0] == u).all()
-            assert (one.J[0] == J).all()
-            assert (blowup.lifted_slow_flow(spec4, profile, p, 1.2, step=0.01).u == u).all()
-
     def test_variational_against_fd(self, spec2, profile):
+        # the orbit stays inside |x| < delta, where rho == rho0 and the
+        # closed form holds
         p = BlowupPoint(chart=0, u=np.array([0.05, 0.3]))
-        J = blowup._lifted_flow_batch(spec2, profile, [p], 1.0, want_jacobian=True).J[0]
+        q = blowup.lifted_slow_flow(spec2, profile, p, 1.0)
+        J = blowup.core_tangent_maps(spec2, profile.rho0, [p], [q.chart], 1.0)[0]
         eps = 1e-6
         for i in range(2):
             e = np.zeros(2)
@@ -194,6 +169,26 @@ class TestLiftedFlow:
             qb = blowup.lifted_slow_flow(spec2, profile, BlowupPoint(0, p.u - e), 1.0)
             col = (qa.u - qb.u) / (2 * eps)
             assert J[:, i] == pytest.approx(col, rel=1e-5, abs=1e-7)
+
+    def test_core_tangent_maps_match_central_differences(self, spec4):
+        # one RK4 call on every mixed point and its +-eps neighbours; the
+        # closed form reads each map into the chart the flow ends in.  At
+        # rho == 0.5 the rows need t = 2.4 to switch charts.
+        flat = BumpProfile.flat(0.5)
+        points = _mixed_points()
+        eps = 1e-6
+        shifted = [BlowupPoint(p.chart, p.u + sign * eps * e)
+                   for p in points for sign in (1, -1) for e in np.eye(4)]
+        res = blowup._lifted_flow_batch(spec4, flat, points + shifted, 2.4, step=1e-3)
+        n = len(points)
+        charts = res.charts[:n]
+        assert (charts != [p.chart for p in points]).any()
+        J = blowup.core_tangent_maps(spec4, 0.5, points, charts, 2.4)
+        ends = res.U[n:].reshape(n, 2, 4, 4)
+        assert (res.charts[n:].reshape(n, 8) == charts[:, None]).all()
+        for m in range(n):
+            fd = (ends[m, 0] - ends[m, 1]).T / (2 * eps)
+            assert np.abs(J[m] - fd).max() < 1e-6 * np.abs(fd).max()
 
 
 class TestDensities:

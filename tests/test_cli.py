@@ -103,6 +103,21 @@ class TestCli:
         # n = 1 has no transversal block
         ({"n_values": [1]}, "n_values"),
         ({"n_values": [2.5]}, "n_values"),
+        # the homogeneous suite would pass with zero checks
+        ({"n_values": []}, "n_values"),
+        # the sweep checks compare deltas and fit a log-log slope
+        ({"delta_sweep": []}, "delta_sweep"),
+        ({"delta_sweep": [0.1]}, "delta_sweep"),
+        ({"delta_sweep": [0.1, 0.1]}, "delta_sweep"),
+        ({"delta_sweep": 0.1}, "delta_sweep"),
+        ({"delta_sweep": ["a", "b"]}, "delta_sweep"),
+        # a tolerance is compared with measured floats
+        ({"tolerances": 5}, "tolerances"),
+        ({"tolerances": {"richardson": "x"}}, "tolerances"),
+        ({"tolerances": {"richardson": True}}, "tolerances"),
+        ({"tolerances": {"richardson": None}}, "tolerances"),
+        ({"tolerances": {"richardson": float("nan")}}, "tolerances"),
+        ({"tolerances": {"richardson": float("inf")}}, "tolerances"),
     ])
     def test_exit_2_names_the_model_field(self, tmp_path, capsys, fields, named):
         bad = tmp_path / "bad.yaml"
@@ -153,7 +168,7 @@ class TestCli:
             "samples": 64,
             "crossing_entries": 40,
             "cone_orbits": 8,
-            "delta_sweep": [0.1],
+            "delta_sweep": [0.1, 0.01],
         }), encoding="utf-8")
         out = tmp_path / "rep"
         code = cli.main(["verify-cones", "--config", str(cfgpath), "--out", str(out)])
@@ -213,6 +228,14 @@ class TestCli:
         }), encoding="utf-8")
         assert cli.main(["verify-volume", "--config", str(tight), "--strict",
                          "--out", str(tmp_path / "r2")]) == 0
+
+    def test_strict_names_a_non_numeric_tolerance(self, tmp_path, capsys):
+        bad = tmp_path / "bad.yaml"
+        bad.write_text(yaml.safe_dump({"tolerances": {"richardson": "x"}}), encoding="utf-8")
+        assert cli.main(["verify-volume", "--config", str(bad), "--strict",
+                         "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: tolerances")
 
 
 class TestReportValues:

@@ -1,0 +1,63 @@
+"""The names and arguments that perfbench's tracer reads from the package.
+
+perfbench/tracer.py wraps module attributes by name and reads call
+arguments through `inspect.signature`.  A rename or a dropped argument in
+src breaks only the traced benchmark runs, so these tests load the tracer
+by path and hold the package to it.
+"""
+
+import importlib
+import importlib.util
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from phsurgery import blowup, saddle
+from phsurgery.blowup import BlowupPoint
+from phsurgery.saddle import BumpProfile, SaddleSpec
+
+TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+
+
+@pytest.fixture(scope="module")
+def tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_every_span_resolves_as_install_does(tracer):
+    for module_name, path in tracer.SPANS:
+        owner = importlib.import_module(f"phsurgery.{module_name}")
+        *outer, attr = path.split(".")
+        for part in outer:
+            owner = getattr(owner, part)
+        original = vars(owner)[attr]
+        assert callable(original) or isinstance(original, classmethod), (module_name, path)
+
+
+def test_hook_arguments_bind(tracer):
+    spec = SaddleSpec(rates=(-1.0, 1.0))
+    lifted_batch, transit_batch = blowup._lifted_flow_batch, saddle._transit_batch
+    traced = tracer.Tracer().install()
+    try:
+        blowup._lifted_flow_batch(spec, BumpProfile.flat(0.5),
+                                  [BlowupPoint(0, np.array([0.01, 0.2]))] * 3, 0.1, step=0.05)
+        reports = saddle._transit_batch(spec, BumpProfile(delta=0.1, rho0=0.5),
+                                        np.array([[0.0, 0.1], [0.2, 0.0]]), step=0.05)
+    finally:
+        traced.restore()
+    assert blowup._lifted_flow_batch is lifted_batch
+    assert saddle._transit_batch is transit_batch
+    counts = traced.counts
+    assert counts["blowup.lifted.rows"] == 3
+    assert counts["blowup.lifted.row_steps"] == 6
+    assert counts["saddle.transit.rows"] == 2
+    assert counts["saddle.transit.crossings"] == 2
+    assert counts["saddle.transit.row_steps"] == sum(
+        int(np.ceil(rep.time / 0.05)) for rep in reports)
+    per_name, _ = traced.summary()
+    assert per_name["blowup._lifted_flow_batch"][0] == 1
+    assert per_name["saddle._transit_batch"][0] == 1
