@@ -6,7 +6,13 @@ unstable.  Cones are metric balls of directions around a center subspace;
 the restricted-flow block always evolves by the exact rate cocycle.  The
 disk block evolves by an exact tangent map too: the closed-form chart map
 in the uniformly slowed core (`blowup.core_tangent_maps`), the time-change
-map across the annulus (`saddle.time_change_transits`).
+map across the annulus (`saddle.transit_campaign`).
+
+A batch of tangent maps is one (n, d, d) array: `ProductModel.full_maps`
+builds the block maps from an (n, k, k) stack of disk maps, and
+`_frame_pass` maps a cone frame through the whole stack at once.  The core
+campaign returns a `CoreConeReport`, the crossing campaign a
+`CrossingConeReport`.
 
 The campaigns measure, rather than assume, the three quantities the cone
 criterion needs: invariance of the unstable cone (after a reported burn-in),
@@ -24,7 +30,7 @@ unstable cone stops being invariant and domination fails.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.stats import norm, qmc
@@ -112,29 +118,13 @@ class ProductModel:
         s, c, u = self.anosov.dims
         return self.spec.k + s + c + u
 
-    @property
-    def disk_slice(self):
-        return slice(0, self.spec.k)
-
-    @property
-    def n_slice(self):
-        return slice(self.spec.k, self.dim)
-
     def axes(self, which):
         """Unit vectors spanning a named block: 'disk' | 's' | 'c' | 'u' | 'cs'."""
         k = self.spec.k
-        s, c, u = self.anosov.dims
-        starts = {"disk": (0, k), "s": (k, k + s), "c": (k + s, k + s + c),
-                  "u": (k + s + c, k + s + c + u)}
-        if which == "cs":
-            idx = list(range(0, k + s + c))
-        else:
-            a, b = starts[which]
-            idx = list(range(a, b))
-        E = np.zeros((self.dim, len(idx)))
-        for j, i in enumerate(idx):
-            E[i, j] = 1.0
-        return E
+        s, c, _ = self.anosov.dims
+        a, b = {"disk": (0, k), "s": (k, k + s), "c": (k + s, k + s + c),
+                "u": (k + s + c, self.dim), "cs": (0, k + s + c)}[which]
+        return np.eye(self.dim, b - a, -a)
 
     def unstable_cone(self, omega):
         return ConeSpec(center=self.axes("u"), aperture=omega)
@@ -142,11 +132,17 @@ class ProductModel:
     def center_stable_cone(self, omega):
         return ConeSpec(center=self.axes("cs"), aperture=omega)
 
-    def full_map(self, J_disk, t):
-        """Block tangent map: disk Jacobian + exact restricted cocycle."""
-        M = np.zeros((self.dim, self.dim))
-        M[self.disk_slice, self.disk_slice] = J_disk
-        M[self.n_slice, self.n_slice] = self.anosov.cocycle(t)
+    def full_maps(self, J_disk, times):
+        """(n, d, d) block tangent maps from an (n, k, k) stack of disk maps.
+
+        Row m is diag(J_disk[m], exp(rates * times[m])): the disk map and the
+        exact restricted cocycle at time times[m].
+        """
+        k = self.spec.k
+        M = np.zeros((len(J_disk), self.dim, self.dim))
+        M[:, :k, :k] = J_disk
+        diag = np.arange(k, self.dim)
+        M[:, diag, diag] = np.exp(np.asarray(self.anosov.rates) * np.asarray(times)[:, None])
         return M
 
     def reversed(self):
@@ -189,15 +185,10 @@ def cone_boundary_frame(model: ProductModel, cone: ConeSpec, n, seed):
     wdirs = sobol_directions(n, d - m, seed + 1)
     vecs = (math.cos(cone.aperture) * cdirs @ C.T
             + math.sin(cone.aperture) * wdirs @ W.T)
-    # axis-aligned boundary tilts: worst cases of the closed-form bounds
-    tilts = []
-    for i in range(m):
-        for j in range(d - m):
-            tilts.append(math.cos(cone.aperture) * C[:, i]
-                         + math.sin(cone.aperture) * W[:, j])
-            tilts.append(math.cos(cone.aperture) * C[:, i]
-                         - math.sin(cone.aperture) * W[:, j])
-    return np.vstack([vecs, C.T, -C.T, np.array(tilts)])
+    # axis-aligned boundary tilts cos C_i +- sin W_j: worst cases of the closed-form bounds
+    tilts = (math.cos(cone.aperture) * C.T[:, None, None, :]
+             + np.array([1.0, -1.0])[:, None] * math.sin(cone.aperture) * W.T[:, None, :])
+    return np.vstack([vecs, C.T, -C.T, tilts.reshape(-1, d)])
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +208,19 @@ def propagate(state, t, frame, *, spec, anosov, rho0, step=DEFAULT_STEP):
     if frame.shape[1] != model.dim:
         raise ValueError(f"frame vectors have dimension {frame.shape[1]}, model {model.dim}")
     _, J = saddle.variational_flow_slow(spec, saddle.BumpProfile.flat(rho0), state, t, step=step)
-    return frame @ model.full_map(J, t).T
+    return frame @ model.full_maps(J[None], [t])[0].T
+
+
+def _frame_pass(maps, frame, cone):
+    """Angles to the cone's center and growth factors of every frame row under every map.
+
+    maps is an (n, d, d) stack; returns two (n, N) arrays, row m for map m,
+    from one `angle_to_center` call on all images.
+    """
+    images = frame @ maps.transpose(0, 2, 1)
+    n, rows, d = images.shape
+    angles = angle_to_center(images.reshape(n * rows, d), cone).reshape(n, rows)
+    return angles, np.linalg.norm(images, axis=2) / np.linalg.norm(frame, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +228,14 @@ def propagate(state, t, frame, *, spec, anosov, rho0, step=DEFAULT_STEP):
 
 
 @dataclass
-class PropagationReport:
-    """Measured cone statistics over a batch of orbit segments."""
+class CoreConeReport:
+    """Measured cone statistics over orbit segments in the uniformly slowed core."""
 
-    kind: str
-    burn_in: float | None = None
-    min_u_exponent: float = math.nan       # log growth rate on the unstable cone
-    domination_exponent: float = math.nan  # log of the domination ratio rate
-    backward_cs_ok: bool = True
-    aperture_ratio: float | None = None    # crossing campaigns: out-angle / omega
-    min_crossing_expansion: float | None = None
-    backward_aperture_ratio: float | None = None
-    min_backward_contraction: float | None = None
-    violations: list = field(default_factory=list)
-    extras: dict = field(default_factory=dict)
+    burn_in: float | None
+    min_u_exponent: float       # log growth rate on the unstable cone
+    domination_exponent: float  # log of the domination ratio rate
+    backward_cs_ok: bool
+    violations: list
 
     def passed(self, min_exponent=None):
         ok = not self.violations and self.domination_exponent > 0.0
@@ -247,6 +244,17 @@ class PropagationReport:
         if min_exponent is not None:
             ok = ok and self.min_u_exponent >= min_exponent
         return bool(ok)
+
+
+@dataclass
+class CrossingConeReport:
+    """Cone damage across the transition shell over a batch of annulus transits."""
+
+    aperture_ratio: float            # max out-angle / omega on the unstable cone
+    min_crossing_expansion: float
+    backward_aperture_ratio: float   # the same for the cs cone under the inverse maps
+    min_backward_contraction: float
+    class_counts: dict
 
 
 def _inner_orbit_points(model: ProductModel, n_orbits, seed, radius):
@@ -308,72 +316,52 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     flat = saddle.BumpProfile.flat(rho0)
     res = blowup._lifted_flow_batch(spec, flat, points, tmax, step=step, checkpoints=grid)
 
-    report = PropagationReport(kind="reversed-core" if reverse else "core")
     min_u_exp = math.inf
     dom_exp = math.inf
     member_frac = {}
     burn_in = None
-    cs_back_ok = True
+    violations = []
 
-    for it, t in enumerate(grid):
+    for t in grid:
         charts, _ = res.snapshots[t]
-        J = blowup.core_tangent_maps(spec, rho0, points, charts, t)
-        inside_all = True
-        for m in range(len(points)):
-            M = model.full_map(J[m], t)
-            vu = uframe @ M.T
-            ang = angle_to_center(vu, ucone)
-            inside = ang < omega
-            inside_all = inside_all and bool(inside.all())
-            member_frac.setdefault(t, []).append(float(inside.mean()))
-            growth_u = np.linalg.norm(vu, axis=1) / np.linalg.norm(uframe, axis=1)
-
-            Minv = np.linalg.inv(M)
-            wb = csframe @ Minv.T
-            angb = angle_to_center(wb, cscone)
-            if not (angb < omega + 1e-12).all():
-                cs_back_ok = False
-                worst = int(np.argmax(angb))
-                report.violations.append({
-                    "type": "cs-backward-invariance", "time": t, "orbit": m,
-                    "angle": float(angb[worst]), "aperture": omega})
-
-            if t in times:
-                expo_u = np.log(growth_u) / t
-                min_u_exp = min(min_u_exp, float(expo_u.min()))
-                vcs = csframe @ M.T
-                angf = angle_to_center(vcs, cscone)
-                # staying vectors: inside the cs cone now (boundary tolerated)
-                stay = angf <= omega + 1e-12
-                if stay.any():
-                    growth_cs = (np.linalg.norm(vcs[stay], axis=1)
-                                 / np.linalg.norm(csframe[stay], axis=1))
-                    expo_cs = np.log(growth_cs) / t
-                    gap = float(expo_u.min() - expo_cs.max())
-                    if gap < dom_exp:
-                        dom_exp = gap
-                    if gap <= 0:
-                        report.violations.append({
-                            "type": "domination", "time": t, "orbit": m,
-                            "u_exponent": float(expo_u.min()),
-                            "cs_exponent": float(expo_cs.max())})
-        if inside_all and burn_in is None:
+        M = model.full_maps(blowup.core_tangent_maps(spec, rho0, points, charts, t),
+                            np.full(len(points), t))
+        ang, growth_u = _frame_pass(M, uframe, ucone)
+        inside = ang < omega
+        member_frac[t] = float(inside.mean(axis=1).min())
+        if inside.all() and burn_in is None:
             burn_in = t
+        angb, _ = _frame_pass(np.linalg.inv(M), csframe, cscone)
+        back_bad = ~(angb < omega + 1e-12).all(axis=1)
+        gap = np.full(len(points), math.inf)
+        if t in times:
+            expo_u = np.log(growth_u).min(axis=1) / t
+            min_u_exp = min(min_u_exp, float(expo_u.min()))
+            angf, growth_cs = _frame_pass(M, csframe, cscone)
+            # staying vectors: inside the cs cone now (boundary tolerated)
+            stay = angf <= omega + 1e-12
+            expo_cs = np.where(stay, np.log(growth_cs) / t, -math.inf).max(axis=1)
+            gap = np.where(stay.any(axis=1), expo_u - expo_cs, math.inf)
+            dom_exp = min(dom_exp, float(gap.min()))
+        for m in np.flatnonzero(back_bad | (gap <= 0)):
+            if back_bad[m]:
+                violations.append({
+                    "type": "cs-backward-invariance", "time": t, "orbit": int(m),
+                    "angle": float(angb[m].max()), "aperture": omega})
+            if gap[m] <= 0:
+                violations.append({
+                    "type": "domination", "time": t, "orbit": int(m),
+                    "u_exponent": float(expo_u[m]), "cs_exponent": float(expo_cs[m])})
     # invariance after burn-in: membership must not regress
     if burn_in is None:
-        report.violations.append({"type": "u-invariance", "detail": "never fully inside"})
+        violations.append({"type": "u-invariance", "detail": "never fully inside"})
     else:
-        for t in grid:
-            if t > burn_in and min(member_frac[t]) < 1.0:
-                report.violations.append({
-                    "type": "u-invariance", "time": t,
-                    "fraction": min(member_frac[t])})
-
-    report.burn_in = burn_in
-    report.min_u_exponent = min_u_exp
-    report.domination_exponent = dom_exp
-    report.backward_cs_ok = cs_back_ok
-    return report
+        violations.extend({"type": "u-invariance", "time": t, "fraction": member_frac[t]}
+                          for t in grid if t > burn_in and member_frac[t] < 1.0)
+    cs_back_ok = not any(v["type"] == "cs-backward-invariance" for v in violations)
+    return CoreConeReport(burn_in=burn_in, min_u_exponent=min_u_exp,
+                          domination_exponent=dom_exp, backward_cs_ok=cs_back_ok,
+                          violations=violations)
 
 
 def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
@@ -385,7 +373,8 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
     minimal expansion on the unstable cone, and the backward quantities for
     the center-stable cone.  The entries are seeded identically across
     delta values, so a sweep isolates the delta dependence.  The transits
-    are exact (`saddle.time_change_transits`).
+    and their class counts come from `saddle.transit_campaign` (exact
+    transits).
     """
     model = ProductModel(spec=spec, anosov=anosov)
     ucone = model.unstable_cone(omega)
@@ -393,35 +382,16 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
     uframe = cone_boundary_frame(model, ucone, n_vectors, seed)
     csframe = cone_boundary_frame(model, cscone, n_vectors, seed + 7)
 
-    rng = np.random.default_rng(seed + 11)
-    entries = saddle.sample_entries(spec, profile.delta, n_entries, rng)
-    reports = saddle.time_change_transits(spec, profile, entries)
-
-    report = PropagationReport(kind="crossing")
-    aperture = 0.0
-    min_grow = math.inf
-    aperture_b = 0.0
-    min_contract = math.inf
-    classes = {"inner->outer": 0, "outer->inner": 0, "outer->outer": 0,
-               "inner->inner": 0, "trapped": 0}
-    for rep in reports:
-        classes[rep.crossing_class] += 1
-        M = model.full_map(rep.jacobian, rep.time)
-        vu = uframe @ M.T
-        aperture = max(aperture, float(angle_to_center(vu, ucone).max()) / omega)
-        min_grow = min(min_grow, float((np.linalg.norm(vu, axis=1)
-                                        / np.linalg.norm(uframe, axis=1)).min()))
-        Minv = np.linalg.inv(M)
-        wb = csframe @ Minv.T
-        aperture_b = max(aperture_b, float(angle_to_center(wb, cscone).max()) / omega)
-        min_contract = min(min_contract, float((np.linalg.norm(wb, axis=1)
-                                                / np.linalg.norm(csframe, axis=1)).min()))
-    report.aperture_ratio = aperture
-    report.min_crossing_expansion = min_grow
-    report.backward_aperture_ratio = aperture_b
-    report.min_backward_contraction = min_contract
-    report.extras["class_counts"] = classes
-    return report
+    campaign = saddle.transit_campaign(spec, profile, n_entries, seed + 11)
+    M = model.full_maps(np.stack([r.jacobian for r in campaign.reports]), campaign.times)
+    ang, growth = _frame_pass(M, uframe, ucone)
+    angb, growth_b = _frame_pass(np.linalg.inv(M), csframe, cscone)
+    return CrossingConeReport(
+        aperture_ratio=float(ang.max()) / omega,
+        min_crossing_expansion=float(growth.min()),
+        backward_aperture_ratio=float(angb.max()) / omega,
+        min_backward_contraction=float(growth_b.min()),
+        class_counts=campaign.class_counts)
 
 
 def rate_chain_check(spec, anosov, rho0, *, region="far", times=(1.0, 2.0),
@@ -438,8 +408,6 @@ def rate_chain_check(spec, anosov, rho0, *, region="far", times=(1.0, 2.0),
     model = ProductModel(spec=spec, anosov=anosov)
     rho = 1.0 if region == "far" else rho0
     rng = np.random.default_rng(seed)
-    k = spec.k
-    s, c, u = anosov.dims
 
     def block_dirs(E):
         m = E.shape[1]
@@ -458,7 +426,7 @@ def rate_chain_check(spec, anosov, rho0, *, region="far", times=(1.0, 2.0),
     center_margin = math.inf
     for t in times:
         disk_J = np.diag(np.exp(rho * np.asarray(spec.rates) * t))
-        M = model.full_map(disk_J, t)
+        M = model.full_maps(disk_J[None], [t])[0]
         for name, E in (("s", E_s), ("c", E_c), ("u", E_u)):
             V = block_dirs(E)
             growth = np.linalg.norm(V @ M.T, axis=1) / np.linalg.norm(V, axis=1)

@@ -47,6 +47,50 @@ def _finite_number(value):
             and math.isfinite(value))
 
 
+def _in(low, high):
+    """Predicate: a finite number (never a bool) in the open interval (low, high)."""
+    return lambda v: _finite_number(v) and low < v < high
+
+
+_NUMBER = ("a finite number", _finite_number)
+_AUTO = ("a finite number or 'auto'", lambda v: v == "auto" or _finite_number(v))
+# an Anosov block model needs a stable and an unstable direction
+_RATES = ("a non-empty list of finite numbers",
+          lambda v: isinstance(v, list) and bool(v) and all(map(_finite_number, v)))
+_COUNT = ("a positive integer", lambda v: _integer_at_least(v, 1))
+
+# every field but `tolerances`: what it must be, and the test of that
+_FIELD_RULES = {
+    "seed": ("an integer >= 0", lambda v: _integer_at_least(v, 0)),
+    "saddle_rates": _RATES,
+    "anosov_stable": _RATES,
+    "anosov_unstable": _RATES,
+    "lam": _NUMBER,
+    "mu": _NUMBER,
+    "rho0": _AUTO,
+    "volume_mode": ("true or false", lambda v: isinstance(v, bool)),
+    "alpha": _AUTO,
+    "omega": ("an aperture in (0, pi/4)", _in(0, math.pi / 4)),
+    # the transition shell (delta, 2 delta) must lie inside the unit disk
+    "delta": ("a number in (0, 0.5)", _in(0, 0.5)),
+    # the sweep checks compare values across delta and fit a log-log slope
+    "delta_sweep": ("a list of at least 2 distinct numbers in (0, 0.5)",
+                    lambda v: isinstance(v, list) and all(map(_in(0, 0.5), v))
+                    and len(set(v)) >= 2),
+    "samples": _COUNT,
+    "cone_orbits": _COUNT,
+    "crossing_entries": _COUNT,
+    # n = 1 has no transversal block; an empty list would leave a suite without checks
+    "n_values": ("a non-empty list of integers >= 2",
+                 lambda v: isinstance(v, list) and bool(v)
+                 and all(_integer_at_least(n, 2) for n in v)),
+    "step": ("a positive number", _in(0, math.inf)),
+    "moser_strength": _NUMBER,
+    "moser_radius": ("a positive number", _in(0, math.inf)),
+    "moser_steps": _COUNT,
+}
+
+
 @dataclass
 class CampaignConfig:
     """Everything a verification run needs, serializable to YAML.
@@ -91,36 +135,10 @@ class CampaignConfig:
             raise ConfigError(f"tolerances: values must be finite numbers, got {bad!r}")
         tol.update(self.tolerances)
         self.tolerances = tol
-        if self.rho0 != "auto" and not isinstance(self.rho0, (int, float)):
-            raise ConfigError("rho0: must be a number or 'auto'")
-        if self.alpha != "auto" and not isinstance(self.alpha, (int, float)):
-            raise ConfigError("alpha: must be a number or 'auto'")
-        if not 0 < self.omega < math.pi / 4:
-            raise ConfigError("omega: aperture must lie in (0, pi/4)")
-        for name in ("samples", "cone_orbits", "crossing_entries", "moser_steps"):
-            count = getattr(self, name)
-            if not _integer_at_least(count, 1):
-                raise ConfigError(f"{name}: must be a positive integer, got {count!r}")
-        if not _integer_at_least(self.seed, 0):
-            raise ConfigError(f"seed: must be an integer >= 0, got {self.seed!r}")
-        # n = 1 has no transversal block
-        if not (isinstance(self.n_values, list) and self.n_values
-                and all(_integer_at_least(n, 2) for n in self.n_values)):
-            raise ConfigError(f"n_values: needs at least one entry, each an integer >= 2, "
-                              f"got {self.n_values!r}")
-        if not self.step > 0:
-            raise ConfigError("step: must be positive")
-        # the transition shell (delta, 2 delta) must lie inside the unit disk
-        if not 0 < self.delta < 0.5:
-            raise ConfigError("delta: must lie in (0, 0.5)")
-        if not (isinstance(self.delta_sweep, list)
-                and all(_finite_number(d) and 0 < d < 0.5 for d in self.delta_sweep)):
-            raise ConfigError(f"delta_sweep: every entry must be a number in (0, 0.5), "
-                              f"got {self.delta_sweep!r}")
-        # the sweep checks compare values across delta and fit a log-log slope
-        if len(set(self.delta_sweep)) < 2:
-            raise ConfigError(f"delta_sweep: needs at least 2 distinct entries, "
-                              f"got {self.delta_sweep!r}")
+        for name, (what, valid) in _FIELD_RULES.items():
+            value = getattr(self, name)
+            if not valid(value):
+                raise ConfigError(f"{name}: must be {what}, got {value!r}")
         # the model must be buildable.  pick_rho0 checks lam < lam' <= 1 <= mu' < mu,
         # which an explicit rho0 needs too; its value is a measured input.
         for fields, build in (("saddle_rates", self.saddle_spec),

@@ -123,10 +123,6 @@ class AnosovModel:
         """Full rate tuple in block order (stable, flow, unstable)."""
         return self.stable_rates + (0.0,) + self.unstable_rates
 
-    def cocycle(self, t):
-        """Tangent map diag(exp(rate*t)) of the block model."""
-        return np.diag(np.exp(np.asarray(self.rates) * t))
-
 
 def _transition(r):
     """Flat-ended C-infinity increasing step [0,1] -> [0,1]; works on duals."""
@@ -345,42 +341,46 @@ def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     return x
 
 
+def _tangent_field(spec, profile, y):
+    """(rho X, D(rho X) J) on packed rows y = [x | vec J] of an (n, k + k*k) batch."""
+    k = spec.k
+    fx, A = _field_and_jacobian(spec, profile, y[:, :k])
+    J = y[:, k:].reshape(-1, k, k)
+    return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
+
+
 def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow together with its tangent map J(t), J' = D(rho X) J, J(0) = Id.
 
-    Returns (point, J).  J stays orientation preserving; non-finite entries
-    abort with diagnostics.
+    x is a point or an (n, k) batch; returns (point, J) with J of shape
+    (k, k) or (n, k, k), each row equal to its own one-point call.  J stays
+    orientation preserving; non-finite entries abort with diagnostics.
     """
-    k = spec.k
     x = np.asarray(x, dtype=float)
-    _check_inside(x, 0.0)
-    state = np.concatenate([x, np.eye(k).ravel()])
-    if t == 0:
-        return x.copy(), np.eye(k)
-    nsteps, h = _fixed_steps(t, step)
-
-    # A @ J here and einsum in `_transit_batch` round differently in the last
-    # bit; each keeps the product that its reports were recorded with
-    def f(_, y):
-        fx, A = _field_and_jacobian(spec, profile, y[None, :k])
-        return np.concatenate([fx[0], (A[0] @ y[k:].reshape(k, k)).ravel()])
-
-    for i in range(nsteps):
-        state = rk4_step(f, i * h, state, h)
-        if not np.all(np.isfinite(state)):
-            raise FloatingPointError(f"non-finite tangent state at t={(i + 1) * h:.6g}: {state}")
-        _check_inside(state[:k], (i + 1) * h)
-    J = state[k:].reshape(k, k)
-    if np.linalg.det(J) <= 0:
-        raise FloatingPointError("tangent map lost orientation")
-    return state[:k], J
+    X = np.atleast_2d(x)
+    n, k = X.shape
+    _check_inside(X, 0.0)
+    state = np.hstack([X, np.tile(np.eye(k).ravel(), (n, 1))])
+    if t != 0:
+        nsteps, h = _fixed_steps(t, step)
+        f = lambda _, y: _tangent_field(spec, profile, y)
+        for i in range(nsteps):
+            state = rk4_step(f, i * h, state, h)
+            if not np.all(np.isfinite(state)):
+                raise FloatingPointError(
+                    f"non-finite tangent state at t={(i + 1) * h:.6g}: {state}")
+            _check_inside(state[:, :k], (i + 1) * h)
+        if (np.linalg.det(state[:, k:].reshape(n, k, k)) <= 0).any():
+            raise FloatingPointError("tangent map lost orientation")
+    points, J = state[:, :k], state[:, k:].reshape(n, k, k)
+    return (points, J) if x.ndim == 2 else (points[0], J[0])
 
 
 def richardson_residual(spec, profile, x, t, step=DEFAULT_STEP):
-    """Endpoint difference between step h and step h/2 integrations."""
+    """Endpoint distance between step h and step h/2 integrations, per row of a batch."""
     a = flow_slow(spec, profile, x, t, step=step)
     b = flow_slow(spec, profile, x, t, step=step / 2.0)
-    return float(np.linalg.norm(a - b))
+    return _radius(a - b)
 
 
 # ---------------------------------------------------------------------------
@@ -394,8 +394,6 @@ class TransitReport:
     entry: np.ndarray
     exit: np.ndarray
     time: float
-    sigma_max: float
-    sigma_min: float
     entry_sphere: str  # "inner" | "outer"
     exit_sphere: str   # "inner" | "outer" | "trapped"
     jacobian: np.ndarray = field(repr=False, default=None)
@@ -465,15 +463,9 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
     state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
     t = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    exit_state = state.copy()
-    exit_t = np.zeros(n)
     exit_sphere = np.array(["trapped"] * n, dtype=object)
 
-    def f(_, y):
-        fx, A = _field_and_jacobian(spec, profile, y[:, :k])
-        J = y[:, k:].reshape(-1, k, k)
-        return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
-
+    f = lambda _, y: _tangent_field(spec, profile, y)
     nmax = int(math.ceil(budget / step))
     for _ in range(nmax):
         if not alive.any():
@@ -490,50 +482,32 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
             rows, hi = idx[crossed], out_hi[crossed]
             tau = _bisect_crossing(spec, profile, state[rows, :k], step,
                                    np.where(hi, 2 * delta, delta))
-            exit_state[rows] = rk4_step(f, 0.0, state[rows], tau[:, None])
-            exit_t[rows] = t[rows] + tau
+            state[rows] = rk4_step(f, 0.0, state[rows], tau[:, None])
+            t[rows] += tau
             exit_sphere[rows] = np.where(hi, "outer", "inner")
         alive[idx[crossed]] = False
         keep = ~crossed
         state[idx[keep]] = sn[keep]
         t[idx[keep]] += step
 
-    reports = []
-    for i in range(n):
-        if exit_sphere[i] == "trapped":
-            reports.append(TransitReport(entries[i], state[i, :k], t[i], math.nan, math.nan,
-                                         str(entry_sphere[i]), "trapped",
-                                         state[i, k:].reshape(k, k)))
-            continue
-        J = exit_state[i, k:].reshape(k, k)
-        s = np.linalg.svd(J, compute_uv=False)
-        reports.append(TransitReport(entries[i], exit_state[i, :k], exit_t[i],
-                                     float(s.max()), float(s.min()),
-                                     str(entry_sphere[i]), str(exit_sphere[i]), J))
-    return reports
+    # a crossed row holds its exit state and time, a trapped row its last step
+    return [TransitReport(entries[i], state[i, :k], t[i], str(entry_sphere[i]),
+                          str(exit_sphere[i]), state[i, k:].reshape(k, k))
+            for i in range(n)]
 
 
 def _bisect_crossing(spec, profile, x0, h, target, tol=1e-10):
     """Crossing times tau in (0, h] with |x(tau)| = target, bisected to tol.
 
-    x0 holds one row per orbit and target one radius per row.  Every row
-    starts from the bracket [0, h], so the rows halve together; a row stops
-    once its own bracket is shorter than tol.
+    x0 holds one row per orbit and target one radius per row; every row
+    starts from the bracket [0, h].
     """
     f = lambda _, z: _field(spec, profile, z)
     radius = lambda tau: _radius(rk4_step(f, 0.0, x0, tau[:, None]))
-    lo = np.zeros(len(x0))
     hi = np.full(len(x0), h)
     sign_hi = radius(hi) - target
-    for _ in range(200):
-        active = hi - lo >= tol
-        if not active.any():
-            break
-        mid = 0.5 * (lo + hi)
-        above = (radius(mid) - target) * sign_hi > 0
-        hi = np.where(active & above, mid, hi)
-        lo = np.where(active & ~above, mid, lo)
-    return 0.5 * (lo + hi)
+    return _bisect_root(lambda tau: (radius(tau) - target) * sign_hi, np.zeros(len(x0)), hi,
+                        tol=tol)
 
 
 def _bracket(done, start):
@@ -547,19 +521,21 @@ def _bracket(done, start):
     raise NonExitingOrbit("an annulus orbit never reaches a boundary sphere")
 
 
-def _bisect_root(fn, lo, hi):
+def _bisect_root(fn, lo, hi, tol=0.0):
     """Per row, the root of an increasing fn with fn(lo) <= 0 < fn(hi).
 
-    The brackets halve together until no midpoint lies strictly inside any
-    of them, i.e. to the last bit of the root.
+    The brackets halve together; a row stops once its bracket is shorter
+    than tol, and the loop ends when no midpoint of a running row lies
+    strictly inside its bracket.  tol 0 bisects to the last bit of the root.
     """
     for _ in range(200):
         mid = 0.5 * (lo + hi)
-        if not ((lo < mid) & (mid < hi)).any():
+        active = hi - lo >= tol
+        if not (active & (lo < mid) & (mid < hi)).any():
             break
         up = fn(mid) > 0
-        hi = np.where(up, mid, hi)
-        lo = np.where(up, lo, mid)
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
     return 0.5 * (lo + hi)
 
 
@@ -627,11 +603,9 @@ def time_change_transits(spec, profile, entries, panels=16):
     exits = entries * scale
     grad *= entries * profile.value(np.linalg.norm(exits, axis=1))[:, None]
     J = scale[:, :, None] * np.eye(k) + (a * exits)[:, :, None] * grad[:, None, :]
-    s = np.linalg.svd(J, compute_uv=False)
     exits_inner = np.zeros(n, dtype=bool)
     exits_inner[down] = True
-    return [TransitReport(entries[i], exits[i], float(T[i]), float(s[i, 0]), float(s[i, -1]),
-                          "inner" if inner[i] else "outer",
+    return [TransitReport(entries[i], exits[i], float(T[i]), "inner" if inner[i] else "outer",
                           "inner" if exits_inner[i] else "outer", J[i])
             for i in range(n)]
 
@@ -675,25 +649,20 @@ def sample_entries(spec, delta, n, rng, inner_fraction=0.5):
     crossings are always sampled.
     """
     k = spec.k
-    axes = []
-    for i, r in enumerate(spec.rates):
-        e = np.zeros(k)
-        e[i] = 1.0
-        if r > 0:
-            axes.append(e * delta)          # radial unstable entry, inner sphere
-        else:
-            axes.append(e * 2 * delta)      # radial stable entry, outer sphere
+    rates = np.asarray(spec.rates)
+    # radial entries: unstable axes on the inner sphere, stable ones on the outer
+    axes = np.diag(np.where(rates > 0, delta, 2 * delta))
     n_inner = int(inner_fraction * n)
     inner, outer = [], []
     while sum(len(b) for b in inner) < n_inner or sum(len(b) for b in outer) < n - n_inner:
         dirs = rng.standard_normal((4 * n, k))
         dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-        q = np.sum(np.asarray(spec.rates) * dirs**2, axis=1)
+        q = np.sum(rates * dirs**2, axis=1)
         inner.append(dirs[q > 1e-6])
         outer.append(dirs[q < -1e-6])
     inner = np.vstack(inner)[:n_inner] * delta
     outer = np.vstack(outer)[: n - n_inner] * 2 * delta
-    return np.vstack(axes + [inner, outer])
+    return np.vstack([axes, inner, outer])
 
 
 def transit_campaign(spec, profile, n_entries, seed):
@@ -705,16 +674,17 @@ def transit_campaign(spec, profile, n_entries, seed):
     rng = np.random.default_rng(seed)
     entries = sample_entries(spec, profile.delta, n_entries, rng)
     reports = time_change_transits(spec, profile, entries)
-    counts = {"inner->outer": 0, "outer->inner": 0, "outer->outer": 0,
-              "inner->inner": 0, "trapped": 0}
+    counts = dict.fromkeys(("inner->outer", "outer->inner", "outer->outer",
+                            "inner->inner", "trapped"), 0)
     for r in reports:
         counts[r.crossing_class] += 1
+    s = np.linalg.svd(np.stack([r.jacobian for r in reports]), compute_uv=False)
     return TransitCampaign(
         delta=profile.delta,
         times=np.array([r.time for r in reports]),
         class_counts=counts,
-        distortion=max(r.sigma_max for r in reports),
-        distortion_inv=max(1.0 / r.sigma_min for r in reports),
+        distortion=float(s[:, 0].max()),
+        distortion_inv=float((1.0 / s[:, -1]).max()),
         reports=reports,
     )
 

@@ -45,6 +45,12 @@ def _suite(name, checks):
     return {"name": name, "passed": all(c["passed"] for c in checks), "checks": checks}
 
 
+def _classes_realized(counts):
+    """The three realizable crossing classes occur and inner->inner does not."""
+    return (counts["inner->inner"] == 0
+            and all(counts[c] > 0 for c in ("inner->outer", "outer->inner", "outer->outer")))
+
+
 def _one_per_type(violations, per_type=2):
     """Representative witnesses covering every violation type."""
     out = []
@@ -161,7 +167,6 @@ def run_saddle_suite(cfg: CampaignConfig):
     t_means = [float(sweep[d].times.mean()) for d in cfg.delta_sweep]
     slope = float(np.polyfit(np.log(cfg.delta_sweep), np.log(t_means), 1)[0])
     counts = {str(d): sweep[d].class_counts for d in cfg.delta_sweep}
-    no_inner_inner = all(sweep[d].class_counts["inner->inner"] == 0 for d in cfg.delta_sweep)
     ratio = max(dist) / min(dist)
     checks.append(_check(
         "distortion-uniformity",
@@ -179,40 +184,32 @@ def run_saddle_suite(cfg: CampaignConfig):
                   "log_log_slope": slope}))
     checks.append(_check(
         "transit-classes",
-        no_inner_inner and all(
-            sweep[d].class_counts["inner->outer"] > 0
-            and sweep[d].class_counts["outer->inner"] > 0
-            and sweep[d].class_counts["outer->outer"] > 0 for d in cfg.delta_sweep),
+        all(_classes_realized(sweep[d].class_counts) for d in cfg.delta_sweep),
         "entry/exit classification: the three realizable crossing classes "
         "occur; inner->inner is empty because the radial quadratic form "
         "strictly increases along orbits",
         measured={"class_counts": counts}))
 
     # tangent map against finite differences, and step halving
-    fd_errs = []
-    rich = []
-    probes = [np.resize([0.12, 0.05, -0.04, 0.02], cfg.k),
-              np.resize([0.05, -0.15, 0.11, -0.03], cfg.k),
-              e_u * 1.2]
-    for x in probes:
-        x = x.copy()
-        if np.linalg.norm(x) < 1e-8:
-            continue
-        pt, J = saddle.variational_flow_slow(spec, profile, x, 1.0, step=cfg.step)
-        eps = 1e-6
-        E = eps * np.eye(cfg.k)
-        ends = saddle.flow_slow(spec, profile, np.vstack([x + E, x - E]), 1.0, step=cfg.step)
-        Jfd = (ends[: cfg.k] - ends[cfg.k:]).T / (2 * eps)
-        fd_errs.append(float(np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd)))
-        rich.append(saddle.richardson_residual(spec, profile, x, 1.0, step=cfg.step))
+    probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], cfg.k),
+                       np.resize([0.05, -0.15, 0.11, -0.03], cfg.k),
+                       e_u * 1.2])
+    _, J = saddle.variational_flow_slow(spec, profile, probes, 1.0, step=cfg.step)
+    eps = 1e-6
+    shifted = probes[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(cfg.k)
+    ends = saddle.flow_slow(spec, profile, shifted.reshape(-1, cfg.k), 1.0,
+                            step=cfg.step).reshape(shifted.shape)
+    Jfd = (ends[:, 0] - ends[:, 1]).transpose(0, 2, 1) / (2 * eps)
+    fd_errs = [float(np.linalg.norm(a - b) / np.linalg.norm(b)) for a, b in zip(J, Jfd)]
+    rich = saddle.richardson_residual(spec, profile, probes, 1.0, step=cfg.step)
     checks.append(_check(
         "tangent-map-oracle", max(fd_errs) < tol["jacobian_fd"],
         "variational tangent maps match central finite differences",
         measured={"max_relative_error": max(fd_errs)}))
     checks.append(_check(
-        "richardson", max(rich) < tol["richardson"],
+        "richardson", rich.max() < tol["richardson"],
         "step-halving agreement of the fixed-step integrator",
-        measured={"max_residual": max(rich)}))
+        measured={"max_residual": float(rich.max())}))
 
     # the exact transits of the sweep against RK4 on a fixed subsample
     diffs = {}
@@ -529,12 +526,7 @@ def run_cones_suite(cfg: CampaignConfig):
     c7 = [sweep[d].min_crossing_expansion for d in cfg.delta_sweep]
     c6b = [sweep[d].backward_aperture_ratio for d in cfg.delta_sweep]
     c7b = [sweep[d].min_backward_contraction for d in cfg.delta_sweep]
-    classes_ok = all(
-        sweep[d].extras["class_counts"]["inner->inner"] == 0
-        and sweep[d].extras["class_counts"]["inner->outer"] > 0
-        and sweep[d].extras["class_counts"]["outer->inner"] > 0
-        and sweep[d].extras["class_counts"]["outer->outer"] > 0
-        for d in cfg.delta_sweep)
+    classes_ok = all(_classes_realized(sweep[d].class_counts) for d in cfg.delta_sweep)
     stable = (max(c6) / min(c6) < tol["cone_ratio"]
               and max(c7) / min(c7) < tol["cone_ratio"]
               and max(c6b) / min(c6b) < tol["cone_ratio"]
@@ -548,7 +540,7 @@ def run_cones_suite(cfg: CampaignConfig):
                   "min_expansion_by_delta": dict(zip(map(str, cfg.delta_sweep), c7)),
                   "backward_aperture_by_delta": dict(zip(map(str, cfg.delta_sweep), c6b)),
                   "backward_contraction_by_delta": dict(zip(map(str, cfg.delta_sweep), c7b)),
-                  "class_counts": {str(d): sweep[d].extras["class_counts"]
+                  "class_counts": {str(d): sweep[d].class_counts
                                    for d in cfg.delta_sweep}}))
 
     # cocycle property of the propagation

@@ -118,6 +118,20 @@ class TestCli:
         ({"tolerances": {"richardson": None}}, "tolerances"),
         ({"tolerances": {"richardson": float("nan")}}, "tolerances"),
         ({"tolerances": {"richardson": float("inf")}}, "tolerances"),
+        # every scalar field is a finite number, every rate field a list of them
+        ({"saddle_rates": 3}, "saddle_rates"),
+        ({"anosov_stable": 2}, "anosov_stable"),
+        # an empty block used to pass and raise inside the cones suite
+        ({"anosov_unstable": []}, "anosov_unstable"),
+        ({"lam": "abc"}, "lam"),
+        ({"omega": "abc"}, "omega"),
+        ({"delta": "abc"}, "delta"),
+        ({"step": "abc"}, "step"),
+        ({"moser_radius": "abc"}, "moser_radius"),
+        ({"moser_radius": -1}, "moser_radius"),
+        ({"moser_strength": "abc"}, "moser_strength"),
+        ({"rho0": True}, "rho0"),
+        ({"volume_mode": 3}, "volume_mode"),
     ])
     def test_exit_2_names_the_model_field(self, tmp_path, capsys, fields, named):
         bad = tmp_path / "bad.yaml"

@@ -73,6 +73,19 @@ class TestMembership:
             ConeSpec(center=np.ones((model.dim, 2)), aperture=0.1)
 
 
+def test_full_maps_rows_are_block_maps(model, spec, anosov):
+    rng = np.random.default_rng(4)
+    J = rng.standard_normal((3, spec.k, spec.k))
+    times = np.array([0.3, 1.0, 2.5])
+    maps = model.full_maps(J, times)
+    assert maps.shape == (3, model.dim, model.dim)
+    for m, t in enumerate(times):
+        block = np.zeros((model.dim, model.dim))
+        block[:spec.k, :spec.k] = J[m]
+        block[spec.k:, spec.k:] = np.diag(np.exp(np.asarray(anosov.rates) * t))
+        assert (maps[m] == block).all()
+
+
 class TestPropagate:
     def test_identity_at_zero(self, spec, anosov, model):
         frame = np.eye(model.dim)[:4]
@@ -144,7 +157,7 @@ class TestCoreCampaign:
         assert 0.9 < campaign.domination_exponent <= 1.0 + 1e-9
 
     def test_report_fields(self, campaign):
-        assert campaign.kind == "core"
+        assert isinstance(campaign, cones.CoreConeReport)
         assert campaign.violations == []
         assert campaign.burn_in == 0.25
 
@@ -155,6 +168,19 @@ class TestCoreCampaign:
         types = {v["type"] for v in neg.violations}
         assert "domination" in types
         assert neg.domination_exponent < 0
+
+    def test_violations_in_time_then_orbit_order(self, spec, anosov):
+        # the witnesses are picked from this order: time, orbit, and per
+        # orbit cs-backward before domination
+        neg = cones.inner_cone_campaign(spec, anosov, 1.5, 0.1,
+                                        n_vectors=128, n_orbits=8, seed=42)
+        rank = {"cs-backward-invariance": 0, "domination": 1}
+        keyed = [(v["time"], v["orbit"], rank[v["type"]])
+                 for v in neg.violations if v["type"] in rank]
+        assert {r for _, _, r in keyed} == {0, 1}
+        assert len({(t, m) for t, m, _ in keyed}) < len(keyed)
+        assert keyed == sorted(keyed)
+        assert all(v["type"] == "u-invariance" for v in neg.violations[len(keyed):])
 
     def test_tiny_aperture_recovers_block_rates(self, spec, anosov):
         # as the cone degenerates to the unstable axis, the measured
@@ -198,7 +224,7 @@ class TestCrossingCampaign:
         prof = BumpProfile(delta=0.1, rho0=0.5)
         rep = cones.crossing_cone_campaign(spec, prof, anosov, 0.1,
                                            n_entries=60, n_vectors=32, seed=5)
-        counts = rep.extras["class_counts"]
+        counts = rep.class_counts
         assert counts["inner->inner"] == 0
         assert counts["inner->outer"] > 0
         assert counts["outer->outer"] > 0

@@ -219,6 +219,14 @@ class TestVariational:
         assert J == pytest.approx(np.diag(np.exp(0.5 * 2.0 * np.array([-1.0, 1.0]))),
                                   rel=1e-10)
 
+    def test_batch_rows_match_single_points(self, spec4, profile):
+        x = np.random.default_rng(9).uniform(-0.15, 0.15, size=(5, 4))
+        points, J = saddle.variational_flow_slow(spec4, profile, x, 0.8, step=0.01)
+        assert points.shape == (5, 4) and J.shape == (5, 4, 4)
+        for row, p, Jm in zip(x, points, J):
+            p1, J1 = saddle.variational_flow_slow(spec4, profile, row, 0.8, step=0.01)
+            assert (p == p1).all() and (Jm == J1).all()
+
     def test_matches_finite_differences(self, spec4, profile):
         rng = np.random.default_rng(3)
         for _ in range(5):
