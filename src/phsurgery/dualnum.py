@@ -2,18 +2,22 @@
 
 Components are generic: nesting Dual inside Dual yields exact second
 derivatives, which is what the exterior-calculus layer relies on for
-its d^2 = 0 probes.
+its d^2 = 0 probes, and numpy columns make one Dual a whole batch of
+points.
 """
 
 from __future__ import annotations
 
-import math
+import numpy as np
 
 
 class Dual:
-    """Number a + b*eps with eps^2 = 0."""
+    """Number a + b*eps with eps^2 = 0; a and b may be floats, numpy columns or Duals."""
 
     __slots__ = ("re", "du")
+    # a numpy scalar or array on the left defers to the Dual methods instead
+    # of building an object array
+    __array_ufunc__ = None
 
     def __init__(self, re, du=0.0):
         self.re = re
@@ -68,19 +72,6 @@ class Dual:
         # real exponent: positive base only
         return dexp(p * dlog(self))
 
-    # comparisons act on real parts so piecewise code branches correctly
-    def __lt__(self, other):
-        return value(self) < value(other)
-
-    def __le__(self, other):
-        return value(self) <= value(other)
-
-    def __gt__(self, other):
-        return value(self) > value(other)
-
-    def __ge__(self, other):
-        return value(self) >= value(other)
-
     def __float__(self):
         raise TypeError("implicit Dual -> float cast would drop the derivative")
 
@@ -101,9 +92,9 @@ def _lift(f, dfdx):
     return apply
 
 
-dexp = _lift(math.exp, lambda a: dexp(a))
-dlog = _lift(math.log, lambda a: 1.0 / a)
-dsqrt = _lift(math.sqrt, lambda a: 0.5 / dsqrt(a))
+dexp = _lift(np.exp, lambda a: dexp(a))
+dlog = _lift(np.log, lambda a: 1.0 / a)
+dsqrt = _lift(np.sqrt, lambda a: 0.5 / dsqrt(a))
 
 
 def seed(x, i):

@@ -19,8 +19,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import partial, value
-from .saddle import rk4_step
+from .dualnum import Dual, partial, value
+from .saddle import _radius, rk4_step
 
 MAX_DIM = 6
 
@@ -48,7 +48,8 @@ class Form:
     """Exterior form of fixed degree with callable coefficients.
 
     coeffs maps strictly increasing index tuples to functions of the point;
-    missing tuples are zero.  Coefficients must accept dual components.
+    missing tuples are zero.  Coefficients must accept dual components and
+    numpy columns, and may return a constant for every point.
     """
 
     dim: int
@@ -79,7 +80,7 @@ class Form:
         return cls(dim, 0, {(): f})
 
     def evaluate(self, x):
-        """Coefficient values at x as a dict (dual-friendly)."""
+        """Coefficient values at x as a dict; x holds floats, probe columns or duals of them."""
         return {idx: f(x) for idx, f in self.coeffs.items()}
 
     def coefficient(self, x, idx):
@@ -244,12 +245,13 @@ def lie_cartan(X, form: Form) -> Form:
 
 
 def form_max_at(form: Form, probes) -> float:
-    """Largest coefficient magnitude over a batch of probe points."""
-    worst = 0.0
-    for x in probes:
-        for v in form.evaluate(list(x)).values():
-            worst = max(worst, abs(value(v)))
-    return worst
+    """Largest coefficient magnitude over an (n, dim) batch of probe points, or NaN.
+
+    Every coefficient is evaluated once, on the probe columns."""
+    probes = np.asarray(probes, dtype=float)
+    values = [np.broadcast_to(value(v), len(probes))
+              for v in form.evaluate(list(probes.T)).values()]
+    return float(np.max(np.abs(values), initial=0.0))
 
 
 # ---------------------------------------------------------------------------
@@ -293,11 +295,10 @@ def moser_eta0(n=4) -> Form:
     return Form(4, 3, {(1, 2, 3): lambda x: x[0]})
 
 
-# 8-point Gauss-Legendre rule on [0, 1], as Python floats so that a numpy
-# scalar never multiplies a Dual
+# 8-point Gauss-Legendre rule on [0, 1]
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
-_THETA = ((_GL_NODES + 1.0) / 2.0).tolist()
-_WEIGHT = (_GL_WEIGHTS / 2.0).tolist()
+_THETA = (_GL_NODES + 1.0) / 2.0
+_WEIGHT = _GL_WEIGHTS / 2.0
 
 
 def moser_beta(gamma):
@@ -357,22 +358,28 @@ class MoserMap:
         return v
 
     def _integrate(self, x, s0, s1):
-        """RK4 in s for x1 alone: Y_s moves only x1, so x2..x4 are parameters."""
-        x = np.array(x, dtype=float)
-        rows = x.reshape(-1, 4)
+        """RK4 in s for x1 alone: Y_s moves only x1, so x2..x4 are parameters.
+
+        x is a point or an (n, 4) batch.  Dual(x, t) carries the tangent t e1
+        (t a float or a column) through the same steps to Dual(h(x), t dh1/dx1):
+        forward mode through RK4 is RK4 on the variational equation."""
+        out = np.array(value(x), dtype=float)
+        rows = out.reshape(-1, 4)
         x1, *rest = rows.T
+        if isinstance(x, Dual):
+            x1 = Dual(x1, x.du)
         f = lambda s, y: self.velocity(s, [y, *rest])[0]
         h = (s1 - s0) / self.steps
         s = s0
         for _ in range(self.steps):
             x1 = rk4_step(f, s, x1, h)
-            r = np.sqrt(sum(c * c for c in [x1, *rest]))
+            r = np.sqrt(sum(c * c for c in [value(x1), *rest]))
             if (r > self.radius).any():
                 i = np.argmax(r)
-                raise PathDegenerate(s, [x1[i], *(c[i] for c in rest)], math.nan)
+                raise PathDegenerate(s, [value(x1)[i], *(c[i] for c in rest)], math.nan)
             s += h
-        rows[:, 0] = x1
-        return x
+        rows[:, 0] = value(x1)
+        return Dual(out, x1.du) if isinstance(x, Dual) else out
 
     def __call__(self, x):
         return self._integrate(x, 0.0, 1.0)
@@ -385,21 +392,14 @@ class MoserMap:
 
         forward: det Dh(x) * alpha(h(x)) - 1   (h carries the flat volume to
         the alpha volume); inverse: det Dh^{-1}(y) - alpha(y) at y = h(x).
+        det Dh = dh1/dx1, since x2..x4 stay put: one forward-mode pass each.
         """
-        y, J = _central_jacobian(self, np.reshape(points, (-1, 4)))
-        _, Ji = _central_jacobian(self.inverse, y)
-        a = self.alpha(list(y.T))
-        return np.linalg.det(J) * a - 1.0, np.linalg.det(Ji) - a
-
-
-def _central_jacobian(fn, x):
-    """(fn(x), Jacobians at the rows of x) of a map of R^4, by central differences
-    with step 1e-6; fn is called once, on the n rows and their 8n neighbours."""
-    eps = 1e-6
-    e = np.eye(4) * eps
-    rows = np.concatenate([x[:, None, :], x[:, None, :] + e, x[:, None, :] - e], axis=1)
-    out = fn(rows.reshape(-1, 4)).reshape(-1, 9, 4)
-    return out[:, 0], ((out[:, 1:5] - out[:, 5:]) / (2 * eps)).transpose(0, 2, 1)
+        rows = np.reshape(points, (-1, 4))
+        one = np.ones(len(rows))
+        y = self(Dual(rows, one))
+        back = self.inverse(Dual(y.re, one))
+        a = self.alpha(list(y.re.T))
+        return y.du * a - 1.0, back.du - a
 
 
 def moser_flow(omega0: Form, omega1: Form, radius, steps=1000) -> MoserMap:
@@ -427,26 +427,35 @@ def moser_flow(omega0: Form, omega1: Form, radius, steps=1000) -> MoserMap:
 def equivariance_audit(h: MoserMap, X, probes, s_values=(0.0, 0.5, 1.0)):
     """Largest commutator |[X, Y_s]| over probes and interpolation times.
 
-    [X, Y](x) = DY(x) X(x) - DX(x) Y(x), assembled with dual numbers; zero
-    exactly when the normalizing field commutes with the saddle.
+    [X, Y](x) = DY(x) X(x) - DX(x) Y(x), assembled with dual numbers on the
+    probe columns; zero exactly when the normalizing field commutes with the
+    saddle.  The witness is the first (s, probe) at the maximum; a NaN
+    commutator is the maximum.
     """
-    worst = 0.0
-    witness = None
+    probes = np.asarray(probes, dtype=float).reshape(-1, 4)
+    x, n = list(probes.T), len(probes)
+    DX = _per_probe([[partial(X[i], x, j) for j in range(4)] for i in range(4)], n)
+    Xx = _per_probe([Xi(x) for Xi in X], n)
+    sizes, comms = [], []
     for s in s_values:
-        for x in probes:
-            x = [float(c) for c in x]
-            Xx = [value(Xi(x)) for Xi in X]
-            Yx = [value(c) for c in h.velocity(s, x)]
-            DY = np.array([[partial(lambda y, i=i: h.velocity(s, list(y))[i], x, j)
-                            for j in range(4)] for i in range(4)])
-            DX = np.array([[partial(lambda y, i=i: X[i](list(y)), x, j)
-                            for j in range(4)] for i in range(4)])
-            comm = DY @ np.asarray(Xx) - DX @ np.asarray(Yx)
-            size = float(np.linalg.norm(comm))
-            if size > worst:
-                worst = size
-                witness = {"s": s, "x": x, "commutator": comm.tolist()}
-    return worst, witness
+        Yx = _per_probe(h.velocity(s, x), n)
+        DY = _per_probe([[partial(lambda y, i=i: h.velocity(s, y)[i], x, j) for j in range(4)]
+                         for i in range(4)], n)
+        comm = (DY @ Xx[..., None] - DX @ Yx[..., None])[..., 0]
+        comms.append(comm)
+        sizes.append(_radius(comm))
+    worst = float(np.max(sizes, initial=0.0))
+    if worst == 0.0:
+        return worst, None
+    k, i = np.unravel_index(np.argmax(sizes), np.shape(sizes))
+    return worst, {"s": s_values[k], "x": probes[i].tolist(), "commutator": comms[k][i].tolist()}
+
+
+def _per_probe(entries, n):
+    """(n, 4) array from four columns or constants; (n, 4, 4) from four lists of them."""
+    if isinstance(entries[0], list):
+        return np.stack([_per_probe(row, n) for row in entries], axis=1)
+    return np.stack([np.broadcast_to(value(c), n) for c in entries], axis=1)
 
 
 def invariant_products():

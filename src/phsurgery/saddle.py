@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import Dual, dexp
+from .dualnum import dexp, value
 
 # Transition sharpness for the flat-ended bump profile.  sigma(r)=exp(-M/r)
 # gives sup|S'| ~= 1.5616 (measured on a 2e6 grid); the steeper M=1 variant
@@ -125,26 +125,14 @@ class AnosovModel:
 
 
 def _transition(r):
-    """Flat-ended C-infinity increasing step [0,1] -> [0,1]; works on duals."""
-    if isinstance(r, Dual):
-        if r <= 0.0:
-            return Dual(0.0, 0.0)
-        if r >= 1.0:
-            return Dual(1.0, 0.0)
+    """Flat-ended C-infinity increasing step [0,1] -> [0,1] of floats, arrays or (nested) duals."""
+    x = value(r)
+    inside = (x > 0.0) & (x < 1.0)
+    r = r + np.where(inside, 0.0, 0.5 - x)  # the flat ends: evaluated at 1/2, masked out
+    with np.errstate(under="ignore"):
         a = dexp(-_TRANSITION_SHARPNESS / r)
         b = dexp(-_TRANSITION_SHARPNESS / (1.0 - r))
-        return a / (a + b)
-    r = np.asarray(r, dtype=float)
-    out = np.where(r >= 1.0, 1.0, 0.0)
-    inside = (r > 0.0) & (r < 1.0)
-    ri = np.clip(r, 1e-12, 1 - 1e-12)
-    with np.errstate(under="ignore"):
-        a = np.exp(-_TRANSITION_SHARPNESS / ri)
-        b = np.exp(-_TRANSITION_SHARPNESS / (1.0 - ri))
-    out = np.where(inside, a / (a + b), out)
-    if np.ndim(r) == 0:
-        return float(out)
-    return out
+    return a / (a + b) * inside + (x >= 1.0)
 
 
 def _transition_slope(r):
@@ -201,9 +189,7 @@ class BumpProfile:
     def value(self, s):
         """rhobar(s); accepts scalars, arrays, and duals."""
         if self.constant:
-            if isinstance(s, Dual):
-                return Dual(self.rho0, 0.0)
-            return self.rho0 if np.ndim(s) == 0 else np.full(np.shape(s), self.rho0)
+            return self.rho0 + 0.0 * s
         r = (s - self.delta) / self.delta
         return self.rho0 + (1.0 - self.rho0) * _transition(r)
 

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -63,3 +64,25 @@ def test_gradient_and_jacobian():
 def test_float_cast_is_refused():
     with pytest.raises(TypeError):
         float(Dual(1.0, 2.0))
+
+
+def test_numpy_on_the_left_defers_to_dual():
+    x = Dual(3.0, 1.0)
+    y = np.float64(2) * x
+    assert isinstance(y, Dual) and (y.re, y.du) == (6.0, 2.0)
+    col = np.array([1.0, 2.0, 4.0])
+    z = col * x
+    assert isinstance(z, Dual)
+    assert (z.re == [3.0, 6.0, 12.0]).all() and (z.du == col).all()
+    w = col - Dual(col, 1.0)
+    assert isinstance(w, Dual) and (w.re == 0.0).all() and w.du == -1.0
+
+
+def test_column_duals_equal_elementwise_duals():
+    a = np.array([0.3, 1.7, 2.5])
+    col = Dual(a, np.array([1.0, -2.0, 0.5]))
+    out = dexp(col * col) / (1.0 + dsqrt(col)) - dlog(col) ** 3
+    for k in range(len(a)):
+        one = Dual(a[k], col.du[k])
+        ref = dexp(one * one) / (1.0 + dsqrt(one)) - dlog(one) ** 3
+        assert out.re[k] == ref.re and out.du[k] == ref.du

@@ -322,3 +322,114 @@ class TestMoserMap:
         scaled = Form.volume(4).scale(lambda x: 2.0)
         with pytest.raises(DegreeError):
             forms.moser_flow(scaled, Form.volume(4), radius=0.5)
+
+
+def _per_point_form_max(form, probes):
+    """Oracle of `form_max_at`: the same reduction, one probe at a time."""
+    worst = 0.0
+    for x in probes:
+        for v in form.evaluate(list(x)).values():
+            worst = max(worst, abs(value(v)))
+    return worst
+
+
+def _per_point_audit(h, X, probes, s_values=(0.0, 0.5, 1.0)):
+    """Oracle of `equivariance_audit`: the same commutators, one probe at a time."""
+    worst, witness = 0.0, None
+    for s in s_values:
+        for x in probes:
+            x = [float(c) for c in x]
+            Xx = [value(Xi(x)) for Xi in X]
+            Yx = [value(c) for c in h.velocity(s, x)]
+            DY = np.array([[partial(lambda y, i=i: h.velocity(s, list(y))[i], x, j)
+                            for j in range(4)] for i in range(4)])
+            DX = np.array([[partial(lambda y, i=i: X[i](list(y)), x, j)
+                            for j in range(4)] for i in range(4)])
+            comm = DY @ np.asarray(Xx) - DX @ np.asarray(Yx)
+            size = float(np.linalg.norm(comm))
+            if size > worst:
+                worst, witness = size, {"s": s, "x": x, "commutator": comm.tolist()}
+    return worst, witness
+
+
+class TestBatchedEvaluation:
+    def test_form_max_at_equals_per_point_loop(self, monkeypatch, probes):
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        batched, seen = forms.form_max_at, []
+
+        def checked(form, pts):
+            got = batched(form, pts)
+            assert got == _per_point_form_max(form, pts)
+            seen.append(got)
+            return got
+
+        monkeypatch.setattr(forms, "form_max_at", checked)
+        suites._form_identity_probes(np.random.default_rng(4), probes[:30])
+        assert len(seen) == 12
+        # the slowed-volume forms, transition shell included
+        assert suites.run_volume_suite(CampaignConfig(samples=60))["passed"]
+        assert len(seen) == 15 and max(seen[12:]) > 1e-3
+
+    def test_audit_equals_per_point_loop(self, h, X):
+        rng = np.random.default_rng(10)
+        bad = MoserMap(alpha=lambda x: 1.0 + 0.2 * x[0], radius=0.5, steps=100)
+        for hh in (h, bad):
+            pts = rng.uniform(-0.3, 0.3, (12, 4))
+            assert forms.equivariance_audit(hh, X, pts) == _per_point_audit(hh, X, pts)
+
+    def test_forward_mode_derivative_matches_central_differences(self, h):
+        from phsurgery.dualnum import Dual
+        pts = np.random.default_rng(17).uniform(-0.2, 0.2, size=(6, 4))
+        eps = 10.0 ** -np.arange(4.0, 10.0)
+        shift = np.zeros((2, len(eps), 1, 4))
+        shift[:, :, 0, 0] = [eps, -eps]
+        for fn in (h, h.inverse):
+            y = fn(Dual(pts, np.ones(len(pts))))
+            assert (y.re == fn(pts)).all()
+            moved = fn((pts + shift).reshape(-1, 4))[:, 0].reshape(2, len(eps), len(pts))
+            fd = (moved[0] - moved[1]) / (2 * eps[:, None])
+            # truncation error plus rounding of the difference quotient
+            assert (np.abs(fd - y.du) < (eps ** 2 + 1e-15 / eps)[:, None]).all()
+
+    def test_transport_residuals_at_rounding_level(self, h):
+        fw, inv = h.transport_residuals(np.random.default_rng(8).uniform(-0.3, 0.3, (8, 4)))
+        assert np.abs(fw).max() < 1e-13 and np.abs(inv).max() < 1e-13
+
+
+class TestNaNPropagates:
+    @pytest.fixture
+    def nan_probe(self, probes):
+        pts = probes[:10].copy()
+        pts[3, 1] = math.nan
+        return pts
+
+    def test_form_max_at(self, probes, nan_probe):
+        assert math.isnan(forms.form_max_at(Form(4, 0, {(): lambda x: math.nan}), probes))
+        assert math.isnan(forms.form_max_at(Form(4, 1, {(2,): lambda x: x[1]}), nan_probe))
+
+    def test_x_beta_reduction(self, X, nan_probe):
+        # the reduction of the averaged-density-solution check
+        gens = forms.invariant_products()
+        beta = forms.moser_beta(lambda x: 0.1 * (gens[0](x) + gens[3](x)))
+        assert math.isnan(forms.form_max_at(lie(X, Form.from_scalar(4, beta)), nan_probe))
+        assert forms.form_max_at(lie(X, Form.from_scalar(4, beta)), nan_probe[4:]) < 1e-9
+
+    def test_equivariance_audit_keeps_the_witness(self, h, X, nan_probe):
+        worst, witness = forms.equivariance_audit(h, X, nan_probe)
+        assert math.isnan(worst)
+        assert witness["s"] == 0.0 and witness["x"][0] == nan_probe[3, 0]
+        assert math.isnan(witness["x"][1])
+
+    def test_form_identity_defects(self, monkeypatch, probes):
+        from phsurgery import suites
+        batched, calls = forms.form_max_at, []
+
+        def nan_second(form, pts):
+            calls.append(form)
+            return math.nan if len(calls) == 2 else batched(form, pts)
+
+        # the second form is degree 0's Cartan defect
+        monkeypatch.setattr(forms, "form_max_at", nan_second)
+        dd, cartan, leibniz = suites._form_identity_probes(np.random.default_rng(4), probes[:10])
+        assert math.isnan(cartan) and dd < 1e-10 and leibniz < 1e-10

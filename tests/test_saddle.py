@@ -106,6 +106,34 @@ class TestBump:
             exact = profile.value(Dual(s0, 1.0)).du
             assert profile.slope(s0) == pytest.approx(exact, rel=1e-12)
 
+    def test_transition_equals_clipped_formula(self):
+        # oracle: clip into (0, 1), evaluate, then overwrite the flat ends
+        r = np.concatenate([np.linspace(-0.5, 1.5, 100001), [0.0, 1.0, 1e-13, 1 - 1e-13]])
+        m = saddle._TRANSITION_SHARPNESS
+        ri = np.clip(r, 1e-12, 1 - 1e-12)
+        with np.errstate(under="ignore"):
+            a, b = np.exp(-m / ri), np.exp(-m / (1.0 - ri))
+        old = np.where((r > 0.0) & (r < 1.0), a / (a + b), np.where(r >= 1.0, 1.0, 0.0))
+        assert np.array_equal(saddle._transition(r), old)
+        assert [saddle._transition(float(x)) for x in r[-4:]] == old[-4:].tolist()
+
+    def test_dual_columns_equal_scalar_duals(self, profile):
+        from phsurgery.dualnum import Dual
+
+        def parts(d):
+            return parts(d.re) + parts(d.du) if isinstance(d, Dual) else [d]
+
+        # below delta, at delta, inside, at 2 delta, beyond
+        s = np.array([0.03, 0.1, 0.1 + 1e-13, 0.13, 0.15, 0.199, 0.2, 0.31])
+        seeds = [lambda t: Dual(t, 1.0), lambda t: Dual(Dual(t, 1.0), Dual(1.0, 0.0))]
+        for seed in seeds:
+            columns = parts(profile.value(seed(s)))
+            for k, sk in enumerate(s):
+                scalars = parts(profile.value(seed(sk)))
+                assert [np.broadcast_to(c, s.shape)[k] for c in columns] == scalars
+        flat = parts(profile.value(seeds[1](np.array([0.03, 0.31]))))
+        assert (flat[0] == [0.5, 1.0]).all() and not np.any(flat[1:])
+
     @settings(max_examples=30, derandomize=True)
     @given(st.floats(min_value=0.36, max_value=0.99))
     def test_slope_bound_for_feasible_rho0(self, rho0):

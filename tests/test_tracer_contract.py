@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from phsurgery import blowup, saddle
+from phsurgery import blowup, forms, saddle
 from phsurgery.blowup import BlowupPoint
 from phsurgery.saddle import BumpProfile, SaddleSpec
 
@@ -61,3 +61,23 @@ def test_hook_arguments_bind(tracer):
     per_name, _ = traced.summary()
     assert per_name["blowup._lifted_flow_batch"][0] == 1
     assert per_name["saddle._transit_batch"][0] == 1
+
+
+def test_moser_counts_and_form_spans(tracer):
+    h = forms.MoserMap(alpha=lambda x: 1.0 + 0.1 * x[0] * x[2], radius=0.5, steps=7)
+    traced = tracer.Tracer().install()
+    try:
+        fw, inv = h.transport_residuals(np.array([[0.1, 0.2, -0.1, 0.05],
+                                                   [0.0, 0.1, 0.2, 0.1]]))
+        forms.form_max_at(forms.Form.volume(4), np.zeros((3, 4)))
+    finally:
+        traced.restore()
+    assert fw.shape == inv.shape == (2,)
+    # one forward and one inverse pass of the map, each of `steps` RK4 steps
+    assert traced.counts["forms.moser.evals"] == 2
+    assert traced.counts["forms.moser.rk4_steps"] == 2 * h.steps
+    per_name, _ = traced.summary()
+    assert per_name["forms.MoserMap.transport_residuals"][0] == 1
+    assert per_name["forms.MoserMap.__call__"][0] == 1
+    assert per_name["forms.MoserMap.inverse"][0] == 1
+    assert per_name["forms.form_max_at"][0] == 1
