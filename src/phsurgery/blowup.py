@@ -10,9 +10,7 @@ is diagonal-linear in u with chart rates
 
     du_i/dt = rho * rates_i * u_i,      du_j/dt = rho * (rates_j - rates_i) * u_j,
 
-which extends smoothly across the exceptional set.  The factor matrix is
-derived at import time by differentiating the chart map with dual numbers
-and checking linearity, rather than trusted from the algebra above.
+which extends smoothly across the exceptional set.
 
 The radial power atlas (Katok-Lewis) declares u -> |u|^alpha u a chart near
 the origin.  With alpha = -(k-1)/k the pulled-back volume density becomes
@@ -21,14 +19,12 @@ bounded away from zero on the exceptional set.
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import dualnum
-from .dualnum import value
 from .saddle import DEFAULT_STEP, DomainEscape, _field, _fixed_steps, rk4_step
 
 _CHART_SWITCH = 1.05  # hysteresis: transition once an affine coordinate passes this
@@ -104,21 +100,29 @@ def chart_transition(p: BlowupPoint, target: int) -> BlowupPoint:
 
 def transition_jacobian(p: BlowupPoint, target: int) -> np.ndarray:
     """Derivative of the chart transition map at p (closed form)."""
-    k = p.k
-    if target == p.chart:
-        return np.eye(k)
-    i, tgt = p.chart, target
-    t = p.u[tgt]
-    J = np.zeros((k, k))
-    for l in range(k):
-        if l == tgt:
-            J[tgt, tgt] = p.u[i]
-            J[tgt, i] = t
-        elif l == i:
-            J[i, tgt] = -1.0 / t**2
-        else:
-            J[l, l] = 1.0 / t
-            J[l, tgt] = -p.u[l] / t**2
+    return _transition_jacobians(np.array([p.chart]), p.u[None], np.array([target]))[0]
+
+
+def _transition_jacobians(charts, U, targets):
+    """(n, k, k) chart-transition Jacobians, row m from charts[m] to targets[m].
+
+    With t = u[target]: row target holds t and u_chart, column target -line / t^2,
+    the other diagonal entries 1/t (0 at the chart); a row that stays gets the identity.
+    """
+    n, k = U.shape
+    rows, diag = np.arange(n), np.arange(k)
+    stay = charts == targets
+    t = np.where(stay, 1.0, U[rows, targets])[:, None]
+    line = U.copy()
+    line[rows, charts] = 1.0
+    J = np.zeros((n, k, k))
+    J[:, diag, diag] = 1.0 / t
+    J[rows, charts, charts] = 0.0
+    J[rows, :, targets] = -line / t**2
+    J[rows, targets, :] = 0.0
+    J[rows, targets, targets] = U[rows, charts]
+    J[rows, targets, charts] = t[:, 0]
+    J[stay] = np.eye(k)
     return J
 
 
@@ -126,33 +130,11 @@ def transition_jacobian(p: BlowupPoint, target: int) -> np.ndarray:
 # lifted slow-down flow
 
 
-@functools.lru_cache(maxsize=16)
 def _chart_rate_matrix(rates):
-    """Per-chart diagonal factors d[i, j] of the lifted linear field.
-
-    Derived by pushing the saddle field through each chart map with dual
-    numbers at a probe point and verified linear; a failure here would mean
-    the chart algebra is wrong.  `rates` is a tuple of floats; the result
-    is computed once per tuple and is read-only.
-    """
-    k = len(rates)
-    d = np.empty((k, k))
-    for i in range(k):
-        probe = [0.35 + 0.011 * j for j in range(k)]  # generic, u_i away from 0
-
-        def chart_map(u, m):
-            xi = u[i]
-            return u[m] * xi if m != i else xi
-
-        J = np.array(dualnum.jacobian(
-            [lambda u, m=m: chart_map(u, m) for m in range(k)], probe))
-        x = np.array([value(chart_map(probe, m)) for m in range(k)])
-        udot = np.linalg.solve(J, np.asarray(rates) * x)
-        d[i] = udot / np.asarray(probe)
-        expected = np.array([rates[j] - rates[i] if j != i else rates[i] for j in range(k)])
-        if not np.allclose(d[i], expected, atol=1e-11):
-            raise AssertionError(f"chart push-forward is not the expected linear field: {d[i]}")
-    d.flags.writeable = False
+    """Per-chart diagonal factors d[i, j] = rates_j - rates_i, d[i, i] = rates_i."""
+    a = np.asarray(rates, dtype=float)
+    d = a - a[:, None]
+    np.fill_diagonal(d, a)
     return d
 
 
@@ -182,18 +164,8 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
     exceptional set is invariant (u_i multiplies its own derivative, so
     u_i = 0 is preserved exactly, stage by stage).
     """
-    res = _lifted_flow_batch(spec, profile, [p], t, step=step)
-    return res.points()[0]
-
-
-@dataclass
-class _LiftedBatchResult:
-    charts: np.ndarray
-    U: np.ndarray
-    snapshots: dict  # time -> (charts, U)
-
-    def points(self):
-        return [BlowupPoint(int(c), u.copy()) for c, u in zip(self.charts, self.U)]
+    charts, U = _lifted_flow_batch(spec, profile, [p], t, step=step)
+    return BlowupPoint(int(charts[0]), U[0])
 
 
 def _chart_step(lifted, charts, U, t, h):
@@ -219,27 +191,23 @@ def _chart_step(lifted, charts, U, t, h):
         U[m] = q.u
 
 
-def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP, checkpoints=()):
+def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP):
     """Fixed-step RK4 on chart coordinates for a batch of BlowupPoints.
 
     Chart transitions are applied between steps once an affine coordinate
-    exceeds the switch threshold.  `checkpoints` are times (multiples of
-    the step) at which (charts, U) snapshots are recorded.
+    exceeds the switch threshold.  Returns the end charts (n,) and chart
+    coordinates (n, k).
     """
     charts = np.array([p.chart for p in points], dtype=int)
     U = np.stack([p.u for p in points]).astype(float)
-    snapshots = {}
     if t == 0:
-        return _LiftedBatchResult(charts, U, snapshots)
+        return charts, U
 
     nsteps, h = _fixed_steps(t, step)
-    checkpoint_steps = {int(round(abs(c) / abs(h))): c for c in checkpoints}
     lifted = LiftedSaddle(spec, profile)
     for istep in range(nsteps):
         _chart_step(lifted, charts, U, istep * h, h)
-        if istep + 1 in checkpoint_steps:
-            snapshots[checkpoint_steps[istep + 1]] = (charts.copy(), U.copy())
-    return _LiftedBatchResult(charts, U, snapshots)
+    return charts, U
 
 
 def core_tangent_maps(spec, rho0, points, charts, t):
@@ -252,12 +220,10 @@ def core_tangent_maps(spec, rho0, points, charts, t):
     orbit passed through, the map is
     transition_jacobian((c, g u), charts[m]) diag(g).
     """
-    d = _chart_rate_matrix(spec.rates)
-    maps = []
-    for p, target in zip(points, charts):
-        g = np.exp(rho0 * d[p.chart] * t)
-        maps.append(transition_jacobian(BlowupPoint(p.chart, p.u * g), int(target)) * g)
-    return np.stack(maps)
+    start = np.array([p.chart for p in points], dtype=int)
+    G = np.exp(rho0 * _chart_rate_matrix(spec.rates)[start] * t)
+    U = np.stack([p.u for p in points]) * G
+    return _transition_jacobians(start, U, np.asarray(charts, dtype=int)) * G[:, None, :]
 
 
 def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,

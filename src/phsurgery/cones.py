@@ -287,7 +287,8 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
 
     Orbits run in the blow-up charts (the exceptional set included), where
     the slowed field is exactly linear.  The RK4 lifted flow moves the
-    points and picks their charts; at each checkpoint the disk block is the
+    points and picks their charts, one call per 0.25 segment from the
+    previous segment's end; at each checkpoint the disk block is the
     closed-form tangent map into the chart the flow holds, and the
     restricted block moves by the exact cocycle.  Reports: burn-in time
     after which every sampled unstable-cone boundary vector is strictly
@@ -314,7 +315,6 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     core_radius = min(0.012, 0.5 * math.exp(-rho0 * max(abs(r) for r in spec.rates) * tmax))
     points = _inner_orbit_points(model, n_orbits, seed + 3, core_radius)
     flat = saddle.BumpProfile.flat(rho0)
-    res = blowup._lifted_flow_batch(spec, flat, points, tmax, step=step, checkpoints=grid)
 
     min_u_exp = math.inf
     dom_exp = math.inf
@@ -322,8 +322,10 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     burn_in = None
     violations = []
 
+    here = points
     for t in grid:
-        charts, _ = res.snapshots[t]
+        charts, U = blowup._lifted_flow_batch(spec, flat, here, 0.25, step=step)
+        here = [BlowupPoint(int(c), u) for c, u in zip(charts, U)]
         M = model.full_maps(blowup.core_tangent_maps(spec, rho0, points, charts, t),
                             np.full(len(points), t))
         ang, growth_u = _frame_pass(M, uframe, ucone)

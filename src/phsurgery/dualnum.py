@@ -102,13 +102,14 @@ def seed(x, i):
     return [Dual(c, 1.0) if j == i else Dual(c, 0.0) for j, c in enumerate(x)]
 
 
-def _du(y):
+def tangent(y):
+    """Dual part of y; 0 for a constant."""
     return y.du if isinstance(y, Dual) else 0.0
 
 
 def partial(f, x, i):
     """Exact partial derivative of scalar f at point x (whose entries may be duals)."""
-    return _du(f(seed(x, i)))
+    return tangent(f(seed(x, i)))
 
 
 def grad(f, x):
@@ -118,4 +119,4 @@ def grad(f, x):
 def jacobian(fs, x):
     """Jacobian rows = component functions fs, columns = coordinates."""
     n = len(x)
-    return [[_du(f(seed(x, j))) for j in range(n)] for f in fs]
+    return [[tangent(f(seed(x, j))) for j in range(n)] for f in fs]

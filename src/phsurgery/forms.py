@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import Dual, partial, value
+from .dualnum import Dual, partial, seed, tangent, value
 from .saddle import _radius, rk4_step
 
 MAX_DIM = 6
@@ -439,8 +439,9 @@ def equivariance_audit(h: MoserMap, X, probes, s_values=(0.0, 0.5, 1.0)):
     sizes, comms = [], []
     for s in s_values:
         Yx = _per_probe(h.velocity(s, x), n)
-        DY = _per_probe([[partial(lambda y, i=i: h.velocity(s, y)[i], x, j) for j in range(4)]
-                         for i in range(4)], n)
+        # one seeded velocity call per column j gives all four rows of DY
+        DY = np.stack([_per_probe([tangent(v) for v in h.velocity(s, seed(x, j))], n)
+                       for j in range(4)], axis=-1)
         comm = (DY @ Xx[..., None] - DX @ Yx[..., None])[..., 0]
         comms.append(comm)
         sizes.append(_radius(comm))

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phsurgery import blowup, saddle
+from phsurgery import blowup, dualnum, saddle
 from phsurgery.blowup import BlowupPoint, KLStructure
 from phsurgery.saddle import BumpProfile, SaddleSpec
 
@@ -84,6 +84,42 @@ class TestCharts:
                    - blowup.chart_transition(BlowupPoint(0, p.u - e), 1).u) / (2 * eps)
             assert J[:, i] == pytest.approx(col, abs=1e-6)
 
+    def test_transition_jacobians_equal_entrywise_formula(self):
+        # every (chart, target) pair of a k = 4 batch, the same chart included,
+        # against the entry-by-entry closed form bit for bit
+        rng = np.random.default_rng(3)
+        charts, targets = np.divmod(np.arange(16), 4)
+        U = rng.uniform(-0.9, 0.9, size=(16, 4))
+        J = blowup._transition_jacobians(charts, U, targets)
+        for m, (i, tgt) in enumerate(zip(charts, targets)):
+            t = U[m, tgt]
+            ref = np.eye(4) if i == tgt else np.zeros((4, 4))
+            for l in range(4 if i != tgt else 0):
+                if l == tgt:
+                    ref[tgt, tgt], ref[tgt, i] = U[m, i], t
+                elif l == i:
+                    ref[i, tgt] = -1.0 / t**2
+                else:
+                    ref[l, l], ref[l, tgt] = 1.0 / t, -U[m, l] / t**2
+            assert (J[m] == ref).all()
+            one = blowup.transition_jacobian(BlowupPoint(int(i), U[m]), int(tgt))
+            assert (one == J[m]).all()
+
+    @pytest.mark.parametrize("rates", [(-1.0, 1.0), (-1.0, -1.0, 1.0, 1.0),
+                                       (-1.0,) * 4 + (1.0,) * 4, (-1.3, 0.7, 0.2, -0.4)])
+    def test_chart_rates_match_dual_push_forward(self, rates):
+        # push the saddle field rates * x through each chart map with dual
+        # numbers at a generic probe: u' = (Dphi)^-1 rates phi(u) = d[i] u
+        k = len(rates)
+        probe = [0.35 + 0.011 * j for j in range(k)]
+        d = blowup._chart_rate_matrix(rates)
+        for i in range(k):
+            phi = [lambda u, m=m: u[m] * u[i] if m != i else u[i] for m in range(k)]
+            J = np.array(dualnum.jacobian(phi, probe))
+            x = np.array([f(probe) for f in phi])
+            udot = np.linalg.solve(J, np.asarray(rates) * x)
+            assert np.abs(udot / np.asarray(probe) - d[i]).max() < 1e-12
+
 
 def _mixed_points():
     """Twelve points in mixed charts: one on the exceptional set, some in the
@@ -142,9 +178,9 @@ class TestLiftedFlow:
 
     def test_batch_matches_single_points(self, spec4, profile):
         points = _mixed_points()
-        res = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
-        assert (res.charts != [p.chart for p in points]).any()
-        for p, chart, u in zip(points, res.charts, res.U):
+        charts, U = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
+        assert (charts != [p.chart for p in points]).any()
+        for p, chart, u in zip(points, charts, U):
             q = blowup.lifted_slow_flow(spec4, profile, p, 1.2)
             assert q.chart == chart
             assert (q.u == u).all()
@@ -179,13 +215,13 @@ class TestLiftedFlow:
         eps = 1e-6
         shifted = [BlowupPoint(p.chart, p.u + sign * eps * e)
                    for p in points for sign in (1, -1) for e in np.eye(4)]
-        res = blowup._lifted_flow_batch(spec4, flat, points + shifted, 2.4, step=1e-3)
+        all_charts, U = blowup._lifted_flow_batch(spec4, flat, points + shifted, 2.4, step=1e-3)
         n = len(points)
-        charts = res.charts[:n]
+        charts = all_charts[:n]
         assert (charts != [p.chart for p in points]).any()
         J = blowup.core_tangent_maps(spec4, 0.5, points, charts, 2.4)
-        ends = res.U[n:].reshape(n, 2, 4, 4)
-        assert (res.charts[n:].reshape(n, 8) == charts[:, None]).all()
+        ends = U[n:].reshape(n, 2, 4, 4)
+        assert (all_charts[n:].reshape(n, 8) == charts[:, None]).all()
         for m in range(n):
             fd = (ends[m, 0] - ends[m, 1]).T / (2 * eps)
             assert np.abs(J[m] - fd).max() < 1e-6 * np.abs(fd).max()

@@ -190,6 +190,16 @@ class TestCoreCampaign:
         assert tight.min_u_exponent == pytest.approx(2.0, abs=1e-4)
         assert tight.domination_exponent == pytest.approx(1.0, abs=1e-3)
 
+    def test_coarse_step_reads_every_checkpoint(self, spec, anosov, campaign):
+        # step 0.3 does not divide the 0.25 checkpoint grid; each segment is
+        # one lifted-flow call, so every checkpoint is read at its own time.
+        # The expansion minimum lives on the invariant axes, where RK4 error
+        # does not enter the closed-form maps.
+        coarse = cones.inner_cone_campaign(spec, anosov, 0.5, 0.1,
+                                           n_vectors=256, n_orbits=12, seed=42, step=0.3)
+        assert coarse.passed(min_exponent=2.0 - 0.05)
+        assert coarse.min_u_exponent == pytest.approx(campaign.min_u_exponent, abs=1e-9)
+
     def test_reversed_reproduces_statistics(self, spec, anosov, campaign):
         rev = cones.inner_cone_campaign(spec, anosov, 0.5, 0.1,
                                         n_vectors=256, n_orbits=12, seed=42,

@@ -393,9 +393,14 @@ class TestTimeChange:
 
 
 def test_saddle_suite_passes_at_k8():
+    # every suite at perfbench's campaign-reduced config with four -1 and
+    # four +1 rates
     cfg = CampaignConfig(saddle_rates=[-1.0] * 4 + [1.0] * 4, samples=64,
-                         delta_sweep=[0.1, 0.01], step=0.01)
-    out = suites.run_saddle_suite(cfg)
-    assert [c["name"] for c in out["checks"] if not c["passed"]] == []
-    oracle = next(c for c in out["checks"] if c["name"] == "time-change-oracle")
+                         crossing_entries=40, cone_orbits=8, delta_sweep=[0.1, 0.01],
+                         moser_steps=40, step=0.01)
+    out = {name: run(cfg) for name, run in suites.SUITE_RUNNERS.items()}
+    assert len(out) == 6
+    assert [(name, c["name"]) for name, suite in out.items()
+            for c in suite["checks"] if not c["passed"]] == []
+    oracle = next(c for c in out["saddle"]["checks"] if c["name"] == "time-change-oracle")
     assert all(rows <= 12 for rows in oracle["measured"]["rows_by_delta"].values())
