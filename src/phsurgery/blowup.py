@@ -351,21 +351,6 @@ def kl_chart_map(kl: KLStructure, p: BlowupPoint) -> np.ndarray:
     return scale * p.line()
 
 
-def kl_chart_inverse(kl: KLStructure, x, chart=None) -> BlowupPoint:
-    """Invert the power-atlas chart; the radial power law inverts in closed form."""
-    x = np.asarray(x, dtype=float)
-    if np.all(x == 0.0):
-        raise ValueError("the origin has no canonical chart inverse")
-    i = int(np.argmax(np.abs(x))) if chart is None else chart
-    u = x / x[i]  # affine coordinates are unchanged by the radial rescale
-    u[i] = 1.0
-    s2 = float(np.sum(u**2) - 1.0)
-    f = (1.0 + s2) ** (kl.alpha / 2.0)
-    ui = math.copysign((abs(x[i]) / f) ** (1.0 / (1.0 + kl.alpha)), x[i])
-    u[i] = ui
-    return BlowupPoint(chart=i, u=u)
-
-
 def new_norm(kl: KLStructure, x) -> float:
     """Length of a disk point in the power atlas: |x|^(1+alpha)."""
     return float(np.linalg.norm(np.asarray(x, dtype=float)) ** (1.0 + kl.alpha))

@@ -33,7 +33,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm, qmc
 
 from . import blowup, saddle
 from .blowup import BlowupPoint
@@ -156,24 +155,20 @@ class ProductModel:
         return ProductModel(spec=spec, anosov=anosov)
 
 
-def sobol_directions(n, dim, seed):
-    """Low-discrepancy unit vectors (Sobol points through the normal map)."""
-    if dim == 1:
-        return np.array([[1.0 if i % 2 == 0 else -1.0] for i in range(n)])
-    eng = qmc.Sobol(d=dim, scramble=True, seed=seed)
-    u = eng.random_base2(max(1, math.ceil(math.log2(max(n, 2)))))[:n]
-    g = norm.ppf(np.clip(u, 1e-12, 1 - 1e-12))
-    bad = np.linalg.norm(g, axis=1) < 1e-8
-    g[bad] = 1.0
+def random_directions(n, dim, seed):
+    """n seeded pseudo-random unit vectors in R^dim (normalized normal draws)."""
+    g = np.random.default_rng(seed).standard_normal((n, dim))
     return g / np.linalg.norm(g, axis=1, keepdims=True)
 
 
 def cone_boundary_frame(model: ProductModel, cone: ConeSpec, n, seed):
-    """Unit vectors on (and in) a cone: boundary tilts plus center axes.
+    """Unit vectors on (and in) a cone: sampled boundary rows, tilts and center axes.
 
-    Boundary vectors sit at angle exactly `aperture`; the center axes are
-    included because worst growth behavior lives both on the boundary and
-    on the extreme center directions.
+    The first n rows are seeded pseudo-random directions at angle exactly
+    `aperture`; then come the center axes +-C and the axis-aligned boundary
+    tilts, which do not depend on the seed.  The center axes are included
+    because worst growth behavior lives both on the boundary and on the
+    extreme center directions.
     """
     d = model.dim
     C = cone.center
@@ -181,8 +176,8 @@ def cone_boundary_frame(model: ProductModel, cone: ConeSpec, n, seed):
     # orthonormal complement
     full, _ = np.linalg.qr(np.hstack([C, np.eye(d)]))
     W = full[:, m:d]
-    cdirs = sobol_directions(n, m, seed)
-    wdirs = sobol_directions(n, d - m, seed + 1)
+    cdirs = random_directions(n, m, seed)
+    wdirs = random_directions(n, d - m, seed + 1)
     vecs = (math.cos(cone.aperture) * cdirs @ C.T
             + math.sin(cone.aperture) * wdirs @ W.T)
     # axis-aligned boundary tilts cos C_i +- sin W_j: worst cases of the closed-form bounds

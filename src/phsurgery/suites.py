@@ -9,8 +9,10 @@ witness so the caller can decide (the CLI turns any failure into exit 1).
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
+from scipy.linalg import expm
 
 from . import blowup, cones, forms, homogeneous as hg, saddle
 from .blowup import BlowupPoint, KLStructure
@@ -770,7 +772,6 @@ def _form_identity_probes(rng, probes):
             for m in range(3)))()
 
     def rand_form(degree):
-        from itertools import combinations
         idxs = list(combinations(range(dim), degree))
         picks = rng.choice(len(idxs), size=min(3, len(idxs)), replace=False)
         return forms.Form(dim, degree, {idxs[i]: rand_poly() for i in picks})
@@ -813,7 +814,6 @@ def run_homogeneous_suite(cfg: CampaignConfig):
         for _ in range(20):
             B = hg.random_algebra_element(n, rng)
             members_ok = members_ok and hg.in_su(B, n)
-            from scipy.linalg import expm
             g = expm(B)
             worst_grp = max(worst_grp, hg.group_invariant_defect(g, n))
             worst_exp = max(worst_exp, float(np.abs(hg.taylor_expm(B) - g).max()))

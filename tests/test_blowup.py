@@ -282,25 +282,6 @@ class TestDensities:
             expected = (1.0 / k) * k ** (-(k - 1) / 2.0)
             assert abs(blowup.kl_density(kl, corner)) == pytest.approx(expected)
 
-    def test_chart_inverse_roundtrip_and_bisection_oracle(self):
-        kl = KLStructure.volume_nondegenerate(3)
-        p = BlowupPoint(chart=0, u=np.array([0.2, 0.5, -0.3]))
-        x = blowup.kl_chart_map(kl, p)
-        q = blowup.kl_chart_inverse(kl, x)
-        assert q.chart == 0
-        assert q.u == pytest.approx(p.u, abs=1e-12)
-        # bisection oracle on the monotone radial law
-        f = (1.0 + 0.5**2 + 0.3**2) ** (kl.alpha / 2.0)
-        target = abs(x[0])
-        lo, hi = 0.0, 1.0
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if f * mid ** (1.0 + kl.alpha) < target:
-                lo = mid
-            else:
-                hi = mid
-        assert q.u[0] == pytest.approx(0.5 * (lo + hi), abs=1e-10)
-
 
 class TestNewNorm:
     def test_values(self):

@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 import yaml
@@ -266,3 +270,26 @@ class TestReportValues:
         again = json.loads(cli.canonical_json(check))
         assert again["measured"] == {"v": text, "row": [1.0, text]}
         assert again["witness"] == {"w": text, "nested": {"w": [text]}}
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def _fresh_python(code, **env):
+    """stdout of `code` run by a new interpreter that imports phsurgery from src."""
+    full = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    full.update(PYTHONPATH=str(SRC), **env)
+    return subprocess.run([sys.executable, "-c", code], env=full, check=True,
+                          capture_output=True, text=True, timeout=120).stdout.strip()
+
+
+class TestImport:
+    def test_cli_import_leaves_scipy_stats_out(self):
+        code = "import sys, phsurgery.cli; print(any(m.startswith('scipy.stats') for m in sys.modules))"
+        assert _fresh_python(code) == "False"
+
+    @pytest.mark.parametrize("preset, expected", [(None, "1"), ("2", "2")])
+    def test_one_blas_thread_unless_set(self, preset, expected):
+        env = {} if preset is None else {"OPENBLAS_NUM_THREADS": preset}
+        code = "import os, phsurgery; print(os.environ['OPENBLAS_NUM_THREADS'])"
+        assert _fresh_python(code, **env) == expected

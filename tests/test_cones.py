@@ -73,6 +73,36 @@ class TestMembership:
             ConeSpec(center=np.ones((model.dim, 2)), aperture=0.1)
 
 
+class TestBoundaryFrame:
+    N = 64
+
+    @pytest.fixture(params=["u", "cs"])
+    def cone(self, request, model):
+        return {"u": model.unstable_cone, "cs": model.center_stable_cone}[request.param](0.1)
+
+    def frame(self, model, cone, seed):
+        return cones.cone_boundary_frame(model, cone, self.N, seed)
+
+    def test_rows_have_unit_norm(self, model, cone):
+        frame = self.frame(model, cone, 42)
+        m = cone.center.shape[1]
+        assert frame.shape == (self.N + 2 * m + 2 * m * (model.dim - m), model.dim)
+        assert np.abs(np.linalg.norm(frame, axis=1) - 1.0).max() < 1e-12
+
+    def test_sampled_rows_and_tilts_sit_at_the_aperture(self, model, cone):
+        frame = self.frame(model, cone, 42)
+        m = cone.center.shape[1]
+        boundary = np.vstack([frame[:self.N], frame[self.N + 2 * m:]])
+        assert np.abs(cones.angle_to_center(boundary, cone) - cone.aperture).max() < 1e-12
+
+    def test_seed_moves_only_the_sampled_rows(self, model, cone):
+        frame = self.frame(model, cone, 42)
+        assert np.array_equal(frame, self.frame(model, cone, 42))
+        other = self.frame(model, cone, 49)
+        assert np.array_equal(frame[self.N:], other[self.N:])
+        assert (frame[:self.N] != other[:self.N]).any(axis=1).all()
+
+
 def test_full_maps_rows_are_block_maps(model, spec, anosov):
     rng = np.random.default_rng(4)
     J = rng.standard_normal((3, spec.k, spec.k))
