@@ -310,13 +310,41 @@ def moser_beta(gamma):
     (nested) duals and numpy columns all pass through it; beta can be
     differentiated like any other coefficient.  If gamma is invariant under
     the saddle flow, so is beta.
+
+    gamma is called once, on all nodes: it receives (8, ...) node arrays
+    (theta on a leading axis ahead of the axes of the widest coordinate)
+    and must accept arrays.  The weighted sum then runs node by node, in
+    the order of the 8-term sum over one node per call.
     """
 
     def beta(x):
         x1, *rest = x
-        return sum(w * gamma([t * x1, *rest]) for t, w in zip(_THETA, _WEIGHT))
+        nd = max(_leaf_ndim(c) for c in x)
+        theta = _THETA.reshape(-1, *[1] * nd)
+        return _node_sum(gamma([theta * x1, *rest]), nd)
 
     return beta
+
+
+def _leaf_ndim(c):
+    """Widest ndim over the components of a (nested) dual, or of a plain value."""
+    if isinstance(c, Dual):
+        return max(_leaf_ndim(c.re), _leaf_ndim(c.du))
+    return np.ndim(c)
+
+
+def _node_sum(g, nd, out=0.0):
+    """Gauss-Legendre weighted sum of g over its leading node axis.
+
+    Runs component by component into duals; a component without the node
+    axis is constant over the nodes.  Only the innermost real part starts
+    from 0: `sum` adds its start 0 to a dual's innermost real part alone."""
+    if isinstance(g, Dual):
+        return Dual(_node_sum(g.re, nd, out), _node_sum(g.du, nd, None))
+    nodes = g if np.ndim(g) > nd else [g] * len(_WEIGHT)
+    for w, gi in zip(_WEIGHT, nodes):
+        out = w * gi if out is None else out + w * gi
+    return out
 
 
 @dataclass
@@ -348,9 +376,9 @@ class MoserMap:
         or four columns of a batch.
         """
         den = self.density(s, x)
-        bad = np.flatnonzero(np.asarray(value(den)) <= 0.0)
-        if bad.size:
-            i = bad[0]
+        bad = np.asarray(value(den)) <= 0.0
+        if bad.any():
+            i = np.flatnonzero(bad)[0]
             point = np.array([value(c) for c in x], dtype=float).reshape(4, -1)[:, i]
             raise PathDegenerate(s, point, np.ravel(value(den))[i])
         v = [0.0, 0.0, 0.0, 0.0]

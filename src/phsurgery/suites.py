@@ -630,7 +630,7 @@ def run_volume_suite(cfg: CampaignConfig):
                   "quadratic_derivatives": d_quad,
                   "constant_derivatives": [b for _, b in probe2_const["sweep"]]}))
 
-    return _suite("volume", checks)
+    return {**_suite("volume", checks), "dimension": k}
 
 
 # ---------------------------------------------------------------------------
@@ -696,9 +696,9 @@ def run_moser_suite(cfg: CampaignConfig):
     starts = probes[:16] * 0.8
     fw, inv = h.transport_residuals(starts[inside(starts)])
     tp = np.maximum(np.abs(fw), np.abs(inv))
-    origin_fixed = float(np.linalg.norm(h(np.zeros(4))))
 
-    # h(a_t x) against a_t h(x), with a_t = exp(t amp), in one call of h
+    # one call of h moves the origin, the commutation points x and a_t x
+    # (a_t = exp(t amp)), and the step-halving start x0 when it is inside
     tgrid = np.linspace(-1.0, 1.0, 9)
     amp = np.array([-1.0, -1.0, 1.0, 1.0])
     xs = probes[:12] * 0.35
@@ -706,9 +706,13 @@ def run_moser_suite(cfg: CampaignConfig):
     pairs = at * xs[:, None, :]
     ok = inside(xs)
     keep = inside(pairs) & ok[:, None]
-    images = h(np.concatenate([xs[ok], pairs[keep]]))
+    x0 = np.array([0.1, 0.15, -0.1, 0.2])
+    x0_rows = x0[None, :] if inside(x0) else np.zeros((0, 4))
+    images = h(np.concatenate([np.zeros((1, 4)), xs[ok], pairs[keep], x0_rows]))
     hx = np.zeros_like(xs)
-    hx[ok], h_pairs = np.split(images, [ok.sum()])
+    h_origin, hx[ok], h_pairs, h_x0 = np.split(
+        images, np.cumsum([1, ok.sum(), keep.sum()]))
+    origin_fixed = float(np.linalg.norm(h_origin))
     comm = saddle._radius(h_pairs - (at * hx[:, None, :])[keep])
     worst_comm = max(comm, default=math.nan)
     worst_commutator, _ = forms.equivariance_audit(h, X, probes[:20])
@@ -746,18 +750,17 @@ def run_moser_suite(cfg: CampaignConfig):
         witness={"skipped_identity_probes": 8 - len(ident)}))
 
     # step-halving for the s-integration
-    x0 = np.array([0.1, 0.15, -0.1, 0.2])
     rich = math.nan
-    if inside(x0):
+    if len(h_x0):
         h2 = forms.moser_flow(vol, om1, radius=cfg.moser_radius, steps=2 * cfg.moser_steps)
-        rich = float(np.linalg.norm(h(x0) - h2(x0)))
+        rich = float(np.linalg.norm(h_x0[0] - h2(x0)))
     checks.append(_check(
         "normalization-richardson", rich < tol["richardson"],
         "step halving of the interpolation integration agrees",
         measured={"residual": rich},
         witness={"start_point": x0, "moser_radius": cfg.moser_radius}))
 
-    return _suite("moser", checks)
+    return {**_suite("moser", checks), "dimension": 4}
 
 
 def _form_identity_probes(rng, probes):

@@ -6,7 +6,7 @@ import pytest
 from phsurgery import forms
 from phsurgery.forms import (DegreeError, Form, MoserMap, PathDegenerate, d, interior,
                              lie, lie_cartan, wedge)
-from phsurgery.dualnum import dsqrt, partial, value
+from phsurgery.dualnum import Dual, dsqrt, partial, value
 from phsurgery.saddle import BumpProfile
 
 
@@ -174,13 +174,56 @@ class TestBeta:
         # a smooth non-polynomial gamma: the 8-node rule's error is far below
         # rounding on |x1| <= 0.5, so the bound is a few ulps of beta
         from scipy.integrate import quad
-        gamma = lambda x: math.exp(x[0]) * x[2]
+        gamma = lambda x: np.exp(x[0]) * x[2]
         beta = forms.moser_beta(gamma)
         rng = np.random.default_rng(15)
         for x in rng.uniform(-0.5, 0.5, size=(20, 4)).tolist():
             want, _ = quad(lambda t: gamma([t * x[0], *x[1:]]), 0.0, 1.0, epsabs=0.0,
                            epsrel=1e-13)
             assert abs(beta(x) - want) < 1e-15
+
+    @staticmethod
+    def _per_node_beta(gamma):
+        """beta as one gamma call per node, summed by `sum` in node order."""
+        return lambda x: sum(w * gamma([t * x[0], *x[1:]])
+                             for t, w in zip(forms._THETA, forms._WEIGHT))
+
+    @pytest.mark.parametrize("gamma", [
+        lambda x: 0.1 * (x[0] * x[2] + x[1] * x[3]),
+        lambda x: 1.0 + x[0] ** 3 * x[1] - 0.7 * x[0] * x[3] ** 2,
+        lambda x: 3.7,
+    ], ids=["suite-density", "polynomial", "constant"])
+    def test_one_broadcast_call_equals_per_node_sum(self, gamma):
+        from phsurgery.dualnum import seed
+        rng = np.random.default_rng(18)
+        broadcast, per_node = forms.moser_beta(gamma), self._per_node_beta(gamma)
+
+        def same(a, b):
+            if isinstance(a, Dual) or isinstance(b, Dual):
+                assert isinstance(a, Dual) and isinstance(b, Dual)
+                same(a.re, b.re)
+                same(a.du, b.du)
+            else:
+                # a constant dual part of x1 picks up the node axis's
+                # trailing unit axes: equal sizes, equal bits
+                assert np.size(a) == np.size(b)
+                a, b = np.broadcast_arrays(a, b)
+                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+        point = rng.uniform(-0.4, 0.4, 4).tolist()
+        # as many rows as nodes: a node axis read as the row axis would pass
+        # shape checks, but not equality
+        columns = list(rng.uniform(-0.4, 0.4, (8, 4)).T)
+        # one point carrying 8 tangents: only the dual parts are columns
+        tangents = [Dual(c, t) for c, t in zip(point, rng.uniform(-1, 1, (4, 8)))]
+        for x in (point, columns, tangents):
+            same(broadcast(x), per_node(x))
+            for j in range(4):
+                # dual parts from `seed` are the constants 0 and 1, without
+                # the node axis; nested seeds give second derivatives
+                same(broadcast(seed(x, j)), per_node(seed(x, j)))
+                for i in range(4):
+                    same(broadcast(seed(seed(x, j), i)), per_node(seed(seed(x, j), i)))
 
     def test_corrected_product_rule(self, probes):
         # d(beta eta0) = beta vol + dbeta ^ eta0
@@ -287,6 +330,25 @@ class TestMoserMap:
         for i, x in enumerate(batch):
             assert (fw[i] == h(x)).all()
             assert (inv[i] == h.inverse(x)).all()
+
+    def test_one_rk4_step_calls_alpha_twice_per_stage(self):
+        # each stage evaluates the density once and beta once, on every
+        # node and row together, whatever the number of rows
+        gens = forms.invariant_products()
+        calls = []
+
+        def alpha(x):
+            calls.append(np.shape(x[0]))
+            return 1.0 + 0.1 * (gens[0](x) + gens[3](x))
+
+        h = MoserMap(alpha=alpha, radius=0.5, steps=1)
+        rng = np.random.default_rng(19)
+        for points in (rng.uniform(-0.2, 0.2, 4), rng.uniform(-0.2, 0.2, (1, 4)),
+                       rng.uniform(-0.2, 0.2, (50, 4))):
+            calls.clear()
+            h(points)
+            n = len(np.reshape(points, (-1, 4)))
+            assert calls == [(n,), (8, n)] * 4
 
     def test_empty_batch(self, h):
         assert h(np.zeros((0, 4))).shape == (0, 4)

@@ -404,3 +404,6 @@ def test_saddle_suite_passes_at_k8():
             for c in suite["checks"] if not c["passed"]] == []
     oracle = next(c for c in out["saddle"]["checks"] if c["name"] == "time-change-oracle")
     assert all(rows <= 12 for rows in oracle["measured"]["rows_by_delta"].values())
+    # the volume and Moser suites verify the 4-d saddle whatever the rates
+    assert len(cfg.saddle_rates) == 8
+    assert out["volume"]["dimension"] == out["moser"]["dimension"] == 4
