@@ -15,6 +15,10 @@ which extends smoothly across the exceptional set.
 The radial power atlas (Katok-Lewis) declares u -> |u|^alpha u a chart near
 the origin.  With alpha = -(k-1)/k the pulled-back volume density becomes
 bounded away from zero on the exceptional set.
+
+Every operation takes a `BlowupPoint` that is one point or a batch, and has
+one formula, written for a batch: a point is computed as its one-row batch,
+so each row of a batch equals its one-point call bit for bit.
 """
 
 from __future__ import annotations
@@ -24,106 +28,154 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import dualnum
-from .saddle import DEFAULT_STEP, DomainEscape, _field, _fixed_steps, rk4_step
+from .saddle import DEFAULT_STEP, _check_inside, _field, _fixed_steps, _radius, rk4_step
 
 _CHART_SWITCH = 1.05  # hysteresis: transition once an affine coordinate passes this
 
 
 @dataclass(frozen=True)
 class BlowupPoint:
-    """Chart-indexed point of the blown-up disk.
+    """Chart-indexed point of the blown-up disk, or a batch of them.
 
-    chart is the 0-based index of the radial coordinate.  Under the
-    canonical chart-selection rule (dominant coordinate of the underlying
-    line, ties to the smallest index) the affine coordinates satisfy
-    |u_j| <= 1.
+    A point is an int `chart`, the 0-based index of the radial coordinate,
+    with `u` of shape (k,).  A batch has one chart per row (an int applies
+    to every row) and `u` of shape (n, k); len() is its row count and
+    indexing picks rows.  Under the canonical chart-selection rule
+    (dominant coordinate of the underlying line, ties to the smallest
+    index) the affine coordinates satisfy |u_j| <= 1.
     """
 
-    chart: int
+    chart: int | np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "u", np.asarray(self.u, dtype=float))
-        if not 0 <= self.chart < len(self.u):
-            raise ValueError(f"chart index {self.chart} out of range for k={len(self.u)}")
+        u = np.asarray(self.u, dtype=float)
+        if u.ndim not in (1, 2):
+            raise ValueError(f"u must have shape (k,) or (n, k), not {u.shape}")
+        chart = int(self.chart) if u.ndim == 1 else np.broadcast_to(
+            np.asarray(self.chart, dtype=int), u.shape[:1])
+        object.__setattr__(self, "u", u)
+        object.__setattr__(self, "chart", chart)
+        charts = np.atleast_1d(chart)
+        bad = (charts < 0) | (charts >= u.shape[-1])
+        if bad.any():
+            m = int(np.argmax(bad))
+            raise ValueError(f"chart index {charts[m]} of row {m} out of range for "
+                             f"k={u.shape[-1]}")
 
     @property
     def k(self):
+        return self.u.shape[-1]
+
+    def __len__(self):
+        if self.u.ndim == 1:
+            raise TypeError("a single BlowupPoint has no len(); use .batch()")
         return len(self.u)
+
+    def __getitem__(self, rows):
+        """Row m of a batch as a point; a slice, mask or index array as a batch."""
+        return BlowupPoint(self.chart[rows], self.u[rows])
+
+    def batch(self):
+        """A point as its one-row batch; a batch as it is."""
+        return self if self.u.ndim == 2 else BlowupPoint(np.array([self.chart]), self.u[None])
+
+    def like(self, values):
+        """Per-row values of `batch()` in the shape of self: a point keeps row 0."""
+        return values if self.u.ndim == 2 else values[0]
+
+    def radial(self):
+        """The radial coordinate u_chart of each row."""
+        b = self.batch()
+        return self.like(b.u[np.arange(len(b)), b.chart])
 
     def line(self):
         """Homogeneous line coordinates (1 in the chart slot)."""
-        ell = self.u.copy()
-        ell[self.chart] = 1.0
-        return ell
+        b = self.batch()
+        ell = b.u.copy()
+        ell[np.arange(len(b)), b.chart] = 1.0
+        return self.like(ell)
 
 
-def blowdown(p: BlowupPoint) -> np.ndarray:
-    """Project to D^k: x_j = u_j u_i, x_i = u_i.  Collapses {u_i = 0} to 0."""
-    x = p.u * p.u[p.chart]
-    x[p.chart] = p.u[p.chart]
-    return x
-
-
-def _blowdown_rows(charts, U):
-    """`blowdown` of every row of an (n, k) batch, row m read in chart charts[m]."""
+def _blowdown(charts, U):
+    """The blow-down formula on rows U, row m read in chart charts[m]."""
     rows = np.arange(len(U))
     x = U * U[rows, charts][:, None]
     x[rows, charts] = U[rows, charts]
     return x
 
 
+def blowdown(p: BlowupPoint) -> np.ndarray:
+    """Project to D^k: x_j = u_j u_i, x_i = u_i.  Collapses {u_i = 0} to 0."""
+    b = p.batch()
+    return p.like(_blowdown(b.chart, b.u))
+
+
 def lift(x) -> BlowupPoint:
-    """Canonical chart representative of a nonzero point of D^k."""
+    """Canonical chart representative of a nonzero point of D^k, or of each row of a batch.
+
+    Raises ValueError naming the first row at the origin.
+    """
     x = np.asarray(x, dtype=float)
-    if np.all(x == 0.0):
-        raise ValueError("the origin has no canonical lift")
-    chart = int(np.argmax(np.abs(x)))  # argmax takes the smallest index on ties
-    u = x / x[chart]
-    u[chart] = x[chart]
-    return BlowupPoint(chart=chart, u=u)
+    X = np.atleast_2d(x)
+    origin = ~X.any(axis=1)
+    if origin.any():
+        raise ValueError(f"row {int(np.argmax(origin))} is the origin, which has no "
+                         "canonical lift")
+    rows = np.arange(len(X))
+    charts = np.argmax(np.abs(X), axis=1)  # argmax takes the smallest index on ties
+    u = X / X[rows, charts][:, None]
+    u[rows, charts] = X[rows, charts]
+    p = BlowupPoint(charts, u)
+    return p if x.ndim == 2 else p[0]
 
 
-def chart_transition(p: BlowupPoint, target: int) -> BlowupPoint:
-    """Represent the same blown-up point in another chart."""
-    if target == p.chart:
-        return BlowupPoint(p.chart, p.u.copy())
-    t = p.u[target]
-    if t == 0.0:
-        raise ValueError(f"line coordinate u[{target}] vanishes; chart {target} undefined here")
-    u = p.u / t
-    u[p.chart] = 1.0 / t
-    u[target] = p.u[target] * p.u[p.chart]
-    return BlowupPoint(chart=target, u=u)
+def chart_transition(p: BlowupPoint, target) -> BlowupPoint:
+    """Represent the same blown-up point in chart `target` (an int, or one per row).
+
+    With t = u[target]: u / t, then 1/t at the old chart and t u_chart at
+    the target; a row whose target is its chart takes t = 1, which keeps
+    its coordinates.  Raises ValueError naming the first row whose
+    u[target] vanishes.
+    """
+    b = p.batch()
+    rows = np.arange(len(b))
+    target = np.broadcast_to(np.asarray(target, dtype=int), len(b))
+    stay = target == b.chart
+    t = b.u[rows, target]
+    vanish = (t == 0.0) & ~stay
+    if vanish.any():
+        m = int(np.argmax(vanish))
+        raise ValueError(f"row {m}: line coordinate u[{target[m]}] vanishes; "
+                         f"chart {target[m]} undefined here")
+    t = np.where(stay, 1.0, t)
+    u = b.u / t[:, None]
+    u[rows, b.chart] = 1.0 / t
+    u[rows, target] = t * b.u[rows, b.chart]
+    return p.like(BlowupPoint(target, u))
 
 
-def transition_jacobian(p: BlowupPoint, target: int) -> np.ndarray:
-    """Derivative of the chart transition map at p (closed form)."""
-    return _transition_jacobians(np.array([p.chart]), p.u[None], np.array([target]))[0]
-
-
-def _transition_jacobians(charts, U, targets):
-    """(n, k, k) chart-transition Jacobians, row m from charts[m] to targets[m].
+def transition_jacobian(p: BlowupPoint, target) -> np.ndarray:
+    """Derivative of the chart transition map at p (closed form), (k, k) per row.
 
     With t = u[target]: row target holds t and u_chart, column target -line / t^2,
     the other diagonal entries 1/t (0 at the chart); a row that stays gets the identity.
     """
-    n, k = U.shape
+    b = p.batch()
+    n, k = b.u.shape
     rows, diag = np.arange(n), np.arange(k)
-    stay = charts == targets
-    t = np.where(stay, 1.0, U[rows, targets])[:, None]
-    line = U.copy()
-    line[rows, charts] = 1.0
+    target = np.broadcast_to(np.asarray(target, dtype=int), n)
+    stay = b.chart == target
+    t = np.where(stay, 1.0, b.u[rows, target])[:, None]
     J = np.zeros((n, k, k))
     J[:, diag, diag] = 1.0 / t
-    J[rows, charts, charts] = 0.0
-    J[rows, :, targets] = -line / t**2
-    J[rows, targets, :] = 0.0
-    J[rows, targets, targets] = U[rows, charts]
-    J[rows, targets, charts] = t[:, 0]
+    J[rows, b.chart, b.chart] = 0.0
+    J[rows, :, target] = -b.line() / t**2
+    J[rows, target, :] = 0.0
+    J[rows, target, target] = b.u[rows, b.chart]
+    J[rows, target, b.chart] = t[:, 0]
     J[stay] = np.eye(k)
-    return J
+    return p.like(J)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +205,7 @@ class LiftedSaddle:
 
     def field(self, charts, u):
         """du/dt for an (n, k) batch, row m in chart charts[m]."""
-        rho = self.profile(_blowdown_rows(charts, u))
+        rho = self.profile(_blowdown(charts, u))
         return self.chart_rates[charts] * u * rho[:, None]
 
 
@@ -164,77 +216,67 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
     exceptional set is invariant (u_i multiplies its own derivative, so
     u_i = 0 is preserved exactly, stage by stage).
     """
-    charts, U = _lifted_flow_batch(spec, profile, [p], t, step=step)
-    return BlowupPoint(int(charts[0]), U[0])
+    return p.like(_lifted_flow_batch(spec, profile, p.batch(), t, step=step))
 
 
 def _chart_step(lifted, charts, U, t, h):
     """Advance the rows U in place by one RK4 step in their own charts, then switch.
 
     Raises DomainEscape if a row leaves the disk.  A row switches to the
-    dominant chart of its line once an affine coordinate exceeds the
-    threshold.
+    dominant chart of its line (the first largest |u_j| off the chart) once
+    that coordinate exceeds the threshold; all switching rows move in one
+    `chart_transition`.
     """
     U[:] = rk4_step(lambda _, u: lifted.field(charts, u), t, U, h)
-    x = _blowdown_rows(charts, U)
-    r = np.linalg.norm(x, axis=1)
-    if (r >= 1.0).any():
-        raise DomainEscape(t + h, x[int(np.argmax(r))])
-    absU = np.abs(U)
-    absU[np.arange(len(U)), charts] = 0.0
-    for m in np.flatnonzero(absU.max(axis=1) > _CHART_SWITCH):
-        p = BlowupPoint(int(charts[m]), U[m])
-        affine = np.abs(p.line())
-        affine[p.chart] = 1.0
-        q = chart_transition(p, int(np.argmax(affine)))
-        charts[m] = q.chart
-        U[m] = q.u
+    _check_inside(_blowdown(charts, U), t + h)
+    affine = np.abs(U)
+    affine[np.arange(len(U)), charts] = 0.0
+    switch = np.flatnonzero(affine.max(axis=1) > _CHART_SWITCH)
+    if switch.size:
+        q = chart_transition(BlowupPoint(charts[switch], U[switch]),
+                             affine[switch].argmax(axis=1))
+        charts[switch], U[switch] = q.chart, q.u
 
 
-def _lifted_flow_batch(spec, profile, points, t, step=DEFAULT_STEP):
-    """Fixed-step RK4 on chart coordinates for a batch of BlowupPoints.
+def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP):
+    """Fixed-step RK4 on chart coordinates for a batch of points.
 
     Chart transitions are applied between steps once an affine coordinate
-    exceeds the switch threshold.  Returns the end charts (n,) and chart
-    coordinates (n, k).
+    exceeds the switch threshold.  Returns the batch at time t.
     """
-    charts = np.array([p.chart for p in points], dtype=int)
-    U = np.stack([p.u for p in points]).astype(float)
-    if t == 0:
-        return charts, U
-
-    nsteps, h = _fixed_steps(t, step)
-    lifted = LiftedSaddle(spec, profile)
-    for istep in range(nsteps):
-        _chart_step(lifted, charts, U, istep * h, h)
-    return charts, U
+    charts, U = points.chart.copy(), points.u.copy()
+    if t != 0:
+        nsteps, h = _fixed_steps(t, step)
+        lifted = LiftedSaddle(spec, profile)
+        for istep in range(nsteps):
+            _chart_step(lifted, charts, U, istep * h, h)
+    return BlowupPoint(charts, U)
 
 
-def core_tangent_maps(spec, rho0, points, charts, t):
+def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
     """Exact time-t tangent maps of the lift of the saddle slowed by the constant rho0.
 
-    One (k, k) map per start point p = (chart c, u), read from chart c into
-    the chart charts[m] that a flow of p holds at time t.  In chart c the
-    flow is u -> g u with g = exp(rho0 d[c] t), and chart c's domain is
-    invariant under it; chart transitions compose, so whatever charts the
-    orbit passed through, the map is
+    One (k, k) map per row p = (chart c, u) of the batch `points`, read from
+    chart c into the chart charts[m] that a flow of p holds at time t.  In
+    chart c the flow is u -> g u with g = exp(rho0 d[c] t), and chart c's
+    domain is invariant under it; chart transitions compose, so whatever
+    charts the orbit passed through, the map is
     transition_jacobian((c, g u), charts[m]) diag(g).
     """
-    start = np.array([p.chart for p in points], dtype=int)
-    G = np.exp(rho0 * _chart_rate_matrix(spec.rates)[start] * t)
-    U = np.stack([p.u for p in points]) * G
-    return _transition_jacobians(start, U, np.asarray(charts, dtype=int)) * G[:, None, :]
+    G = np.exp(rho0 * _chart_rate_matrix(spec.rates)[points.chart] * t)
+    moved = BlowupPoint(points.chart, points.u * G)
+    return transition_jacobian(moved, charts) * G[:, None, :]
 
 
-def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
-                         t_max=1.0, radius=0.45):
+def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
     """Blow-down commutation over seeded random (point, time) pairs.
 
     Integrates the lifted flow in charts and the slow-down flow downstairs
     side by side; each sample is scored at its own maturity time (a step
-    multiple in (0, t_max]) by |blowdown(lifted end) - disk end|.  A quarter
-    of the samples start on the exceptional set, whose blow-down orbit is
-    the origin.  Returns (max residual, witness dict).
+    multiple in (0, 1]) by |blowdown(lifted end) - disk end|.  A quarter of
+    the samples start on the exceptional set, whose blow-down orbit is the
+    origin.  Returns (max residual, witness dict); the witness is the first
+    sample, in step then sample order, at the maximum.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -245,18 +287,15 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
     line_norm = np.sqrt(1.0 + np.sum(U**2, axis=1)
                         - U[rows, charts] ** 2)
     max_rate = max(abs(r) for r in spec.rates)
-    safe = radius * math.exp(-max_rate * t_max)
+    safe = 0.45 * math.exp(-max_rate)  # the disk orbit stays inside radius 0.45 up to t = 1
     radial = rng.uniform(-1.0, 1.0, size=n) * safe / line_norm
     radial[rng.random(n) < 0.25] = 0.0
     U[rows, charts] = radial
 
-    X = _blowdown_rows(charts, U)
+    X = _blowdown(charts, U)
 
-    nsteps, h = _fixed_steps(t_max, step)
+    nsteps, h = _fixed_steps(1.0, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
-    due = {}
-    for i, m in enumerate(maturity):
-        due.setdefault(int(m), []).append(i)
 
     lifted = LiftedSaddle(spec, profile)
     disk_field = lambda _, y: _field(spec, profile, y)
@@ -265,13 +304,15 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
     for istep in range(1, nsteps + 1):
         _chart_step(lifted, charts, U, (istep - 1) * h, h)
         X = rk4_step(disk_field, (istep - 1) * h, X, h)
-        for i in due.get(istep, ()):
-            p = BlowupPoint(int(charts[i]), U[i])
-            res = float(np.linalg.norm(blowdown(p) - X[i]))
-            if res > worst:
-                worst = res
-                witness = {"chart": int(charts[i]), "u": U[i].tolist(),
-                           "time": istep * h, "residual": res}
+        due = np.flatnonzero(maturity == istep)
+        if not due.size:
+            continue
+        res = _radius(_blowdown(charts[due], U[due]) - X[due])
+        i = int(np.argmax(res))
+        if res[i] > worst:
+            worst = float(res[i])
+            witness = {"chart": int(charts[due[i]]), "u": U[due[i]].tolist(),
+                       "time": istep * h, "residual": worst}
     return worst, witness
 
 
@@ -279,24 +320,13 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP,
 # densities and the radial power atlas
 
 
-def pullback_volume_density(p: BlowupPoint) -> float:
+def pullback_volume_density(p: BlowupPoint):
     """Density u_i^(k-1) of the pulled-back volume in chart coordinates.
 
     Signed: the sign records the chart orientation.  Equals the determinant
     of the blow-down Jacobian.
     """
-    return float(p.u[p.chart] ** (p.k - 1))
-
-
-def blowdown_jacobian(p: BlowupPoint) -> np.ndarray:
-    """Exact derivative of the blow-down map at p (via dual numbers)."""
-    i = p.chart
-
-    def comp(u, m):
-        return u[m] * u[i] if m != i else u[i]
-
-    return np.array(dualnum.jacobian(
-        [lambda u, m=m: comp(u, m) for m in range(p.k)], list(p.u)))
+    return p.like(p.batch().radial() ** (p.k - 1))
 
 
 @dataclass(frozen=True)
@@ -316,44 +346,47 @@ class KLStructure:
         return cls(k=k, alpha=-(k - 1) / k)
 
 
-def f_alpha(kl: KLStructure, p: BlowupPoint) -> float:
+def f_alpha(kl: KLStructure, p: BlowupPoint):
     """(1 + sum of affine coordinate squares)^(alpha/2)."""
-    s2 = float(np.sum(p.u**2) - p.u[p.chart] ** 2)
-    return (1.0 + s2) ** (kl.alpha / 2.0)
+    b = p.batch()
+    s2 = np.sum(b.u**2, axis=1) - b.radial() ** 2
+    return p.like((1.0 + s2) ** (kl.alpha / 2.0))
 
 
-def kl_density(kl: KLStructure, p: BlowupPoint) -> float:
+def kl_density(kl: KLStructure, p: BlowupPoint):
     """Chart density of the volume pulled back through the power atlas.
 
     (alpha+1) f^k |u_i|^(k alpha) u_i^(k-1); for alpha = -(k-1)/k the radial
     powers cancel and the value is (1/k) f^k sign(u_i)^(k-1), bounded away
-    from 0 on compact chart sets.
+    from 0 on compact chart sets.  On the exceptional set the radial factor
+    is 1 when the powers cancel, else 0 or inf by the sign of the power.
     """
     k, a = kl.k, kl.alpha
-    f = f_alpha(kl, p)
-    ui = p.u[p.chart]
+    b = p.batch()
+    ui = b.radial()
     power = k * a + k - 1
-    if ui == 0.0:
-        if abs(power) < 1e-12:
-            return (a + 1.0) * f**k
-        return 0.0 if power > 0 else math.inf
-    if abs(power) < 1e-12:
-        radial = float(np.sign(ui)) ** (k - 1)
-    else:
-        radial = abs(ui) ** (k * a) * ui ** (k - 1)
-    return (a + 1.0) * f**k * radial
+    cancel = abs(power) < 1e-12
+    exceptional = 1.0 if cancel else 0.0 if power > 0 else math.inf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        radial = np.where(ui == 0.0, exceptional,
+                          np.sign(ui) ** (k - 1) if cancel
+                          else np.abs(ui) ** (k * a) * ui ** (k - 1))
+    return p.like((a + 1.0) * f_alpha(kl, b) ** k * radial)
 
 
 def kl_chart_map(kl: KLStructure, p: BlowupPoint) -> np.ndarray:
     """Disk coordinates of the power-atlas chart: f |u_i|^alpha * blowdown."""
-    f = f_alpha(kl, p)
-    scale = f * abs(p.u[p.chart]) ** (1.0 + kl.alpha) * np.sign(p.u[p.chart])
-    return scale * p.line()
+    b = p.batch()
+    ui = b.radial()
+    scale = f_alpha(kl, b) * np.abs(ui) ** (1.0 + kl.alpha) * np.sign(ui)
+    return p.like(scale[:, None] * b.line())
 
 
-def new_norm(kl: KLStructure, x) -> float:
-    """Length of a disk point in the power atlas: |x|^(1+alpha)."""
-    return float(np.linalg.norm(np.asarray(x, dtype=float)) ** (1.0 + kl.alpha))
+def new_norm(kl: KLStructure, x):
+    """Length |x|^(1+alpha) in the power atlas of a disk point, or of each row of a batch."""
+    x = np.asarray(x, dtype=float)
+    r = _radius(np.atleast_2d(x)) ** (1.0 + kl.alpha)
+    return r if x.ndim == 2 else r[0]
 
 
 def kl_rate_check(spec, kl: KLStructure, rho0, times=(1.0, 2.0, 4.0),
@@ -370,31 +403,23 @@ def kl_rate_check(spec, kl: KLStructure, rho0, times=(1.0, 2.0, 4.0),
     k = spec.k
     dirs = rng.standard_normal((n_samples, k))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
-    base = 1e-3  # deep inside the uniformly slowed region
-    lo = math.inf
-    hi = -math.inf
-    logratio = np.zeros(len(times))
-    for it, t in enumerate(times):
-        amp = np.exp(rho0 * t * np.asarray(spec.rates))
-        for d in dirs:
-            x0 = base * d
-            x1 = amp * x0
-            ratio = new_norm(kl, x1) / new_norm(kl, x0)
-            r = ratio ** (1.0 / t)
-            lo = min(lo, r)
-            hi = max(hi, r)
-        # pure fastest-expansion direction for the regression
-        e = np.zeros(k)
-        e[int(np.argmax(spec.rates))] = base
-        logratio[it] = math.log(new_norm(kl, np.exp(rho0 * t * np.asarray(spec.rates)) * e)
-                                / new_norm(kl, e))
+    x0 = 1e-3 * dirs  # deep inside the uniformly slowed region
+    times = np.asarray(times, dtype=float)
+    amp = np.exp(rho0 * times[:, None] * np.asarray(spec.rates))
+    ratio = (new_norm(kl, (amp[:, None, :] * x0).reshape(-1, k)).reshape(len(times), -1)
+             / new_norm(kl, x0))
+    per_time = ratio ** (1.0 / times[:, None])
+    # pure fastest-expansion direction for the regression
+    e = np.zeros(k)
+    e[int(np.argmax(spec.rates))] = 1e-3
+    logratio = np.log(new_norm(kl, amp * e) / new_norm(kl, e))
     if len(times) > 1:
         slope = float(np.polyfit(times, logratio, 1)[0])
     else:
         slope = float(logratio[0] / times[0])
     return {
-        "per_time_lower": lo,
-        "per_time_upper": hi,
+        "per_time_lower": float(per_time.min()),
+        "per_time_upper": float(per_time.max()),
         "expected_lower": spec.lam_prime ** (rho0 * (1.0 + kl.alpha)),
         "expected_upper": spec.mu_prime ** (rho0 * (1.0 + kl.alpha)),
         "unstable_log_slope": slope,
@@ -402,133 +427,98 @@ def kl_rate_check(spec, kl: KLStructure, rho0, times=(1.0, 2.0, 4.0),
     }
 
 
-def density_regularity_probe(k, beta, radii=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6),
-                             alpha=None, direction=None):
+def density_regularity_probe(k, beta, radii=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
     """Finite-difference derivative of the composed density factor along u_i -> 0.
 
-    The factor is beta evaluated at the power-atlas chart image; for a
-    generic smooth positive beta its radial derivative blows up like
-    |u_i|^alpha, i.e. the pulled-back density is continuous but not C^1 at
-    the exceptional set.  Returns the sweep [(u_i, |d factor / d u_i|)] and
-    the fitted log-log slope.
+    The factor is beta evaluated at the power-atlas chart image, for the
+    volume exponent alpha = -(k-1)/k, in chart 0 along the affine point
+    (0.3, ..., 0.3); beta takes the coordinate columns x[0], ..., x[k-1]
+    of a batch.  For a generic smooth positive beta its radial derivative
+    blows up like |u_i|^alpha, i.e. the pulled-back density is continuous
+    but not C^1 at the exceptional set.  Returns the sweep
+    [(u_i, |d factor / d u_i|)] and the fitted log-log slope.
     """
-    if alpha is None:
-        alpha = -(k - 1) / k
-    kl = KLStructure(k=k, alpha=alpha)
-    if direction is None:
-        direction = np.full(k, 0.3)
-    out = []
-    for r in radii:
-        def factor(ui):
-            u = direction.copy()
-            u[0] = ui
-            p = BlowupPoint(chart=0, u=u)
-            return beta(kl_chart_map(kl, p))
-
-        eps = r * 1e-3
-        d = (factor(r + eps) - factor(r - eps)) / (2 * eps)
-        out.append((r, abs(d)))
-    rs = np.log([a for a, _ in out])
-    ds = np.array([b for _, b in out])
-    if np.all(ds > 0):
-        slope = float(np.polyfit(rs, np.log(ds), 1)[0])
+    kl = KLStructure.volume_nondegenerate(k)
+    r = np.asarray(radii, dtype=float)
+    eps = r * 1e-3
+    u = np.full((2 * len(r), k), 0.3)
+    u[:, 0] = np.concatenate([r + eps, r - eps])
+    factor = np.broadcast_to(beta(kl_chart_map(kl, BlowupPoint(0, u)).T), len(u))
+    d = np.abs((factor[:len(r)] - factor[len(r):]) / (2 * eps))
+    if np.all(d > 0):
+        slope = float(np.polyfit(np.log(r), np.log(d), 1)[0])
     else:
         slope = 0.0
-    return {"sweep": out, "log_slope": slope, "alpha": alpha}
+    return {"sweep": list(zip(radii, d.tolist())), "log_slope": slope, "alpha": kl.alpha}
 
 
 # ---------------------------------------------------------------------------
 # smoothness probes for the power atlas
 
 
-def gateaux_defect(map_fn, w1, w2, s):
-    """|F(s(w1+w2)) - F(s w1) - F(s w2)| / s: nonlinearity near 0.
-
-    For a map that is C^1 at the origin with F(0)=0 this tends to 0 with s;
-    for the slowed saddle read in the plain power-atlas chart on D^k it
-    tends to a positive constant (the map is homogeneous but not linear).
-    """
-    w1 = np.asarray(w1, dtype=float)
-    w2 = np.asarray(w2, dtype=float)
-    return float(np.linalg.norm(map_fn(s * (w1 + w2)) - map_fn(s * w1) - map_fn(s * w2)) / s)
-
-
 def kl_disk_time_map(spec, kl: KLStructure, rho0, t):
-    """Time-t map of the slowed saddle in the plain power-atlas chart on D^k."""
+    """Time-t map of the slowed saddle in the plain power-atlas chart on D^k, on nonzero rows."""
     amp = np.exp(rho0 * t * np.asarray(spec.rates))
 
-    def F(y):
-        y = np.asarray(y, dtype=float)
-        ry = np.linalg.norm(y)
-        if ry == 0.0:
-            return np.zeros_like(y)
-        x = ry**kl.alpha * y
-        x = amp * x
-        rx = np.linalg.norm(x)
-        return rx ** (-kl.alpha / (1.0 + kl.alpha)) * x
+    def F(Y):
+        x = amp * (_radius(Y)[:, None] ** kl.alpha * Y)
+        return _radius(x)[:, None] ** (-kl.alpha / (1.0 + kl.alpha)) * x
 
     return F
 
 
-def kl_blowup_time_map(spec, kl: KLStructure, rho0, t, chart=0):
-    """Time-t map of the lifted slowed saddle in a power-atlas blow-up chart.
+def kl_blowup_time_map(spec, kl: KLStructure, rho0, t):
+    """Time-t map of the lifted slowed saddle in power-atlas blow-up chart 0, on (n, k) rows.
 
     Exact in the uniformly slowed core: affine coordinates move by the
     projective flow, the radial coordinate by the k-fold-sped power law.
     """
     rates = np.asarray(spec.rates)
-    i = chart
 
     def F(u):
-        u = np.asarray(u, dtype=float)
-        p = BlowupPoint(chart=i, u=u)
-        aff = np.exp(rho0 * t * (rates - rates[i])) * p.line()
-        aff[i] = 1.0
-        f0 = f_alpha(kl, p)
-        p1_line = BlowupPoint(chart=i, u=np.where(np.arange(len(u)) == i, 0.0, aff))
-        f1 = f_alpha(kl, p1_line)
-        scale = math.exp(rho0 * t * rates[i] / (1.0 + kl.alpha))
-        ui = u[i] * scale * (f0 / f1) ** (1.0 / (1.0 + kl.alpha))
-        out = aff
-        out[i] = ui
-        return out
+        p = BlowupPoint(0, u)
+        aff = np.exp(rho0 * t * (rates - rates[0])) * p.line()
+        moved = BlowupPoint(0, aff)  # f_alpha reads the affine coordinates only
+        scale = math.exp(rho0 * t * rates[0] / (1.0 + kl.alpha))
+        aff[:, 0] = (p.radial() * scale
+                     * (f_alpha(kl, p) / f_alpha(kl, moved)) ** (1.0 / (1.0 + kl.alpha)))
+        return aff
 
     return F
 
 
-def kl_smoothness_probe(spec, rho0=0.5, t=1.0, scales=(1e-2, 1e-3, 1e-4)):
-    """Numerical C^1 comparison of the slowed saddle in the power atlas.
+def kl_smoothness_probe(spec, rho0=0.5):
+    """Numerical C^1 comparison of the slowed saddle in the power atlas at t = 1.
 
-    Returns Gateaux nonlinearity defects of the disk map (expected to
-    stabilize at a positive constant: not C^1 at the origin) and second
-    differences across the exceptional set of the blow-up chart map
-    (expected bounded: smooth).
+    Returns, at the scales s = 1e-2, 1e-3, 1e-4, the Gateaux nonlinearity
+    defects |F(s(w1+w2)) - F(s w1) - F(s w2)| / s of the disk map (expected
+    to stabilize at a positive constant: not C^1 at the origin; the alpha = 0
+    control is linear) and second differences across the exceptional set of
+    the blow-up chart map (expected bounded: smooth).
     """
     k = spec.k
     kl = KLStructure.volume_nondegenerate(k)
+    scales = np.array([1e-2, 1e-3, 1e-4])
     w1 = np.zeros(k)
     w1[int(np.argmin(spec.rates))] = 1.0
     w2 = np.zeros(k)
     w2[int(np.argmax(spec.rates))] = 1.0
+    # rows s (w1 + w2), s w1, s w2 for every scale s
+    Y = (scales[:, None, None] * np.stack([w1 + w2, w1, w2])).reshape(-1, k)
 
-    disk = kl_disk_time_map(spec, kl, rho0, t)
-    disk_defect = [gateaux_defect(disk, w1, w2, s) for s in scales]
-    ident = kl_disk_time_map(spec, KLStructure(k=k, alpha=0.0), rho0, t)
-    control_defect = [gateaux_defect(ident, w1, w2, s) for s in scales]
+    def defects(alpha):
+        F = kl_disk_time_map(spec, KLStructure(k=k, alpha=alpha), rho0, 1.0)(Y)
+        F = F.reshape(len(scales), 3, k)
+        return (_radius(F[:, 0] - F[:, 1] - F[:, 2]) / scales).tolist()
 
-    chart_map = kl_blowup_time_map(spec, kl, rho0, t)
-    base = np.full(k, 0.3)
-    second = []
-    for s in scales:
-        pts = []
-        for ui in (-s, 0.0, s):
-            u = base.copy()
-            u[0] = ui
-            pts.append(chart_map(u))
-        second.append(float(np.linalg.norm(pts[0] - 2 * pts[1] + pts[2]) / s**2))
+    # rows with u_0 = -s, 0, s at the affine point (0.3, ..., 0.3)
+    U = np.full((3 * len(scales), k), 0.3)
+    U[:, 0] = (scales[:, None] * np.array([-1.0, 0.0, 1.0])).ravel()
+    P = kl_blowup_time_map(spec, kl, rho0, 1.0)(U).reshape(len(scales), 3, k)
+    second = _radius(P[:, 0] - 2 * P[:, 1] + P[:, 2]) / scales**2
     return {
-        "scales": list(scales),
-        "disk_defect": disk_defect,
-        "linear_control_defect": control_defect,
-        "chart_second_difference": second,
+        "scales": scales.tolist(),
+        "disk_defect": defects(kl.alpha),
+        "linear_control_defect": defects(0.0),
+        "chart_second_difference": second.tolist(),
     }

@@ -67,6 +67,15 @@ def canonical_json(report):
     return json.dumps(report, indent=2, sort_keys=True, allow_nan=False)
 
 
+def _flat_rows(key, val):
+    """(quantity, value) rows of a measured entry; nested dict keys go in brackets."""
+    if isinstance(val, dict):
+        for sub, v in sorted(val.items()):
+            yield from _flat_rows(f"{key}[{sub}]", v)
+    else:
+        yield key, val
+
+
 def write_csv_extracts(report, outdir: Path):
     """Flat tables of the measured constants, one file per suite."""
     outdir.mkdir(parents=True, exist_ok=True)
@@ -78,12 +87,8 @@ def write_csv_extracts(report, outdir: Path):
             writer.writerow(["check", "passed", "quantity", "value"])
             for check in suite["checks"]:
                 for key, val in sorted(check["measured"].items()):
-                    if isinstance(val, dict):
-                        for sub, v in sorted(val.items()):
-                            writer.writerow([check["name"], check["passed"],
-                                             f"{key}[{sub}]", v])
-                    else:
-                        writer.writerow([check["name"], check["passed"], key, val])
+                    for quantity, v in _flat_rows(key, val):
+                        writer.writerow([check["name"], check["passed"], quantity, v])
         paths.append(path)
     return paths
 

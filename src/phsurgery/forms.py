@@ -280,18 +280,14 @@ def verify_rho_volume(rho, X, m: Form, probes):
 # equivariant volume normalization (dimension 4 saddle)
 
 
-def saddle_field(n=4):
+def saddle_field():
     """Generator of the standard 4-d saddle: rates (-1, -1, +1, +1)."""
-    if n != 4:
-        raise DegreeError("the normalization machinery is built for the 4-d saddle")
     signs = (-1.0, -1.0, 1.0, 1.0)
     return [(lambda s, i: lambda x: s * x[i])(s, i) for i, s in enumerate(signs)]
 
 
-def moser_eta0(n=4) -> Form:
+def moser_eta0() -> Form:
     """Invariant primitive of the standard volume: x1 dx2 ^ dx3 ^ dx4."""
-    if n != 4:
-        raise DegreeError("eta0 is the 4-d primitive")
     return Form(4, 3, {(1, 2, 3): lambda x: x[0]})
 
 
@@ -452,8 +448,11 @@ def moser_flow(omega0: Form, omega1: Form, radius, steps=1000) -> MoserMap:
     return MoserMap(alpha=top1, radius=radius, steps=steps)
 
 
-def equivariance_audit(h: MoserMap, X, probes, s_values=(0.0, 0.5, 1.0)):
-    """Largest commutator |[X, Y_s]| over probes and interpolation times.
+_AUDIT_TIMES = (0.0, 0.5, 1.0)
+
+
+def equivariance_audit(h: MoserMap, X, probes):
+    """Largest commutator |[X, Y_s]| over probes and the interpolation times s = 0, 1/2, 1.
 
     [X, Y](x) = DY(x) X(x) - DX(x) Y(x), assembled with dual numbers on the
     probe columns; zero exactly when the normalizing field commutes with the
@@ -465,7 +464,7 @@ def equivariance_audit(h: MoserMap, X, probes, s_values=(0.0, 0.5, 1.0)):
     DX = _per_probe([[partial(X[i], x, j) for j in range(4)] for i in range(4)], n)
     Xx = _per_probe([Xi(x) for Xi in X], n)
     sizes, comms = [], []
-    for s in s_values:
+    for s in _AUDIT_TIMES:
         Yx = _per_probe(h.velocity(s, x), n)
         # one seeded velocity call per column j gives all four rows of DY
         DY = np.stack([_per_probe([tangent(v) for v in h.velocity(s, seed(x, j))], n)
@@ -477,7 +476,8 @@ def equivariance_audit(h: MoserMap, X, probes, s_values=(0.0, 0.5, 1.0)):
     if worst == 0.0:
         return worst, None
     k, i = np.unravel_index(np.argmax(sizes), np.shape(sizes))
-    return worst, {"s": s_values[k], "x": probes[i].tolist(), "commutator": comms[k][i].tolist()}
+    return worst, {"s": _AUDIT_TIMES[k], "x": probes[i].tolist(),
+                   "commutator": comms[k][i].tolist()}
 
 
 def _per_probe(entries, n):

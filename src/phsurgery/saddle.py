@@ -482,8 +482,8 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
             for i in range(n)]
 
 
-def _bisect_crossing(spec, profile, x0, h, target, tol=1e-10):
-    """Crossing times tau in (0, h] with |x(tau)| = target, bisected to tol.
+def _bisect_crossing(spec, profile, x0, h, target):
+    """Crossing times tau in (0, h] with |x(tau)| = target, bisected to 1e-10.
 
     x0 holds one row per orbit and target one radius per row; every row
     starts from the bracket [0, h].
@@ -493,7 +493,7 @@ def _bisect_crossing(spec, profile, x0, h, target, tol=1e-10):
     hi = np.full(len(x0), h)
     sign_hi = radius(hi) - target
     return _bisect_root(lambda tau: (radius(tau) - target) * sign_hi, np.zeros(len(x0)), hi,
-                        tol=tol)
+                        tol=1e-10)
 
 
 def _bracket(done, start):
@@ -626,8 +626,8 @@ class TransitCampaign:
     reports: list               # one TransitReport per entry, in entry order
 
 
-def sample_entries(spec, delta, n, rng, inner_fraction=0.5):
-    """Seeded boundary-sphere entries pointing into the annulus.
+def sample_entries(spec, delta, n, rng):
+    """Seeded boundary-sphere entries pointing into the annulus, half of them inner.
 
     Directions are drawn once per seed and scaled to the requested radius,
     so sweeps over delta see literally the same direction set.  Pure axis
@@ -638,7 +638,7 @@ def sample_entries(spec, delta, n, rng, inner_fraction=0.5):
     rates = np.asarray(spec.rates)
     # radial entries: unstable axes on the inner sphere, stable ones on the outer
     axes = np.diag(np.where(rates > 0, delta, 2 * delta))
-    n_inner = int(inner_fraction * n)
+    n_inner = n // 2
     inner, outer = [], []
     while sum(len(b) for b in inner) < n_inner or sum(len(b) for b in outer) < n - n_inner:
         dirs = rng.standard_normal((4 * n, k))
@@ -676,17 +676,18 @@ def transit_campaign(spec, profile, n_entries, seed):
 
 
 def shear_bound_margin(spec, profile, x, v):
-    """Margin of <D(rho X) v, v> <= (C2 |grad rho| |x| + C3) |v|^2.
+    """Margin of <D(rho X) v, v> <= (C2 |grad rho| |x| + C3) |v|^2 at a point or per row.
 
-    C2 = max|rates| and C3 = log(mu') depend only on the saddle.  Returns
-    rhs - lhs (nonnegative when the bound holds).
+    x and v are one point and vector, or (n, k) rows of each.  C2 =
+    max|rates| and C3 = log(mu') depend only on the saddle.  Returns rhs -
+    lhs (nonnegative when the bound holds), one per row of a batch.
     """
     x = np.asarray(x, dtype=float)
-    v = np.asarray(v, dtype=float)
-    A = _field_and_jacobian(spec, profile, x[None, :])[1][0]
-    lhs = float(v @ A @ v)
-    r = float(np.linalg.norm(x))
+    X, V = np.atleast_2d(x), np.atleast_2d(np.asarray(v, dtype=float))
+    A = _field_and_jacobian(spec, profile, X)[1]
+    lhs = (V[:, None, :] @ A @ V[:, :, None])[:, 0, 0]
+    r = _radius(X)
     c2 = max(abs(np.asarray(spec.rates)))
     c3 = math.log(spec.mu_prime)
-    rhs = (c2 * abs(float(profile.slope(r))) * r + c3) * float(v @ v)
-    return rhs - lhs
+    margin = (c2 * np.abs(profile.slope(r)) * r + c3) * np.vecdot(V, V) - lhs
+    return margin if x.ndim == 2 else float(margin[0])

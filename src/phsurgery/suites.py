@@ -113,18 +113,16 @@ def run_saddle_suite(cfg: CampaignConfig):
                   "min_ratio_outside": float(speed_ratio[outside].min())}))
 
     # shear bound with the |x| factor explicit
-    margins = []
-    for _ in range(1000):
-        r = rng.uniform(profile.delta, 2 * profile.delta)
-        x = rng.standard_normal(cfg.k)
-        x *= r / np.linalg.norm(x)
-        v = rng.standard_normal(cfg.k)
-        margins.append(saddle.shear_bound_margin(spec, profile, x, v))
+    r = rng.uniform(profile.delta, 2 * profile.delta, size=1000)
+    x = rng.standard_normal((1000, cfg.k))
+    x *= (r / saddle._radius(x))[:, None]
+    margin = float(saddle.shear_bound_margin(spec, profile, x,
+                                             rng.standard_normal((1000, cfg.k))).min())
     checks.append(_check(
-        "shear-bound", bool(min(margins) >= -1e-12),
+        "shear-bound", margin >= -1e-12,
         "transition-shell shear: <D(rho X)v, v> bounded by "
         "(max|rate| |grad rho| |x| + log mu') |v|^2",
-        measured={"min_margin": float(min(margins))}))
+        measured={"min_margin": margin}))
 
     # admissible rho0 selection
     lamp, mup = spec.lam_prime, spec.mu_prime
@@ -261,6 +259,29 @@ def _oracle_rows(reports, k):
 # blowup suite
 
 
+def _random_points(rng, n, k, bound, floor=None):
+    """n seeded chart points, u uniform in (-bound, bound)^k and one chart per row.
+
+    With a floor, a radial coordinate below 0.05 in size is set to it.
+    """
+    u = rng.uniform(-bound, bound, size=(n, k))
+    p = BlowupPoint(rng.integers(0, k, size=n), u)
+    if floor is not None:
+        radial = p.radial()
+        u[np.arange(n), p.chart] = np.where(np.abs(radial) < 0.05, floor, radial)
+    return p
+
+
+def _central_jacobians(chart_map, p):
+    """Central-difference Jacobians (step 1e-6) of chart_map at every row of p, from one call."""
+    n, k = p.u.shape
+    eps = 1e-6
+    shifted = p.u[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(k)
+    x = chart_map(BlowupPoint(np.repeat(p.chart, 2 * k), shifted.reshape(-1, k)))
+    x = x.reshape(n, 2, k, k)  # [row, sign, i]: the map at u +- eps e_i
+    return (x[:, 0] - x[:, 1]).transpose(0, 2, 1) / (2 * eps)
+
+
 def run_blowup_suite(cfg: CampaignConfig):
     spec = cfg.saddle_spec()
     rho0 = cfg.resolved_rho0()
@@ -271,21 +292,17 @@ def run_blowup_suite(cfg: CampaignConfig):
     k = cfg.k
 
     # round trips
-    worst_rt = 0.0
-    worst_tr = 0.0
-    for _ in range(1000):
-        x = rng.uniform(-0.5, 0.5, size=k)
-        if np.linalg.norm(x) < 1e-3:
-            continue
-        p = blowup.lift(x)
-        worst_rt = max(worst_rt, float(np.linalg.norm(blowup.blowdown(p) - x)))
-        tgt = int(rng.integers(0, k))
-        if p.u[tgt] != 0.0:
-            q = blowup.chart_transition(p, tgt)
-            back = blowup.chart_transition(q, p.chart)
-            worst_tr = max(worst_tr,
-                           float(np.linalg.norm(blowup.blowdown(q) - x)),
-                           float(np.abs(back.u - p.u).max()))
+    X = rng.uniform(-0.5, 0.5, size=(1000, k))
+    X = X[saddle._radius(X) >= 1e-3]
+    targets = rng.integers(0, k, size=len(X))
+    p = blowup.lift(X)
+    worst_rt = float(saddle._radius(blowup.blowdown(p) - X).max())
+    movable = p.u[np.arange(len(X)), targets] != 0.0
+    p, X = p[movable], X[movable]
+    q = blowup.chart_transition(p, targets[movable])
+    back = blowup.chart_transition(q, p.chart)
+    worst_tr = max(float(saddle._radius(blowup.blowdown(q) - X).max(initial=0.0)),
+                   float(np.abs(back.u - p.u).max(initial=0.0)))
     checks.append(_check(
         "chart-round-trips", worst_rt < 1e-12 and worst_tr < 1e-12,
         "lift/blow-down and chart-transition round trips",
@@ -301,16 +318,11 @@ def run_blowup_suite(cfg: CampaignConfig):
         measured={"max_residual": worst}, witness=wit))
 
     # exceptional set invariance
-    starts = []
-    for _ in range(50):
-        u = rng.uniform(-0.9, 0.9, size=k)
-        chart = int(rng.integers(0, k))
-        u[chart] = 0.0
-        starts.append(BlowupPoint(chart=chart, u=u))
-    charts, U = blowup._lifted_flow_batch(spec, profile, starts, 1.5, step=cfg.step)
+    starts = _random_points(rng, 50, k, 0.9)
+    starts.u[np.arange(50), starts.chart] = 0.0
+    end = blowup._lifted_flow_batch(spec, profile, starts, 1.5, step=cfg.step)
     checks.append(_check(
-        "exceptional-invariance",
-        bool((U[np.arange(len(starts)), charts] == 0.0).all()),
+        "exceptional-invariance", bool((end.radial() == 0.0).all()),
         "the exceptional set {u_i = 0} is exactly flow invariant"))
 
     # density identities and nondegeneracy floors
@@ -318,34 +330,16 @@ def run_blowup_suite(cfg: CampaignConfig):
     match_worst = 0.0
     for kk in (2, 3, 4):
         kl = KLStructure.volume_nondegenerate(kk)
-        for _ in range(60):
-            u = rng.uniform(-1.0, 1.0, size=kk)
-            chart = int(rng.integers(0, kk))
-            if abs(u[chart]) < 0.05:
-                u[chart] = 0.3
-            p = BlowupPoint(chart=chart, u=u)
-            eps = 1e-6
-            J1 = np.zeros((kk, kk))
-            J2 = np.zeros((kk, kk))
-            for i in range(kk):
-                e = np.zeros(kk)
-                e[i] = eps
-                pa, pb = BlowupPoint(chart, p.u + e), BlowupPoint(chart, p.u - e)
-                J1[:, i] = (blowup.blowdown(pa) - blowup.blowdown(pb)) / (2 * eps)
-                J2[:, i] = (blowup.kl_chart_map(kl, pa) - blowup.kl_chart_map(kl, pb)) / (2 * eps)
-            match_worst = max(
-                match_worst,
-                abs(np.linalg.det(J1) - blowup.pullback_volume_density(p)),
-                abs(np.linalg.det(J2) - blowup.kl_density(kl, p)))
-        # grid minimization over the chart box
-        grid = np.linspace(-1.0, 1.0, 21)
-        dens = []
-        for _ in range(4000):
-            u = rng.choice(grid, size=kk)
-            dens.append(abs(blowup.kl_density(kl, BlowupPoint(0, u))))
-        corner = np.ones(kk)
-        dens.append(abs(blowup.kl_density(kl, BlowupPoint(0, corner))))
-        floors[kk] = float(min(dens))
+        p = _random_points(rng, 60, kk, 1.0, floor=0.3)
+        J1 = _central_jacobians(blowup.blowdown, p)
+        J2 = _central_jacobians(lambda q: blowup.kl_chart_map(kl, q), p)
+        match_worst = max(
+            match_worst,
+            float(np.abs(np.linalg.det(J1) - blowup.pullback_volume_density(p)).max()),
+            float(np.abs(np.linalg.det(J2) - blowup.kl_density(kl, p)).max()))
+        # grid minimization over the chart box, its corner included
+        box = np.vstack([rng.choice(np.linspace(-1.0, 1.0, 21), size=(4000, kk)), np.ones(kk)])
+        floors[kk] = float(np.abs(blowup.kl_density(kl, BlowupPoint(0, box))).min())
     exact_floor = {kk: (1.0 / kk) * kk ** (-(kk - 1) / 2.0) for kk in (2, 3, 4)}
     checks.append(_check(
         "density-identities", match_worst < tol["density_match"],
@@ -360,23 +354,17 @@ def run_blowup_suite(cfg: CampaignConfig):
         measured={"box_minimum_by_k": {str(kk): floors[kk] for kk in floors},
                   "exact_infimum_by_k": {str(kk): exact_floor[kk] for kk in exact_floor}}))
 
-    # chart independence of reported quantities
-    worst_ci = 0.0
-    for _ in range(200):
-        u = rng.uniform(-0.9, 0.9, size=k)
-        chart = int(rng.integers(0, k))
-        if abs(u[chart]) < 0.05:
-            u[chart] = 0.2
-        p = BlowupPoint(chart=chart, u=u)
-        tgt = int(rng.integers(0, k))
-        if p.u[tgt] == 0.0 or tgt == chart:
-            continue
-        q = blowup.chart_transition(p, tgt)
-        # densities transform by the transition Jacobian determinant
-        det = float(np.linalg.det(blowup.transition_jacobian(p, tgt)))
-        lhs = blowup.pullback_volume_density(p)
-        rhs = blowup.pullback_volume_density(q) * det
-        worst_ci = max(worst_ci, abs(lhs - rhs))
+    # chart independence of reported quantities: densities transform by the
+    # transition Jacobian determinant
+    p = _random_points(rng, 200, k, 0.9, floor=0.2)
+    targets = rng.integers(0, k, size=200)
+    moves = (p.u[np.arange(200), targets] != 0.0) & (targets != p.chart)
+    p, targets = p[moves], targets[moves]
+    q = blowup.chart_transition(p, targets)
+    det = np.linalg.det(blowup.transition_jacobian(p, targets))
+    defect = np.abs(blowup.pullback_volume_density(p)
+                    - blowup.pullback_volume_density(q) * det)
+    worst_ci = float(defect.max(initial=0.0))
     checks.append(_check(
         "chart-independence", worst_ci < 1e-10,
         "chart densities agree across transitions after the Jacobian factor",
@@ -411,16 +399,17 @@ def run_blowup_suite(cfg: CampaignConfig):
     flat = saddle.BumpProfile.flat(rho0)
     p0 = BlowupPoint(chart=0, u=np.array([0.05] + [0.3] * (k - 1)))
     eps = 1e-6
-    shifted = [BlowupPoint(0, p0.u + sign * eps * e) for sign in (1, -1) for e in np.eye(k)]
-    charts, U = blowup._lifted_flow_batch(spec, flat, [p0] + shifted, 1.0, step=cfg.step)
-    J = blowup.core_tangent_maps(spec, rho0, [p0], charts[:1], 1.0)[0]
+    shifts = np.vstack([np.zeros(k), eps * np.eye(k), -eps * np.eye(k)])
+    end = blowup._lifted_flow_batch(spec, flat, BlowupPoint(0, p0.u + shifts), 1.0,
+                                    step=cfg.step)
+    charts, U = end.chart, end.u
+    J = blowup.core_tangent_maps(spec, rho0, p0.batch(), charts[:1], 1.0)[0]
     cols = (U[1:k + 1] - U[k + 1:]).T / (2 * eps)  # column i: central difference along e_i
     same = (charts[1:k + 1] == charts[0]) & (charts[k + 1:] == charts[0])
     rel = np.abs(J - cols).max(axis=0) / np.maximum(np.abs(cols).max(axis=0), 1.0)
     err = float(rel[same].max(initial=0.0))
     b = blowup.lifted_slow_flow(spec, flat, p0, 1.0, step=cfg.step / 2)
-    a = BlowupPoint(int(charts[0]), U[0])
-    rich = float(np.linalg.norm(blowup.blowdown(a) - blowup.blowdown(b)))
+    rich = float(np.linalg.norm(blowup.blowdown(end[0]) - blowup.blowdown(b)))
     checks.append(_check(
         "lifted-tangent-oracle", err < tol["jacobian_fd"] and rich < tol["richardson"],
         "closed-form core tangent maps match finite differences of the RK4 "
@@ -640,7 +629,7 @@ def run_volume_suite(cfg: CampaignConfig):
 def run_moser_suite(cfg: CampaignConfig):
     tol = cfg.tolerances
     checks = []
-    X = forms.saddle_field(4)
+    X = forms.saddle_field()
     rng = np.random.default_rng(cfg.seed)
     probes = rng.uniform(-0.4, 0.4, size=(200, 4))
 

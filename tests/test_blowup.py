@@ -90,7 +90,7 @@ class TestCharts:
         rng = np.random.default_rng(3)
         charts, targets = np.divmod(np.arange(16), 4)
         U = rng.uniform(-0.9, 0.9, size=(16, 4))
-        J = blowup._transition_jacobians(charts, U, targets)
+        J = blowup.transition_jacobian(BlowupPoint(charts, U), targets)
         for m, (i, tgt) in enumerate(zip(charts, targets)):
             t = U[m, tgt]
             ref = np.eye(4) if i == tgt else np.zeros((4, 4))
@@ -121,14 +121,128 @@ class TestCharts:
             assert np.abs(udot / np.asarray(probe) - d[i]).max() < 1e-12
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestPointOrBatch:
+    """Every operation on a batch equals its rows' one-point calls bit for bit."""
+
+    @pytest.fixture()
+    def batch(self):
+        # k = 4, every chart; row 3 on the exceptional set (target its own
+        # chart), row 5 on it too (moving chart); rows 0-3 stay, 4-11 move
+        rng = np.random.default_rng(11)
+        charts = np.arange(12) % 4
+        U = rng.uniform(-0.9, 0.9, size=(12, 4))
+        U[3, 3] = U[5, 1] = 0.0
+        targets = (charts + np.arange(12) // 4) % 4
+        return BlowupPoint(charts, U), targets
+
+    @pytest.mark.parametrize("op", [
+        "blowdown", "line", "radial", "pullback", "f_alpha", "kl_density",
+        "kl_density_zero_alpha", "kl_density_negative_power", "kl_chart_map"])
+    def test_point_functions(self, batch, op):
+        p, _ = batch
+        kl = KLStructure.volume_nondegenerate(4)
+        fn = {
+            "blowdown": blowup.blowdown,
+            "line": BlowupPoint.line,
+            "radial": BlowupPoint.radial,
+            "pullback": blowup.pullback_volume_density,
+            "f_alpha": lambda q: blowup.f_alpha(kl, q),
+            "kl_density": lambda q: blowup.kl_density(kl, q),
+            "kl_density_zero_alpha": lambda q: blowup.kl_density(KLStructure(4, 0.0), q),
+            "kl_density_negative_power": lambda q: blowup.kl_density(KLStructure(4, -0.9), q),
+            "kl_chart_map": lambda q: blowup.kl_chart_map(kl, q),
+        }[op]
+        rows = fn(p)
+        assert len(rows) == len(p)
+        for m in range(len(p)):
+            assert _bits(fn(p[m])) == _bits(rows[m])
+
+    def test_exceptional_rows_of_kl_density(self, batch):
+        p, _ = batch
+        assert blowup.kl_density(KLStructure(4, -0.9), p)[3] == math.inf
+        assert blowup.kl_density(KLStructure(4, 0.0), p)[3] == 0.0
+        cancel = blowup.kl_density(KLStructure.volume_nondegenerate(4), p)[3]
+        assert cancel == 0.25 * blowup.f_alpha(KLStructure.volume_nondegenerate(4), p[3]) ** 4
+
+    def test_transitions_and_jacobians(self, batch):
+        p, targets = batch
+        q = blowup.chart_transition(p, targets)
+        J = blowup.transition_jacobian(p, targets)
+        assert (q.chart == targets).all()
+        for m in range(len(p)):
+            one = blowup.chart_transition(p[m], int(targets[m]))
+            assert one.chart == q.chart[m] and _bits(one.u) == _bits(q.u[m])
+            assert _bits(blowup.transition_jacobian(p[m], int(targets[m]))) == _bits(J[m])
+        assert _bits(q.u[:4]) == _bits(p.u[:4])  # target == chart keeps the row
+        assert q.radial()[5] == 0.0  # the exceptional set maps to itself
+
+    def test_lift_and_new_norm(self, batch):
+        p, _ = batch
+        kl = KLStructure.volume_nondegenerate(4)
+        x = blowup.blowdown(p)
+        x = x[np.abs(x).max(axis=1) > 0]
+        lifted, norms = blowup.lift(x), blowup.new_norm(kl, x)
+        for m in range(len(x)):
+            one = blowup.lift(x[m])
+            assert one.chart == lifted.chart[m] and _bits(one.u) == _bits(lifted.u[m])
+            assert _bits(blowup.new_norm(kl, x[m])) == _bits(norms[m])
+
+    def test_errors_name_the_first_bad_row(self):
+        p = BlowupPoint([0, 1, 1, 1], [[0.1, 0.5], [0.2, 0.3], [0.0, 0.4], [0.0, 0.1]])
+        with pytest.raises(ValueError, match="row 2"):
+            blowup.chart_transition(p, 0)
+        with pytest.raises(ValueError, match="row 1 is the origin"):
+            blowup.lift([[0.1, 0.2], [0.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(ValueError, match="of row 1 out of range"):
+            BlowupPoint([0, 2], np.zeros((2, 2)))
+
+    def test_len_and_rows(self, batch):
+        p, _ = batch
+        assert len(p) == 12 and len(p[2:5]) == 3 and p[7].chart == 3
+        with pytest.raises(TypeError):
+            len(p[0])
+        assert p[0].batch().u.shape == (1, 4)
+
+
 def _mixed_points():
-    """Twelve points in mixed charts: one on the exceptional set, some in the
-    transition shell, and some that switch charts within time 1.2."""
+    """A batch of twelve points in mixed charts: one on the exceptional set,
+    some in the transition shell, and some that switch charts within time 1.2."""
     rng = np.random.default_rng(4)
-    points = [BlowupPoint(int(c), rng.uniform(-0.3, 0.3, size=4))
-              for c in rng.integers(0, 4, size=12)]
-    points[0].u[points[0].chart] = 0.0
-    return points
+    charts = rng.integers(0, 4, size=12)
+    U = rng.uniform(-0.3, 0.3, size=(12, 4))
+    U[0, charts[0]] = 0.0
+    return BlowupPoint(charts, U)
+
+
+def _per_row_switching_flow(spec, profile, points, t, step=saddle.DEFAULT_STEP):
+    """Oracle of `_lifted_flow_batch`: the chart switch made row by row.
+
+    After each RK4 step every row with an affine coordinate past the
+    threshold moves, one at a time, to the first argmax of |line| (chart
+    slot 1.0) by the one-point transition u / t, 1/t, u_target u_chart.
+    """
+    charts, U = points.chart.copy(), points.u.copy()
+    nsteps, h = saddle._fixed_steps(t, step)
+    lifted = blowup.LiftedSaddle(spec, profile)
+    for istep in range(nsteps):
+        U[:] = saddle.rk4_step(lambda _, u: lifted.field(charts, u), istep * h, U, h)
+        absU = np.abs(U)
+        absU[np.arange(len(U)), charts] = 0.0
+        for m in np.flatnonzero(absU.max(axis=1) > blowup._CHART_SWITCH):
+            i = int(charts[m])
+            line = np.abs(U[m])
+            line[i] = 1.0
+            target = int(np.argmax(line))
+            t_m = U[m, target]
+            u = U[m] / t_m
+            u[i] = 1.0 / t_m
+            u[target] = U[m, target] * U[m, i]
+            charts[m], U[m] = target, u
+    return charts, U
 
 
 class TestLiftedField:
@@ -178,12 +292,20 @@ class TestLiftedFlow:
 
     def test_batch_matches_single_points(self, spec4, profile):
         points = _mixed_points()
-        charts, U = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
-        assert (charts != [p.chart for p in points]).any()
-        for p, chart, u in zip(points, charts, U):
-            q = blowup.lifted_slow_flow(spec4, profile, p, 1.2)
-            assert q.chart == chart
-            assert (q.u == u).all()
+        end = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
+        assert (end.chart != points.chart).any()
+        for m in range(len(points)):
+            q = blowup.lifted_slow_flow(spec4, profile, points[m], 1.2)
+            assert q.chart == end.chart[m]
+            assert (q.u == end.u[m]).all()
+
+    def test_batched_switch_equals_per_row_switch(self, spec4, profile):
+        points = _mixed_points()
+        end = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
+        charts, U = _per_row_switching_flow(spec4, profile, points, 1.2)
+        assert (charts != points.chart).any()
+        assert (end.chart == charts).all()
+        assert end.u.tobytes() == U.tobytes()
 
     def test_atlas_escape(self, spec2):
         flat = BumpProfile.flat(1.0)
@@ -196,7 +318,7 @@ class TestLiftedFlow:
         # closed form holds
         p = BlowupPoint(chart=0, u=np.array([0.05, 0.3]))
         q = blowup.lifted_slow_flow(spec2, profile, p, 1.0)
-        J = blowup.core_tangent_maps(spec2, profile.rho0, [p], [q.chart], 1.0)[0]
+        J = blowup.core_tangent_maps(spec2, profile.rho0, p.batch(), [q.chart], 1.0)[0]
         eps = 1e-6
         for i in range(2):
             e = np.zeros(2)
@@ -213,12 +335,15 @@ class TestLiftedFlow:
         flat = BumpProfile.flat(0.5)
         points = _mixed_points()
         eps = 1e-6
-        shifted = [BlowupPoint(p.chart, p.u + sign * eps * e)
-                   for p in points for sign in (1, -1) for e in np.eye(4)]
-        all_charts, U = blowup._lifted_flow_batch(spec4, flat, points + shifted, 2.4, step=1e-3)
+        shifted = (points.u[:, None, None, :]
+                   + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(4)).reshape(-1, 4)
+        start = BlowupPoint(np.concatenate([points.chart, np.repeat(points.chart, 8)]),
+                            np.vstack([points.u, shifted]))
+        end = blowup._lifted_flow_batch(spec4, flat, start, 2.4, step=1e-3)
+        all_charts, U = end.chart, end.u
         n = len(points)
         charts = all_charts[:n]
-        assert (charts != [p.chart for p in points]).any()
+        assert (charts != points.chart).any()
         J = blowup.core_tangent_maps(spec4, 0.5, points, charts, 2.4)
         ends = U[n:].reshape(n, 2, 4, 4)
         assert (all_charts[n:].reshape(n, 8) == charts[:, None]).all()
@@ -237,12 +362,15 @@ class TestDensities:
         assert blowup.pullback_volume_density(p) == 0.0
 
     def test_pullback_matches_jacobian(self):
+        # the blow-down Jacobian by dual numbers, from the chart formula
         rng = np.random.default_rng(0)
         for _ in range(50):
             k = int(rng.integers(2, 5))
             u = rng.uniform(-0.9, 0.9, size=k)
             p = BlowupPoint(chart=int(rng.integers(0, k)), u=u)
-            det = np.linalg.det(blowup.blowdown_jacobian(p))
+            i = p.chart
+            phi = [lambda w, m=m: w[m] * w[i] if m != i else w[i] for m in range(k)]
+            det = np.linalg.det(np.array(dualnum.jacobian(phi, list(u))))
             assert abs(det - blowup.pullback_volume_density(p)) < 1e-8
 
     def test_kl_density_cancellation(self):

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -208,6 +209,24 @@ class TestCli:
         assert report["config"]["seed"] == 7
         csv_text = (out / "volume_measured.csv").read_text()
         assert "max_residual" in csv_text
+
+    def test_csv_flattens_nested_measured_dicts(self, tmp_path):
+        cfgpath = tmp_path / "saddle.yaml"
+        cfgpath.write_text(yaml.safe_dump({"samples": 64, "crossing_entries": 40,
+                                           "delta_sweep": [0.1, 0.01], "step": 0.01}),
+                           encoding="utf-8")
+        out = tmp_path / "rep"
+        assert cli.main(["verify-saddle", "--config", str(cfgpath), "--out", str(out),
+                         "--csv"]) == 0
+        with open(out / "saddle_measured.csv", newline="", encoding="utf-8") as fh:
+            rows = list(csv.reader(fh))
+        assert not any(cell.startswith("{") for row in rows for cell in row)
+        counts = {row[2]: row[3] for row in rows if row[0] == "transit-classes"
+                  and row[2].startswith("class_counts[")}
+        classes = ("inner->outer", "outer->inner", "outer->outer", "inner->inner", "trapped")
+        assert sorted(counts) == sorted(f"class_counts[{d}][{c}]"
+                                        for d in ("0.1", "0.01") for c in classes)
+        assert all(str(int(v)) == v for v in counts.values())
 
     def test_reports_are_deterministic(self, tmp_path):
         cfg = CampaignConfig(samples=48, crossing_entries=30, cone_orbits=8,

@@ -142,7 +142,7 @@ class TestPropagate:
     def test_lifted_kind(self, spec):
         from phsurgery.blowup import BlowupPoint, core_tangent_maps
         p = BlowupPoint(chart=0, u=np.zeros(4))
-        J = core_tangent_maps(spec, 0.5, [p], [0], 1.0)[0]
+        J = core_tangent_maps(spec, 0.5, p.batch(), [0], 1.0)[0]
         # chart of a contracting axis: radial -rho0, affine spreads
         growth = np.linalg.norm(J, axis=0)
         assert growth[0] == pytest.approx(math.exp(-0.5), rel=1e-14)

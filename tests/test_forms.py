@@ -18,7 +18,7 @@ def probes():
 
 @pytest.fixture(scope="module")
 def X():
-    return forms.saddle_field(4)
+    return forms.saddle_field()
 
 
 class TestCalculus:
@@ -298,13 +298,13 @@ class TestMoserMap:
             assert np.linalg.norm(h(at * x) - at * h(x)) < 1e-6
 
     def test_generator_commutes(self, h):
-        X = forms.saddle_field(4)
+        X = forms.saddle_field()
         rng = np.random.default_rng(10)
         worst, _ = forms.equivariance_audit(h, X, rng.uniform(-0.3, 0.3, (10, 4)))
         assert worst < 1e-8
 
     def test_noninvariant_density_detected(self):
-        X = forms.saddle_field(4)
+        X = forms.saddle_field()
         h_bad = MoserMap(alpha=lambda x: 1.0 + 0.2 * x[0], radius=0.5, steps=100)
         rng = np.random.default_rng(11)
         worst, witness = forms.equivariance_audit(h_bad, X, rng.uniform(-0.3, 0.3, (10, 4)))

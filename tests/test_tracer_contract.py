@@ -44,7 +44,7 @@ def test_hook_arguments_bind(tracer):
     traced = tracer.Tracer().install()
     try:
         blowup._lifted_flow_batch(spec, BumpProfile.flat(0.5),
-                                  [BlowupPoint(0, np.array([0.01, 0.2]))] * 3, 0.1, step=0.05)
+                                  BlowupPoint(0, np.tile([0.01, 0.2], (3, 1))), 0.1, step=0.05)
         reports = saddle._transit_batch(spec, BumpProfile(delta=0.1, rho0=0.5),
                                         np.array([[0.0, 0.1], [0.2, 0.0]]), step=0.05)
     finally:
