@@ -112,10 +112,6 @@ def partial(f, x, i):
     return tangent(f(seed(x, i)))
 
 
-def grad(f, x):
-    return [partial(f, x, i) for i in range(len(x))]
-
-
 def jacobian(fs, x):
     """Jacobian rows = component functions fs, columns = coordinates."""
     n = len(x)

@@ -13,18 +13,37 @@ the transversal by the geodesic element scales its two column parameters
 by exp(-t) and exp(+t), while the horocycle parameters scale by
 exp(-+ 2t) -- the rate separation that makes the flow a saddle times a
 faster base.
+
+Every operation takes one (n+1) x (n+1) matrix or an (m, n+1, n+1) stack
+and is one formula on the trailing axes, so a single matrix is the 2-D
+case; flags and residuals come back one per stack row.  Parameter vectors
+(v1, v2) are (n-1,) or (m, n-1), and a time t is a float or an (m,) array.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
 
 J0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 T0 = (1.0 / math.sqrt(2.0)) * np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex)
+
+
+def _h(M):
+    """Conjugate transpose of a matrix or of every matrix of a stack."""
+    return M.conj().swapaxes(-1, -2)
+
+
+def _max_abs(M):
+    """Largest |entry| of a matrix, or one per matrix of a stack."""
+    return np.abs(M).max(axis=(-2, -1))
+
+
+def _identity(n, lead=()):
+    """The (n+1) x (n+1) identity, repeated over the leading shape `lead`."""
+    return np.broadcast_to(np.eye(n + 1, dtype=complex), (*lead, n + 1, n + 1)).copy()
 
 
 def form_matrix(n, kind):
@@ -40,23 +59,12 @@ def form_matrix(n, kind):
     raise ValueError(f"unknown form kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class HermitianForm:
-    """Signature-(n,1) Hermitian form with its Gram matrix."""
-
-    n: int
-    kind: str  # 'diag' | 'split'
-
-    @property
-    def matrix(self):
-        return form_matrix(self.n, self.kind)
-
-    def signature_ok(self, tol=1e-10):
-        m = self.matrix
-        if np.abs(m - m.conj().T).max() > tol:
-            return False
-        eig = np.linalg.eigvalsh(m)
-        return int((eig > tol).sum()) == self.n and int((eig < -tol).sum()) == 1
+def signature_ok(n, kind):
+    """Whether the Gram matrix is Hermitian with n positive and one negative eigenvalue."""
+    m = form_matrix(n, kind)
+    eig = np.linalg.eigvalsh(m)
+    return bool(np.abs(m - _h(m)).max() <= 1e-10
+                and (eig > 1e-10).sum() == n and (eig < -1e-10).sum() == 1)
 
 
 def conjugator(n):
@@ -70,13 +78,13 @@ def conjugator(n):
 # algebra and group elements (split form unless stated)
 
 
-def in_su(B, n, kind="split", tol=1e-12):
-    """Membership in the special unitary algebra of the chosen form."""
-    B = np.asarray(B, dtype=complex)
-    if B.shape != (n + 1, n + 1):
+def in_su(B, n, tol=1e-12):
+    """Membership in the split-form special unitary algebra."""
+    if B.shape[-2:] != (n + 1, n + 1):
         raise ValueError(f"matrix shape {B.shape} does not match n={n}")
-    J = form_matrix(n, kind)
-    return bool(abs(np.trace(B)) <= tol and np.abs(B.conj().T @ J + J @ B).max() <= tol)
+    J = form_matrix(n, "split")
+    return ((np.abs(np.trace(B, axis1=-2, axis2=-1)) <= tol)
+            & (_max_abs(_h(B) @ J + J @ B) <= tol))
 
 
 def block_decompose(B, n):
@@ -85,32 +93,32 @@ def block_decompose(B, n):
     For algebra members the lower-left block is determined as -J0 v*^T and
     D = [[a, ib], [ic, -conj(a)]] with real b, c.
     """
-    B = np.asarray(B, dtype=complex)
-    A = B[: n - 1, : n - 1]
-    v = B[: n - 1, n - 1:]
-    D = B[n - 1:, n - 1:]
-    return A, v, D
+    return B[..., : n - 1, : n - 1], B[..., : n - 1, n - 1:], B[..., n - 1:, n - 1:]
 
 
 def algebra_element(A, v, D, n):
-    """Assemble a split-form algebra element from blocks (validated)."""
-    B = np.zeros((n + 1, n + 1), dtype=complex)
-    B[: n - 1, : n - 1] = A
-    B[: n - 1, n - 1:] = v
-    B[n - 1:, : n - 1] = -J0 @ v.conj().T
-    B[n - 1:, n - 1:] = D
-    if not in_su(B, n):
+    """Assemble a split-form algebra element from blocks (validated).
+
+    The stack shape comes from v, of shape (n-1, 2) or (m, n-1, 2); A and D
+    broadcast against it.
+    """
+    B = np.zeros(v.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    B[..., : n - 1, : n - 1] = A
+    B[..., : n - 1, n - 1:] = v
+    B[..., n - 1:, : n - 1] = -J0 @ _h(v)
+    B[..., n - 1:, n - 1:] = D
+    if not in_su(B, n).all():
         raise ValueError("blocks do not satisfy the algebra constraints")
     return B
 
 
-def random_algebra_element(n, rng, scale=0.3):
-    """Seeded generic member of the split-form algebra."""
+def random_algebra_element(n, rng):
+    """Seeded generic member of the split-form algebra (entries of scale 0.3)."""
     X = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
-    A = scale * 0.5 * (X - X.conj().T)
-    v = scale * (rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
-    b, c = rng.standard_normal(2) * scale
-    re_a = rng.standard_normal() * scale
+    A = 0.3 * 0.5 * (X - X.conj().T)
+    v = 0.3 * (rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
+    b, c = rng.standard_normal(2) * 0.3
+    re_a = rng.standard_normal() * 0.3
     a = re_a - 0.5j * np.trace(A).imag
     D = np.array([[a, 1j * b], [1j * c, -np.conj(a)]], dtype=complex)
     return algebra_element(A, v, D, n)
@@ -118,45 +126,43 @@ def random_algebra_element(n, rng, scale=0.3):
 
 def group_invariant_defect(g, n, kind="split"):
     """Max of the form-preservation and determinant residuals."""
-    g = np.asarray(g, dtype=complex)
     J = form_matrix(n, kind)
-    return float(max(np.abs(g.conj().T @ J @ g - J).max(), abs(np.linalg.det(g) - 1.0)))
+    e = np.linalg.det(g) - 1.0
+    # libm's hypot, as abs() of one complex; numpy's array |z| can differ in the last bit
+    return np.maximum(_max_abs(_h(g) @ J @ g - J), np.hypot(e.real, e.imag))
 
 
-def taylor_expm(A, terms=20):
-    """Scaling-and-squaring Taylor exponential; independent of scipy's Pade."""
-    A = np.asarray(A, dtype=complex)
-    norm = np.linalg.norm(A, ord=np.inf)
-    s = max(0, int(math.ceil(math.log2(norm / 0.25))) if norm > 0.25 else 0)
-    X = A / (2**s)
-    out = np.eye(A.shape[0], dtype=complex)
-    term = np.eye(A.shape[0], dtype=complex)
-    for m in range(1, terms + 1):
+def taylor_expm(A):
+    """Scaling-and-squaring 20-term Taylor exponential; independent of scipy's Pade.
+
+    Each matrix of a stack gets its own scaling exponent s and is squared s
+    times.
+    """
+    norm = np.linalg.norm(A, ord=np.inf, axis=(-2, -1))
+    s = np.ceil(np.log2(np.maximum(norm, 0.25) / 0.25)).astype(int)
+    X = A / (2.0 ** s)[..., None, None]
+    out = term = np.eye(A.shape[-1], dtype=complex)
+    for m in range(1, 21):
         term = term @ X / m
         out = out + term
-    for _ in range(s):
-        out = out @ out
+    for i in range(s.max(initial=0)):
+        out = np.where((s > i)[..., None, None], out @ out, out)
     return out
 
 
-def conjugate_forms_check(n, n_samples=20, seed=0):
+def conjugate_forms_check(n, seed=0):
     """Residuals of the T-conjugation between the two form pictures.
 
     Returns (form-relation residual |T^* J_diag T - J_split|, worst
-    member-transfer residual): split-form group elements pushed through T
-    must preserve the diagonal form.
+    member-transfer residual): 20 seeded split-form group elements pushed
+    through T must preserve the diagonal form.
     """
     T = conjugator(n)
-    Jd = form_matrix(n, "diag")
-    Js = form_matrix(n, "split")
-    rel = float(np.abs(T.conj().T @ Jd @ T - Js).max())
+    rel = float(_max_abs(_h(T) @ form_matrix(n, "diag") @ T - form_matrix(n, "split")))
     rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(n_samples):
-        g_split = expm(random_algebra_element(n, rng))
-        g_diag = T @ g_split @ np.linalg.inv(T)
-        worst = max(worst, group_invariant_defect(g_diag, n, "diag"))
-    return rel, worst
+    g_split = expm(np.stack([random_algebra_element(n, rng) for _ in range(20)]))
+    g_diag = T @ g_split @ np.linalg.inv(T)
+    return rel, float(group_invariant_defect(g_diag, n, "diag").max())
 
 
 # ---------------------------------------------------------------------------
@@ -164,10 +170,10 @@ def conjugate_forms_check(n, n_samples=20, seed=0):
 
 
 def geodesic(n, t):
-    """d_t: identity block + diag(exp t, exp -t) tail (split form)."""
-    g = np.eye(n + 1, dtype=complex)
-    g[n - 1, n - 1] = math.exp(t)
-    g[n, n] = math.exp(-t)
+    """d_t: identity block + diag(exp t, exp -t) tail (split form); one per entry of t."""
+    g = _identity(n, np.shape(t))
+    g[..., n - 1, n - 1] = np.exp(t)
+    g[..., n, n] = np.exp(-t)
     return g
 
 
@@ -194,85 +200,64 @@ def horocycle_scaling_residual(n, t, tau):
     return float(rs), float(ru)
 
 
+def transversal_generator(v1, v2):
+    """The algebra element A(v1, v2) that `transversal_element` exponentiates."""
+    return algebra_element(0.0, np.stack([v1, v2], axis=-1), 0.0, v1.shape[-1] + 1)
+
+
 def transversal_element(v1, v2):
-    """sigma(v1, v2) = exp of the pure-v algebra element; |(v1, v2)| < 0.5."""
-    v1 = np.atleast_1d(np.asarray(v1, dtype=complex))
-    v2 = np.atleast_1d(np.asarray(v2, dtype=complex))
-    if len(v1) != len(v2):
-        raise ValueError("v1 and v2 must have equal length n-1")
-    norm = math.sqrt(float(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2)))
-    if norm >= 0.5:
-        raise ValueError(f"transversal parameter too large: {norm:.3g} >= 0.5")
+    """sigma(v1, v2) = exp of the pure-v algebra element; |(v1, v2)| < 0.5 per row."""
+    norm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2, axis=-1))
+    if (norm >= 0.5).any():
+        raise ValueError(f"transversal parameter too large: {norm.max():.3g} >= 0.5")
     return expm(transversal_generator(v1, v2))
 
 
-def transversal_generator(v1, v2):
-    """The algebra element A(v1, v2) that `transversal_element` exponentiates."""
-    v1 = np.atleast_1d(np.asarray(v1, dtype=complex))
-    v2 = np.atleast_1d(np.asarray(v2, dtype=complex))
-    n = len(v1) + 1
-    return algebra_element(np.zeros((n - 1, n - 1), dtype=complex),
-                           np.column_stack([v1, v2]),
-                           np.zeros((2, 2), dtype=complex), n)
+def local_product_residuals(v1, v2, u, t):
+    """(|d_t sigma d_t^{-1} - sigma'|, |d_t sigma u - sigma' d_t u|) per row.
 
-
-def conj_identity_residual(v1, v2, t):
-    """|d_t sigma(v1, v2) d_t^{-1} - sigma(e^{-t} v1, e^t v2)|."""
-    v1 = np.atleast_1d(np.asarray(v1, dtype=complex))
-    v2 = np.atleast_1d(np.asarray(v2, dtype=complex))
-    n = len(v1) + 1
-    lhs = geodesic(n, t) @ transversal_element(v1, v2) @ geodesic(n, -t)
+    Here sigma = sigma(v1, v2), sigma' = sigma(e^{-t} v1, e^t v2) and u lies
+    in the embedded lower-block group.  Zero means the geodesic flow acts as
+    a product in the coordinates (v1, v2, base element): saddle on the
+    transversal parameters, geodesic flow on the base.
+    """
+    n = v1.shape[-1] + 1
+    d = geodesic(n, t)
+    d_sigma = d @ transversal_element(v1, v2)
     # the conjugated parameters may exceed the size gate, so exponentiate directly
-    rhs = expm(transversal_generator(np.exp(-t) * v1, np.exp(t) * v2))
-    return float(np.abs(lhs - rhs).max())
+    sigma_t = expm(transversal_generator(np.exp(-t)[..., None] * v1,
+                                         np.exp(t)[..., None] * v2))
+    return (_max_abs(d_sigma @ geodesic(n, -t) - sigma_t),
+            _max_abs(d_sigma @ u - sigma_t @ d @ u))
 
 
-def psu11_embed(n, u2x2):
-    """Embed a 2x2 split-form unitary as the lower-right block."""
-    g = np.eye(n + 1, dtype=complex)
-    g[n - 1:, n - 1:] = u2x2
+def psu11_generator(rng):
+    """Seeded generator [[a, ib], [ic, -a]] of the lower-block group (scale 0.4)."""
+    a = rng.standard_normal() * 0.4
+    b, c = rng.standard_normal(2) * 0.4
+    return np.array([[a, 1j * b], [1j * c, -a]], dtype=complex)
+
+
+def psu11_element(D, n):
+    """exp(D) embedded as the lower-right block; D is (2, 2) or (m, 2, 2)."""
+    g = _identity(n, D.shape[:-2])
+    g[..., n - 1:, n - 1:] = expm(D)
     return g
 
 
-def psu11_sample(n, rng, scale=0.4):
-    """Seeded element of the embedded lower-block group."""
-    a = rng.standard_normal() * scale
-    b, c = rng.standard_normal(2) * scale
-    D = np.array([[a, 1j * b], [1j * c, -a]], dtype=complex)
-    return psu11_embed(n, expm(D))
-
-
-def product_form_residual(v1, v2, u, t):
-    """|d_t sigma(v) u - sigma(e^{-t} v1, e^t v2) d_t u| for embedded u.
-
-    Zero means the geodesic flow acts as a product in the coordinates
-    (v1, v2, base element): saddle on the transversal parameters, geodesic
-    flow on the base.
-    """
-    v1 = np.atleast_1d(np.asarray(v1, dtype=complex))
-    v2 = np.atleast_1d(np.asarray(v2, dtype=complex))
-    n = len(v1) + 1
-    lhs = geodesic(n, t) @ transversal_element(v1, v2) @ u
-    rhs = expm(transversal_generator(np.exp(-t) * v1, np.exp(t) * v2)) @ geodesic(n, t) @ u
-    return float(np.abs(lhs - rhs).max())
-
-
-def w_element(A, root=1, n=None):
+def w_element(A, root=1):
     """Stabilizer element blockdiag(A, conj(lam), conj(lam)), lam^2 = det A.
 
-    Both square roots produce members (`root` = +-1): the stabilizer double
-    covers the unitary group of the A block.
+    Both square roots produce members (`root` = +-1, or one per row): the
+    stabilizer double covers the unitary group of the A block.
     """
-    A = np.atleast_2d(np.asarray(A, dtype=complex))
-    if n is None:
-        n = A.shape[0] + 1
-    if np.abs(A @ A.conj().T - np.eye(n - 1)).max() > 1e-10:
+    n = A.shape[-1] + 1
+    if np.abs(A @ _h(A) - np.eye(n - 1)).max() > 1e-10:
         raise ValueError("A block must be unitary")
     lam = root * np.sqrt(np.linalg.det(A) + 0j)
-    g = np.zeros((n + 1, n + 1), dtype=complex)
-    g[: n - 1, : n - 1] = A
-    g[n - 1, n - 1] = np.conj(lam)
-    g[n, n] = np.conj(lam)
+    g = np.zeros(A.shape[:-2] + (n + 1, n + 1), dtype=complex)
+    g[..., : n - 1, : n - 1] = A
+    g[..., n - 1, n - 1] = g[..., n, n] = np.conj(lam)
     return g
 
 
@@ -281,32 +266,27 @@ def w_sample(n, rng):
     X = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
     Q, R = np.linalg.qr(X)
     Q = Q @ np.diag(np.diag(R) / np.abs(np.diag(R)))
-    return w_element(Q, root=1 if rng.random() < 0.5 else -1, n=n)
+    return w_element(Q, root=1 if rng.random() < 0.5 else -1)
 
 
-def w_membership(g, n, tol=1e-9):
-    """Whether g has the stabilizer block pattern with lam^2 = det(A block)."""
-    g = np.asarray(g, dtype=complex)
-    A = g[: n - 1, : n - 1]
-    if np.abs(g[: n - 1, n - 1:]).max() > tol or np.abs(g[n - 1:, : n - 1]).max() > tol:
-        return False
-    if abs(g[n - 1, n]) > tol or abs(g[n, n - 1]) > tol:
-        return False
-    lam_bar1, lam_bar2 = g[n - 1, n - 1], g[n, n]
-    if abs(lam_bar1 - lam_bar2) > tol:
-        return False
-    if np.abs(A @ A.conj().T - np.eye(n - 1)).max() > tol:
-        return False
-    lam = np.conj(lam_bar1)
-    return bool(abs(lam**2 - np.linalg.det(A)) <= tol)
+def w_membership(g, n):
+    """Whether g has the stabilizer block pattern with lam^2 = det(A block), to 1e-9."""
+    A = g[..., : n - 1, : n - 1]
+    lam_bar = g[..., n - 1, n - 1]
+    rest = g.copy()
+    rest[..., : n - 1, : n - 1] = rest[..., n - 1, n - 1] = rest[..., n, n] = 0.0
+    return ((_max_abs(rest) <= 1e-9)
+            & (np.abs(lam_bar - g[..., n, n]) <= 1e-9)
+            & (_max_abs(A @ _h(A) - np.eye(n - 1)) <= 1e-9)
+            & (np.abs(np.conj(lam_bar) ** 2 - np.linalg.det(A)) <= 1e-9))
 
 
-def coset_equal(g1, g2, n, tol=1e-9):
+def coset_equal(g1, g2, n):
     """Equality in the stabilizer quotient: g1 g2^{-1} in W(n-1)."""
-    return w_membership(np.asarray(g1) @ np.linalg.inv(np.asarray(g2)), n, tol)
+    return w_membership(g1 @ np.linalg.inv(g2), n)
 
 
-def stabilizer_intersection_defect(g, n, tol=1e-9):
+def stabilizer_intersection_defect(g, n):
     """Distance of a stabilizer member from the trivial joint elements.
 
     A stabilizer member that also lies in the embedded lower-block group
@@ -314,80 +294,60 @@ def stabilizer_intersection_defect(g, n, tol=1e-9):
     g = blockdiag(Id, -Id_2); both project to the identity of the
     center-quotient base group.  Returns 0 exactly on that pair.
     """
-    g = np.asarray(g, dtype=complex)
-    if not w_membership(g, n, tol):
+    if not w_membership(g, n).all():
         raise ValueError("expected a stabilizer member")
-    A = g[: n - 1, : n - 1]
-    off_identity = np.abs(A - np.eye(n - 1)).max()
-    if off_identity > tol:
-        return float(min(off_identity, 1.0))
+    off_identity = _max_abs(g[..., : n - 1, : n - 1] - np.eye(n - 1))
     flip = np.eye(n + 1, dtype=complex)
     flip[n - 1, n - 1] = flip[n, n] = -1.0
-    d = min(np.abs(g - np.eye(n + 1)).max(), np.abs(g - flip).max())
-    return float(min(d, 1.0))
+    d = np.minimum(_max_abs(g - np.eye(n + 1)), _max_abs(g - flip))
+    return np.minimum(np.where(off_identity > 1e-9, off_identity, d), 1.0)
 
 
 # ---------------------------------------------------------------------------
 # the local product parametrization
 
 
-def _realify(M):
-    """Flatten a complex matrix into a real vector (re and im parts)."""
-    M = np.asarray(M, dtype=complex)
-    return np.concatenate([M.real.ravel(), M.imag.ravel()])
+def _realify(basis):
+    """Real matrix with one column (re and im parts) per member of a stack."""
+    flat = basis.reshape(len(basis), -1)
+    return np.concatenate([flat.real, flat.imag], axis=1).T
 
 
 def stabilizer_algebra_basis(n):
     """Real basis of the stabilizer algebra: blockdiag(A, x, x), x = -tr(A)/2."""
-    basis = []
     m = n - 1
-
-    def emb(A):
-        B = np.zeros((n + 1, n + 1), dtype=complex)
-        B[:m, :m] = A
-        x = -np.trace(A) / 2.0
-        B[n - 1, n - 1] = x
-        B[n, n] = x
-        return B
-
+    A = []
     for j in range(m):
-        E = np.zeros((m, m), dtype=complex)
-        E[j, j] = 1j
-        basis.append(emb(E))
+        A.append(np.zeros((m, m), dtype=complex))
+        A[-1][j, j] = 1j
     for j in range(m):
         for l in range(j + 1, m):
-            E = np.zeros((m, m), dtype=complex)
-            E[j, l], E[l, j] = 1.0, -1.0
-            basis.append(emb(E))
-            E = np.zeros((m, m), dtype=complex)
-            E[j, l], E[l, j] = 1j, 1j
-            basis.append(emb(E))
-    return basis
+            for upper, lower in ((1.0, -1.0), (1j, 1j)):
+                A.append(np.zeros((m, m), dtype=complex))
+                A[-1][j, l], A[-1][l, j] = upper, lower
+    A = np.array(A)
+    B = np.zeros((len(A), n + 1, n + 1), dtype=complex)
+    B[:, :m, :m] = A
+    B[:, n - 1, n - 1] = B[:, n, n] = -np.trace(A, axis1=-2, axis2=-1) / 2.0
+    return B
 
 
 def transversal_algebra_basis(n):
     """Real basis of the pure-v block directions (4(n-1) of them)."""
-    basis = []
-    for col in range(2):
-        for row in range(n - 1):
-            for phase in (1.0, 1j):
-                v = np.zeros((n - 1, 2), dtype=complex)
-                v[row, col] = phase
-                basis.append(algebra_element(np.zeros((n - 1, n - 1), dtype=complex),
-                                             v, np.zeros((2, 2), dtype=complex), n))
-    return basis
+    cells = [(row, col, phase)
+             for col in range(2) for row in range(n - 1) for phase in (1.0, 1j)]
+    v = np.zeros((len(cells), n - 1, 2), dtype=complex)
+    for i, (row, col, phase) in enumerate(cells):
+        v[i, row, col] = phase
+    return algebra_element(0.0, v, 0.0, n)
 
 
 def base_algebra_basis(n):
     """Real basis of the embedded lower-block algebra (3 directions)."""
-    out = []
-    for D in (np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex),
-              np.array([[0.0, 1j], [0.0, 0.0]], dtype=complex),
-              np.array([[0.0, 0.0], [1j, 0.0]], dtype=complex)):
-        B = np.zeros((n + 1, n + 1), dtype=complex)
-        B[n - 1:, n - 1:] = D
-        out.append(B)
-    return out
+    B = np.zeros((3, n + 1, n + 1), dtype=complex)
+    B[:, n - 1:, n - 1:] = [[[1.0, 0.0], [0.0, -1.0]], [[0.0, 1j], [0.0, 0.0]],
+                            [[0.0, 0.0], [1j, 0.0]]]
+    return B
 
 
 def local_diffeo_check(n):
@@ -405,17 +365,13 @@ def local_diffeo_check(n):
     }
     expected = {"stabilizer": (n - 1) ** 2, "transversal": 4 * n - 4, "base": 3}
     report = {"n": n, "expected_total": n * n + 2 * n, "summands": {}}
-    cols = []
     for name, basis in parts.items():
-        mat = np.column_stack([_realify(B) for B in basis])
-        rank = int(np.linalg.matrix_rank(mat, tol=1e-10))
+        if not in_su(basis, n, tol=1e-10).all():
+            raise AssertionError(f"{name} basis member left the algebra")
+        rank = int(np.linalg.matrix_rank(_realify(basis), tol=1e-10))
         report["summands"][name] = {"dim": len(basis), "rank": rank,
                                     "expected": expected[name]}
-        for B in basis:
-            if not in_su(B, n, tol=1e-10):
-                raise AssertionError(f"{name} basis member left the algebra")
-        cols.append(mat)
-    full = np.column_stack(cols)
+    full = _realify(np.concatenate(list(parts.values())))
     sv = np.linalg.svd(full, compute_uv=False)
     report["total_rank"] = int(np.linalg.matrix_rank(full, tol=1e-10))
     report["smallest_singular_value"] = float(sv.min())

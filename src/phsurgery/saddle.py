@@ -45,7 +45,7 @@ class DomainEscape(RuntimeError):
 
 
 class NonExitingOrbit(RuntimeError):
-    """Annulus orbit does not reach a boundary sphere (within the RK4 time budget)."""
+    """Annulus orbit that reaches no boundary sphere within 64 doublings of its bracket."""
 
 
 class InfeasibleRates(ValueError):
@@ -389,23 +389,6 @@ class TransitReport:
         if self.exit_sphere == "trapped":
             return "trapped"
         return f"{self.entry_sphere}->{self.exit_sphere}"
-
-
-def annulus_transit(spec, profile, entry, step=DEFAULT_STEP, budget=None):
-    """Integrate one annulus crossing by RK4 and report time and tangent distortion.
-
-    `entry` must sit on a boundary sphere (radius delta or 2*delta) with
-    velocity pointing into the annulus.  Exit through either sphere is
-    located by bisection on the crossing step to 1e-10 in time.  Orbits that
-    exhaust `budget` (default 10*ln2/rho0 flow time) raise NonExitingOrbit.
-    """
-    reports = _transit_batch(spec, profile, np.asarray(entry, dtype=float)[None, :],
-                             step=step, budget=budget)
-    rep = reports[0]
-    if rep.exit_sphere == "trapped":
-        raise NonExitingOrbit(
-            f"no boundary crossing within budget; last |x|={np.linalg.norm(rep.exit):.3e}")
-    return rep
 
 
 def _entry_spheres(spec, profile, entries):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phsurgery.dualnum import Dual, dexp, dlog, dsqrt, grad, jacobian, partial, value
+from phsurgery.dualnum import Dual, dexp, dlog, dsqrt, jacobian, partial, value
 
 finite = st.floats(min_value=-10, max_value=10, allow_nan=False)
 positive = st.floats(min_value=0.1, max_value=10, allow_nan=False)
@@ -54,7 +54,7 @@ def test_nested_duals_give_second_derivatives():
 
 def test_gradient_and_jacobian():
     f = lambda x: x[0] * x[1] + dsqrt(x[1])
-    g = grad(f, [2.0, 4.0])
+    g = [partial(f, [2.0, 4.0], i) for i in range(2)]
     assert g[0] == pytest.approx(4.0)
     assert g[1] == pytest.approx(2.0 + 0.25)
     J = jacobian([lambda x: x[0] * x[1], lambda x: x[0] - x[1]], [3.0, 5.0])

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from phsurgery import saddle, suites
 from phsurgery.config import DEFAULT_TOLERANCES, CampaignConfig
 from phsurgery.saddle import (AnosovModel, BumpProfile, DomainEscape, InfeasibleRates,
-                              NonExitingOrbit, SaddleSpec)
+                              SaddleSpec)
 
 
 def _scalar_bisection(spec, profile, x0, h, target, tol=1e-10):
@@ -275,29 +275,29 @@ class TestVariational:
 class TestTransit:
     def test_radial_unstable_exact_time(self, spec2):
         flat = BumpProfile.flat(0.5, delta=0.1)
-        rep = saddle.annulus_transit(spec2, flat, np.array([0.0, 0.1]))
+        rep, = saddle._transit_batch(spec2, flat, np.array([[0.0, 0.1]]))
         assert rep.time == pytest.approx(math.log(2) / 0.5, abs=1e-6)
         assert rep.crossing_class == "inner->outer"
         assert abs(np.linalg.norm(rep.exit) - 0.2) < 1e-9
 
     def test_stable_axis_unperturbed(self, spec2):
         flat = BumpProfile.flat(1.0, delta=0.1)
-        rep = saddle.annulus_transit(spec2, flat, np.array([0.2, 0.0]))
+        rep, = saddle._transit_batch(spec2, flat, np.array([[0.2, 0.0]]))
         assert rep.time == pytest.approx(math.log(2), abs=1e-6)
         assert rep.crossing_class == "outer->inner"
 
     def test_budget_guard(self, spec2, profile):
-        entry = np.array([0.2, 0.0])  # stable axis: legitimate but slow
-        with pytest.raises(NonExitingOrbit):
-            saddle.annulus_transit(spec2, profile, entry, budget=0.01)
+        entry = np.array([[0.2, 0.0]])  # stable axis: legitimate but slow
+        rep, = saddle._transit_batch(spec2, profile, entry, budget=0.01)
+        assert rep.exit_sphere == "trapped"
 
     def test_entry_validation(self, spec2, profile):
         with pytest.raises(ValueError, match="outward"):
-            saddle.annulus_transit(spec2, profile, np.array([0.1, 0.0]))
+            saddle._transit_batch(spec2, profile, np.array([[0.1, 0.0]]))
         with pytest.raises(ValueError, match="boundary sphere"):
-            saddle.annulus_transit(spec2, profile, np.array([0.15, 0.0]))
+            saddle._transit_batch(spec2, profile, np.array([[0.15, 0.0]]))
         with pytest.raises(ValueError, match="inward"):
-            saddle.annulus_transit(spec2, profile, np.array([0.0, 0.2]))
+            saddle._transit_batch(spec2, profile, np.array([[0.0, 0.2]]))
         # a batch names its first bad row
         with pytest.raises(ValueError, match="entry 1 on the inner sphere"):
             saddle._transit_batch(spec2, profile, np.array([[0.0, 0.1], [0.1, 0.0], [0.15, 0.0]]))
