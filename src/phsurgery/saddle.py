@@ -613,7 +613,8 @@ def sample_entries(spec, delta, n, rng):
     """Seeded boundary-sphere entries pointing into the annulus, half of them inner.
 
     Directions are drawn once per seed and scaled to the requested radius,
-    so sweeps over delta see literally the same direction set.  Pure axis
+    so sweeps over delta see literally the same direction set; the saddle
+    suite's rescaling leg of `time-change-oracle` depends on that.  Pure axis
     entries are prepended (row i is the axis of rate i) so the closed-form
     crossings are always sampled.
     """
@@ -638,7 +639,9 @@ def transit_campaign(spec, profile, n_entries, seed):
     """Measure transit times and tangent distortion over seeded entries.
 
     The transits are exact (`time_change_transits`); no class is "trapped",
-    and the count is kept at zero in `class_counts`.
+    and the count is kept at zero in `class_counts`.  One seed draws the same
+    directions at every delta (`sample_entries`), which the rescaling leg of
+    the saddle suite's `time-change-oracle` depends on.
     """
     rng = np.random.default_rng(seed)
     entries = sample_entries(spec, profile.delta, n_entries, rng)

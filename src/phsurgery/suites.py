@@ -9,6 +9,7 @@ witness so the caller can decide (the CLI turns any failure into exit 1).
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -159,10 +160,8 @@ def run_saddle_suite(cfg: CampaignConfig):
                   "stable_axis_T": rep_s.time, "expected_s": expected_s}))
 
     # distortion uniformity sweep
-    sweep = {}
-    for delta in cfg.delta_sweep:
-        prof_d = saddle.BumpProfile(delta=delta, rho0=rho0)
-        sweep[delta] = saddle.transit_campaign(spec, prof_d, cfg.samples, cfg.seed)
+    sweep = {d: saddle.transit_campaign(spec, saddle.BumpProfile(delta=d, rho0=rho0),
+                                        cfg.samples, cfg.seed) for d in cfg.delta_sweep}
     dist = [sweep[d].distortion for d in cfg.delta_sweep]
     dist_inv = [sweep[d].distortion_inv for d in cfg.delta_sweep]
     t_means = [float(sweep[d].times.mean()) for d in cfg.delta_sweep]
@@ -212,31 +211,34 @@ def run_saddle_suite(cfg: CampaignConfig):
         "step-halving agreement of the fixed-step integrator",
         measured={"max_residual": float(rich.max())}))
 
-    # the exact transits of the sweep against RK4 on a fixed subsample
-    diffs = {}
-    for delta in cfg.delta_sweep:
-        reports = sweep[delta].reports
-        rows = _oracle_rows(reports, cfg.k)
-        oracle = saddle._transit_batch(spec, saddle.BumpProfile(delta=delta, rho0=rho0),
-                                       np.array([reports[i].entry for i in rows]),
-                                       step=cfg.step)
-        diffs[str(delta)] = {"rows": len(rows), **saddle.transit_differences(
-            [reports[i] for i in rows], oracle, delta)}
-    worst = {key: max(d[key] for d in diffs.values())
-             for key in ("time", "exit_over_delta", "jacobian_rel")}
+    # RK4 on a fixed subsample at the first delta.  x -> c x maps slowed orbits
+    # at delta onto orbits at c delta with the same times and tangent maps, so
+    # each later delta is checked against the first delta's transits, rescaled
+    d0 = cfg.delta_sweep[0]
+    reports = sweep[d0].reports
+    rows = _oracle_rows(reports, cfg.k)
+    oracle = saddle._transit_batch(spec, saddle.BumpProfile(delta=d0, rho0=rho0),
+                                   np.array([reports[i].entry for i in rows]), step=cfg.step)
+    rk4 = saddle.transit_differences([reports[i] for i in rows], oracle, d0)
+    rescaled = {str(d): saddle.transit_differences(sweep[d].reports, [
+        replace(r, entry=r.entry * (d / d0), exit=r.exit * (d / d0)) for r in reports], d)
+        for d in cfg.delta_sweep[1:]}
+    worst = lambda diffs: max(diffs[key] for key in ("time", "exit_over_delta", "jacobian_rel"))
+    worst_rescaled = max(map(worst, rescaled.values()))
     checks.append(_check(
         "time-change-oracle",
-        all(d["class_mismatches"] == 0 for d in diffs.values())
-        and max(worst.values()) < tol["time_change_oracle"],
-        "exact time-change transits (closed-form orbit, Gauss-Legendre time "
-        "and tangent map) against fixed-step RK4 transits: crossing class, "
-        "transit time, exit point / delta and relative tangent-map error",
-        measured={"max_time_error": worst["time"],
-                  "max_exit_error_over_delta": worst["exit_over_delta"],
-                  "max_jacobian_rel_error": worst["jacobian_rel"],
-                  "class_mismatches": sum(d["class_mismatches"] for d in diffs.values()),
-                  "rows_by_delta": {d: v["rows"] for d, v in diffs.items()}},
-        witness={"by_delta": diffs}))
+        rk4["class_mismatches"] == 0 and worst(rk4) < tol["time_change_oracle"]
+        and all(v["class_mismatches"] == 0 for v in rescaled.values()) and worst_rescaled < 1e-9,
+        "exact time-change transits (closed-form orbit, Gauss-Legendre time and tangent "
+        "map) against fixed-step RK4 transits at the first delta (class, time, exit / delta, "
+        "tangent map), and at every other delta against the first delta's, rescaled",
+        measured={"max_time_error": rk4["time"],
+                  "max_exit_error_over_delta": rk4["exit_over_delta"],
+                  "max_jacobian_rel_error": rk4["jacobian_rel"],
+                  "class_mismatches": rk4["class_mismatches"],
+                  "rows_by_delta": {str(d0): len(rows)},
+                  "max_rescaling_error": worst_rescaled},
+        witness={"rk4": {str(d0): {"rows": len(rows), **rk4}}, "rescaling": rescaled}))
 
     return _suite("saddle", checks)
 
@@ -497,41 +499,38 @@ def run_cones_suite(cfg: CampaignConfig):
                   "domination_exponent": neg.domination_exponent,
                   "chain_forced_rho0": 1.5 * chain_bound}))
 
-    sweep = {}
     try:
-        for delta in cfg.delta_sweep:
-            prof_d = saddle.BumpProfile(delta=delta, rho0=rho0)
-            sweep[delta] = cones.crossing_cone_campaign(
-                spec, prof_d, anosov, cfg.omega,
-                n_entries=cfg.crossing_entries, n_vectors=min(cfg.samples, 256),
-                seed=cfg.seed)
+        sweep = {d: cones.crossing_cone_campaign(
+            spec, saddle.BumpProfile(delta=d, rho0=rho0), anosov, cfg.omega,
+            n_entries=cfg.crossing_entries, n_vectors=min(cfg.samples, 256), seed=cfg.seed)
+            for d in cfg.delta_sweep}
     except ValueError as exc:
         checks.append(_check(
             "crossing-cone-stability", False,
             "cone control across the transition shell (no admissible "
             "slow-down profile exists for the forced rho0)",
             measured={"rho0": rho0}, witness={"error": str(exc)}))
-        return _suite("cones", checks)
-    c6 = [sweep[d].aperture_ratio for d in cfg.delta_sweep]
-    c7 = [sweep[d].min_crossing_expansion for d in cfg.delta_sweep]
-    c6b = [sweep[d].backward_aperture_ratio for d in cfg.delta_sweep]
-    c7b = [sweep[d].min_backward_contraction for d in cfg.delta_sweep]
-    classes_ok = all(_classes_realized(sweep[d].class_counts) for d in cfg.delta_sweep)
-    stable = (max(c6) / min(c6) < tol["cone_ratio"]
-              and max(c7) / min(c7) < tol["cone_ratio"]
-              and max(c6b) / min(c6b) < tol["cone_ratio"]
-              and max(c7b) / min(c7b) < tol["cone_ratio"])
-    checks.append(_check(
-        "crossing-cone-stability", stable and classes_ok and min(c7) > 0,
-        "cone aperture growth and worst expansion across the transition "
-        "shell stabilize over three decades of delta; all crossing classes "
-        "exercised",
-        measured={"aperture_ratio_by_delta": dict(zip(map(str, cfg.delta_sweep), c6)),
-                  "min_expansion_by_delta": dict(zip(map(str, cfg.delta_sweep), c7)),
-                  "backward_aperture_by_delta": dict(zip(map(str, cfg.delta_sweep), c6b)),
-                  "backward_contraction_by_delta": dict(zip(map(str, cfg.delta_sweep), c7b)),
-                  "class_counts": {str(d): sweep[d].class_counts
-                                   for d in cfg.delta_sweep}}))
+    else:
+        c6 = [sweep[d].aperture_ratio for d in cfg.delta_sweep]
+        c7 = [sweep[d].min_crossing_expansion for d in cfg.delta_sweep]
+        c6b = [sweep[d].backward_aperture_ratio for d in cfg.delta_sweep]
+        c7b = [sweep[d].min_backward_contraction for d in cfg.delta_sweep]
+        classes_ok = all(_classes_realized(sweep[d].class_counts) for d in cfg.delta_sweep)
+        stable = (max(c6) / min(c6) < tol["cone_ratio"]
+                  and max(c7) / min(c7) < tol["cone_ratio"]
+                  and max(c6b) / min(c6b) < tol["cone_ratio"]
+                  and max(c7b) / min(c7b) < tol["cone_ratio"])
+        checks.append(_check(
+            "crossing-cone-stability", stable and classes_ok and min(c7) > 0,
+            "cone aperture growth and worst expansion across the transition "
+            "shell stabilize over three decades of delta; all crossing classes "
+            "exercised",
+            measured={"aperture_ratio_by_delta": dict(zip(map(str, cfg.delta_sweep), c6)),
+                      "min_expansion_by_delta": dict(zip(map(str, cfg.delta_sweep), c7)),
+                      "backward_aperture_by_delta": dict(zip(map(str, cfg.delta_sweep), c6b)),
+                      "backward_contraction_by_delta": dict(zip(map(str, cfg.delta_sweep), c7b)),
+                      "class_counts": {str(d): sweep[d].class_counts
+                                       for d in cfg.delta_sweep}}))
 
     # cocycle property of the propagation
     model = cones.ProductModel(spec=spec, anosov=anosov)

@@ -199,6 +199,14 @@ class TestCli:
         assert core["witness"]["violations"], "expected violation witnesses"
         types = {v["type"] for v in core["witness"]["violations"]}
         assert "domination" in types or "u-invariance" in types
+        # no admissible slow-down profile: the crossing check fails and the
+        # checks after it still run
+        checks = {c["name"]: c for c in report["suites"]["cones"]["checks"]}
+        assert sorted(checks) == sorted([
+            "core-cone-campaign", "time-symmetry", "rate-chain", "negative-controls",
+            "crossing-cone-stability", "cocycle-property", "membership-invariance"])
+        assert checks["crossing-cone-stability"]["passed"] is False
+        assert "error" in checks["crossing-cone-stability"]["witness"]
 
     def test_seed_override_and_csv(self, small_config, tmp_path):
         out = tmp_path / "rep"

@@ -368,6 +368,17 @@ class TestTimeChange:
             assert np.linalg.norm(b.exit / 0.001 - a.exit / 0.1) < 1e-12
             assert np.linalg.norm(b.jacobian - a.jacobian) < 1e-12 * np.linalg.norm(a.jacobian)
 
+    def test_rk4_transits_are_scale_free(self, spec4, profile, sixty, rk4_sixty):
+        # the fact the suite's rescaling leg rests on, for the RK4 oracle too
+        small = saddle.sample_entries(spec4, 0.001, 60, np.random.default_rng(21))
+        tiny = saddle._transit_batch(spec4, BumpProfile(delta=0.001, rho0=0.5), small,
+                                     step=1e-2)
+        for a, b in zip(rk4_sixty(1e-2), tiny):
+            assert a.crossing_class == b.crossing_class
+            assert b.time == pytest.approx(a.time, rel=1e-12)
+            assert np.linalg.norm(b.exit / 0.001 - a.exit / profile.delta) < 1e-12
+            assert np.linalg.norm(b.jacobian - a.jacobian) < 1e-12 * np.linalg.norm(a.jacobian)
+
     def test_axis_closed_forms(self):
         # distinct rates; with rho == rho0 the axis orbit is r = r0 exp(rho0 |rate| t)
         spec = SaddleSpec(rates=(-2.0, -0.5, 1.0, 3.0))
@@ -407,3 +418,55 @@ def test_saddle_suite_passes_at_k8():
     # the volume and Moser suites verify the 4-d saddle whatever the rates
     assert len(cfg.saddle_rates) == 8
     assert out["volume"]["dimension"] == out["moser"]["dimension"] == 4
+
+
+def _oracle_check(cfg):
+    return next(c for c in suites.run_saddle_suite(cfg)["checks"]
+                if c["name"] == "time-change-oracle")
+
+
+_SMALL = dict(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
+
+
+def test_saddle_suite_runs_rk4_transits_three_times(monkeypatch):
+    # the two closed-form axis transits and one oracle batch, whatever the sweep
+    calls = []
+    real = saddle._transit_batch
+    monkeypatch.setattr(saddle, "_transit_batch",
+                        lambda *args, **kw: calls.append(args[1].delta) or real(*args, **kw))
+    check = _oracle_check(CampaignConfig(**_SMALL))
+    assert len(calls) == 3
+    assert calls[-1] == 0.1  # the oracle batch, at the sweep's first delta
+    assert check["passed"]
+    assert list(check["measured"]["rows_by_delta"]) == ["0.1"]
+    assert check["measured"]["max_rescaling_error"] < 1e-9
+
+
+def test_time_change_oracle_fails_when_a_delta_is_not_rescaled(monkeypatch):
+    # at delta = 0.01 the campaign runs at another rho0, so its transits are
+    # not the delta = 0.1 transits rescaled
+    real = saddle.transit_campaign
+
+    def skewed(spec, profile, n_entries, seed):
+        if profile.delta == 0.01:
+            profile = BumpProfile(delta=profile.delta, rho0=0.9 * profile.rho0)
+        return real(spec, profile, n_entries, seed)
+
+    monkeypatch.setattr(saddle, "transit_campaign", skewed)
+    check = _oracle_check(CampaignConfig(**_SMALL))
+    assert not check["passed"]
+    assert check["measured"]["max_rescaling_error"] > 1e-9
+    rescaling = check["witness"]["rescaling"]
+    assert rescaling["0.01"]["time"] > 1e-9
+    assert rescaling["0.001"]["time"] < 1e-9
+    # the RK4 leg at the first delta is untouched
+    assert check["measured"]["max_time_error"] < DEFAULT_TOLERANCES["time_change_oracle"]
+
+
+def test_thinnest_oracle_margin():
+    # saddle-default, seed 8: a shallow outer->inner row leaves RK4 a time error
+    # of about 4.2e-8 against the 1e-7 bound
+    check = _oracle_check(CampaignConfig(samples=250, step=0.01, seed=8))
+    assert check["passed"]
+    assert check["measured"]["max_time_error"] == pytest.approx(4.175e-8, rel=1e-3)
+    assert check["measured"]["max_time_error"] < DEFAULT_TOLERANCES["time_change_oracle"]
