@@ -229,7 +229,6 @@ class CoreConeReport:
     burn_in: float | None
     min_u_exponent: float       # log growth rate on the unstable cone
     domination_exponent: float  # log of the domination ratio rate
-    backward_cs_ok: bool
     violations: list
 
     def passed(self, min_exponent=None):
@@ -358,10 +357,8 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
     else:
         violations.extend({"type": "u-invariance", "time": t, "fraction": member_frac[t]}
                           for t in grid if t > burn_in and member_frac[t] < 1.0)
-    cs_back_ok = not any(v["type"] == "cs-backward-invariance" for v in violations)
     return CoreConeReport(burn_in=burn_in, min_u_exponent=min_u_exp,
-                          domination_exponent=dom_exp, backward_cs_ok=cs_back_ok,
-                          violations=violations)
+                          domination_exponent=dom_exp, violations=violations)
 
 
 def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
@@ -383,7 +380,7 @@ def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
     csframe = cone_boundary_frame(model, cscone, n_vectors, seed + 7)
 
     campaign = saddle.transit_campaign(spec, profile, n_entries, seed + 11)
-    M = model.full_maps(np.stack([r.jacobian for r in campaign.reports]), campaign.times)
+    M = model.full_maps(campaign.reports.jacobian, campaign.reports.time)
     ang, growth = _frame_pass(M, uframe, ucone)
     angb, growth_b = _frame_pass(np.linalg.inv(M), csframe, cscone)
     return CrossingConeReport(

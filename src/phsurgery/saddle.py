@@ -9,7 +9,8 @@ Because rho depends on |x| only, the slowed flow is a time change of the
 linear one (Katok's slow-down): x(t) = exp(sigma(t) A) x0 with
 dsigma/dt = rho(|exp(sigma A) x0|).  `time_change_transits` computes every
 annulus transit from that closed-form orbit; the RK4 transit `_transit_batch`
-with its bisection event locator is kept as the measured oracle.
+with its bisection event locator is kept as the measured oracle.  Both
+return one `TransitReport`, whose fields are arrays with a row per transit.
 
 Scale invariance is the organizing fact: rhobar's transition has width delta
 by construction, so x -> x/delta conjugates the annulus dynamics at scale
@@ -373,22 +374,36 @@ def richardson_residual(spec, profile, x, t, step=DEFAULT_STEP):
 # annulus transits
 
 
-@dataclass
+@dataclass(frozen=True)
 class TransitReport:
-    """One crossing of the annulus delta <= |x| <= 2*delta."""
+    """Crossings of the annulus delta <= |x| <= 2*delta: one transit or a batch.
+
+    A batch has one array per field, one row per transit (the spheres as
+    string arrays, the tangent maps as (n, k, k)).  len() counts its rows,
+    an int index gives one transit and a slice, mask or index array a batch.
+    """
 
     entry: np.ndarray
     exit: np.ndarray
-    time: float
-    entry_sphere: str  # "inner" | "outer"
-    exit_sphere: str   # "inner" | "outer" | "trapped"
-    jacobian: np.ndarray = field(repr=False, default=None)
+    time: np.ndarray
+    entry_sphere: np.ndarray  # "inner" | "outer"
+    exit_sphere: np.ndarray   # "inner" | "outer" | "trapped"
+    jacobian: np.ndarray = field(repr=False)
+
+    def __len__(self):
+        return len(self.time)  # a TypeError for one transit
+
+    def __getitem__(self, rows):
+        return TransitReport(self.entry[rows], self.exit[rows], self.time[rows],
+                             self.entry_sphere[rows], self.exit_sphere[rows],
+                             self.jacobian[rows])
 
     @property
     def crossing_class(self):
-        if self.exit_sphere == "trapped":
-            return "trapped"
-        return f"{self.entry_sphere}->{self.exit_sphere}"
+        """"entry->exit", or "trapped", per row; a str for one transit."""
+        cls = np.where(self.exit_sphere == "trapped", "trapped",
+                       np.strings.add(np.strings.add(self.entry_sphere, "->"), self.exit_sphere))
+        return cls if cls.ndim else str(cls)
 
 
 def _entry_spheres(spec, profile, entries):
@@ -415,7 +430,7 @@ def _entry_spheres(spec, profile, entries):
 
 
 def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
-    """Vectorized RK4 annulus transits; one TransitReport per entry row.
+    """Vectorized RK4 annulus transits; one TransitReport row per entry row.
 
     Each row is the packed state [x | vec J] of a point and its tangent map.
     The exit is found by the endpoint test |x| outside [delta, 2 delta] after
@@ -423,16 +438,15 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
     reported as outer->outer.  This is the oracle of `time_change_transits`.
     """
     delta = profile.delta
-    k = spec.k
-    n = entries.shape[0]
+    n, k = entries.shape
     if budget is None:
         budget = 10.0 * math.log(2.0) / profile.rho0
-    entry_sphere = np.where(_entry_spheres(spec, profile, entries), "inner", "outer")
+    inner = _entry_spheres(spec, profile, entries)
 
     state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
     t = np.zeros(n)
     alive = np.ones(n, dtype=bool)
-    exit_sphere = np.array(["trapped"] * n, dtype=object)
+    exit_sphere = np.full(n, "trapped")
 
     f = lambda _, y: _tangent_field(spec, profile, y)
     nmax = int(math.ceil(budget / step))
@@ -460,9 +474,8 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
         t[idx[keep]] += step
 
     # a crossed row holds its exit state and time, a trapped row its last step
-    return [TransitReport(entries[i], state[i, :k], t[i], str(entry_sphere[i]),
-                          str(exit_sphere[i]), state[i, k:].reshape(k, k))
-            for i in range(n)]
+    return TransitReport(entries, state[:, :k], t, np.where(inner, "inner", "outer"),
+                         exit_sphere, state[:, k:].reshape(n, k, k))
 
 
 def _bisect_crossing(spec, profile, x0, h, target):
@@ -509,7 +522,7 @@ def _bisect_root(fn, lo, hi, tol=0.0):
 
 
 def time_change_transits(spec, profile, entries, panels=16):
-    """Exact annulus transits of the slowed saddle; one TransitReport per entry row.
+    """Exact annulus transits of the slowed saddle; one TransitReport row per entry row.
 
     The orbit of x0 is exp(sigma A) x0, A = diag(rates), run at the clock
     dsigma/dt = rho(r(sigma)), where r^2(sigma) = sum x0_i^2 exp(2 a_i sigma)
@@ -572,28 +585,24 @@ def time_change_transits(spec, profile, entries, panels=16):
     exits = entries * scale
     grad *= entries * profile.value(np.linalg.norm(exits, axis=1))[:, None]
     J = scale[:, :, None] * np.eye(k) + (a * exits)[:, :, None] * grad[:, None, :]
-    exits_inner = np.zeros(n, dtype=bool)
-    exits_inner[down] = True
-    return [TransitReport(entries[i], exits[i], float(T[i]), "inner" if inner[i] else "outer",
-                          "inner" if exits_inner[i] else "outer", J[i])
-            for i in range(n)]
+    exit_sphere = np.full(n, "outer")
+    exit_sphere[down] = "inner"
+    return TransitReport(entries, exits, T, np.where(inner, "inner", "outer"), exit_sphere, J)
 
 
 def transit_differences(exact, oracle, delta):
-    """Largest differences between two report lists for the same entries.
+    """Largest differences between two transit batches for the same entries.
 
     Times are compared absolutely, exit points relative to delta and tangent
     maps relative to the exact map's norm.
     """
+    frobenius = lambda J: _radius(J.reshape(len(J), -1))
     return {
-        "class_mismatches": sum(a.crossing_class != b.crossing_class
-                                for a, b in zip(exact, oracle)),
-        "time": max(float(abs(a.time - b.time)) for a, b in zip(exact, oracle)),
-        "exit_over_delta": max(float(np.linalg.norm(a.exit - b.exit)) / delta
-                               for a, b in zip(exact, oracle)),
-        "jacobian_rel": max(float(np.linalg.norm(a.jacobian - b.jacobian)
-                                  / np.linalg.norm(a.jacobian))
-                            for a, b in zip(exact, oracle)),
+        "class_mismatches": int((exact.crossing_class != oracle.crossing_class).sum()),
+        "time": float(np.abs(exact.time - oracle.time).max()),
+        "exit_over_delta": float(_radius(exact.exit - oracle.exit).max()) / delta,
+        "jacobian_rel": float((frobenius(exact.jacobian - oracle.jacobian)
+                               / frobenius(exact.jacobian)).max()),
     }
 
 
@@ -601,12 +610,10 @@ def transit_differences(exact, oracle, delta):
 class TransitCampaign:
     """Summary of a batch of annulus transits at one delta."""
 
-    delta: float
-    times: np.ndarray
     class_counts: dict
     distortion: float           # sup over transits of max singular value
     distortion_inv: float       # sup of 1/min singular value
-    reports: list               # one TransitReport per entry, in entry order
+    reports: TransitReport      # one row per entry, in entry order
 
 
 def sample_entries(spec, delta, n, rng):
@@ -646,14 +653,11 @@ def transit_campaign(spec, profile, n_entries, seed):
     rng = np.random.default_rng(seed)
     entries = sample_entries(spec, profile.delta, n_entries, rng)
     reports = time_change_transits(spec, profile, entries)
-    counts = dict.fromkeys(("inner->outer", "outer->inner", "outer->outer",
-                            "inner->inner", "trapped"), 0)
-    for r in reports:
-        counts[r.crossing_class] += 1
-    s = np.linalg.svd(np.stack([r.jacobian for r in reports]), compute_uv=False)
+    cls = reports.crossing_class
+    counts = {c: int((cls == c).sum()) for c in ("inner->outer", "outer->inner", "outer->outer",
+                                                 "inner->inner", "trapped")}
+    s = np.linalg.svd(reports.jacobian, compute_uv=False)
     return TransitCampaign(
-        delta=profile.delta,
-        times=np.array([r.time for r in reports]),
         class_counts=counts,
         distortion=float(s[:, 0].max()),
         distortion_inv=float((1.0 / s[:, -1]).max()),

@@ -54,13 +54,12 @@ def _classes_realized(counts):
             and all(counts[c] > 0 for c in ("inner->outer", "outer->inner", "outer->outer")))
 
 
-def _one_per_type(violations, per_type=2):
-    """Representative witnesses covering every violation type."""
-    out = []
-    seen = {}
+def _one_per_type(violations):
+    """Representative witnesses covering every violation type: the first two of each."""
+    out, seen = [], {}
     for v in violations:
         kind = v.get("type", "unknown")
-        if seen.get(kind, 0) < per_type:
+        if seen.get(kind, 0) < 2:
             out.append(v)
             seen[kind] = seen.get(kind, 0) + 1
     return out
@@ -140,17 +139,16 @@ def run_saddle_suite(cfg: CampaignConfig):
         "inequalities (grid-swept oracle)",
         measured={"rho0": auto, "volume_feasible_interval": [min(feasible), max(feasible)]}))
 
-    # closed-form transit times
+    # closed-form transit times of the exact kernel, one axis row per call
     e_u = np.zeros(cfg.k)
     e_u[int(np.argmax(spec.rates))] = profile.delta
-    # one axis row per batch; a trapped row fails the check with its time
-    rep_u, = saddle._transit_batch(spec, saddle.BumpProfile.flat(rho0, profile.delta),
-                                   e_u[None, :], step=cfg.step)
+    rep_u, = saddle.time_change_transits(spec, saddle.BumpProfile.flat(rho0, profile.delta),
+                                         e_u[None, :])
     expected_u = math.log(2.0) / (rho0 * max(spec.rates))
     e_s = np.zeros(cfg.k)
     e_s[int(np.argmin(spec.rates))] = 2 * profile.delta
-    rep_s, = saddle._transit_batch(spec, saddle.BumpProfile.flat(1.0, profile.delta),
-                                   e_s[None, :], step=cfg.step)
+    rep_s, = saddle.time_change_transits(spec, saddle.BumpProfile.flat(1.0, profile.delta),
+                                         e_s[None, :])
     expected_s = math.log(2.0) / abs(min(spec.rates))
     checks.append(_check(
         "transit-closed-forms",
@@ -164,7 +162,7 @@ def run_saddle_suite(cfg: CampaignConfig):
                                         cfg.samples, cfg.seed) for d in cfg.delta_sweep}
     dist = [sweep[d].distortion for d in cfg.delta_sweep]
     dist_inv = [sweep[d].distortion_inv for d in cfg.delta_sweep]
-    t_means = [float(sweep[d].times.mean()) for d in cfg.delta_sweep]
+    t_means = [float(sweep[d].reports.time.mean()) for d in cfg.delta_sweep]
     slope = float(np.polyfit(np.log(cfg.delta_sweep), np.log(t_means), 1)[0])
     counts = {str(d): sweep[d].class_counts for d in cfg.delta_sweep}
     ratio = max(dist) / min(dist)
@@ -195,11 +193,8 @@ def run_saddle_suite(cfg: CampaignConfig):
                        np.resize([0.05, -0.15, 0.11, -0.03], cfg.k),
                        e_u * 1.2])
     _, J = saddle.variational_flow_slow(spec, profile, probes, 1.0, step=cfg.step)
-    eps = 1e-6
-    shifted = probes[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(cfg.k)
-    ends = saddle.flow_slow(spec, profile, shifted.reshape(-1, cfg.k), 1.0,
-                            step=cfg.step).reshape(shifted.shape)
-    Jfd = (ends[:, 0] - ends[:, 1]).transpose(0, 2, 1) / (2 * eps)
+    Jfd = _central_jacobians(lambda x: saddle.flow_slow(spec, profile, x, 1.0, step=cfg.step),
+                             probes)
     fd_errs = [float(np.linalg.norm(a - b) / np.linalg.norm(b)) for a, b in zip(J, Jfd)]
     rich = saddle.richardson_residual(spec, profile, probes, 1.0, step=cfg.step)
     checks.append(_check(
@@ -218,10 +213,10 @@ def run_saddle_suite(cfg: CampaignConfig):
     reports = sweep[d0].reports
     rows = _oracle_rows(reports, cfg.k)
     oracle = saddle._transit_batch(spec, saddle.BumpProfile(delta=d0, rho0=rho0),
-                                   np.array([reports[i].entry for i in rows]), step=cfg.step)
-    rk4 = saddle.transit_differences([reports[i] for i in rows], oracle, d0)
-    rescaled = {str(d): saddle.transit_differences(sweep[d].reports, [
-        replace(r, entry=r.entry * (d / d0), exit=r.exit * (d / d0)) for r in reports], d)
+                                   reports.entry[rows], step=cfg.step)
+    rk4 = saddle.transit_differences(reports[rows], oracle, d0)
+    rescaled = {str(d): saddle.transit_differences(sweep[d].reports, replace(
+        reports, entry=reports.entry * (d / d0), exit=reports.exit * (d / d0)), d)
         for d in cfg.delta_sweep[1:]}
     worst = lambda diffs: max(diffs[key] for key in ("time", "exit_over_delta", "jacobian_rel"))
     worst_rescaled = max(map(worst, rescaled.values()))
@@ -244,18 +239,14 @@ def run_saddle_suite(cfg: CampaignConfig):
 
 
 def _oracle_rows(reports, k):
-    """Indices of the RK4 oracle subsample of a transit campaign.
+    """Sorted indices of the RK4 oracle subsample of a transit campaign.
 
     The first two non-axis rows of each crossing class, then the axis rows
     (the first k, see `saddle.sample_entries`) up to 12 rows in all.
     """
-    picked, seen = [], {}
-    for i in range(k, len(reports)):
-        cls = reports[i].crossing_class
-        if seen.get(cls, 0) < 2:
-            picked.append(i)
-            seen[cls] = seen.get(cls, 0) + 1
-    return sorted(picked + list(range(min(k, 12 - len(picked)))))
+    cls = reports.crossing_class[k:]
+    picked = np.concatenate([k + np.flatnonzero(cls == c)[:2] for c in np.unique(cls)])
+    return np.sort(np.concatenate([picked, np.arange(min(k, 12 - len(picked)))]))
 
 
 # ---------------------------------------------------------------------------
@@ -275,14 +266,13 @@ def _random_points(rng, n, k, bound, floor=None):
     return p
 
 
-def _central_jacobians(chart_map, p):
-    """Central-difference Jacobians (step 1e-6) of chart_map at every row of p, from one call."""
-    n, k = p.u.shape
+def _central_jacobians(fn, x):
+    """Central-difference Jacobians (step 1e-6) at every row of x, from one call of fn on rows."""
+    n, k = x.shape
     eps = 1e-6
-    shifted = p.u[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(k)
-    x = chart_map(BlowupPoint(np.repeat(p.chart, 2 * k), shifted.reshape(-1, k)))
-    x = x.reshape(n, 2, k, k)  # [row, sign, i]: the map at u +- eps e_i
-    return (x[:, 0] - x[:, 1]).transpose(0, 2, 1) / (2 * eps)
+    shifted = x[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(k)
+    y = fn(shifted.reshape(-1, k)).reshape(n, 2, k, k)  # [row, sign, i]: fn at x +- eps e_i
+    return (y[:, 0] - y[:, 1]).transpose(0, 2, 1) / (2 * eps)
 
 
 def run_blowup_suite(cfg: CampaignConfig):
@@ -334,8 +324,9 @@ def run_blowup_suite(cfg: CampaignConfig):
     for kk in (2, 3, 4):
         kl = KLStructure.volume_nondegenerate(kk)
         p = _random_points(rng, 60, kk, 1.0, floor=0.3)
-        J1 = _central_jacobians(blowup.blowdown, p)
-        J2 = _central_jacobians(lambda q: blowup.kl_chart_map(kl, q), p)
+        charts = np.repeat(p.chart, 2 * kk)  # the chart of each neighbour row
+        J1 = _central_jacobians(lambda u: blowup.blowdown(BlowupPoint(charts, u)), p.u)
+        J2 = _central_jacobians(lambda u: blowup.kl_chart_map(kl, BlowupPoint(charts, u)), p.u)
         match_worst = max(
             match_worst,
             float(np.abs(np.linalg.det(J1) - blowup.pullback_volume_density(p)).max()),

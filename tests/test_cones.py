@@ -172,7 +172,7 @@ class TestCoreCampaign:
     def test_passes_at_admissible_rho0(self, campaign):
         assert campaign.passed(min_exponent=2.0 - 0.05)
         assert campaign.burn_in <= 1.0
-        assert campaign.backward_cs_ok
+        assert not any(v["type"] == "cs-backward-invariance" for v in campaign.violations)
 
     def test_expansion_within_closed_form_bracket(self, campaign):
         # the unstable component alone gives growth >= cos(omega) e^{2t}, and

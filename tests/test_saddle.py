@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -323,7 +324,7 @@ class TestTransit:
             stats[delta] = saddle.transit_campaign(spec4, prof, 50, seed=11)
         a, b = stats[0.1], stats[0.001]
         assert a.distortion == pytest.approx(b.distortion, rel=1e-9)
-        assert a.times.mean() == pytest.approx(b.times.mean(), rel=1e-9)
+        assert a.reports.time.mean() == pytest.approx(b.reports.time.mean(), rel=1e-9)
         assert a.class_counts == b.class_counts
         assert a.class_counts["inner->inner"] == 0
 
@@ -403,6 +404,55 @@ class TestTimeChange:
         assert rk4.crossing_class == "outer->outer"
 
 
+def _bits(a):
+    return np.asarray(a, dtype=float).tobytes()
+
+
+class TestTransitPointOrBatch:
+    """A TransitReport batch: each row equals its one-row call bit for bit."""
+
+    @pytest.fixture(params=["exact", "rk4"])
+    def kernel(self, request, spec4, profile):
+        if request.param == "exact":
+            return lambda entries: saddle.time_change_transits(spec4, profile, entries)
+        # a short budget leaves the slow rows trapped, so every class shows up
+        return lambda entries: saddle._transit_batch(spec4, profile, entries, step=1e-2,
+                                                     budget=1.5)
+
+    def test_rows_equal_one_row_calls(self, kernel, sixty):
+        batch = kernel(sixty)
+        assert len(batch) == len(sixty) == batch.time.shape[0]
+        for m in range(len(batch)):
+            one, = kernel(sixty[m:m + 1])
+            row = batch[m]
+            for name in ("entry", "exit", "time", "jacobian"):
+                assert _bits(getattr(one, name)) == _bits(getattr(row, name)), (m, name)
+            assert (one.entry_sphere, one.exit_sphere) == (row.entry_sphere, row.exit_sphere)
+            assert one.crossing_class == row.crossing_class == batch.crossing_class[m]
+            assert isinstance(row.crossing_class, str)
+
+    def test_indexing_and_iteration(self, kernel, sixty):
+        batch = kernel(sixty)
+        classes = batch.crossing_class
+        assert classes.shape == (len(sixty),)
+        assert len(batch[3:9]) == 6 and list(batch[3:9].crossing_class) == list(classes[3:9])
+        mask = classes == classes[5]
+        assert len(batch[mask]) == mask.sum() and set(batch[mask].crossing_class) == {classes[5]}
+        picked = batch[np.array([7, 2])]
+        assert _bits(picked.time) == _bits(batch.time[[7, 2]])
+        assert [rep.crossing_class for rep in batch] == list(classes)
+        assert _bits([rep.time for rep in batch]) == _bits(batch.time)
+        with pytest.raises(TypeError):
+            len(batch[0])
+
+    def test_trapped_rows(self, spec4, profile, sixty):
+        batch = saddle._transit_batch(spec4, profile, sixty, step=1e-2, budget=1.5)
+        trapped = batch.exit_sphere == "trapped"
+        assert trapped.any() and not trapped.all()
+        assert (batch.crossing_class[trapped] == "trapped").all()
+        assert (batch.crossing_class[~trapped] != "trapped").all()
+
+
 def test_saddle_suite_passes_at_k8():
     # every suite at perfbench's campaign-reduced config with four -1 and
     # four +1 rates
@@ -428,18 +478,38 @@ def _oracle_check(cfg):
 _SMALL = dict(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
 
 
-def test_saddle_suite_runs_rk4_transits_three_times(monkeypatch):
-    # the two closed-form axis transits and one oracle batch, whatever the sweep
+def test_saddle_suite_runs_rk4_transits_once(monkeypatch):
+    # the oracle batch at the sweep's first delta is the only RK4 transit call
     calls = []
     real = saddle._transit_batch
     monkeypatch.setattr(saddle, "_transit_batch",
                         lambda *args, **kw: calls.append(args[1].delta) or real(*args, **kw))
     check = _oracle_check(CampaignConfig(**_SMALL))
-    assert len(calls) == 3
-    assert calls[-1] == 0.1  # the oracle batch, at the sweep's first delta
+    assert calls == [0.1]
     assert check["passed"]
     assert list(check["measured"]["rows_by_delta"]) == ["0.1"]
     assert check["measured"]["max_rescaling_error"] < 1e-9
+
+
+def test_transit_closed_forms_fail_when_axis_times_are_off(monkeypatch):
+    # the exact kernel's axis transit times, scaled by 1 + 1e-5, miss log 2 / (rho0 rate)
+    cfg = CampaignConfig(**_SMALL)
+    closed_forms = lambda: next(c for c in suites.run_saddle_suite(cfg)["checks"]
+                                if c["name"] == "transit-closed-forms")
+    assert closed_forms()["passed"]
+    real = saddle.time_change_transits
+
+    def skewed(spec, profile, entries, **kw):
+        rep = real(spec, profile, entries, **kw)
+        axis = (entries != 0).sum(axis=1) == 1
+        return replace(rep, time=np.where(axis, rep.time * (1 + 1e-5), rep.time))
+
+    monkeypatch.setattr(saddle, "time_change_transits", skewed)
+    check = closed_forms()
+    assert not check["passed"]
+    measured = check["measured"]
+    assert abs(measured["radial_unstable_T"] - measured["expected_u"]) > 1e-6
+    assert abs(measured["stable_axis_T"] - measured["expected_s"]) > 1e-6
 
 
 def test_time_change_oracle_fails_when_a_delta_is_not_rescaled(monkeypatch):
