@@ -389,22 +389,22 @@ def new_norm(kl: KLStructure, x):
     return r if x.ndim == 2 else r[0]
 
 
-def kl_rate_check(spec, kl: KLStructure, rho0, times=(1.0, 2.0, 4.0),
-                  n_samples=200, seed=0):
+def kl_rate_check(spec, kl: KLStructure, rho0, seed=0):
     """Measure growth of the power-atlas norm under the uniformly slowed saddle.
 
     In the core region the flow is exp(rho0 t diag(rates)), so the new-norm
     ratio per unit vector direction lies between (lam')^(rho0 t (1+alpha))
     and (mu')^(rho0 t (1+alpha)) -- the advertised division of the rate
-    exponents by k when alpha = -(k-1)/k.  Returns a dict of measured
-    bounds and the regression slope of log-ratio against t.
+    exponents by k when alpha = -(k-1)/k.  Measured on 200 seeded
+    directions at t = 1, 2 and 4; returns a dict of measured bounds and the
+    regression slope of log-ratio against t.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
-    dirs = rng.standard_normal((n_samples, k))
+    dirs = rng.standard_normal((200, k))
     dirs /= np.linalg.norm(dirs, axis=1, keepdims=True)
     x0 = 1e-3 * dirs  # deep inside the uniformly slowed region
-    times = np.asarray(times, dtype=float)
+    times = np.array([1.0, 2.0, 4.0])
     amp = np.exp(rho0 * times[:, None] * np.asarray(spec.rates))
     ratio = (new_norm(kl, (amp[:, None, :] * x0).reshape(-1, k)).reshape(len(times), -1)
              / new_norm(kl, x0))
@@ -413,21 +413,17 @@ def kl_rate_check(spec, kl: KLStructure, rho0, times=(1.0, 2.0, 4.0),
     e = np.zeros(k)
     e[int(np.argmax(spec.rates))] = 1e-3
     logratio = np.log(new_norm(kl, amp * e) / new_norm(kl, e))
-    if len(times) > 1:
-        slope = float(np.polyfit(times, logratio, 1)[0])
-    else:
-        slope = float(logratio[0] / times[0])
     return {
         "per_time_lower": float(per_time.min()),
         "per_time_upper": float(per_time.max()),
         "expected_lower": spec.lam_prime ** (rho0 * (1.0 + kl.alpha)),
         "expected_upper": spec.mu_prime ** (rho0 * (1.0 + kl.alpha)),
-        "unstable_log_slope": slope,
+        "unstable_log_slope": float(np.polyfit(times, logratio, 1)[0]),
         "expected_slope": rho0 * (1.0 + kl.alpha) * max(spec.rates),
     }
 
 
-def density_regularity_probe(k, beta, radii=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
+def density_regularity_probe(k, beta):
     """Finite-difference derivative of the composed density factor along u_i -> 0.
 
     The factor is beta evaluated at the power-atlas chart image, for the
@@ -436,10 +432,11 @@ def density_regularity_probe(k, beta, radii=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
     of a batch.  For a generic smooth positive beta its radial derivative
     blows up like |u_i|^alpha, i.e. the pulled-back density is continuous
     but not C^1 at the exceptional set.  Returns the sweep
-    [(u_i, |d factor / d u_i|)] and the fitted log-log slope.
+    [(u_i, |d factor / d u_i|)] over u_i = 1e-2, ..., 1e-6 and the fitted
+    log-log slope.
     """
     kl = KLStructure.volume_nondegenerate(k)
-    r = np.asarray(radii, dtype=float)
+    r = np.array([1e-2, 1e-3, 1e-4, 1e-5, 1e-6])
     eps = r * 1e-3
     u = np.full((2 * len(r), k), 0.3)
     u[:, 0] = np.concatenate([r + eps, r - eps])
@@ -449,7 +446,7 @@ def density_regularity_probe(k, beta, radii=(1e-2, 1e-3, 1e-4, 1e-5, 1e-6)):
         slope = float(np.polyfit(np.log(r), np.log(d), 1)[0])
     else:
         slope = 0.0
-    return {"sweep": list(zip(radii, d.tolist())), "log_slope": slope, "alpha": kl.alpha}
+    return {"sweep": list(zip(r.tolist(), d.tolist())), "log_slope": slope, "alpha": kl.alpha}
 
 
 # ---------------------------------------------------------------------------

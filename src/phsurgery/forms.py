@@ -90,16 +90,8 @@ class Form:
     def __add__(self, other):
         if (self.dim, self.degree) != (other.dim, other.degree):
             raise DegreeError("can only add forms of equal dimension and degree")
-        out = {}
-        for idx in set(self.coeffs) | set(other.coeffs):
-            fa, fb = self.coeffs.get(idx), other.coeffs.get(idx)
-            if fa is None:
-                out[idx] = fb
-            elif fb is None:
-                out[idx] = fa
-            else:
-                out[idx] = (lambda f, g: lambda x: f(x) + g(x))(fa, fb)
-        return Form(self.dim, self.degree, out)
+        return Form(self.dim, self.degree,
+                    _summed([*self.coeffs.items(), *other.coeffs.items()]))
 
     def __sub__(self, other):
         return self + other.scale(_const(-1.0))
@@ -110,6 +102,28 @@ class Form:
             g = _const(g)
         return Form(self.dim, self.degree,
                     {idx: (lambda f: lambda x: g(x) * f(x))(f) for idx, f in self.coeffs.items()})
+
+
+def _summed(terms):
+    """One coefficient per index from (index, function) terms, indices in first-seen order.
+
+    The coefficient of an index sums its terms' values left to right in the
+    order given; a lone term is returned as is.
+    """
+    groups = {}
+    for idx, fn in terms:
+        groups.setdefault(idx, []).append(fn)
+
+    def total(fns):
+        def coeff(x):
+            acc = fns[0](x)
+            for fn in fns[1:]:
+                acc = acc + fn(x)
+            return acc
+
+        return coeff
+
+    return {idx: fns[0] if len(fns) == 1 else total(fns) for idx, fns in groups.items()}
 
 
 def _insert_index(j, idx):
@@ -124,25 +138,15 @@ def d(form: Form) -> Form:
     """Exterior derivative; coefficients differentiated with dual numbers."""
     if form.degree >= form.dim:
         raise DegreeError("d of a top-degree form overflows; it vanishes identically")
-    terms = {}
+    terms = []
     for idx, f in form.coeffs.items():
         for j in range(form.dim):
             ins = _insert_index(j, idx)
             if ins is None:
                 continue
             new_idx, sign = ins
-            terms.setdefault(new_idx, []).append((sign, j, f))
-
-    def make(termlist):
-        def coeff(x):
-            total = 0.0
-            for sign, j, f in termlist:
-                total = total + sign * partial(f, x, j)
-            return total
-
-        return coeff
-
-    return Form(form.dim, form.degree + 1, {idx: make(t) for idx, t in terms.items()})
+            terms.append((new_idx, (lambda f, j, s: lambda x: s * partial(f, x, j))(f, j, sign)))
+    return Form(form.dim, form.degree + 1, _summed(terms))
 
 
 def wedge(a: Form, b: Form) -> Form:
@@ -150,19 +154,15 @@ def wedge(a: Form, b: Form) -> Form:
         raise DegreeError("wedge needs a common dimension")
     if a.degree + b.degree > a.dim:
         raise DegreeError(f"wedge degree {a.degree}+{b.degree} overflows dimension {a.dim}")
-    out = {}
+    terms = []
     for ia, fa in a.coeffs.items():
         for ib, fb in b.coeffs.items():
             if set(ia) & set(ib):
                 continue
-            merged = tuple(sorted(ia + ib))
             sign = _merge_sign(ia, ib)
-            prod = (lambda f, g, s: lambda x: s * f(x) * g(x))(fa, fb, sign)
-            if merged in out:
-                out[merged] = (lambda f, g: lambda x: f(x) + g(x))(out[merged], prod)
-            else:
-                out[merged] = prod
-    return Form(a.dim, a.degree + b.degree, out)
+            terms.append((tuple(sorted(ia + ib)),
+                          (lambda f, g, s: lambda x: s * f(x) * g(x))(fa, fb, sign)))
+    return Form(a.dim, a.degree + b.degree, _summed(terms))
 
 
 def _merge_sign(ia, ib):
@@ -180,17 +180,12 @@ def interior(X, form: Form) -> Form:
     """Contraction with the vector field X (list of component functions)."""
     if form.degree == 0:
         raise DegreeError("cannot contract a 0-form")
-    out = {}
+    terms = []
     for idx, f in form.coeffs.items():
         for pos, j in enumerate(idx):
-            rest = idx[:pos] + idx[pos + 1:]
-            sign = (-1) ** pos
-            term = (lambda f, Xj, s: lambda x: s * Xj(x) * f(x))(f, X[j], sign)
-            if rest in out:
-                out[rest] = (lambda g, h: lambda x: g(x) + h(x))(out[rest], term)
-            else:
-                out[rest] = term
-    return Form(form.dim, form.degree - 1, out)
+            terms.append((idx[:pos] + idx[pos + 1:],
+                          (lambda f, Xj, s: lambda x: s * Xj(x) * f(x))(f, X[j], (-1) ** pos)))
+    return Form(form.dim, form.degree - 1, _summed(terms))
 
 
 def lie(X, form: Form) -> Form:
@@ -201,14 +196,7 @@ def lie(X, form: Form) -> Form:
     cross-checking.
     """
     n = form.dim
-    out = {}
-
-    def add(idx, fn):
-        if idx in out:
-            out[idx] = (lambda g, h: lambda x: g(x) + h(x))(out[idx], fn)
-        else:
-            out[idx] = fn
-
+    terms = []
     for idx, f in form.coeffs.items():
         def xf(x, f=f):
             total = 0.0
@@ -216,12 +204,13 @@ def lie(X, form: Form) -> Form:
                 total = total + X[j](x) * partial(f, x, j)
             return total
 
-        add(idx, xf)
+        terms.append((idx, xf))
         for pos, im in enumerate(idx):
             for j in range(n):
                 # replace slot pos by j with coefficient d_j X^{i_m}
                 if j == im:
-                    add(idx, (lambda f, Xm, j: lambda x: f(x) * partial(Xm, x, j))(f, X[im], j))
+                    terms.append((idx, (lambda f, Xm, j: lambda x: f(x) * partial(Xm, x, j))
+                                  (f, X[im], j)))
                     continue
                 if j in idx:
                     continue
@@ -230,11 +219,10 @@ def lie(X, form: Form) -> Form:
                 if ins is None:
                     continue
                 new_idx, s_ins = ins
-                s_rem = (-1) ** pos
-                sgn = s_rem * s_ins
-                add(new_idx, (lambda f, Xm, j, s: lambda x: s * f(x) * partial(Xm, x, j))
-                    (f, X[im], j, sgn))
-    return Form(n, form.degree, out)
+                sgn = (-1) ** pos * s_ins
+                terms.append((new_idx, (lambda f, Xm, j, s: lambda x: s * f(x) * partial(Xm, x, j))
+                              (f, X[im], j, sgn)))
+    return Form(n, form.degree, _summed(terms))
 
 
 def lie_cartan(X, form: Form) -> Form:

@@ -363,13 +363,6 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     return (points, J) if x.ndim == 2 else (points[0], J[0])
 
 
-def richardson_residual(spec, profile, x, t, step=DEFAULT_STEP):
-    """Endpoint distance between step h and step h/2 integrations, per row of a batch."""
-    a = flow_slow(spec, profile, x, t, step=step)
-    b = flow_slow(spec, profile, x, t, step=step / 2.0)
-    return _radius(a - b)
-
-
 # ---------------------------------------------------------------------------
 # annulus transits
 

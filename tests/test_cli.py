@@ -166,6 +166,25 @@ class TestCli:
         assert checks[failing]["passed"] is False
         assert checks[failing]["witness"]
 
+    def test_empty_rho0_grid_fails_one_check_and_keeps_the_others(self, tmp_path):
+        # valid rates for which no grid rho0 meets the volume-mode inequalities
+        cfgpath = tmp_path / "config.yaml"
+        cfgpath.write_text(yaml.safe_dump({
+            "saddle_rates": [-1.5, 0.005], "anosov_stable": [-3.0], "lam": 0.1, "mu": 1.01,
+            "rho0": 0.5, "samples": 64, "step": 0.01}), encoding="utf-8")
+        out = tmp_path / "rep"
+        assert cli.main(["verify-saddle", "--config", str(cfgpath), "--out", str(out)]) == 1
+        report = json.loads((out / "verify_saddle_report.json").read_text())
+        checks = {c["name"]: c for c in report["suites"]["saddle"]["checks"]}
+        assert list(checks) == [
+            "bump-contract", "slow-down-reduces-speed", "shear-bound", "rho0-selection",
+            "transit-closed-forms", "distortion-uniformity", "transit-time-scaling",
+            "transit-classes", "tangent-map-oracle", "richardson", "time-change-oracle"]
+        selection = checks["rho0-selection"]
+        assert selection["passed"] is False
+        assert selection["measured"]["volume_feasible_interval"] == []
+        assert "empty_grid" in selection["witness"]
+
     def test_exit_2_on_missing_file(self, tmp_path, capsys):
         assert cli.main(["all", "--config", str(tmp_path / "none.yaml")]) == 2
 

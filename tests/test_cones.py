@@ -5,6 +5,7 @@ import pytest
 
 from phsurgery import cones, saddle
 from phsurgery.cones import ConeSpec, MetricSpec, ProductModel
+from phsurgery.config import CampaignConfig
 from phsurgery.saddle import AnosovModel, BumpProfile, SaddleSpec
 
 
@@ -286,3 +287,65 @@ class TestRateChain:
         out = cones.rate_chain_check(spec, anosov, 3.0, region="core")
         assert not out["ok"]
         assert any(w["block"] == "c" for w in out["witnesses"])
+
+
+def _sampled_rate_chain(spec, anosov, rho0, *, region="far", seed=0):
+    """The rate chain measured on 25 seeded normal rows plus +-axes per block.
+
+    This is how `rate_chain_check` measured the chain before it read the
+    diagonal of the block map; kept here as its oracle.
+    """
+    model = ProductModel(spec=spec, anosov=anosov)
+    rho = 1.0 if region == "far" else rho0
+    rng = np.random.default_rng(seed)
+
+    def block_dirs(E):
+        d = rng.standard_normal((25, E.shape[1]))
+        d /= np.linalg.norm(d, axis=1, keepdims=True)
+        return np.vstack([d @ E.T, E.T, -E.T])
+
+    blocks = (("s", model.axes("s")), ("c", np.hstack([model.axes("c"), model.axes("disk")])),
+              ("u", model.axes("u")))
+    lam, mu = anosov.lam, anosov.mu
+    ok, witnesses, center_margin = True, [], math.inf
+    for t in (1.0, 2.0):
+        disk_J = np.diag(np.exp(rho * np.asarray(spec.rates) * t))
+        M = model.full_maps(disk_J[None], [t])[0]
+        for name, E in blocks:
+            V = block_dirs(E)
+            growth = np.linalg.norm(V @ M.T, axis=1) / np.linalg.norm(V, axis=1)
+            lo, hi = float(growth.min()), float(growth.max())
+            if name == "s" and hi > lam**t * (1.0 + 1e-9):
+                ok = False
+                witnesses.append({"block": "s", "time": t, "growth": hi, "bound": lam**t})
+            if name == "u" and lo < mu**t * (1.0 - 1e-9):
+                ok = False
+                witnesses.append({"block": "u", "time": t, "growth": lo, "bound": mu**t})
+            if name == "c":
+                margin = min(math.log(lo) - t * math.log(lam), t * math.log(mu) - math.log(hi))
+                center_margin = min(center_margin, margin / t)
+                if margin <= 0:
+                    ok = False
+                    witnesses.append({"block": "c", "time": t, "low": lo, "high": hi,
+                                      "lam_t": lam**t, "mu_t": mu**t})
+    return {"ok": ok, "region": region, "rho0": rho0,
+            "center_margin": center_margin, "witnesses": witnesses}
+
+
+@pytest.mark.parametrize("fields", [
+    {},
+    {"saddle_rates": [-1.0] * 4 + [1.0] * 4},
+    {"anosov_stable": [-3.0, -2.0], "anosov_unstable": [2.0, 3.0]},
+], ids=["k4", "k8", "anosov2d"])
+def test_rate_chain_diagonal_equals_sampled_rows(fields):
+    # on a diagonal map the block axes reach both growth extremes, so the
+    # sampled rows never move the result: the dicts are equal at every seed
+    cfg = CampaignConfig(**fields)
+    spec, anosov, rho0 = cfg.saddle_spec(), cfg.anosov_model(), cfg.resolved_rho0()
+    chain_bound = min(math.log(cfg.mu), -math.log(cfg.lam)) / max(abs(r) for r in spec.rates)
+    forced = 1.5 * chain_bound
+    for rho, region in ((rho0, "far"), (rho0, "core"), (forced, "core")):
+        exact = cones.rate_chain_check(spec, anosov, rho, region=region)
+        for seed in range(10):
+            assert exact == _sampled_rate_chain(spec, anosov, rho, region=region, seed=seed)
+    assert not cones.rate_chain_check(spec, anosov, forced, region="core")["ok"]

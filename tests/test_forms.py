@@ -1,4 +1,5 @@
 import math
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -75,6 +76,161 @@ class TestCalculus:
                 xb = [float(c) for c in x]
                 xg = sum(X[i](xb) * partial(g, xb, i) for i in range(4))
                 assert xg == 0.0  # exact: the rates cancel termwise
+
+
+def _chained(f, g):
+    return lambda x: f(x) + g(x)
+
+
+def _chained_add(a, b):
+    """Form addition as written before `_summed`: set order, one closure per repeat."""
+    out = {}
+    for idx in set(a.coeffs) | set(b.coeffs):
+        fa, fb = a.coeffs.get(idx), b.coeffs.get(idx)
+        out[idx] = fb if fa is None else fa if fb is None else _chained(fa, fb)
+    return Form(a.dim, a.degree, out)
+
+
+def _chained_d(form):
+    terms = {}
+    for idx, f in form.coeffs.items():
+        for j in range(form.dim):
+            ins = forms._insert_index(j, idx)
+            if ins is not None:
+                terms.setdefault(ins[0], []).append((ins[1], j, f))
+
+    def make(termlist):
+        def coeff(x):
+            total = 0.0
+            for sign, j, f in termlist:
+                total = total + sign * partial(f, x, j)
+            return total
+
+        return coeff
+
+    return Form(form.dim, form.degree + 1, {idx: make(t) for idx, t in terms.items()})
+
+
+def _chained_wedge(a, b):
+    out = {}
+    for ia, fa in a.coeffs.items():
+        for ib, fb in b.coeffs.items():
+            if set(ia) & set(ib):
+                continue
+            merged = tuple(sorted(ia + ib))
+            prod = (lambda f, g, s: lambda x: s * f(x) * g(x))(fa, fb, forms._merge_sign(ia, ib))
+            out[merged] = _chained(out[merged], prod) if merged in out else prod
+    return Form(a.dim, a.degree + b.degree, out)
+
+
+def _chained_interior(X, form):
+    out = {}
+    for idx, f in form.coeffs.items():
+        for pos, j in enumerate(idx):
+            rest = idx[:pos] + idx[pos + 1:]
+            term = (lambda f, Xj, s: lambda x: s * Xj(x) * f(x))(f, X[j], (-1) ** pos)
+            out[rest] = _chained(out[rest], term) if rest in out else term
+    return Form(form.dim, form.degree - 1, out)
+
+
+def _chained_lie(X, form):
+    n = form.dim
+    out = {}
+
+    def add(idx, fn):
+        out[idx] = _chained(out[idx], fn) if idx in out else fn
+
+    for idx, f in form.coeffs.items():
+        def xf(x, f=f):
+            total = 0.0
+            for j in range(n):
+                total = total + X[j](x) * partial(f, x, j)
+            return total
+
+        add(idx, xf)
+        for pos, im in enumerate(idx):
+            for j in range(n):
+                if j == im:
+                    add(idx, (lambda f, Xm, j: lambda x: f(x) * partial(Xm, x, j))(f, X[im], j))
+                    continue
+                if j in idx:
+                    continue
+                ins = forms._insert_index(j, idx[:pos] + idx[pos + 1:])
+                if ins is None:
+                    continue
+                add(ins[0], (lambda f, Xm, j, s: lambda x: s * f(x) * partial(Xm, x, j))
+                    (f, X[im], j, (-1) ** pos * ins[1]))
+    return Form(n, form.degree, out)
+
+
+def _random_polynomial(rng, dim):
+    """Three monomials c * x0^p0 ... x_{dim-1}^p_{dim-1}, powers in {0, 1, 2}."""
+    monomials = [(float(rng.normal()), [int(p) for p in rng.integers(0, 3, dim)])
+                 for _ in range(3)]
+
+    def f(x):
+        total = 0.0
+        for c, powers in monomials:
+            term = c
+            for xi, p in zip(x, powers):
+                if p:
+                    term = term * xi ** p
+            total = total + term
+        return total
+
+    return f
+
+
+def _random_form(rng, dim, degree):
+    idxs = [idx for idx in combinations(range(dim), degree) if rng.random() < 0.7]
+    return Form(dim, degree, {idx: _random_polynomial(rng, dim) for idx in idxs})
+
+
+def _same_bits(new, old, probes):
+    """Same index set, and every coefficient equal bit for bit on the probe columns.
+
+    A zero may differ in sign only: the chained d started each sum at 0.0,
+    and adding 0.0 to both sides maps -0.0 to 0.0 and leaves every other
+    value as it is.
+    """
+    assert set(new.coeffs) == set(old.coeffs)
+    cols = list(probes.T)
+    for idx in old.coeffs:
+        a = np.broadcast_to(new.coefficient(cols, idx), len(probes)) + 0.0
+        b = np.broadcast_to(old.coefficient(cols, idx), len(probes)) + 0.0
+        assert a.tobytes() == b.tobytes(), idx
+
+
+class TestSummed:
+    def test_insertion_order_and_lone_term(self):
+        f, g, h = (lambda x: 1.0), (lambda x: 2.0), (lambda x: 4.0)
+        out = forms._summed([((2,), f), ((0,), g), ((2,), h), ((1,), h)])
+        assert list(out) == [(2,), (0,), (1,)]
+        assert out[(0,)] is g and out[(1,)] is h
+        assert out[(2,)]([0.0]) == 5.0
+
+    def test_sums_left_to_right(self):
+        terms = [((), lambda x: 1e16), ((), lambda x: 1.0), ((), lambda x: -1e16)]
+        # (1e16 + 1) rounds to 1e16, so the left-to-right sum is 0, not 1
+        assert forms._summed(terms)[()](None) == 0.0
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_operations_match_chained_accumulation(self, seed, probes):
+        rng = np.random.default_rng(seed)
+        X = [_random_polynomial(rng, 4) for _ in range(4)]
+        for degree in range(5):
+            a, b = _random_form(rng, 4, degree), _random_form(rng, 4, degree)
+            _same_bits(a + b, _chained_add(a, b), probes)
+            _same_bits(lie(X, a), _chained_lie(X, a), probes)
+            if degree < 4:
+                _same_bits(d(a), _chained_d(a), probes)
+            if degree > 0:
+                _same_bits(interior(X, a), _chained_interior(X, a), probes)
+                # the identity probes chain these: d of a contraction
+                _same_bits(d(interior(X, a)), _chained_d(_chained_interior(X, a)), probes)
+            for other in range(5 - degree):
+                c = _random_form(rng, 4, other)
+                _same_bits(wedge(a, c), _chained_wedge(a, c), probes)
 
 
 class TestSlowedVolume:

@@ -198,7 +198,8 @@ class TestFlow:
         x = np.zeros(4)
         x[2] = 0.09
         x[0] = 0.03
-        assert saddle.richardson_residual(spec4, profile, x, 1.5) < 1e-8
+        half = saddle.flow_slow(spec4, profile, x, 1.5, step=saddle.DEFAULT_STEP / 2)
+        assert np.linalg.norm(saddle.flow_slow(spec4, profile, x, 1.5) - half) < 1e-8
 
     def test_batch_matches_single_points(self, spec4, profile):
         x = np.random.default_rng(8).uniform(-0.3, 0.3, size=(12, 4))
@@ -255,6 +256,20 @@ class TestVariational:
         for row, p, Jm in zip(x, points, J):
             p1, J1 = saddle.variational_flow_slow(spec4, profile, row, 0.8, step=0.01)
             assert (p == p1).all() and (Jm == J1).all()
+
+    @pytest.mark.parametrize("k", [4, 8])
+    @pytest.mark.parametrize("flat", [False, True], ids=["bump", "flat"])
+    def test_points_equal_flow_slow(self, k, flat):
+        # the saddle suite's step-halving check reads these points in place of a
+        # flow_slow call at the same step
+        spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
+        prof = BumpProfile.flat(0.5) if flat else BumpProfile(delta=0.1, rho0=0.5)
+        x = np.random.default_rng(k).uniform(-0.05, 0.05, size=(6, k))
+        points, _ = saddle.variational_flow_slow(spec, prof, x, 1.0, step=0.01)
+        assert points.tobytes() == saddle.flow_slow(spec, prof, x, 1.0, step=0.01).tobytes()
+        point, _ = saddle.variational_flow_slow(spec, prof, x[0], 1.0, step=0.01)
+        assert point.shape == (k,)
+        assert point.tobytes() == saddle.flow_slow(spec, prof, x[0], 1.0, step=0.01).tobytes()
 
     def test_matches_finite_differences(self, spec4, profile):
         rng = np.random.default_rng(3)
@@ -489,6 +504,37 @@ def test_saddle_suite_runs_rk4_transits_once(monkeypatch):
     assert check["passed"]
     assert list(check["measured"]["rows_by_delta"]) == ["0.1"]
     assert check["measured"]["max_rescaling_error"] < 1e-9
+
+
+def test_saddle_suite_runs_flow_slow_twice(monkeypatch):
+    # central differences at the configured step, then one half-step flow for
+    # the step-halving residual, whose step-h side is the variational flow's
+    calls = []
+    real = saddle.flow_slow
+
+    def counted(spec, profile, x, t, step=saddle.DEFAULT_STEP):
+        calls.append(step)
+        return real(spec, profile, x, t, step=step)
+
+    monkeypatch.setattr(saddle, "flow_slow", counted)
+    checks = {c["name"]: c for c in suites.run_saddle_suite(CampaignConfig(**_SMALL))["checks"]}
+    assert calls == [0.01, 0.005]
+    assert checks["richardson"]["passed"]
+
+
+@pytest.mark.parametrize("rates", [[-1.0, -1.0, 1.0, 1.0], [-1.0] * 4 + [1.0] * 4],
+                         ids=["k4", "k8"])
+def test_richardson_equals_two_flow_residual(rates):
+    cfg = CampaignConfig(**_SMALL, saddle_rates=rates)
+    spec, profile, k = cfg.saddle_spec(), cfg.bump_profile(), cfg.k
+    e_u = np.zeros(k)
+    e_u[int(np.argmax(spec.rates))] = profile.delta
+    probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], k),
+                       np.resize([0.05, -0.15, 0.11, -0.03], k), e_u * 1.2])
+    a = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step)
+    b = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step / 2)
+    check = next(c for c in suites.run_saddle_suite(cfg)["checks"] if c["name"] == "richardson")
+    assert check["measured"]["max_residual"] == float(saddle._radius(a - b).max())
 
 
 def test_transit_closed_forms_fail_when_axis_times_are_off(monkeypatch):
