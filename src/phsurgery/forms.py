@@ -283,6 +283,9 @@ def moser_eta0() -> Form:
 _GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(8)
 _THETA = (_GL_NODES + 1.0) / 2.0
 _WEIGHT = _GL_WEIGHTS / 2.0
+# theta = 1 (the point itself) ahead of the nodes: one call of alpha gives
+# the density at x and gamma on the nodes
+_THETA_AT_X = np.concatenate([[1.0], _THETA])
 
 
 def moser_beta(gamma):
@@ -302,12 +305,15 @@ def moser_beta(gamma):
     """
 
     def beta(x):
-        x1, *rest = x
-        nd = max(_leaf_ndim(c) for c in x)
-        theta = _THETA.reshape(-1, *[1] * nd)
-        return _node_sum(gamma([theta * x1, *rest]), nd)
+        nd = _width(x)
+        return _node_sum(gamma(_on_nodes(_node_axis(_THETA, nd), x)), nd)
 
     return beta
+
+
+def _width(x):
+    """Widest ndim over the coordinates of a point, and over their dual parts."""
+    return max(_leaf_ndim(c) for c in x)
 
 
 def _leaf_ndim(c):
@@ -317,17 +323,41 @@ def _leaf_ndim(c):
     return np.ndim(c)
 
 
+def _node_axis(v, nd):
+    """Per-node values v (nodes or weights) on a leading axis ahead of nd unit axes."""
+    return v.reshape(-1, *[1] * nd)
+
+
+def _on_nodes(theta, x):
+    """The point stack [theta x1, x2, x3, x4] for theta from `_node_axis`."""
+    x1, *rest = x
+    return [theta * x1, *rest]
+
+
+def _node(g, nd, k):
+    """Node k (an index or a slice) of g, component by component into duals.
+
+    A component without the node axis is constant over the nodes."""
+    if isinstance(g, Dual):
+        return Dual(_node(g.re, nd, k), _node(g.du, nd, k))
+    return g[k] if np.ndim(g) > nd else g
+
+
 def _node_sum(g, nd, out=0.0):
     """Gauss-Legendre weighted sum of g over its leading node axis.
 
     Runs component by component into duals; a component without the node
-    axis is constant over the nodes.  Only the innermost real part starts
-    from 0: `sum` adds its start 0 to a dual's innermost real part alone."""
+    axis is constant over the nodes.  One broadcast multiply by the weights,
+    then a left fold in node order: a numpy reduction would reorder the adds
+    for some shapes.  Only the innermost real part starts from 0: `sum` adds
+    its start 0 to a dual's innermost real part alone."""
     if isinstance(g, Dual):
         return Dual(_node_sum(g.re, nd, out), _node_sum(g.du, nd, None))
-    nodes = g if np.ndim(g) > nd else [g] * len(_WEIGHT)
-    for w, gi in zip(_WEIGHT, nodes):
-        out = w * gi if out is None else out + w * gi
+    ndim = np.ndim(g)
+    # the weights ahead of g's own axes, or of all but its node axis
+    weights = _node_axis(_WEIGHT, ndim - 1 if ndim > nd else ndim)
+    for term in weights * g:
+        out = term if out is None else out + term
     return out
 
 
@@ -346,28 +376,31 @@ class MoserMap:
     radius: float
     steps: int = 1000
 
-    def __post_init__(self):
-        self._beta = moser_beta(lambda x: self.alpha(x) - 1.0)
-
-    def density(self, s, x):
-        return (1.0 - s) + s * self.alpha(x)
-
     def velocity(self, s, x):
         """Y_s solving  i_{Y_s} omega_s = -(omega_1 - omega_0) primitive.
 
         With eta = beta * eta0 the only nonzero component is along x1:
-        Y_1 = -beta(x) x1 / density_s(x).  x is a point of floats or duals,
-        or four columns of a batch.
+        Y_1 = -beta(x) x1 / density_s(x), beta solving d/dx1 (x1 beta) =
+        alpha - 1 (`moser_beta`).  x is a point of floats or duals, or four
+        columns of a batch.
         """
-        den = self.density(s, x)
+        return [self._speed(s, x, _node_axis(_THETA_AT_X, _width(x))), 0.0, 0.0, 0.0]
+
+    def _speed(self, s, x, theta):
+        """The x1 component of Y_s, from one call of alpha on theta = 1 and the nodes.
+
+        theta is `_THETA_AT_X` on its node axis.  alpha works elementwise and
+        1.0 * x1 is exact, so node 0 is alpha(x) bit for bit."""
+        nd = theta.ndim - 1
+        a = self.alpha(_on_nodes(theta, x))
+        den = (1.0 - s) + s * _node(a, nd, 0)
         bad = np.asarray(value(den)) <= 0.0
         if bad.any():
             i = np.flatnonzero(bad)[0]
             point = np.array([value(c) for c in x], dtype=float).reshape(4, -1)[:, i]
             raise PathDegenerate(s, point, np.ravel(value(den))[i])
-        v = [0.0, 0.0, 0.0, 0.0]
-        v[0] = -self._beta(x) * x[0] / den
-        return v
+        beta = _node_sum(_node(a, nd, slice(1, None)) - 1.0, nd)
+        return -beta * x[0] / den
 
     def _integrate(self, x, s0, s1):
         """RK4 in s for x1 alone: Y_s moves only x1, so x2..x4 are parameters.
@@ -380,7 +413,9 @@ class MoserMap:
         x1, *rest = rows.T
         if isinstance(x, Dual):
             x1 = Dual(x1, x.du)
-        f = lambda s, y: self.velocity(s, [y, *rest])[0]
+        # the coordinates are columns: one axis behind the node axis
+        theta = _node_axis(_THETA_AT_X, 1)
+        f = lambda s, y: self._speed(s, [y, *rest], theta)
         h = (s1 - s0) / self.steps
         s = s0
         for _ in range(self.steps):
@@ -399,18 +434,19 @@ class MoserMap:
     def inverse(self, y):
         return self._integrate(y, 1.0, 0.0)
 
-    def transport_residuals(self, points):
-        """Both readings of the volume transport at each row of an (n, 4) batch.
+    def transport_residuals(self, y):
+        """Both readings of the volume transport at each row of a forward image.
 
-        forward: det Dh(x) * alpha(h(x)) - 1   (h carries the flat volume to
-        the alpha volume); inverse: det Dh^{-1}(y) - alpha(y) at y = h(x).
-        det Dh = dh1/dx1, since x2..x4 stay put: one forward-mode pass each.
+        y = h(Dual(x, 1)) for a point or an (n, 4) batch x: the images h(x)
+        with the tangents dh1/dx1.  forward: det Dh(x) * alpha(h(x)) - 1   (h
+        carries the flat volume to the alpha volume); inverse: det Dh^{-1}(y)
+        - alpha(y) at y = h(x).  det Dh = dh1/dx1, since x2..x4 stay put: the
+        forward pass is the caller's, so one that needs other images of h
+        gets them from the same pass; the inverse pass is made here.
         """
-        rows = np.reshape(points, (-1, 4))
-        one = np.ones(len(rows))
-        y = self(Dual(rows, one))
-        back = self.inverse(Dual(y.re, one))
-        a = self.alpha(list(y.re.T))
+        rows = np.reshape(y.re, (-1, 4))
+        back = self.inverse(Dual(rows, np.ones(len(rows))))
+        a = self.alpha(list(rows.T))
         return y.du * a - 1.0, back.du - a
 
 

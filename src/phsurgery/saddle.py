@@ -429,11 +429,13 @@ def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
     The exit is found by the endpoint test |x| outside [delta, 2 delta] after
     each step, so an orbit that dips below delta for less than one step is
     reported as outer->outer.  This is the oracle of `time_change_transits`.
+    The default budget is ten times the transit along the slowest axis,
+    log 2 / (rho0 min|rate|).
     """
     delta = profile.delta
     n, k = entries.shape
     if budget is None:
-        budget = 10.0 * math.log(2.0) / profile.rho0
+        budget = 10.0 * math.log(2.0) / (profile.rho0 * min(abs(r) for r in spec.rates))
     inner = _entry_spheres(spec, profile, entries)
 
     state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])

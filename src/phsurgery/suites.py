@@ -18,7 +18,7 @@ from scipy.linalg import expm
 from . import blowup, cones, forms, homogeneous as hg, saddle
 from .blowup import BlowupPoint, KLStructure
 from .config import CampaignConfig
-from .dualnum import dsqrt
+from .dualnum import Dual, dsqrt
 
 
 def _check(name, passed, meaning, measured=None, witness=None):
@@ -679,11 +679,11 @@ def run_moser_suite(cfg: CampaignConfig):
     inside = lambda pts: saddle._radius(pts) < cfg.moser_radius
     h = forms.moser_flow(vol, om1, radius=cfg.moser_radius, steps=cfg.moser_steps)
     starts = probes[:16] * 0.8
-    fw, inv = h.transport_residuals(starts[inside(starts)])
-    tp = np.maximum(np.abs(fw), np.abs(inv))
+    starts = starts[inside(starts)]
 
-    # one call of h moves the origin, the commutation points x and a_t x
-    # (a_t = exp(t amp)), and the step-halving start x0 when it is inside
+    # one forward pass of h moves the transport starts (with their tangents),
+    # the origin, the commutation points x and a_t x (a_t = exp(t amp)), and
+    # the step-halving start x0 when it is inside; rows move on their own
     tgrid = np.linspace(-1.0, 1.0, 9)
     amp = np.array([-1.0, -1.0, 1.0, 1.0])
     xs = probes[:12] * 0.35
@@ -693,10 +693,14 @@ def run_moser_suite(cfg: CampaignConfig):
     keep = inside(pairs) & ok[:, None]
     x0 = np.array([0.1, 0.15, -0.1, 0.2])
     x0_rows = x0[None, :] if inside(x0) else np.zeros((0, 4))
-    images = h(np.concatenate([np.zeros((1, 4)), xs[ok], pairs[keep], x0_rows]))
+    rows = np.concatenate([starts, np.zeros((1, 4)), xs[ok], pairs[keep], x0_rows])
+    y = h(Dual(rows, np.ones(len(rows))))
+    m = len(starts)
+    fw, inv = h.transport_residuals(Dual(y.re[:m], y.du[:m]))
+    tp = np.maximum(np.abs(fw), np.abs(inv))
     hx = np.zeros_like(xs)
     h_origin, hx[ok], h_pairs, h_x0 = np.split(
-        images, np.cumsum([1, ok.sum(), keep.sum()]))
+        y.re[m:], np.cumsum([1, ok.sum(), keep.sum()]))
     origin_fixed = float(np.linalg.norm(h_origin))
     comm = saddle._radius(h_pairs - (at * hx[:, None, :])[keep])
     worst_comm = max(comm, default=math.nan)

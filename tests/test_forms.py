@@ -274,6 +274,20 @@ class TestPrimitive:
         assert forms.form_max_at(diff, probes) < 1e-14
 
 
+def _equal_bits(a, b):
+    """a and b are equal bit for bit, signed zeros included, component by component."""
+    if isinstance(a, Dual) or isinstance(b, Dual):
+        assert isinstance(a, Dual) and isinstance(b, Dual)
+        _equal_bits(a.re, b.re)
+        _equal_bits(a.du, b.du)
+    else:
+        # a constant dual part of x1 picks up the node axis's trailing unit
+        # axes: equal sizes, equal bits
+        assert np.size(a) == np.size(b)
+        a, b = np.broadcast_arrays(a, b)
+        assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
 class TestBeta:
     def test_constant(self):
         beta = forms.moser_beta(lambda x: 3.7)
@@ -353,33 +367,24 @@ class TestBeta:
         from phsurgery.dualnum import seed
         rng = np.random.default_rng(18)
         broadcast, per_node = forms.moser_beta(gamma), self._per_node_beta(gamma)
-
-        def same(a, b):
-            if isinstance(a, Dual) or isinstance(b, Dual):
-                assert isinstance(a, Dual) and isinstance(b, Dual)
-                same(a.re, b.re)
-                same(a.du, b.du)
-            else:
-                # a constant dual part of x1 picks up the node axis's
-                # trailing unit axes: equal sizes, equal bits
-                assert np.size(a) == np.size(b)
-                a, b = np.broadcast_arrays(a, b)
-                assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
-
         point = rng.uniform(-0.4, 0.4, 4).tolist()
         # as many rows as nodes: a node axis read as the row axis would pass
         # shape checks, but not equality
         columns = list(rng.uniform(-0.4, 0.4, (8, 4)).T)
+        # one and two rows: numpy's pairwise reduction reorders the adds of
+        # (8,) and (8, 1) arrays, so a reduction over the node axis fails here
+        one_row, two_rows = list(rng.uniform(-0.4, 0.4, (1, 4)).T), list(
+            rng.uniform(-0.4, 0.4, (2, 4)).T)
         # one point carrying 8 tangents: only the dual parts are columns
         tangents = [Dual(c, t) for c, t in zip(point, rng.uniform(-1, 1, (4, 8)))]
-        for x in (point, columns, tangents):
-            same(broadcast(x), per_node(x))
+        for x in (point, columns, one_row, two_rows, tangents):
+            _equal_bits(broadcast(x), per_node(x))
             for j in range(4):
                 # dual parts from `seed` are the constants 0 and 1, without
                 # the node axis; nested seeds give second derivatives
-                same(broadcast(seed(x, j)), per_node(seed(x, j)))
+                _equal_bits(broadcast(seed(x, j)), per_node(seed(x, j)))
                 for i in range(4):
-                    same(broadcast(seed(seed(x, j), i)), per_node(seed(seed(x, j), i)))
+                    _equal_bits(broadcast(seed(seed(x, j), i)), per_node(seed(seed(x, j), i)))
 
     def test_corrected_product_rule(self, probes):
         # d(beta eta0) = beta vol + dbeta ^ eta0
@@ -397,6 +402,21 @@ def h():
     alpha = lambda x: 1.0 + 0.1 * (gens[0](x) + gens[3](x))
     return forms.moser_flow(Form.volume(4), Form.volume(4).scale(alpha),
                             radius=0.5, steps=400)
+
+
+def _transport_residuals(h, points):
+    """`transport_residuals` of start points: the forward pass with tangents, then the call."""
+    return h.transport_residuals(h(Dual(points, 1.0)))
+
+
+def _separate_residuals(h, points):
+    """Transport residuals from a forward and an inverse pass of their own."""
+    rows = np.reshape(points, (-1, 4))
+    one = np.ones(len(rows))
+    y = h(Dual(rows, one))
+    back = h.inverse(Dual(y.re, one))
+    a = h.alpha(list(y.re.T))
+    return y.du * a - 1.0, back.du - a
 
 
 def _four_component_integrate(h, x, s0, s1):
@@ -438,7 +458,7 @@ class TestMoserMap:
     def test_transport_both_conventions(self, h):
         rng = np.random.default_rng(8)
         for x in rng.uniform(-0.3, 0.3, size=(5, 4)):
-            fw, inv = h.transport_residuals(x)
+            fw, inv = _transport_residuals(h, x)
             assert abs(fw) < 1e-6
             assert abs(inv) < 1e-6
 
@@ -487,9 +507,10 @@ class TestMoserMap:
             assert (fw[i] == h(x)).all()
             assert (inv[i] == h.inverse(x)).all()
 
-    def test_one_rk4_step_calls_alpha_twice_per_stage(self):
-        # each stage evaluates the density once and beta once, on every
-        # node and row together, whatever the number of rows
+    def test_one_rk4_step_calls_alpha_once_per_stage(self):
+        # each stage evaluates alpha once, at the point (theta = 1) and on
+        # the 8 nodes of beta, for every row together, whatever the number
+        # of rows
         gens = forms.invariant_products()
         calls = []
 
@@ -504,12 +525,28 @@ class TestMoserMap:
             calls.clear()
             h(points)
             n = len(np.reshape(points, (-1, 4)))
-            assert calls == [(n,), (8, n)] * 4
+            assert calls == [(9, n)] * 4
+
+    def test_velocity_equals_density_and_beta_calls(self, h):
+        # one alpha call on theta = 1 and the nodes gives the field of a
+        # density call and a beta call, bit for bit, into every dual part
+        from phsurgery.dualnum import seed
+        beta = forms.moser_beta(lambda x: h.alpha(x) - 1.0)
+        rng = np.random.default_rng(21)
+        point = rng.uniform(-0.3, 0.3, 4).tolist()
+        columns = list(rng.uniform(-0.3, 0.3, (8, 4)).T)
+        tangent = [Dual(columns[0], rng.uniform(-1, 1, 8)), *columns[1:]]
+        for x in (point, columns, tangent, *(seed(columns, j) for j in range(4)),
+                  seed(seed(point, 0), 2)):
+            for s in (0.0, 0.3, 1.0):
+                v = h.velocity(s, x)
+                assert v[1:] == [0.0, 0.0, 0.0]
+                _equal_bits(v[0], -beta(x) * x[0] / ((1.0 - s) + s * h.alpha(x)))
 
     def test_empty_batch(self, h):
         assert h(np.zeros((0, 4))).shape == (0, 4)
         assert h.inverse(np.zeros((0, 4))).shape == (0, 4)
-        fw, inv = h.transport_residuals(np.zeros((0, 4)))
+        fw, inv = _transport_residuals(h, np.zeros((0, 4)))
         assert fw.shape == inv.shape == (0,)
 
     @pytest.mark.parametrize("radius", [0.5, 5.0])
@@ -531,10 +568,39 @@ class TestMoserMap:
     def test_batched_transport_equals_per_row_calls(self, h):
         rng = np.random.default_rng(16)
         points = rng.uniform(-0.3, 0.3, size=(5, 4))
-        fw, inv = h.transport_residuals(points)
+        fw, inv = _transport_residuals(h, points)
         for i, x in enumerate(points):
-            fw1, inv1 = h.transport_residuals(x)
+            fw1, inv1 = _transport_residuals(h, x)
             assert fw[i] == fw1[0] and inv[i] == inv1[0]
+
+    def test_one_forward_pass_serves_transport_and_other_images(self, h):
+        # transport starts first, then rows whose plain images are wanted:
+        # one dual pass gives those images bit for bit, and the residuals of
+        # a forward and an inverse pass of their own
+        rng = np.random.default_rng(20)
+        starts = rng.uniform(-0.3, 0.3, (16, 4))
+        others = np.concatenate([np.zeros((1, 4)), rng.uniform(-0.2, 0.2, (40, 4))])
+        rows = np.concatenate([starts, others])
+        y = h(Dual(rows, np.ones(len(rows))))
+        assert (y.re[16:] == h(others)).all()
+        fw, inv = h.transport_residuals(Dual(y.re[:16], y.du[:16]))
+        fw0, inv0 = _separate_residuals(h, starts)
+        assert (fw == fw0).all() and (inv == inv0).all()
+
+    def test_moser_suite_makes_four_passes(self, monkeypatch):
+        # one forward pass (transport, origin, commutation and x0 rows), the
+        # inverse transport pass, the identity control and the half-step map
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        integrate, passes = MoserMap._integrate, []
+
+        def counted(self, x, s0, s1):
+            passes.append((self.steps, s0, s1))
+            return integrate(self, x, s0, s1)
+
+        monkeypatch.setattr(MoserMap, "_integrate", counted)
+        assert suites.run_moser_suite(CampaignConfig(moser_steps=20))["passed"]
+        assert passes == [(20, 0.0, 1.0), (20, 1.0, 0.0), (200, 0.0, 1.0), (40, 0.0, 1.0)]
 
     def test_requires_standard_base_volume(self):
         scaled = Form.volume(4).scale(lambda x: 2.0)
@@ -611,7 +677,7 @@ class TestBatchedEvaluation:
             assert (np.abs(fd - y.du) < (eps ** 2 + 1e-15 / eps)[:, None]).all()
 
     def test_transport_residuals_at_rounding_level(self, h):
-        fw, inv = h.transport_residuals(np.random.default_rng(8).uniform(-0.3, 0.3, (8, 4)))
+        fw, inv = _transport_residuals(h, np.random.default_rng(8).uniform(-0.3, 0.3, (8, 4)))
         assert np.abs(fw).max() < 1e-13 and np.abs(inv).max() < 1e-13
 
 

@@ -307,6 +307,18 @@ class TestTransit:
         rep, = saddle._transit_batch(spec2, profile, entry, budget=0.01)
         assert rep.exit_sphere == "trapped"
 
+    def test_default_budget_covers_the_slowest_axis(self):
+        # the unstable axis at rate 0.005 takes log 2 / (rho0 0.005) = 277 at
+        # rho0 = 0.5, beyond a budget that ignored the rates
+        spec = SaddleSpec(rates=(-1.5, 0.005))
+        flat = BumpProfile.flat(0.5, delta=0.1)
+        entries = np.array([[0.0, 0.1], [0.2, 0.0]])
+        rk4 = saddle._transit_batch(spec, flat, entries, step=0.5)
+        exact = saddle.time_change_transits(spec, flat, entries)
+        assert (rk4.exit_sphere != "trapped").all()
+        assert (rk4.crossing_class == exact.crossing_class).all()
+        assert rk4.time[0] == pytest.approx(math.log(2.0) / (0.5 * 0.005), rel=1e-6)
+
     def test_entry_validation(self, spec2, profile):
         with pytest.raises(ValueError, match="outward"):
             saddle._transit_batch(spec2, profile, np.array([[0.1, 0.0]]))

@@ -15,6 +15,7 @@ import pytest
 
 from phsurgery import blowup, forms, saddle
 from phsurgery.blowup import BlowupPoint
+from phsurgery.dualnum import Dual
 from phsurgery.saddle import BumpProfile, SaddleSpec
 
 TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
@@ -67,8 +68,8 @@ def test_moser_counts_and_form_spans(tracer):
     h = forms.MoserMap(alpha=lambda x: 1.0 + 0.1 * x[0] * x[2], radius=0.5, steps=7)
     traced = tracer.Tracer().install()
     try:
-        fw, inv = h.transport_residuals(np.array([[0.1, 0.2, -0.1, 0.05],
-                                                   [0.0, 0.1, 0.2, 0.1]]))
+        rows = np.array([[0.1, 0.2, -0.1, 0.05], [0.0, 0.1, 0.2, 0.1]])
+        fw, inv = h.transport_residuals(h(Dual(rows, np.ones(2))))
         forms.form_max_at(forms.Form.volume(4), np.zeros((3, 4)))
     finally:
         traced.restore()
