@@ -11,8 +11,8 @@ map across the annulus (`saddle.transit_campaign`).
 A batch of tangent maps is one (n, d, d) array: `ProductModel.full_maps`
 builds the block maps from an (n, k, k) stack of disk maps, and
 `_frame_pass` maps a cone frame through the whole stack at once.  The core
-campaign returns a `CoreConeReport`, the crossing campaign a
-`CrossingConeReport`.
+campaign returns a `CoreConeReport`; `crossing_cone_statistics` returns the
+four crossing statistics of any batch of transits as a dict.
 
 The campaigns measure, rather than assume, the three quantities the cone
 criterion needs: invariance of the unstable cone (after a reported burn-in),
@@ -240,17 +240,6 @@ class CoreConeReport:
         return bool(ok)
 
 
-@dataclass
-class CrossingConeReport:
-    """Cone damage across the transition shell over a batch of annulus transits."""
-
-    aperture_ratio: float            # max out-angle / omega on the unstable cone
-    min_crossing_expansion: float
-    backward_aperture_ratio: float   # the same for the cs cone under the inverse maps
-    min_backward_contraction: float
-    class_counts: dict
-
-
 def _inner_orbit_points(model: ProductModel, n_orbits, seed, radius):
     """Chart basepoints in the uniformly slowed core, as one batch.
 
@@ -371,29 +360,33 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
 
 def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,
                            n_vectors=200, seed=0):
-    """Cone damage across the transition shell, measured per annulus transit.
+    """(`crossing_cone_statistics`, transits) over the transits of `saddle.transit_campaign`.
+
+    The entries are the same directions at every delta, scaled, so the
+    statistics at c delta are these up to rounding.
+    """
+    transits = saddle.transit_campaign(spec, profile, n_entries, seed + 11)
+    return crossing_cone_statistics(spec, anosov, omega, transits, n_vectors=n_vectors,
+                                    seed=seed), transits
+
+
+def crossing_cone_statistics(spec, anosov, omega, transits, *, n_vectors=200, seed=0):
+    """Cone damage across the transition shell over a batch of annulus transits.
 
     For each transit with tangent map M: the aperture ratio max angle(M v)
     / omega over unstable-cone vectors (how much the cone opens), the
     minimal expansion on the unstable cone, and the backward quantities for
-    the center-stable cone.  The entries are seeded identically across
-    delta values, so a sweep isolates the delta dependence.  The transits
-    and their class counts come from `saddle.transit_campaign` (exact
-    transits).
+    the center-stable cone under the inverse maps; each is the worst over
+    the batch, keyed as in the cones suite's report.
     """
     model = ProductModel(spec=spec, anosov=anosov)
     (ucone, uframe), (cscone, csframe) = _cones_and_frames(model, omega, n_vectors, seed)
-
-    campaign = saddle.transit_campaign(spec, profile, n_entries, seed + 11)
-    M = model.full_maps(campaign.reports.jacobian, campaign.reports.time)
+    M = model.full_maps(transits.jacobian, transits.time)
     ang, growth = _frame_pass(M, uframe, ucone)
     angb, growth_b = _frame_pass(np.linalg.inv(M), csframe, cscone)
-    return CrossingConeReport(
-        aperture_ratio=float(ang.max()) / omega,
-        min_crossing_expansion=float(growth.min()),
-        backward_aperture_ratio=float(angb.max()) / omega,
-        min_backward_contraction=float(growth_b.min()),
-        class_counts=campaign.class_counts)
+    return {"aperture_ratio": float(ang.max()) / omega, "min_expansion": float(growth.min()),
+            "backward_aperture": float(angb.max()) / omega,
+            "backward_contraction": float(growth_b.min())}
 
 
 def rate_chain_check(spec, anosov, rho0, *, region="far"):

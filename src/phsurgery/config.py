@@ -73,7 +73,7 @@ _FIELD_RULES = {
     "omega": ("an aperture in (0, pi/4)", _in(0, math.pi / 4)),
     # the transition shell (delta, 2 delta) must lie inside the unit disk
     "delta": ("a number in (0, 0.5)", _in(0, 0.5)),
-    # the sweep checks compare values across delta and fit a log-log slope
+    # the shell checks compare a subsample at each later delta with the first, rescaled
     "delta_sweep": ("a list of at least 2 distinct numbers in (0, 0.5)",
                     lambda v: isinstance(v, list) and all(map(_in(0, 0.5), v))
                     and len(set(v)) >= 2),

@@ -15,8 +15,8 @@ return one `TransitReport`, whose fields are arrays with a row per transit.
 Scale invariance is the organizing fact: rhobar's transition has width delta
 by construction, so x -> x/delta conjugates the annulus dynamics at scale
 delta to the one at scale 1.  Transit times and transit Jacobians are
-therefore delta-independent, which the campaign in `transit_campaign`
-measures rather than assumes.
+therefore delta-independent: a suite runs `transit_campaign` once, and
+checks the symmetry by rerunning the exact kernel on a rescaled subsample.
 """
 
 from __future__ import annotations
@@ -398,6 +398,13 @@ class TransitReport:
                        np.strings.add(np.strings.add(self.entry_sphere, "->"), self.exit_sphere))
         return cls if cls.ndim else str(cls)
 
+    @property
+    def class_counts(self):
+        """Rows per crossing class of a batch, every class listed ("trapped" included)."""
+        cls = self.crossing_class
+        return {c: int((cls == c).sum()) for c in ("inner->outer", "outer->inner", "outer->outer",
+                                                   "inner->inner", "trapped")}
+
 
 def _entry_spheres(spec, profile, entries):
     """Per entry row, whether it sits on the inner sphere (else the outer one).
@@ -601,22 +608,20 @@ def transit_differences(exact, oracle, delta):
     }
 
 
-@dataclass
-class TransitCampaign:
-    """Summary of a batch of annulus transits at one delta."""
+def distortions(J):
+    """Sup of the largest singular value over a stack of maps, and over their inverses.
 
-    class_counts: dict
-    distortion: float           # sup over transits of max singular value
-    distortion_inv: float       # sup of 1/min singular value
-    reports: TransitReport      # one row per entry, in entry order
+    (1 / the smallest singular value is inf once the SVD rounds it to 0.)
+    """
+    sup = lambda M: float(np.linalg.svd(M, compute_uv=False)[:, 0].max())
+    return sup(J), sup(np.linalg.inv(J))
 
 
 def sample_entries(spec, delta, n, rng):
     """Seeded boundary-sphere entries pointing into the annulus, half of them inner.
 
     Directions are drawn once per seed and scaled to the requested radius,
-    so sweeps over delta see literally the same direction set; the saddle
-    suite's rescaling leg of `time-change-oracle` depends on that.  Pure axis
+    so the entries at two deltas hold the same direction set.  Pure axis
     entries are prepended (row i is the axis of rate i) so the closed-form
     crossings are always sampled.
     """
@@ -638,26 +643,14 @@ def sample_entries(spec, delta, n, rng):
 
 
 def transit_campaign(spec, profile, n_entries, seed):
-    """Measure transit times and tangent distortion over seeded entries.
+    """Exact transits (`time_change_transits`) of seeded entries, one TransitReport row each.
 
-    The transits are exact (`time_change_transits`); no class is "trapped",
-    and the count is kept at zero in `class_counts`.  One seed draws the same
-    directions at every delta (`sample_entries`), which the rescaling leg of
-    the saddle suite's `time-change-oracle` depends on.
+    No class is "trapped", and its count is kept at zero in `class_counts`.
+    One seed draws the same directions at every delta (`sample_entries`), so
+    the campaign at c delta is this one with entries and exits scaled by c.
     """
-    rng = np.random.default_rng(seed)
-    entries = sample_entries(spec, profile.delta, n_entries, rng)
-    reports = time_change_transits(spec, profile, entries)
-    cls = reports.crossing_class
-    counts = {c: int((cls == c).sum()) for c in ("inner->outer", "outer->inner", "outer->outer",
-                                                 "inner->inner", "trapped")}
-    s = np.linalg.svd(reports.jacobian, compute_uv=False)
-    return TransitCampaign(
-        class_counts=counts,
-        distortion=float(s[:, 0].max()),
-        distortion_inv=float((1.0 / s[:, -1]).max()),
-        reports=reports,
-    )
+    entries = sample_entries(spec, profile.delta, n_entries, np.random.default_rng(seed))
+    return time_change_transits(spec, profile, entries)
 
 
 def shear_bound_margin(spec, profile, x, v):

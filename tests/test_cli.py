@@ -110,7 +110,7 @@ class TestCli:
         ({"n_values": [2.5]}, "n_values"),
         # the homogeneous suite would pass with zero checks
         ({"n_values": []}, "n_values"),
-        # the sweep checks compare deltas and fit a log-log slope
+        # the shell checks compare each later delta with the first
         ({"delta_sweep": []}, "delta_sweep"),
         ({"delta_sweep": [0.1]}, "delta_sweep"),
         ({"delta_sweep": [0.1, 0.1]}, "delta_sweep"),
@@ -184,6 +184,10 @@ class TestCli:
         assert selection["passed"] is False
         assert selection["measured"]["volume_feasible_interval"] == []
         assert "empty_grid" in selection["witness"]
+        # the slow rows' transit maps have det about 1e-90: the SVD rounds their
+        # smallest singular value to 0, but the inverse maps' largest is finite
+        inverse = checks["distortion-uniformity"]["measured"]["inverse_distortion"]
+        assert isinstance(inverse, float) and math.isfinite(inverse)
 
     def test_exit_2_on_missing_file(self, tmp_path, capsys):
         assert cli.main(["all", "--config", str(tmp_path / "none.yaml")]) == 2
@@ -251,8 +255,7 @@ class TestCli:
         counts = {row[2]: row[3] for row in rows if row[0] == "transit-classes"
                   and row[2].startswith("class_counts[")}
         classes = ("inner->outer", "outer->inner", "outer->outer", "inner->inner", "trapped")
-        assert sorted(counts) == sorted(f"class_counts[{d}][{c}]"
-                                        for d in ("0.1", "0.01") for c in classes)
+        assert sorted(counts) == sorted(f"class_counts[{c}]" for c in classes)
         assert all(str(int(v)) == v for v in counts.values())
 
     def test_reports_are_deterministic(self, tmp_path):

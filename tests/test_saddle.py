@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phsurgery import saddle, suites
+from phsurgery import cones, saddle, suites
 from phsurgery.config import DEFAULT_TOLERANCES, CampaignConfig
 from phsurgery.saddle import (AnosovModel, BumpProfile, DomainEscape, InfeasibleRates,
                               SaddleSpec)
@@ -350,8 +350,9 @@ class TestTransit:
             prof = BumpProfile(delta=delta, rho0=0.5)
             stats[delta] = saddle.transit_campaign(spec4, prof, 50, seed=11)
         a, b = stats[0.1], stats[0.001]
-        assert a.distortion == pytest.approx(b.distortion, rel=1e-9)
-        assert a.reports.time.mean() == pytest.approx(b.reports.time.mean(), rel=1e-9)
+        assert saddle.distortions(a.jacobian) == pytest.approx(saddle.distortions(b.jacobian),
+                                                               rel=1e-9)
+        assert a.time.mean() == pytest.approx(b.time.mean(), rel=1e-9)
         assert a.class_counts == b.class_counts
         assert a.class_counts["inner->inner"] == 0
 
@@ -571,16 +572,16 @@ def test_transit_closed_forms_fail_when_axis_times_are_off(monkeypatch):
 
 
 def test_time_change_oracle_fails_when_a_delta_is_not_rescaled(monkeypatch):
-    # at delta = 0.01 the campaign runs at another rho0, so its transits are
-    # not the delta = 0.1 transits rescaled
-    real = saddle.transit_campaign
+    # at delta = 0.01 the exact kernel runs the oracle rows at another rho0,
+    # so its transits are not the delta = 0.1 transits rescaled
+    real = saddle.time_change_transits
 
-    def skewed(spec, profile, n_entries, seed):
+    def skewed(spec, profile, entries, **kw):
         if profile.delta == 0.01:
             profile = BumpProfile(delta=profile.delta, rho0=0.9 * profile.rho0)
-        return real(spec, profile, n_entries, seed)
+        return real(spec, profile, entries, **kw)
 
-    monkeypatch.setattr(saddle, "transit_campaign", skewed)
+    monkeypatch.setattr(saddle, "time_change_transits", skewed)
     check = _oracle_check(CampaignConfig(**_SMALL))
     assert not check["passed"]
     assert check["measured"]["max_rescaling_error"] > 1e-9
@@ -589,6 +590,74 @@ def test_time_change_oracle_fails_when_a_delta_is_not_rescaled(monkeypatch):
     assert rescaling["0.001"]["time"] < 1e-9
     # the RK4 leg at the first delta is untouched
     assert check["measured"]["max_time_error"] < DEFAULT_TOLERANCES["time_change_oracle"]
+
+
+def _count_calls(monkeypatch, module, name, calls):
+    """Replace module.name by a wrapper that appends (name, profile, rows) per call."""
+    real = getattr(module, name)
+
+    def counted(spec, profile, *args, **kw):
+        rows = len(args[0]) if name == "time_change_transits" else None
+        calls.append((name, profile, rows))
+        return real(spec, profile, *args, **kw)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+@pytest.mark.parametrize("suite", ["saddle", "cones"])
+def test_one_shell_campaign_per_suite(monkeypatch, suite):
+    # at a 3-delta sweep the campaign runs at the first delta only; each later
+    # delta runs the exact kernel on the oracle rows, at most 12
+    calls = []
+    for module, name in ((saddle, "transit_campaign"), (cones, "crossing_cone_campaign"),
+                         (saddle, "time_change_transits")):
+        _count_calls(monkeypatch, module, name, calls)
+    cfg = CampaignConfig(**_SMALL, crossing_entries=40, cone_orbits=8)
+    out = suites.SUITE_RUNNERS[suite](cfg)
+    assert all(c["passed"] for c in out["checks"])
+    campaigns = [(name, p.delta) for name, p, _ in calls if name != "time_change_transits"]
+    if suite == "saddle":
+        assert campaigns == [("transit_campaign", 0.1)]
+    else:
+        assert campaigns == [("crossing_cone_campaign", 0.1), ("transit_campaign", 0.1)]
+    shells = [(p.delta, rows) for name, p, rows in calls
+              if name == "time_change_transits" and not p.constant]
+    assert [d for d, _ in shells] == [0.1, 0.01, 0.001]
+    assert all(1 <= rows <= 12 for _, rows in shells[1:])
+
+
+class _FixedWidthShell(BumpProfile):
+    """A bump rising over (delta, delta + 0.05): a width not proportional to delta."""
+
+    def value(self, s):
+        if self.constant:
+            return super().value(s)
+        return self.rho0 + (1.0 - self.rho0) * saddle._transition((s - self.delta) / 0.05)
+
+    def slope(self, s):
+        if self.constant:
+            return super().slope(s)
+        r = (np.asarray(s, dtype=float) - self.delta) / 0.05
+        return (1.0 - self.rho0) / 0.05 * saddle._transition_slope(r)
+
+
+def test_shell_not_proportional_to_delta_fails_the_rescaling_leg(monkeypatch):
+    # x -> c x no longer maps the shell dynamics at delta onto those at c delta
+    monkeypatch.setattr(saddle, "BumpProfile", _FixedWidthShell)
+    cfg = CampaignConfig(**_SMALL, crossing_entries=40, cone_orbits=8)
+    checks = {c["name"]: c for c in suites.run_saddle_suite(cfg)["checks"]}
+    oracle = checks["time-change-oracle"]
+    assert not oracle["passed"]
+    assert oracle["measured"]["max_rescaling_error"] > 1e-9
+    # the spreads across delta are measured on the rescaled rows, not assumed:
+    # here they exceed their bounds (about 3.0 and 5.4 against 2)
+    distortion = checks["distortion-uniformity"]
+    assert not distortion["passed"]
+    assert distortion["measured"]["ratio"] > DEFAULT_TOLERANCES["distortion_ratio"]
+    cross = next(c for c in suites.run_cones_suite(cfg)["checks"]
+                 if c["name"] == "crossing-cone-stability")
+    assert not cross["passed"]
+    assert cross["measured"]["ratio"] > DEFAULT_TOLERANCES["cone_ratio"]
 
 
 def test_thinnest_oracle_margin():
