@@ -25,7 +25,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import expm
 
 J0 = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 T0 = (1.0 / math.sqrt(2.0)) * np.array([[1.0, 1.0], [-1.0, 1.0]], dtype=complex)
@@ -133,10 +132,10 @@ def group_invariant_defect(g, n, kind="split"):
 
 
 def taylor_expm(A):
-    """Scaling-and-squaring 20-term Taylor exponential; independent of scipy's Pade.
+    """Scaling-and-squaring 20-term Taylor exponential: the group exponential.
 
     Each matrix of a stack gets its own scaling exponent s and is squared s
-    times.
+    times.  `spectral_expm` is its oracle in the homogeneous suite.
     """
     norm = np.linalg.norm(A, ord=np.inf, axis=(-2, -1))
     s = np.ceil(np.log2(np.maximum(norm, 0.25) / 0.25)).astype(int)
@@ -150,6 +149,18 @@ def taylor_expm(A):
     return out
 
 
+def spectral_expm(A):
+    """V diag(exp w) V^-1 from the eigendecomposition of A, one per stack row.
+
+    Moler and Van Loan's eigenvector method: an algorithm family apart from
+    Taylor scaling and squaring, so it serves as `taylor_expm`'s oracle.  It
+    needs A diagonalizable with well-conditioned eigenvectors, which the
+    generic algebra elements the suite draws are.
+    """
+    w, V = np.linalg.eig(A)
+    return (V * np.exp(w)[..., None, :]) @ np.linalg.inv(V)
+
+
 def conjugate_forms_check(n, seed=0):
     """Residuals of the T-conjugation between the two form pictures.
 
@@ -160,7 +171,7 @@ def conjugate_forms_check(n, seed=0):
     T = conjugator(n)
     rel = float(_max_abs(_h(T) @ form_matrix(n, "diag") @ T - form_matrix(n, "split")))
     rng = np.random.default_rng(seed)
-    g_split = expm(np.stack([random_algebra_element(n, rng) for _ in range(20)]))
+    g_split = taylor_expm(np.stack([random_algebra_element(n, rng) for _ in range(20)]))
     g_diag = T @ g_split @ np.linalg.inv(T)
     return rel, float(group_invariant_defect(g_diag, n, "diag").max())
 
@@ -210,7 +221,7 @@ def transversal_element(v1, v2):
     norm = np.sqrt(np.sum(np.abs(v1) ** 2 + np.abs(v2) ** 2, axis=-1))
     if (norm >= 0.5).any():
         raise ValueError(f"transversal parameter too large: {norm.max():.3g} >= 0.5")
-    return expm(transversal_generator(v1, v2))
+    return taylor_expm(transversal_generator(v1, v2))
 
 
 def local_product_residuals(v1, v2, u, t):
@@ -225,8 +236,8 @@ def local_product_residuals(v1, v2, u, t):
     d = geodesic(n, t)
     d_sigma = d @ transversal_element(v1, v2)
     # the conjugated parameters may exceed the size gate, so exponentiate directly
-    sigma_t = expm(transversal_generator(np.exp(-t)[..., None] * v1,
-                                         np.exp(t)[..., None] * v2))
+    sigma_t = taylor_expm(transversal_generator(np.exp(-t)[..., None] * v1,
+                                                np.exp(t)[..., None] * v2))
     return (_max_abs(d_sigma @ geodesic(n, -t) - sigma_t),
             _max_abs(d_sigma @ u - sigma_t @ d @ u))
 
@@ -241,7 +252,7 @@ def psu11_generator(rng):
 def psu11_element(D, n):
     """exp(D) embedded as the lower-right block; D is (2, 2) or (m, 2, 2)."""
     g = _identity(n, D.shape[:-2])
-    g[..., n - 1:, n - 1:] = expm(D)
+    g[..., n - 1:, n - 1:] = taylor_expm(D)
     return g
 
 

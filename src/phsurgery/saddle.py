@@ -367,6 +367,10 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
 # annulus transits
 
 
+# every value of `TransitReport.crossing_class`
+CROSSING_CLASSES = ("inner->outer", "outer->inner", "outer->outer", "inner->inner", "trapped")
+
+
 @dataclass(frozen=True)
 class TransitReport:
     """Crossings of the annulus delta <= |x| <= 2*delta: one transit or a batch.
@@ -395,15 +399,14 @@ class TransitReport:
     def crossing_class(self):
         """"entry->exit", or "trapped", per row; a str for one transit."""
         cls = np.where(self.exit_sphere == "trapped", "trapped",
-                       np.strings.add(np.strings.add(self.entry_sphere, "->"), self.exit_sphere))
+                       self.entry_sphere + "->" + self.exit_sphere)
         return cls if cls.ndim else str(cls)
 
     @property
     def class_counts(self):
         """Rows per crossing class of a batch, every class listed ("trapped" included)."""
         cls = self.crossing_class
-        return {c: int((cls == c).sum()) for c in ("inner->outer", "outer->inner", "outer->outer",
-                                                   "inner->inner", "trapped")}
+        return {c: int((cls == c).sum()) for c in CROSSING_CLASSES}
 
 
 def _entry_spheres(spec, profile, entries):

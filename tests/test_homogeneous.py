@@ -61,10 +61,14 @@ class TestFormsAndAlgebra:
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_exponential_lands_in_group(self, n, rng):
-        B = _stack(lambda: hg.random_algebra_element(n, rng))
+        # scipy's Pade approximant is the oracle of both the run's kernels
+        B = _stack(lambda: hg.random_algebra_element(n, rng), m=20)
         g = expm(B)
         assert (hg.group_invariant_defect(g, n) < 1e-10).all()
         assert np.abs(hg.taylor_expm(B) - g).max() < 1e-13
+        spectral = hg.spectral_expm(B)
+        assert np.abs(spectral - g).max() < 1e-13
+        assert np.abs(spectral - hg.taylor_expm(B)).max() < 1e-13
 
 
 class TestConjugation:
@@ -235,8 +239,8 @@ class TestStacks:
         bumped = B + np.array([0, 1e-6, 0, 1e-3, 0])[:, None, None] * np.eye(n + 1)
         _same_rows(hg.in_su(bumped, n, tol=1e-9), lambda i: hg.in_su(bumped[i], n, tol=1e-9))
         assert hg.in_su(bumped, n, tol=1e-9).tolist() == [True, False, True, False, True]
-        g = expm(B)
-        _same_rows(g, lambda i: expm(B[i]))
+        g = hg.taylor_expm(B)
+        _same_rows(hg.spectral_expm(B), lambda i: hg.spectral_expm(B[i]))
         for kind in ("split", "diag"):
             _same_rows(hg.group_invariant_defect(g, n, kind),
                        lambda i: hg.group_invariant_defect(g[i], n, kind))
@@ -294,7 +298,7 @@ class TestStacks:
         _same_rows(hg.stabilizer_intersection_defect(members, n),
                    lambda i: hg.stabilizer_intersection_defect(members[i], n))
         assert hg.stabilizer_intersection_defect(members, n)[3:].tolist() == [0.0, 0.0]
-        g = expm(_stack(lambda: hg.random_algebra_element(n, rng)))
+        g = hg.taylor_expm(_stack(lambda: hg.random_algebra_element(n, rng)))
         # rows 0, 2 and 4 are stabilizer members, rows 1 and 3 are not
         mixed = np.where(np.array([1, 0, 1, 0, 1], dtype=bool)[:, None, None], w, g)
         _same_rows(hg.w_membership(mixed, n), lambda i: hg.w_membership(mixed[i], n))
@@ -315,14 +319,15 @@ def _per_sample_measured(cfg):
         worst_grp = worst_exp = 0.0
         for _ in range(20):
             B = hg.random_algebra_element(n, rng)
-            g = expm(B)
+            g = hg.taylor_expm(B)
             worst_grp = max(worst_grp, float(hg.group_invariant_defect(g, n)))
-            worst_exp = max(worst_exp, float(np.abs(hg.taylor_expm(B) - g).max()))
+            worst_exp = max(worst_exp, float(np.abs(hg.spectral_expm(B) - g).max()))
         T = hg.conjugator(n)
         transfer_rng = np.random.default_rng(cfg.seed)
         transfer = 0.0
         for _ in range(20):
-            g_diag = T @ expm(hg.random_algebra_element(n, transfer_rng)) @ np.linalg.inv(T)
+            g = hg.taylor_expm(hg.random_algebra_element(n, transfer_rng))
+            g_diag = T @ g @ np.linalg.inv(T)
             transfer = max(transfer, float(hg.group_invariant_defect(g_diag, n, "diag")))
         worst_conj = worst_prod = 0.0
         for _ in range(100):
@@ -357,3 +362,23 @@ def test_suite_equals_per_sample_loop(seed):
             assert measured[key] == expected[key], (n, key)
         assert report[f"stabilizer-subgroup-n{n}"]["passed"] is expected["stabilizer"]
         assert all(c["passed"] for c in report.values())
+
+
+def _taylor8(A):
+    """exp(A) cut after its A^7 / 7! term: an exponential wrong by about |A|^8 / 8!."""
+    out = term = np.eye(A.shape[-1], dtype=complex)
+    for m in range(1, 8):
+        term = term @ A / m
+        out = out + term
+    return out
+
+
+def test_truncated_group_exponential_fails_the_invariants(monkeypatch):
+    # the spectral cross-check must catch a wrong Taylor kernel
+    monkeypatch.setattr(hg, "taylor_expm", _taylor8)
+    cfg = CampaignConfig()
+    report = {c["name"]: c for c in suites.run_homogeneous_suite(cfg)["checks"]}
+    for n in cfg.n_values:
+        check = report[f"algebra-group-invariants-n{n}"]
+        assert not check["passed"]
+        assert check["measured"]["max_expm_cross_check"] > 1e-12

@@ -667,3 +667,17 @@ def test_thinnest_oracle_margin():
     assert check["passed"]
     assert check["measured"]["max_time_error"] == pytest.approx(4.175e-8, rel=1e-3)
     assert check["measured"]["max_time_error"] < DEFAULT_TOLERANCES["time_change_oracle"]
+
+
+def test_oracle_rows_of_the_seeded_campaign():
+    # the 254-row campaign at 250 samples and seed 42: the first two non-axis
+    # rows of each crossing class present, as np.unique over the classes picked
+    cfg = CampaignConfig(samples=250)
+    spec, rho0, d0 = cfg.saddle_spec(), cfg.resolved_rho0(), cfg.delta_sweep[0]
+    ref = saddle.transit_campaign(spec, BumpProfile(delta=d0, rho0=rho0), cfg.samples, cfg.seed)
+    cls = ref.crossing_class[spec.k:]
+    picked = np.concatenate([spec.k + np.flatnonzero(cls == c)[:2] for c in np.unique(cls)])
+    rows = np.sort(np.concatenate([picked, np.arange(min(spec.k, 12 - len(picked)))]))
+    assert len(ref) == 254 and rows.tolist() == [0, 1, 2, 3, 4, 5, 129, 130, 168, 187]
+    oracle = suites._oracle_rows(spec, rho0, ref, [d0])[d0]
+    assert np.array_equal(oracle.entry, ref.entry[rows])
