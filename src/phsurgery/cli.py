@@ -2,8 +2,9 @@
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 bad
 configuration or usage.  Reports are JSON with a stable schema; floats use
-the shortest round-trip decimal (the platform repr).  Timing lives in a
-dedicated subtree so reports are comparable modulo wall-clock noise.
+the shortest round-trip decimal (the platform repr).  Timing, and the
+suites' deterministic work counters (`timing.counters`), live in a dedicated
+subtree so reports are comparable modulo wall-clock noise.
 """
 
 from __future__ import annotations
@@ -44,6 +45,7 @@ def build_report(cfg: CampaignConfig, suite_names):
                 "the suite ran to completion without raising",
                 witness={"type": type(exc).__name__, "message": str(exc)})])
         timings[name] = time.perf_counter() - t0
+    counters = {name: s.pop("counters") for name, s in suites.items() if "counters" in s}
 
     report = {
         "schema_version": SCHEMA_VERSION,
@@ -51,7 +53,7 @@ def build_report(cfg: CampaignConfig, suite_names):
         "suites": suites,
         "passed": all(s["passed"] for s in suites.values()),
         "timing": {**{k: round(v, 3) for k, v in timings.items()},
-                   "total": round(sum(timings.values()), 3)},
+                   "total": round(sum(timings.values()), 3), "counters": counters},
     }
     return report
 

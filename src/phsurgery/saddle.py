@@ -8,9 +8,9 @@ step RK4, seeded sampling, and exact annulus transits.
 Because rho depends on |x| only, the slowed flow is a time change of the
 linear one (Katok's slow-down): x(t) = exp(sigma(t) A) x0 with
 dsigma/dt = rho(|exp(sigma A) x0|).  `time_change_transits` computes every
-annulus transit from that closed-form orbit; the RK4 transit `_transit_batch`
-with its bisection event locator is kept as the measured oracle.  Both
-return one `TransitReport`, whose fields are arrays with a row per transit.
+annulus transit from that closed-form orbit; the RK4 transit `_transit_batch`,
+one pass of the RK4 row driver `_rk4_rows`, is kept as the measured oracle.
+Both return one `TransitReport`, whose fields are arrays with a row per transit.
 
 Scale invariance is the organizing fact: rhobar's transition has width delta
 by construction, so x -> x/delta conjugates the annulus dynamics at scale
@@ -22,7 +22,7 @@ checks the symmetry by rerunning the exact kernel on a rescaled subsample.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -136,23 +136,6 @@ def _transition(r):
     return a / (a + b) * inside + (x >= 1.0)
 
 
-def _transition_slope(r):
-    """Closed-form derivative of `_transition` on (0, 1)."""
-    r = np.asarray(r, dtype=float)
-    m = _TRANSITION_SHARPNESS
-    ri = np.clip(r, 1e-12, 1 - 1e-12)
-    with np.errstate(under="ignore"):
-        a = np.exp(-m / ri)
-        b = np.exp(-m / (1.0 - ri))
-        da = a * m / ri**2
-        db = b * m / (1.0 - ri) ** 2
-        val = (da * b + a * db) / (a + b) ** 2
-    val = np.where((r <= 0.0) | (r >= 1.0), 0.0, val)
-    if np.ndim(r) == 0:
-        return float(val)
-    return val
-
-
 @dataclass(frozen=True)
 class BumpProfile:
     """Radial slow-down profile rhobar on [0, inf).
@@ -168,7 +151,7 @@ class BumpProfile:
     constant: bool = False  # rhobar == rho0 everywhere (analysis helper)
 
     def __post_init__(self):
-        if not self.delta > 0:
+        if not np.all(np.asarray(self.delta) > 0):  # one delta, or one per row of a batch
             raise ValueError("delta must be positive")
         if self.constant:
             if not self.rho0 > 0:
@@ -196,15 +179,25 @@ class BumpProfile:
 
     def slope(self, s):
         """rhobar'(s), closed form."""
+        return self.value_and_slope(s)[1]
+
+    def value_and_slope(self, s):
+        """(rhobar(s), rhobar'(s)) of floats or arrays, from one pair of exps."""
         if self.constant:
-            return 0.0 if np.ndim(s) == 0 else np.zeros(np.shape(s))
+            return self.rho0 + 0.0 * s, np.zeros(np.shape(s))
         r = (np.asarray(s, dtype=float) - self.delta) / self.delta
-        return (1.0 - self.rho0) / self.delta * _transition_slope(r)
+        ri = np.clip(r, 1e-12, 1 - 1e-12)  # where the value rounds as `value`'s
+        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / (1.0 - ri))
+        da, db = a * _TRANSITION_SHARPNESS / ri**2, b * _TRANSITION_SHARPNESS / (1.0 - ri) ** 2
+        inside = (r > 0.0) & (r < 1.0)
+        slope = np.where(inside, (da * b + a * db) / (a + b) ** 2, 0.0)
+        return (self.rho0 + (1.0 - self.rho0) * (a / (a + b) * inside + (r >= 1.0)),
+                (1.0 - self.rho0) / self.delta * slope)
 
     def __call__(self, x):
         """rho(x) = rhobar(|x|) for a point or an (n, k) batch."""
         x = np.asarray(x, dtype=float)
-        return self.value(np.linalg.norm(x, axis=-1))
+        return self.value_and_slope(np.linalg.norm(x, axis=-1))[0]
 
 
 def pick_rho0(lam, mu, lam_prime, mu_prime, k=None, volume_mode=False):
@@ -267,8 +260,7 @@ def _field_and_jacobian(spec, profile, x):
     r, rho and the profile slope are evaluated once for both.
     """
     r = np.linalg.norm(x, axis=-1)
-    rho = profile.value(r)
-    slope = profile.slope(r)
+    rho, slope = profile.value_and_slope(r)
     rates = np.asarray(spec.rates)
     X = rates * x
     with np.errstate(invalid="ignore", divide="ignore"):
@@ -309,6 +301,79 @@ def _check_inside(x, time):
         raise DomainEscape(time, np.atleast_2d(x)[int(np.argmax(r))])
 
 
+def _tangent_field(spec, profile, y):
+    """(rho X, D(rho X) J) on packed rows y = [x | vec J] of an (n, k + k*k) batch."""
+    k = spec.k
+    fx, A = _field_and_jacobian(spec, profile, y[:, :k])
+    J = y[:, k:].reshape(-1, k, k)
+    return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
+
+
+def _rk4_rows(spec, profile, blocks):
+    """One fixed-step RK4 pass of packed rows [x | vec J], J(0) = Id, over stacked blocks.
+
+    A block (x, delta, h, nsteps, transit) gives (n, k) points their delta,
+    step, step count and kind.  A transit row (entered on a sphere, moving
+    in) stops on the step after which |x| leaves (delta, 2 delta); after
+    the loop one `_bisect_crossing` call finds every crossing time in
+    (0, h] and one step takes the rows there.  A row stops on reaching the
+    unit sphere.  Returns per block (x, J, t, stop), stop per row "outer",
+    "inner", "escape" or "trapped" (all steps taken), and counters.
+    """
+    sizes = [len(b[0]) for b in blocks]
+    delta, h, nsteps, transit = (np.repeat(c, sizes) for c in list(zip(*blocks))[1:])
+    x = np.vstack([b[0] for b in blocks]).astype(float)
+    n, k = x.shape
+    state = np.hstack([x, np.tile(np.eye(k).ravel(), (n, 1))])
+    counters = dict.fromkeys(("rk4_iterations", "row_steps", "bisection_steps"), 0)
+    t, steps, target = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
+    stop = np.where(_radius(x) >= 1.0, "escape", "trapped")
+    live, idx = (stop == "trapped") & (nsteps > 0), np.arange(0)
+    while live.any():
+        if live.sum() != len(idx):
+            idx = np.flatnonzero(live)
+            p, hi, dn = replace(profile, delta=delta[idx]), h[idx, None], delta[idx]
+        sn = rk4_step(lambda _, y: _tangent_field(spec, p, y), 0.0, state[idx], hi)
+        counters["rk4_iterations"] += 1
+        counters["row_steps"] += len(idx)
+        if not np.isfinite(sn).all():
+            raise FloatingPointError(f"non-finite tangent state at step {steps[idx].max() + 1}")
+        rn = np.linalg.norm(sn[:, :k], axis=1)
+        out_hi = rn >= 2 * dn
+        crossed = transit[idx] & (out_hi | (rn <= dn))
+        target[idx[crossed]] = np.where(out_hi, 2 * dn, dn)[crossed]
+        stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
+        moved = idx[~crossed]
+        state[moved] = sn[~crossed]
+        t[moved] += h[moved]
+        steps[moved] += 1
+        stop[moved[_radius(state[moved, :k]) >= 1.0]] = "escape"
+        live[idx] = (stop[idx] == "trapped") & (steps[idx] < nsteps[idx])
+    if len(rows := np.flatnonzero(target)):
+        p = replace(profile, delta=delta[rows])
+        tau = _bisect_crossing(spec, p, state[rows, :k], h[rows], target[rows], counters)
+        state[rows] = rk4_step(lambda _, y: _tangent_field(spec, p, y), 0.0, state[rows],
+                               tau[:, None])
+        t[rows] += tau
+        counters["rk4_iterations"] += 1
+        counters["row_steps"] += len(rows)
+    columns = (state[:, :k], state[:, k:].reshape(n, k, k), t, stop)
+    return list(zip(*(np.split(v, np.cumsum(sizes)[:-1]) for v in columns))), counters
+
+
+def _flow_rows(spec, profile, x, t, step):
+    """(points, J) after time t; DomainEscape names the outermost row at the first escape."""
+    x = np.asarray(x, dtype=float)
+    nsteps, h = _fixed_steps(t, step)
+    [(points, J, times, stop)], _ = _rk4_rows(spec, profile, [
+        (np.atleast_2d(x), profile.delta, h, nsteps if t else 0, False)])
+    out = stop == "escape"
+    if out.any():
+        i = int(np.argmax(np.where(out & (times == times[out].min()), _radius(points), -np.inf)))
+        raise DomainEscape(times[i], points[i])
+    return (points, J) if x.ndim == 2 else (points[0], J[0])
+
+
 def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow of x' = rho(x) X(x) for time t (either sign), fixed-step RK4.
 
@@ -316,24 +381,7 @@ def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     one-point call.  Raises DomainEscape as soon as a row reaches the unit
     sphere.  For rho == 1 this reproduces the closed form exp(t diag(rates)) x.
     """
-    x = np.array(x, dtype=float)
-    _check_inside(x, 0.0)
-    if t == 0:
-        return x
-    nsteps, h = _fixed_steps(t, step)
-    f = lambda _, y: _field(spec, profile, y)
-    for i in range(nsteps):
-        x = rk4_step(f, i * h, x, h)
-        _check_inside(x, (i + 1) * h)
-    return x
-
-
-def _tangent_field(spec, profile, y):
-    """(rho X, D(rho X) J) on packed rows y = [x | vec J] of an (n, k + k*k) batch."""
-    k = spec.k
-    fx, A = _field_and_jacobian(spec, profile, y[:, :k])
-    J = y[:, k:].reshape(-1, k, k)
-    return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
+    return _flow_rows(spec, profile, x, t, step)[0]
 
 
 def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
@@ -343,24 +391,10 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     (k, k) or (n, k, k), each row equal to its own one-point call.  J stays
     orientation preserving; non-finite entries abort with diagnostics.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
-    n, k = X.shape
-    _check_inside(X, 0.0)
-    state = np.hstack([X, np.tile(np.eye(k).ravel(), (n, 1))])
-    if t != 0:
-        nsteps, h = _fixed_steps(t, step)
-        f = lambda _, y: _tangent_field(spec, profile, y)
-        for i in range(nsteps):
-            state = rk4_step(f, i * h, state, h)
-            if not np.all(np.isfinite(state)):
-                raise FloatingPointError(
-                    f"non-finite tangent state at t={(i + 1) * h:.6g}: {state}")
-            _check_inside(state[:, :k], (i + 1) * h)
-        if (np.linalg.det(state[:, k:].reshape(n, k, k)) <= 0).any():
-            raise FloatingPointError("tangent map lost orientation")
-    points, J = state[:, :k], state[:, k:].reshape(n, k, k)
-    return (points, J) if x.ndim == 2 else (points[0], J[0])
+    points, J = _flow_rows(spec, profile, x, t, step)
+    if (np.linalg.det(J) <= 0).any():
+        raise FloatingPointError("tangent map lost orientation")
+    return points, J
 
 
 # ---------------------------------------------------------------------------
@@ -432,65 +466,42 @@ def _entry_spheres(spec, profile, entries):
     return inner
 
 
+def _transit_steps(spec, rho0, step, budget=None):
+    """RK4 steps in a transit budget, by default ten slowest-axis transits."""
+    if budget is None:
+        budget = 10.0 * math.log(2.0) / (rho0 * min(map(abs, spec.rates)))
+    return int(math.ceil(budget / step))
+
+
 def _transit_batch(spec, profile, entries, step=DEFAULT_STEP, budget=None):
-    """Vectorized RK4 annulus transits; one TransitReport row per entry row.
+    """RK4 annulus transits, one `_rk4_rows` call; one TransitReport row per entry row.
 
     Each row is the packed state [x | vec J] of a point and its tangent map.
     The exit is found by the endpoint test |x| outside [delta, 2 delta] after
     each step, so an orbit that dips below delta for less than one step is
     reported as outer->outer.  This is the oracle of `time_change_transits`.
-    The default budget is ten times the transit along the slowest axis,
-    log 2 / (rho0 min|rate|).
+    A crossed row holds its exit state and time, a trapped row its last step.
     """
-    delta = profile.delta
-    n, k = entries.shape
-    if budget is None:
-        budget = 10.0 * math.log(2.0) / (profile.rho0 * min(abs(r) for r in spec.rates))
     inner = _entry_spheres(spec, profile, entries)
-
-    state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
-    t = np.zeros(n)
-    alive = np.ones(n, dtype=bool)
-    exit_sphere = np.full(n, "trapped")
-
-    f = lambda _, y: _tangent_field(spec, profile, y)
-    nmax = int(math.ceil(budget / step))
-    for _ in range(nmax):
-        if not alive.any():
-            break
-        idx = np.flatnonzero(alive)
-        sn = rk4_step(f, 0.0, state[idx], step)
-        rn = np.linalg.norm(sn[:, :k], axis=1)
-        out_hi = rn >= 2 * delta
-        out_lo = rn <= delta
-        # entries start on a sphere; ignore the entry sphere at t ~ 0 by the
-        # strict crossing direction enforced above (first step moves inside)
-        crossed = out_hi | out_lo
-        if crossed.any():
-            rows, hi = idx[crossed], out_hi[crossed]
-            tau = _bisect_crossing(spec, profile, state[rows, :k], step,
-                                   np.where(hi, 2 * delta, delta))
-            state[rows] = rk4_step(f, 0.0, state[rows], tau[:, None])
-            t[rows] += tau
-            exit_sphere[rows] = np.where(hi, "outer", "inner")
-        alive[idx[crossed]] = False
-        keep = ~crossed
-        state[idx[keep]] = sn[keep]
-        t[idx[keep]] += step
-
-    # a crossed row holds its exit state and time, a trapped row its last step
-    return TransitReport(entries, state[:, :k], t, np.where(inner, "inner", "outer"),
-                         exit_sphere, state[:, k:].reshape(n, k, k))
+    [(exits, J, t, stop)], _ = _rk4_rows(spec, profile, [
+        (entries, profile.delta, step, _transit_steps(spec, profile.rho0, step, budget), True)])
+    return TransitReport(entries, exits, t, np.where(inner, "inner", "outer"), stop, J)
 
 
-def _bisect_crossing(spec, profile, x0, h, target):
+def _bisect_crossing(spec, profile, x0, h, target, counters=None):
     """Crossing times tau in (0, h] with |x(tau)| = target, bisected to 1e-10.
 
-    x0 holds one row per orbit and target one radius per row; every row
-    starts from the bracket [0, h].
+    x0 holds one row per orbit, h and target one number or one per row;
+    every row starts from the bracket [0, h].  counters["bisection_steps"]
+    counts the batched RK4 steps.
     """
     f = lambda _, z: _field(spec, profile, z)
-    radius = lambda tau: _radius(rk4_step(f, 0.0, x0, tau[:, None]))
+    counters = {"bisection_steps": 0} if counters is None else counters
+
+    def radius(tau):
+        counters["bisection_steps"] += 1
+        return _radius(rk4_step(f, 0.0, x0, tau[:, None]))
+
     hi = np.full(len(x0), h)
     sign_hi = radius(hi) - target
     return _bisect_root(lambda tau: (radius(tau) - target) * sign_hi, np.zeros(len(x0)), hi,
@@ -541,14 +552,16 @@ def time_change_transits(spec, profile, entries, panels=16):
     at fixed time T is J = exp(sigma* A) + (A x_exit) (x) grad sigma with
     grad sigma = rho(r(sigma*)) int_0^sigma* rho'(r) / (rho^2 r) exp(2 s A) x0 ds.
     Both integrals use composite 32-point Gauss-Legendre on `panels` equal
-    panels of [0, sigma*], evaluated one panel at a time.
+    panels of [0, sigma*], evaluated one panel at a time.  profile.delta is
+    one number or one per entry row.
     """
     entries = np.asarray(entries, dtype=float)
     inner = _entry_spheres(spec, profile, entries)
     a = np.asarray(spec.rates)
     x2 = entries * entries
-    d2 = profile.delta**2
     n, k = entries.shape
+    d2 = np.float_power(np.broadcast_to(profile.delta, n), 2)  # libm pow, as delta**2 rounds
+    per_row = replace(profile, delta=np.reshape(profile.delta, (-1, 1)))  # on (n, m) radii
 
     def r2(rows, s):
         return (x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1)
@@ -559,20 +572,21 @@ def time_change_transits(spec, profile, entries, panels=16):
     # outer entries: the radial minimum sigma_min is the root of the increasing
     # d(r^2)/dsigma; an orbit that drops below delta first needs no minimum
     outer = np.flatnonzero(~inner)
-    hi = _bracket(lambda s: (half_dr2(outer, s) > 0) | (r2(outer, s) < d2), np.zeros(len(outer)))
+    hi = _bracket(lambda s: (half_dr2(outer, s) > 0) | (r2(outer, s) < d2[outer]),
+                  np.zeros(len(outer)))
     s_min = hi.copy()
     turned = half_dr2(outer, hi) > 0
     rows = outer[turned]
     s_min[turned] = _bisect_root(lambda s: half_dr2(rows, s), np.zeros(len(rows)), hi[turned])
-    dips = r2(outer, s_min) < d2
+    dips = r2(outer, s_min) < d2[outer]
 
     sigma = np.empty(n)
     down = outer[dips]
-    sigma[down] = _bisect_root(lambda s: d2 - r2(down, s), np.zeros(len(down)), s_min[dips])
+    sigma[down] = _bisect_root(lambda s: d2[down] - r2(down, s), np.zeros(len(down)), s_min[dips])
     up = np.concatenate([np.flatnonzero(inner), outer[~dips]])
     start = np.concatenate([np.zeros(int(inner.sum())), s_min[~dips]])
-    hi = _bracket(lambda s: r2(up, s) >= 4.0 * d2, start)
-    sigma[up] = _bisect_root(lambda s: r2(up, s) - 4.0 * d2, start, hi)
+    hi = _bracket(lambda s: r2(up, s) >= 4.0 * d2[up], start)
+    sigma[up] = _bisect_root(lambda s: r2(up, s) - 4.0 * d2[up], start, hi)
 
     nodes, weights = np.polynomial.legendre.leggauss(32)
     nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
@@ -582,13 +596,13 @@ def time_change_transits(spec, profile, entries, panels=16):
     for p in range(panels):
         e2 = np.exp(2.0 * a * (width[:, None] * (p + nodes))[:, :, None])  # (n, nodes, k)
         r = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
-        rho = profile.value(r)
+        rho, slope = per_row.value_and_slope(r)
         T += width * (weights / rho).sum(axis=1)
-        g = weights * profile.slope(r) / (rho * rho * r)
+        g = weights * slope / (rho * rho * r)
         grad += width[:, None] * np.einsum("nm,nmk->nk", g, e2)
     scale = np.exp(a * sigma[:, None])
     exits = entries * scale
-    grad *= entries * profile.value(np.linalg.norm(exits, axis=1))[:, None]
+    grad *= entries * per_row.value_and_slope(np.linalg.norm(exits, axis=1, keepdims=True))[0]
     J = scale[:, :, None] * np.eye(k) + (a * exits)[:, :, None] * grad[:, None, :]
     exit_sphere = np.full(n, "outer")
     exit_sphere[down] = "inner"

@@ -79,8 +79,7 @@ def run_saddle_suite(cfg: CampaignConfig):
     # bump profile contract (strict increase is below float resolution at the
     # flat ends, so it is asserted on the middle of the transition)
     s = np.linspace(profile.delta, 2 * profile.delta, 1002)[1:-1]
-    slopes = profile.slope(s)
-    vals = profile.value(s)
+    vals, slopes = profile.value_and_slope(s)
     second = np.diff(vals, 2) / (s[1] - s[0]) ** 2
     mid = (s > 1.05 * profile.delta) & (s < 1.95 * profile.delta)
     checks.append(_check(
@@ -191,30 +190,39 @@ def run_saddle_suite(cfg: CampaignConfig):
         "strictly increases along orbits",
         measured={"class_counts": ref.class_counts}))
 
-    # tangent map against finite differences, and step halving
+    # one stacked RK4 pass: the oracle rows as transits at the first delta; at
+    # the configured delta the probes, their central-difference neighbours and
+    # the probes at half the step.  A probe whose rows reach the unit sphere
+    # has error inf; the first such row of each block is the witness.
     probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], cfg.k),
                        np.resize([0.05, -0.15, 0.11, -0.03], cfg.k),
                        e_u * 1.2])
-    # the variational flow moves its points exactly as flow_slow does, so its
-    # endpoints serve the step-halving comparison
-    ends, J = saddle.variational_flow_slow(spec, profile, probes, 1.0, step=cfg.step)
-    Jfd = _central_jacobians(lambda x: saddle.flow_slow(spec, profile, x, 1.0, step=cfg.step),
-                             probes)
-    fd_errs = [float(np.linalg.norm(a - b) / np.linalg.norm(b)) for a, b in zip(J, Jfd)]
-    rich = saddle._radius(ends - saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step / 2))
+    flow = lambda x, step: (x, cfg.delta, *saddle._fixed_steps(1.0, step)[::-1], False)
+    [(exits, J_rk4, t_rk4, stop), *flows], counters = saddle._rk4_rows(spec, profile, [
+        (picked.entry, d0, cfg.step, saddle._transit_steps(spec, rho0, cfg.step), True),
+        flow(probes, cfg.step), flow(_central_points(probes), cfg.step),
+        flow(probes, cfg.step / 2)])
+    out = {n: b[3] == "escape" for n, b in zip(("probes", "neighbours", "half-step"), flows)}
+    escapes = {name: {"row": int(i), "time": t[i], "point": x[i]} for (name, gone), (x, _, t, _)
+               in zip(out.items(), flows) for i in np.flatnonzero(gone)[:1]}
+    witness = {"escapes": escapes} if escapes else None
+    (ends, J, *_), (fd_ends, *_), (half, *_) = flows
+    Jfd = _central_jacobians(lambda _: fd_ends, probes)
+    fd_errs = np.where(out["probes"] | out["neighbours"].reshape(len(probes), -1).any(axis=1),
+                       np.inf, [np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(J, Jfd)])
+    rich = np.where(out["probes"] | out["half-step"], np.inf, saddle._radius(ends - half))
     checks.append(_check(
-        "tangent-map-oracle", max(fd_errs) < tol["jacobian_fd"],
+        "tangent-map-oracle", fd_errs.max() < tol["jacobian_fd"],
         "variational tangent maps match central finite differences",
-        measured={"max_relative_error": max(fd_errs)}))
+        measured={"max_relative_error": float(fd_errs.max())}, witness=witness))
     checks.append(_check(
         "richardson", rich.max() < tol["richardson"],
         "step-halving agreement of the fixed-step integrator",
-        measured={"max_residual": float(rich.max())}))
+        measured={"max_residual": float(rich.max())}, witness=witness))
 
-    # RK4 on the oracle rows at the first delta; at each later delta the same
+    # the RK4 oracle rows at the first delta; at each later delta the same
     # rows against the first delta's, rescaled
-    oracle = saddle._transit_batch(spec, saddle.BumpProfile(delta=d0, rho0=rho0),
-                                   picked.entry, step=cfg.step)
+    oracle = saddle.TransitReport(picked.entry, exits, t_rk4, picked.entry_sphere, stop, J_rk4)
     rk4 = saddle.transit_differences(picked, oracle, d0)
     rescaled = {str(d): saddle.transit_differences(row_sets[d], replace(
         picked, entry=picked.entry * (d / d0), exit=picked.exit * (d / d0)), d)
@@ -236,7 +244,7 @@ def run_saddle_suite(cfg: CampaignConfig):
                   "max_rescaling_error": worst_rescaled},
         witness={"rk4": {str(d0): {"rows": len(picked), **rk4}}, "rescaling": rescaled}))
 
-    return _suite("saddle", checks)
+    return {**_suite("saddle", checks), "counters": counters}
 
 
 def _oracle_rows(spec, rho0, reports, deltas):
@@ -245,17 +253,19 @@ def _oracle_rows(spec, rho0, reports, deltas):
     The rows are the first two non-axis rows of each crossing class, then
     the axis rows (the first k, see `saddle.sample_entries`), 12 at most.
     x -> c x maps slowed orbits at delta onto orbits at c delta with the
-    same times and tangent maps, so a later delta reruns the exact kernel
-    on these rows only, entries scaled by delta / deltas[0].
+    same times and tangent maps, so one exact-kernel call reruns these rows
+    at every later delta, entries scaled by delta / deltas[0].
     """
     k = spec.k
     cls = reports.crossing_class[k:]
     picked = np.concatenate([k + np.flatnonzero(cls == c)[:2]
                              for c in sorted(saddle.CROSSING_CLASSES)])
     rows = np.sort(np.concatenate([picked, np.arange(min(k, 12 - len(picked)))]))
-    return {deltas[0]: reports[rows], **{d: saddle.time_change_transits(
-        spec, saddle.BumpProfile(delta=d, rho0=rho0), reports.entry[rows] * (d / deltas[0]))
-        for d in deltas[1:]}}
+    later = np.repeat(deltas[1:], len(rows))
+    rescaled = saddle.time_change_transits(spec, saddle.BumpProfile(delta=later, rho0=rho0), (
+        np.tile(reports.entry[rows], (len(deltas) - 1, 1)) * (later / deltas[0])[:, None]))
+    return {deltas[0]: reports[rows], **{d: rescaled[i * len(rows):(i + 1) * len(rows)]
+                                         for i, d in enumerate(deltas[1:])}}
 
 
 # ---------------------------------------------------------------------------
@@ -275,12 +285,16 @@ def _random_points(rng, n, k, bound, floor=None):
     return p
 
 
-def _central_jacobians(fn, x):
-    """Central-difference Jacobians (step 1e-6) at every row of x, from one call of fn on rows."""
+def _central_points(x, eps=1e-6):
+    """The neighbours x +- eps e_i of every row of x, as (2 n k, k) rows [row, sign, i]."""
+    shifts = np.array([1.0, -1.0])[:, None, None] * eps * np.eye(x.shape[1])
+    return (x[:, None, None, :] + shifts).reshape(-1, x.shape[1])
+
+
+def _central_jacobians(fn, x, eps=1e-6):
+    """Central-difference Jacobians at every row of x, from one call of fn on its neighbours."""
     n, k = x.shape
-    eps = 1e-6
-    shifted = x[:, None, None, :] + np.array([1.0, -1.0])[:, None, None] * eps * np.eye(k)
-    y = fn(shifted.reshape(-1, k)).reshape(n, 2, k, k)  # [row, sign, i]: fn at x +- eps e_i
+    y = fn(_central_points(x, eps)).reshape(n, 2, k, k)  # [row, sign, i]: fn at x +- eps e_i
     return (y[:, 0] - y[:, 1]).transpose(0, 2, 1) / (2 * eps)
 
 

@@ -189,6 +189,41 @@ class TestCli:
         inverse = checks["distortion-uniformity"]["measured"]["inverse_distortion"]
         assert isinstance(inverse, float) and math.isfinite(inverse)
 
+    def test_probe_leaving_the_disk_fails_two_checks_and_keeps_the_others(self, tmp_path):
+        # the second probe of tangent-map-oracle reaches the unit sphere at
+        # t = 0.87; the two checks that read the probes fail with the escape
+        # as witness, and every other check still reports
+        cfgpath = tmp_path / "config.yaml"
+        cfgpath.write_text(yaml.safe_dump({
+            "saddle_rates": [-1, -1, 2.5, 2.5], "anosov_unstable": [3.0], "mu": 15.0,
+            "rho0": 0.5, "samples": 40, "step": 0.01, "delta_sweep": [0.1, 0.01],
+            "seed": 0}), encoding="utf-8")
+        out = tmp_path / "rep"
+        assert cli.main(["verify-saddle", "--config", str(cfgpath), "--out", str(out)]) == 1
+        report = json.loads((out / "verify_saddle_report.json").read_text())
+        checks = {c["name"]: c for c in report["suites"]["saddle"]["checks"]}
+        assert list(checks) == [
+            "bump-contract", "slow-down-reduces-speed", "shear-bound", "rho0-selection",
+            "transit-closed-forms", "distortion-uniformity", "transit-time-scaling",
+            "transit-classes", "tangent-map-oracle", "richardson", "time-change-oracle"]
+        for name, measured in (("tangent-map-oracle", "max_relative_error"),
+                               ("richardson", "max_residual")):
+            assert checks[name]["passed"] is False
+            assert checks[name]["measured"][measured] == "inf"
+            escape = checks[name]["witness"]["escapes"]["probes"]
+            assert escape["row"] == 1 and escape["time"] == pytest.approx(0.87)
+            assert np.linalg.norm(escape["point"]) >= 1.0
+
+    def test_rk4_counters_go_to_timing_and_are_stripped(self):
+        cfg = CampaignConfig(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
+        report = cli.build_report(cfg, ("saddle", "volume"))
+        # 307 steps of the slowest oracle transit and the crossing step; one
+        # bisection of 28 steps for all crossings
+        assert report["timing"]["counters"] == {
+            "saddle": {"rk4_iterations": 308, "row_steps": 4347, "bisection_steps": 28}}
+        assert "counters" not in report["suites"]["saddle"]
+        assert "rk4_iterations" not in cli.canonical_json(cli.strip_timing(report))
+
     def test_exit_2_on_missing_file(self, tmp_path, capsys):
         assert cli.main(["all", "--config", str(tmp_path / "none.yaml")]) == 2
 

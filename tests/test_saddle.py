@@ -118,6 +118,32 @@ class TestBump:
         assert np.array_equal(saddle._transition(r), old)
         assert [saddle._transition(float(x)) for x in r[-4:]] == old[-4:].tolist()
 
+    @pytest.mark.parametrize("prof", [BumpProfile(delta=0.1, rho0=0.5),
+                                      BumpProfile(delta=0.03, rho0=0.77),
+                                      BumpProfile.flat(0.4)], ids=["bump", "narrow", "flat"])
+    def test_value_and_slope_equal_value_and_the_closed_form_slope(self, prof):
+        # both flat ends, r within 1e-12 of 0 and of 1, and the transition;
+        # the slope oracle is the clipped closed form on its own pair of exps
+        d, m = prof.delta, saddle._TRANSITION_SHARPNESS
+        r = np.concatenate([np.linspace(-0.5, 1.5, 20001),
+                            [0.0, 1.0, 1e-13, 5e-13, 1e-12, 2e-12, 1 - 1e-13, 1 - 5e-13,
+                             1 - 1e-12, 1 - 2e-12, -1e-13, 1 + 1e-13]])
+        s = d + d * r
+        val, slope = prof.value_and_slope(s)
+        assert val.tobytes() == prof.value(s).tobytes()
+        rs = (s - d) / d
+        ri = np.clip(rs, 1e-12, 1 - 1e-12)
+        with np.errstate(under="ignore"):
+            a, b = np.exp(-m / ri), np.exp(-m / (1.0 - ri))
+            old = (a * m / ri**2 * b + a * (b * m / (1.0 - ri) ** 2)) / (a + b) ** 2
+        old = np.where((rs <= 0.0) | (rs >= 1.0), 0.0, old)
+        expected = np.zeros_like(s) if prof.constant else (1.0 - prof.rho0) / d * old
+        assert slope.tobytes() == expected.tobytes()
+        assert prof.slope(s).tobytes() == slope.tobytes()
+        for i in range(len(s) - 12, len(s)):
+            v, sl = prof.value_and_slope(float(s[i]))
+            assert (v, sl) == (prof.value(float(s[i])), slope[i]) == (val[i], slope[i])
+
     def test_dual_columns_equal_scalar_duals(self, profile):
         from phsurgery.dualnum import Dual
 
@@ -286,6 +312,84 @@ class TestVariational:
                              - saddle.flow_slow(spec4, profile, x - e, 1.0)) / (2 * eps)
             assert np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd) < 1e-5
             assert np.linalg.det(J) > 0
+
+
+def _per_step_transits(spec, profile, entries, step):
+    """RK4 transits that bisect each crossing step as it is taken, one call per step.
+
+    The oracle of the deferred crossing bisection of `saddle._rk4_rows`.
+    """
+    n, k = entries.shape
+    delta = profile.delta
+    state = np.hstack([entries, np.tile(np.eye(k).ravel(), (n, 1))])
+    t, alive, exit_sphere = np.zeros(n), np.ones(n, dtype=bool), np.full(n, "trapped")
+    f = lambda _, y: saddle._tangent_field(spec, profile, y)
+    for _ in range(saddle._transit_steps(spec, profile.rho0, step)):
+        idx = np.flatnonzero(alive)
+        if not len(idx):
+            break
+        sn = saddle.rk4_step(f, 0.0, state[idx], step)
+        rn = np.linalg.norm(sn[:, :k], axis=1)
+        out_hi = rn >= 2 * delta
+        crossed = out_hi | (rn <= delta)
+        if crossed.any():
+            rows, hi = idx[crossed], out_hi[crossed]
+            tau = saddle._bisect_crossing(spec, profile, state[rows, :k], step,
+                                          np.where(hi, 2 * delta, delta))
+            state[rows] = saddle.rk4_step(f, 0.0, state[rows], tau[:, None])
+            t[rows] += tau
+            exit_sphere[rows] = np.where(hi, "outer", "inner")
+            alive[rows] = False
+        state[idx[~crossed]] = sn[~crossed]
+        t[idx[~crossed]] += step
+    return state, t, exit_sphere
+
+
+class TestRowDriver:
+    def test_rows_equal_their_one_row_calls(self, spec4, sixty):
+        # transits at two deltas and steps, flows at two more, one row leaving
+        # the disk: each row of the stacked pass equals its one-row pass
+        profile = BumpProfile(delta=0.1, rho0=0.5)
+        escaping = np.array([[0.0, 0.0, 0.9, 0.1], [0.05, 0.02, 0.1, 0.0]])
+        blocks = [(sixty[:8], 0.1, 0.01, 300, True),
+                  (sixty[8:14] * 0.5, 0.05, 0.02, 60, True),
+                  (np.random.default_rng(3).uniform(-0.3, 0.3, (4, 4)), 0.07, 0.005, 90, False),
+                  (escaping, 0.1, 0.01, 120, False)]
+        stacked, counters = saddle._rk4_rows(spec4, profile, blocks)
+        for (x, *rest), out in zip(blocks, stacked):
+            for i in range(len(x)):
+                [one], _ = saddle._rk4_rows(spec4, profile, [(x[i:i + 1], *rest)])
+                assert all(a[i:i + 1].tobytes() == b.tobytes() for a, b in zip(out, one))
+        stops = np.concatenate([out[3] for out in stacked])
+        assert {"outer", "inner", "trapped", "escape"} <= set(stops)
+        assert stacked[3][3].tolist() == ["escape", "trapped"]
+        assert np.linalg.norm(stacked[3][0][0]) >= 1.0
+        # one bisection for every crossing of the pass: its sign step, then the
+        # 28 halvings that take the widest bracket, 0.02, below 1e-10
+        assert counters["bisection_steps"] == 1 + math.ceil(math.log2(0.02 / 1e-10)) == 29
+        assert counters["rk4_iterations"] == 1 + max(
+            int(np.ceil(t / h - 1e-9)) for (_, _, h, _, _), out in zip(blocks, stacked)
+            for t in out[2])
+
+    @pytest.mark.parametrize("step", [1e-2, 1e-3])
+    def test_deferred_bisection_equals_per_step_bisection(self, spec4, profile, sixty,
+                                                          rk4_sixty, step):
+        state, t, exit_sphere = _per_step_transits(spec4, profile, sixty, step)
+        rep = rk4_sixty(step)
+        assert rep.exit.tobytes() == state[:, :4].tobytes()
+        assert rep.jacobian.tobytes() == state[:, 4:].reshape(-1, 4, 4).tobytes()
+        assert rep.time.tobytes() == t.tobytes()
+        assert rep.exit_sphere.tolist() == exit_sphere.tolist()
+
+    def test_one_bisection_call_per_pass(self, spec4, profile, sixty, monkeypatch):
+        calls = []
+        real = saddle._bisect_crossing
+        monkeypatch.setattr(saddle, "_bisect_crossing",
+                            lambda *args: calls.append(len(args[2])) or real(*args))
+        rep = saddle._transit_batch(spec4, profile, sixty, step=1e-2)
+        assert calls == [len(sixty)] and (rep.exit_sphere != "trapped").all()
+        saddle.flow_slow(spec4, profile, sixty[:3] * 0.5, 0.5, step=1e-2)
+        assert calls == [len(sixty)]  # a pass without transits bisects nothing
 
 
 class TestTransit:
@@ -506,33 +610,58 @@ def _oracle_check(cfg):
 _SMALL = dict(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
 
 
-def test_saddle_suite_runs_rk4_transits_once(monkeypatch):
-    # the oracle batch at the sweep's first delta is the only RK4 transit call
+def test_saddle_suite_runs_one_stacked_rk4_pass(monkeypatch):
+    # one `_rk4_rows` call holds every RK4 row of the suite: the oracle rows as
+    # transits at the sweep's first delta and the configured step, and at the
+    # configured delta the 3 probes, their 6k central-difference neighbours
+    # and the 3 probes at half the step.  Its crossings are bisected in one
+    # call, and no thin RK4 entry point runs.
     calls = []
-    real = saddle._transit_batch
-    monkeypatch.setattr(saddle, "_transit_batch",
-                        lambda *args, **kw: calls.append(args[1].delta) or real(*args, **kw))
-    check = _oracle_check(CampaignConfig(**_SMALL))
-    assert calls == [0.1]
-    assert check["passed"]
-    assert list(check["measured"]["rows_by_delta"]) == ["0.1"]
-    assert check["measured"]["max_rescaling_error"] < 1e-9
+    for name in ("_rk4_rows", "_bisect_crossing", "_transit_batch", "flow_slow",
+                 "variational_flow_slow"):
+        real = getattr(saddle, name)
+        monkeypatch.setattr(saddle, name, lambda *args, _real=real, _name=name, **kw:
+                            calls.append((_name, args)) or _real(*args, **kw))
+    cfg = CampaignConfig(**_SMALL, delta=0.05)
+    checks = {c["name"]: c for c in suites.run_saddle_suite(cfg)["checks"]}
+    assert all(c["passed"] for c in checks.values())
+    assert [name for name, _ in calls] == ["_rk4_rows", "_bisect_crossing"]
+    oracle, probes, neighbours, half = calls[0][1][2]
+    budget = math.ceil(10 * math.log(2.0) / (cfg.resolved_rho0() * 1.0) / cfg.step)
+    assert oracle[1:] == (0.1, 0.01, budget, True)
+    assert probes[1:] == neighbours[1:] == (0.05, 0.01, 100, False)
+    assert half[1:] == (0.05, 0.005, 200, False)
+    assert (len(probes[0]), len(neighbours[0]), len(half[0])) == (3, 6 * cfg.k, 3)
+    assert (half[0] == probes[0]).all()
+    # the RK4 oracle runs at the first delta only
+    oracle_check = checks["time-change-oracle"]["measured"]
+    assert oracle_check["rows_by_delta"] == {"0.1": len(oracle[0])}
 
 
-def test_saddle_suite_runs_flow_slow_twice(monkeypatch):
-    # central differences at the configured step, then one half-step flow for
-    # the step-halving residual, whose step-h side is the variational flow's
-    calls = []
-    real = saddle.flow_slow
-
-    def counted(spec, profile, x, t, step=saddle.DEFAULT_STEP):
-        calls.append(step)
-        return real(spec, profile, x, t, step=step)
-
-    monkeypatch.setattr(saddle, "flow_slow", counted)
-    checks = {c["name"]: c for c in suites.run_saddle_suite(CampaignConfig(**_SMALL))["checks"]}
-    assert calls == [0.01, 0.005]
-    assert checks["richardson"]["passed"]
+def test_saddle_report_with_delta_off_the_sweep_equals_the_reference():
+    # the probes run at delta 0.05 and the oracle rows at 0.1 in the one pass;
+    # the values equal those of one RK4 call per row set (recorded before the
+    # stacked pass, and recomputed here from the thin calls)
+    cfg = CampaignConfig(samples=64, step=0.01, delta=0.05, delta_sweep=[0.1, 0.01])
+    checks = {c["name"]: c for c in suites.run_saddle_suite(cfg)["checks"]}
+    assert checks["tangent-map-oracle"]["measured"] == {"max_relative_error": 5.529497525463891e-10}
+    assert checks["richardson"]["measured"] == {"max_residual": 1.24634941256474e-10}
+    assert checks["time-change-oracle"]["measured"] == {
+        "max_time_error": 2.338854443451055e-09, "max_exit_error_over_delta": 8.993192701315644e-11,
+        "max_jacobian_rel_error": 7.611304062605088e-10, "class_mismatches": 0,
+        "rows_by_delta": {"0.1": 8}, "max_rescaling_error": 5.489961307248299e-16}
+    spec, profile, k = cfg.saddle_spec(), cfg.bump_profile(), cfg.k
+    e_u = np.zeros(k)
+    e_u[int(np.argmax(spec.rates))] = profile.delta
+    probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], k),
+                       np.resize([0.05, -0.15, 0.11, -0.03], k), e_u * 1.2])
+    ends, J = saddle.variational_flow_slow(spec, profile, probes, 1.0, step=cfg.step)
+    Jfd = suites._central_jacobians(
+        lambda x: saddle.flow_slow(spec, profile, x, 1.0, step=cfg.step), probes)
+    assert max(np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(J, Jfd)) == (
+        checks["tangent-map-oracle"]["measured"]["max_relative_error"])
+    half = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step / 2)
+    assert saddle._radius(ends - half).max() == checks["richardson"]["measured"]["max_residual"]
 
 
 @pytest.mark.parametrize("rates", [[-1.0, -1.0, 1.0, 1.0], [-1.0] * 4 + [1.0] * 4],
@@ -577,9 +706,13 @@ def test_time_change_oracle_fails_when_a_delta_is_not_rescaled(monkeypatch):
     real = saddle.time_change_transits
 
     def skewed(spec, profile, entries, **kw):
-        if profile.delta == 0.01:
-            profile = BumpProfile(delta=profile.delta, rho0=0.9 * profile.rho0)
-        return real(spec, profile, entries, **kw)
+        rep = real(spec, profile, entries, **kw)
+        at = np.broadcast_to(profile.delta, len(entries)) == 0.01
+        if at.any():
+            other = real(spec, BumpProfile(delta=0.01, rho0=0.9 * profile.rho0), entries[at], **kw)
+            for name in ("exit", "time", "exit_sphere", "jacobian"):
+                getattr(rep, name)[at] = getattr(other, name)
+        return rep
 
     monkeypatch.setattr(saddle, "time_change_transits", skewed)
     check = _oracle_check(CampaignConfig(**_SMALL))
@@ -606,8 +739,8 @@ def _count_calls(monkeypatch, module, name, calls):
 
 @pytest.mark.parametrize("suite", ["saddle", "cones"])
 def test_one_shell_campaign_per_suite(monkeypatch, suite):
-    # at a 3-delta sweep the campaign runs at the first delta only; each later
-    # delta runs the exact kernel on the oracle rows, at most 12
+    # at a 3-delta sweep the campaign runs at the first delta only; the later
+    # deltas run the exact kernel on the oracle rows, at most 12 per delta
     calls = []
     for module, name in ((saddle, "transit_campaign"), (cones, "crossing_cone_campaign"),
                          (saddle, "time_change_transits")):
@@ -622,8 +755,10 @@ def test_one_shell_campaign_per_suite(monkeypatch, suite):
         assert campaigns == [("crossing_cone_campaign", 0.1), ("transit_campaign", 0.1)]
     shells = [(p.delta, rows) for name, p, rows in calls
               if name == "time_change_transits" and not p.constant]
-    assert [d for d, _ in shells] == [0.1, 0.01, 0.001]
-    assert all(1 <= rows <= 12 for _, rows in shells[1:])
+    # the campaign's call, then one call for the later deltas, one delta per row
+    assert len(shells) == 2 and shells[0][0] == 0.1
+    later, rows = shells[1]
+    assert 2 <= rows <= 24 and later.tolist() == [0.01] * (rows // 2) + [0.001] * (rows // 2)
 
 
 class _FixedWidthShell(BumpProfile):
@@ -634,11 +769,11 @@ class _FixedWidthShell(BumpProfile):
             return super().value(s)
         return self.rho0 + (1.0 - self.rho0) * saddle._transition((s - self.delta) / 0.05)
 
-    def slope(self, s):
+    def value_and_slope(self, s):
         if self.constant:
-            return super().slope(s)
-        r = (np.asarray(s, dtype=float) - self.delta) / 0.05
-        return (1.0 - self.rho0) / 0.05 * saddle._transition_slope(r)
+            return super().value_and_slope(s)
+        # the profile of width 0.05, shifted from 0.05 to delta
+        return BumpProfile(0.05, self.rho0).value_and_slope(np.asarray(s) - self.delta + 0.05)
 
 
 def test_shell_not_proportional_to_delta_fails_the_rescaling_leg(monkeypatch):
