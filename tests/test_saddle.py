@@ -610,32 +610,46 @@ def _oracle_check(cfg):
 _SMALL = dict(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
 
 
-def test_saddle_suite_runs_one_stacked_rk4_pass(monkeypatch):
-    # one `_rk4_rows` call holds every RK4 row of the suite: the oracle rows as
-    # transits at the sweep's first delta and the configured step, and at the
-    # configured delta the 3 probes, their 6k central-difference neighbours
-    # and the 3 probes at half the step.  Its crossings are bisected in one
-    # call, and no thin RK4 entry point runs.
+def _counted_saddle_suite(monkeypatch, cfg):
+    # runs the saddle suite with every RK4 entry point of `saddle` counted
     calls = []
     for name in ("_rk4_rows", "_bisect_crossing", "_transit_batch", "flow_slow",
                  "variational_flow_slow"):
         real = getattr(saddle, name)
         monkeypatch.setattr(saddle, name, lambda *args, _real=real, _name=name, **kw:
                             calls.append((_name, args)) or _real(*args, **kw))
-    cfg = CampaignConfig(**_SMALL, delta=0.05)
     checks = {c["name"]: c for c in suites.run_saddle_suite(cfg)["checks"]}
-    assert all(c["passed"] for c in checks.values())
+    # one `_rk4_rows` call holds every RK4 row of the suite, its crossings are
+    # bisected in one call, and no thin RK4 entry point runs
     assert [name for name, _ in calls] == ["_rk4_rows", "_bisect_crossing"]
-    oracle, probes, neighbours, half = calls[0][1][2]
+    return calls[0][1][2], checks
+
+
+def test_saddle_suite_runs_rk4_transits_once(monkeypatch):
+    # the oracle block, transits at the sweep's first delta and the configured
+    # step, is the suite's only RK4 transit set
+    cfg = CampaignConfig(**_SMALL, delta=0.05)
+    (oracle, *flows), checks = _counted_saddle_suite(monkeypatch, cfg)
     budget = math.ceil(10 * math.log(2.0) / (cfg.resolved_rho0() * 1.0) / cfg.step)
     assert oracle[1:] == (0.1, 0.01, budget, True)
+    assert not any(transit for *_, transit in flows)
+    check = checks["time-change-oracle"]
+    assert check["passed"]
+    assert check["measured"]["rows_by_delta"] == {"0.1": len(oracle[0])}
+    assert check["measured"]["max_rescaling_error"] < 1e-9
+
+
+def test_saddle_suite_runs_flow_slow_twice(monkeypatch):
+    # the slow flow runs at two steps, as blocks of the one stacked pass: at the
+    # configured delta and step the 3 probes and their 6k central-difference
+    # neighbours, then the 3 probes at half the step for the step-halving residual
+    cfg = CampaignConfig(**_SMALL, delta=0.05)
+    (_, probes, neighbours, half), checks = _counted_saddle_suite(monkeypatch, cfg)
     assert probes[1:] == neighbours[1:] == (0.05, 0.01, 100, False)
     assert half[1:] == (0.05, 0.005, 200, False)
     assert (len(probes[0]), len(neighbours[0]), len(half[0])) == (3, 6 * cfg.k, 3)
     assert (half[0] == probes[0]).all()
-    # the RK4 oracle runs at the first delta only
-    oracle_check = checks["time-change-oracle"]["measured"]
-    assert oracle_check["rows_by_delta"] == {"0.1": len(oracle[0])}
+    assert checks["richardson"]["passed"] and checks["tangent-map-oracle"]["passed"]
 
 
 def test_saddle_report_with_delta_off_the_sweep_equals_the_reference():
