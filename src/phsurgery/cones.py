@@ -40,36 +40,14 @@ from .saddle import DEFAULT_STEP, AnosovModel, SaddleSpec
 
 
 @dataclass(frozen=True)
-class MetricSpec:
-    """Diagonal model metric: the product metric (no weights) or a weighted one."""
-
-    weights: tuple | None = None
-
-    def __post_init__(self):
-        if self.weights is not None:
-            if any(w <= 0 for w in self.weights):
-                raise ValueError("weighted metric needs positive weights")
-            object.__setattr__(self, "weights", tuple(float(w) for w in self.weights))
-
-    def half_weights(self, dim):
-        if self.weights is None:
-            return np.ones(dim)
-        if len(self.weights) != dim:
-            raise ValueError(f"metric has {len(self.weights)} weights, model dimension is {dim}")
-        return np.sqrt(np.asarray(self.weights))
-
-
-@dataclass(frozen=True)
 class ConeSpec:
-    """Directions within angle `aperture` of the span of `center` columns."""
+    """Directions within angle `aperture` of the span of the orthonormal `center` columns."""
 
     center: np.ndarray
     aperture: float
 
     def __post_init__(self):
         c = np.atleast_2d(np.asarray(self.center, dtype=float))
-        if c.shape[0] < c.shape[1]:
-            c = c.T
         object.__setattr__(self, "center", c)
         if not 0.0 < self.aperture < math.pi / 4:
             raise ValueError("aperture must lie in (0, pi/4)")
@@ -78,27 +56,22 @@ class ConeSpec:
             raise ValueError("center basis must be orthonormal to 1e-12")
 
 
-def angle_to_center(v, cone: ConeSpec, metric: MetricSpec | None = None):
-    """Metric angle between v (or rows of v) and the cone's center subspace."""
+def angle_to_center(v, cone: ConeSpec):
+    """Product-metric angle between v (or rows of v) and the cone's center subspace."""
     v = np.asarray(v, dtype=float)
     single = v.ndim == 1
     V = np.atleast_2d(v)
-    w = MetricSpec().half_weights(V.shape[1]) if metric is None else metric.half_weights(V.shape[1])
-    Vw = V * w
-    C = cone.center * w[:, None]
-    Q, _ = np.linalg.qr(C)
-    norms = np.linalg.norm(Vw, axis=1)
+    norms = np.linalg.norm(V, axis=1)
     if (norms == 0).any():
         raise ValueError("zero vector has no direction")
-    proj = np.linalg.norm(Vw @ Q, axis=1)
-    cosang = np.clip(proj / norms, 0.0, 1.0)
-    ang = np.arccos(cosang)
+    proj = np.linalg.norm(V @ cone.center, axis=1)
+    ang = np.arccos(np.clip(proj / norms, 0.0, 1.0))
     return float(ang[0]) if single else ang
 
 
-def in_cone(v, cone: ConeSpec, metric: MetricSpec | None = None):
-    """Whether v lies strictly inside the cone."""
-    return bool(angle_to_center(v, cone, metric) < cone.aperture)
+def in_cone(v, cone: ConeSpec):
+    """Whether v (or each row of v) lies strictly inside the cone."""
+    return angle_to_center(v, cone) < cone.aperture
 
 
 # ---------------------------------------------------------------------------

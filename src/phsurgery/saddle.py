@@ -34,6 +34,7 @@ from .dualnum import dexp, value
 # for every rho0 <= 1/2.
 _TRANSITION_SHARPNESS = 0.75
 _TRANSITION_SUP_SLOPE = 1.5617
+_TRANSIT_PANELS = 16  # Gauss-Legendre panels of time_change_transits
 
 
 class DomainEscape(RuntimeError):
@@ -537,7 +538,7 @@ def _bisect_root(fn, lo, hi, tol=0.0):
     return 0.5 * (lo + hi)
 
 
-def time_change_transits(spec, profile, entries, panels=16):
+def time_change_transits(spec, profile, entries):
     """Exact annulus transits of the slowed saddle; one TransitReport row per entry row.
 
     The orbit of x0 is exp(sigma A) x0, A = diag(rates), run at the clock
@@ -551,7 +552,7 @@ def time_change_transits(spec, profile, entries, panels=16):
     The transit time is T = int_0^sigma* ds / rho(r(s)), and the tangent map
     at fixed time T is J = exp(sigma* A) + (A x_exit) (x) grad sigma with
     grad sigma = rho(r(sigma*)) int_0^sigma* rho'(r) / (rho^2 r) exp(2 s A) x0 ds.
-    Both integrals use composite 32-point Gauss-Legendre on `panels` equal
+    Both integrals use composite 32-point Gauss-Legendre on `_TRANSIT_PANELS` equal
     panels of [0, sigma*], evaluated one panel at a time.  profile.delta is
     one number or one per entry row.
     """
@@ -590,10 +591,10 @@ def time_change_transits(spec, profile, entries, panels=16):
 
     nodes, weights = np.polynomial.legendre.leggauss(32)
     nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
-    width = sigma / panels
+    width = sigma / _TRANSIT_PANELS
     T = np.zeros(n)
     grad = np.zeros((n, k))
-    for p in range(panels):
+    for p in range(_TRANSIT_PANELS):
         e2 = np.exp(2.0 * a * (width[:, None] * (p + nodes))[:, :, None])  # (n, nodes, k)
         r = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
         rho, slope = per_row.value_and_slope(r)

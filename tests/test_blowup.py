@@ -245,6 +245,43 @@ def _per_row_switching_flow(spec, profile, points, t, step=saddle.DEFAULT_STEP):
     return charts, U
 
 
+def _lockstep_commutation(spec, profile, n, seed, step):
+    """Oracle of `commutation_campaign`: every sample runs all steps to t = 1.
+
+    The samples are drawn as the campaign draws them; after each step the
+    samples maturing there are scored, and the witness is kept when a step's
+    worst residual beats every earlier one.
+    """
+    rng = np.random.default_rng(seed)
+    k = spec.k
+    rows = np.arange(n)
+    charts = rng.integers(0, k, size=n)
+    U = rng.uniform(-1.0, 1.0, size=(n, k))
+    line_norm = np.sqrt(1.0 + np.sum(U**2, axis=1) - U[rows, charts] ** 2)
+    safe = 0.45 * math.exp(-max(abs(r) for r in spec.rates))
+    radial = rng.uniform(-1.0, 1.0, size=n) * safe / line_norm
+    radial[rng.random(n) < 0.25] = 0.0
+    U[rows, charts] = radial
+    X = blowup._blowdown(charts, U)
+    nsteps, h = saddle._fixed_steps(1.0, step)
+    maturity = rng.integers(1, nsteps + 1, size=n)
+    lifted = blowup.LiftedSaddle(spec, profile)
+    worst, witness = -1.0, None
+    for istep in range(1, nsteps + 1):
+        blowup._chart_step(lifted, charts, U, (istep - 1) * h, h)
+        X = saddle.rk4_step(lambda _, y: saddle._field(spec, profile, y), (istep - 1) * h, X, h)
+        due = np.flatnonzero(maturity == istep)
+        if not due.size:
+            continue
+        res = saddle._radius(blowup._blowdown(charts[due], U[due]) - X[due])
+        i = int(np.argmax(res))
+        if res[i] > worst:
+            worst = float(res[i])
+            witness = {"chart": int(charts[due[i]]), "u": U[due[i]].tolist(),
+                       "time": istep * h, "residual": worst}
+    return worst, witness
+
+
 class TestLiftedField:
     @pytest.fixture()
     def batch(self):
@@ -289,6 +326,15 @@ class TestLiftedFlow:
         worst, witness = blowup.commutation_campaign(spec4, profile, n=200, seed=1)
         assert worst < 1e-7
         assert witness["residual"] == worst
+
+    @pytest.mark.parametrize("k", [4, 8])
+    def test_commutation_campaign_matches_lockstep_oracle(self, k):
+        # samples stop at their maturity; the worst residual and its witness
+        # are those of running every sample to t = 1
+        spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
+        prof = BumpProfile(delta=0.2, rho0=0.5)
+        worst, witness = blowup.commutation_campaign(spec, prof, n=300, seed=k, step=0.01)
+        assert (worst, witness) == _lockstep_commutation(spec, prof, 300, k, 0.01)
 
     def test_batch_matches_single_points(self, spec4, profile):
         points = _mixed_points()

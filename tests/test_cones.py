@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phsurgery import cones, saddle
-from phsurgery.cones import ConeSpec, MetricSpec, ProductModel
+from phsurgery import cones, saddle, suites
+from phsurgery.cones import ConeSpec, ProductModel
 from phsurgery.config import CampaignConfig
 from phsurgery.saddle import AnosovModel, BumpProfile, SaddleSpec
 
@@ -48,24 +48,26 @@ class TestMembership:
             cones.in_cone(np.zeros(model.dim), model.unstable_cone(0.1))
 
     def test_scaling_invariances(self, model):
-        rng = np.random.default_rng(0)
+        # a uniform metric weight 3 scales every vector by sqrt(3); the center's span stays
         uc = model.unstable_cone(0.2)
-        heavy = MetricSpec(weights=tuple([3.0] * model.dim))
-        for v in rng.standard_normal((100, model.dim)):
-            base = cones.in_cone(v, uc)
-            assert base == cones.in_cone(7.3 * v, uc)
-            assert base == cones.in_cone(v, uc, heavy)
+        V = uc.center[:, 0] + 0.08 * np.random.default_rng(0).standard_normal((100, model.dim))
+        base = cones.in_cone(V, uc)
+        assert base.shape == (100,) and base.any() and not base.all()
+        assert (base == cones.in_cone(7.3 * V, uc)).all()
+        assert (base == cones.in_cone(math.sqrt(3.0) * V, uc)).all()
+        assert base.tolist() == [cones.in_cone(v, uc) for v in V]
 
-    def test_weighted_metric_changes_angles(self, model):
-        uc = model.unstable_cone(0.1)
-        e_u = model.axes("u")[:, 0]
-        e_s = model.axes("s")[:, 0]
-        v = math.cos(0.09) * e_u + math.sin(0.09) * e_s
-        w = [1.0] * model.dim
-        w[model.spec.k] = 25.0  # stable block much heavier
-        tilted = MetricSpec(weights=tuple(w))
-        assert cones.in_cone(v, uc)
-        assert not cones.in_cone(v, uc, tilted)
+    def test_rotated_center_matches_qr_angles(self, model):
+        # the angle is read off the validated orthonormal center as given; for
+        # any orthonormal center that equals the angle to the span of its QR factor
+        d, m = model.dim, 3
+        center, _ = np.linalg.qr(np.random.default_rng(8).standard_normal((d, m)))
+        cone = ConeSpec(center=center, aperture=0.3)
+        V = np.random.default_rng(9).standard_normal((200, d))
+        Q, _ = np.linalg.qr(cone.center)
+        cos = np.linalg.norm(V @ Q, axis=1) / np.linalg.norm(V, axis=1)
+        expected = np.arccos(np.clip(cos, 0.0, 1.0))
+        assert np.abs(cones.angle_to_center(V, cone) - expected).max() < 1e-15
 
     def test_aperture_validation(self, model):
         with pytest.raises(ValueError):
@@ -348,3 +350,21 @@ def test_rate_chain_diagonal_equals_sampled_rows(fields):
         for seed in range(10):
             assert exact == _sampled_rate_chain(spec, anosov, rho, region=region, seed=seed)
     assert not cones.rate_chain_check(spec, anosov, forced, region="core")["ok"]
+
+
+def _angle_over_length(v, cone, _angle=cones.angle_to_center):
+    """The angle to the center divided by |v|: not scale invariant."""
+    return _angle(v, cone) / np.linalg.norm(v, axis=-1)
+
+
+def test_membership_invariance_fails_for_a_scale_dependent_angle(monkeypatch):
+    cfg = CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
+                         delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01)
+
+    def membership():
+        checks = suites.run_cones_suite(cfg)["checks"]
+        return next(c for c in checks if c["name"] == "membership-invariance")
+
+    assert membership()["passed"]
+    monkeypatch.setattr(cones, "angle_to_center", _angle_over_length)
+    assert not membership()["passed"]

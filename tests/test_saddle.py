@@ -299,19 +299,20 @@ class TestVariational:
 
     def test_matches_finite_differences(self, spec4, profile):
         rng = np.random.default_rng(3)
-        for _ in range(5):
-            x = rng.standard_normal(4)
-            x *= rng.uniform(0.05, 0.25) / np.linalg.norm(x)
-            _, J = saddle.variational_flow_slow(spec4, profile, x, 1.0)
-            eps = 1e-6
-            Jfd = np.zeros((4, 4))
-            for i in range(4):
-                e = np.zeros(4)
-                e[i] = eps
-                Jfd[:, i] = (saddle.flow_slow(spec4, profile, x + e, 1.0)
-                             - saddle.flow_slow(spec4, profile, x - e, 1.0)) / (2 * eps)
-            assert np.linalg.norm(J - Jfd) / np.linalg.norm(Jfd) < 1e-5
-            assert np.linalg.det(J) > 0
+        x = np.empty((5, 4))
+        for row in x:
+            row[:] = rng.standard_normal(4)
+            row *= rng.uniform(0.05, 0.25) / np.linalg.norm(row)
+        _, J = saddle.variational_flow_slow(spec4, profile, x, 1.0)
+        eps = 1e-6
+        # central-difference neighbours x +- eps e_i, (probe, sign, i) in row order
+        shifts = np.stack([np.eye(4), -np.eye(4)]) * eps
+        ends = saddle.flow_slow(spec4, profile, (x[:, None, None, :] + shifts).reshape(-1, 4), 1.0)
+        ends = ends.reshape(5, 2, 4, 4)
+        Jfd = (ends[:, 0] - ends[:, 1]).transpose(0, 2, 1) / (2 * eps)
+        for Jm, Jfdm in zip(J, Jfd):
+            assert np.linalg.norm(Jm - Jfdm) / np.linalg.norm(Jfdm) < 1e-5
+            assert np.linalg.det(Jm) > 0
 
 
 def _per_step_transits(spec, profile, entries, step):
@@ -483,9 +484,10 @@ class TestTimeChange:
         assert ({r.crossing_class for r in exact}
                 == {"inner->outer", "outer->inner", "outer->outer"})
 
-    def test_panel_doubling_moves_nothing(self, spec4, profile, sixty):
+    def test_panel_doubling_moves_nothing(self, spec4, profile, sixty, monkeypatch):
         a = saddle.time_change_transits(spec4, profile, sixty)
-        b = saddle.time_change_transits(spec4, profile, sixty, panels=32)
+        monkeypatch.setattr(saddle, "_TRANSIT_PANELS", 2 * saddle._TRANSIT_PANELS)
+        b = saddle.time_change_transits(spec4, profile, sixty)
         diff = saddle.transit_differences(a, b, profile.delta)
         assert diff["class_mismatches"] == 0
         assert diff["time"] < 1e-12

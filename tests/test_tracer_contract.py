@@ -1,24 +1,28 @@
-"""The names and arguments that perfbench's tracer reads from the package.
+"""The names and arguments that perfbench reads from the package.
 
 perfbench/tracer.py wraps module attributes by name and reads call
-arguments through `inspect.signature`.  A rename or a dropped argument in
-src breaks only the traced benchmark runs, so these tests load the tracer
-by path and hold the package to it.
+arguments through `inspect.signature`, and perfbench/run.py expects the
+check names recorded in perfbench/reference.  A rename or a dropped argument
+or check in src breaks only the benchmark runs, so these tests load
+perfbench by path and hold the package to it.
 """
 
 import importlib
 import importlib.util
+import json
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from phsurgery import blowup, forms, saddle
+from phsurgery import blowup, cli, forms, saddle
 from phsurgery.blowup import BlowupPoint
+from phsurgery.config import CampaignConfig
 from phsurgery.dualnum import Dual
 from phsurgery.saddle import BumpProfile, SaddleSpec
 
-TRACER = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+TRACER = PERFBENCH / "tracer.py"
 
 
 @pytest.fixture(scope="module")
@@ -82,3 +86,27 @@ def test_moser_counts_and_form_spans(tracer):
     assert per_name["forms.MoserMap.__call__"][0] == 1
     assert per_name["forms.MoserMap.inverse"][0] == 1
     assert per_name["forms.form_max_at"][0] == 1
+
+
+def _workloads():
+    # run.py imports the tracer by its bare name, as when run from perfbench/
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        spec = importlib.util.spec_from_file_location("perfbench_run", PERFBENCH / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    return module.WORKLOADS
+
+
+@pytest.mark.parametrize("workload", sorted(_workloads()))
+def test_reports_hold_the_benchmark_check_names(workload):
+    # perfbench counts an expected check missing from a report as failed; the
+    # references may predate later checks, so they are a subset of the report
+    subcommand, config = _workloads()[workload]
+    reference = json.loads((PERFBENCH / "reference" / f"{workload}.json").read_text())
+    seed = min(int(s) for s in reference["seeds"])
+    cfg = CampaignConfig.from_dict({**config, "seed": seed})
+    report = cli.build_report(cfg, cli._SUBCOMMANDS[subcommand])
+    names = {f"{suite}/{check['name']}" for suite, body in report["suites"].items()
+             for check in body["checks"]}
+    assert set(reference["checks"]) <= names
