@@ -194,19 +194,26 @@ def _chart_rate_matrix(rates):
 class LiftedSaddle:
     """Chart dynamics of the slowed saddle on the blown-up disk.
 
-    Every method takes one chart index per row, so a batch may mix charts.
+    `chart_rates` is a `_chart_rate_matrix` for every row or an (n, k, k)
+    stack of one per row; `rho` is a profile of the blow-down point, or a
+    constant rho0 for every row or one per row.  Every method takes one
+    chart index per row, so a batch may mix charts.
     """
 
-    spec: object
-    profile: object
+    chart_rates: np.ndarray
+    rho: object
 
-    def __post_init__(self):
-        object.__setattr__(self, "chart_rates", _chart_rate_matrix(self.spec.rates))
+    @classmethod
+    def of(cls, spec, profile):
+        """The lift of `spec` slowed by `profile`; a flat profile is its constant rho0."""
+        return cls(_chart_rate_matrix(spec.rates), profile.rho0 if profile.constant else profile)
 
     def field(self, charts, u):
         """du/dt for an (n, k) batch, row m in chart charts[m]."""
-        rho = self.profile(_blowdown(charts, u))
-        return self.chart_rates[charts] * u * rho[:, None]
+        d = self.chart_rates
+        d = d[charts] if d.ndim == 2 else d[np.arange(len(u)), charts]
+        rho = self.rho(_blowdown(charts, u)) if callable(self.rho) else self.rho
+        return d * u * np.asarray(rho)[..., None]
 
 
 def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
@@ -219,16 +226,16 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
     return p.like(_lifted_flow_batch(spec, profile, p.batch(), t, step=step))
 
 
-def _chart_step(lifted, charts, U, t, h):
-    """Advance the rows U in place by one RK4 step in their own charts, then switch.
+def _chart_step(lifted, charts, U, h):
+    """Advance the rows U in place by one RK4 step of h in their own charts, then switch.
 
-    Raises DomainEscape if a row leaves the disk.  A row switches to the
-    dominant chart of its line (the first largest |u_j| off the chart) once
-    that coordinate exceeds the threshold; all switching rows move in one
-    `chart_transition`.
+    A row switches to the dominant chart of its line (the first largest
+    |u_j| off the chart) once that coordinate exceeds the threshold; all
+    switching rows move in one `chart_transition`.  Returns the rows'
+    blow-down after the step, before any switch, and the number of rows that switched.
     """
-    U[:] = rk4_step(lambda _, u: lifted.field(charts, u), t, U, h)
-    _check_inside(_blowdown(charts, U), t + h)
+    U[:] = rk4_step(lambda _, u: lifted.field(charts, u), 0.0, U, h)
+    x = _blowdown(charts, U)
     affine = np.abs(U)
     affine[np.arange(len(U)), charts] = 0.0
     switch = np.flatnonzero(affine.max(axis=1) > _CHART_SWITCH)
@@ -236,21 +243,48 @@ def _chart_step(lifted, charts, U, t, h):
         q = chart_transition(BlowupPoint(charts[switch], U[switch]),
                              affine[switch].argmax(axis=1))
         charts[switch], U[switch] = q.chart, q.u
+    return x, switch.size
 
 
 def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP):
     """Fixed-step RK4 on chart coordinates for a batch of points.
 
     Chart transitions are applied between steps once an affine coordinate
-    exceeds the switch threshold.  Returns the batch at time t.
+    exceeds the switch threshold.  Returns the batch at time t; raises
+    DomainEscape naming the outermost row at the first escape.
+    """
+    nsteps, h = _fixed_steps(t, step)
+    lifted = LiftedSaddle.of(spec, profile)
+    end, _, escapes, _ = _lifted_pass(lifted, points, h, nsteps if t else 0)
+    if escapes:
+        _check_inside(np.array([x for s, x, _ in escapes if s == escapes[0][0]]), escapes[0][0])
+    return end
+
+
+def _lifted_pass(lifted, points: BlowupPoint, h, nsteps, segments=1):
+    """One RK4 pass of `segments` runs of nsteps steps of h over the rows of `points`.
+
+    A row whose blow-down reaches the unit sphere stops there: its step
+    becomes 0.  Returns the rows at the end, their charts after each segment
+    as a (segments, n) array, the escapes as (time, blow-down point, row) in
+    step then row order, and the counters.
     """
     charts, U = points.chart.copy(), points.u.copy()
-    if t != 0:
-        nsteps, h = _fixed_steps(t, step)
-        lifted = LiftedSaddle(spec, profile)
-        for istep in range(nsteps):
-            _chart_step(lifted, charts, U, istep * h, h)
-    return BlowupPoint(charts, U)
+    chart_log, escapes = np.empty((segments, len(U)), dtype=int), []
+    stopped = np.zeros(len(U), dtype=bool)
+    hs = h  # one step for every row, a column of per-row steps once a row stops
+    counts = np.zeros(3, dtype=int)  # RK4 iterations, row steps, chart switches
+    for i in range(segments * nsteps):
+        x, switched = _chart_step(lifted, charts, U, hs)
+        counts += (1, len(U) - np.count_nonzero(stopped), switched)
+        if (out := (_radius(x) >= 1.0) & ~stopped).any():
+            escapes += [(i * h + h, x[m], int(m)) for m in np.flatnonzero(out)]
+            stopped |= out
+            hs = np.where(stopped, 0.0, h)[:, None]
+        if (i + 1) % nsteps == 0:
+            chart_log[i // nsteps] = charts
+    counters = dict(zip(("rk4_iterations", "row_steps", "chart_switches"), counts.tolist()))
+    return BlowupPoint(charts, U), chart_log, escapes, counters
 
 
 def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
@@ -300,11 +334,11 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
     charts, U, maturity = charts[order], U[order], maturity[order]
     X = _blowdown(charts, U)
 
-    lifted = LiftedSaddle(spec, profile)
+    lifted = LiftedSaddle.of(spec, profile)
     disk_field = lambda _, y: _field(spec, profile, y)
     for istep in range(1, int(maturity[-1]) + 1):
         live = slice(n - int((maturity >= istep).sum()), n)
-        _chart_step(lifted, charts[live], U[live], (istep - 1) * h, h)
+        _check_inside(_chart_step(lifted, charts[live], U[live], h)[0], istep * h)
         X[live] = rk4_step(disk_field, (istep - 1) * h, X[live], h)
     res = _radius(_blowdown(charts, U) - X)
     i = int(np.argmax(res))

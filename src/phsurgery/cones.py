@@ -11,8 +11,9 @@ map across the annulus (`saddle.transit_campaign`).
 A batch of tangent maps is one (n, d, d) array: `ProductModel.full_maps`
 builds the block maps from an (n, k, k) stack of disk maps, and
 `_frame_pass` maps a cone frame through the whole stack at once.  The core
-campaign returns a `CoreConeReport`; `crossing_cone_statistics` returns the
-four crossing statistics of any batch of transits as a dict.
+campaigns step their orbits as blocks of one lifted RK4 pass and return a
+`CoreConeReport` each; `crossing_cone_statistics` returns the four
+crossing statistics of any batch of transits as a dict.
 
 The campaigns measure, rather than assume, the three quantities the cone
 criterion needs: invariance of the unstable cone (after a reported burn-in),
@@ -255,45 +256,68 @@ _CAMPAIGN_TIMES = (1.0, 2.0, 4.0)
 
 def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=24,
                         seed=0, step=DEFAULT_STEP, reverse=False):
-    """Cone invariance, expansion and domination in the uniformly slowed core.
+    """The `CoreConeReport` of the one-run call of `inner_cone_campaigns`."""
+    run = dict(rho0=rho0, n_vectors=n_vectors, n_orbits=n_orbits, seed=seed, reverse=reverse)
+    return inner_cone_campaigns(spec, anosov, omega, [run], step=step)[0][0]
 
-    Orbits run in the blow-up charts (the exceptional set included), where
-    the slowed field is exactly linear.  The RK4 lifted flow moves the
-    points and picks their charts, one call per 0.25 segment from the
-    previous segment's end; at each checkpoint the disk block is the
-    closed-form tangent map into the chart the flow holds, and the
-    restricted block moves by the exact cocycle.  Reports: burn-in time
-    after which every sampled unstable-cone boundary vector is strictly
-    inside, the minimum expansion exponent over the unstable cone, the
-    domination exponent against vectors that remain in the center-stable
-    cone, and backward invariance of the center-stable cone.  `reverse`
-    runs the time-reversed flow (the statistics must reproduce by symmetry
-    of the construction).
+
+def inner_cone_campaigns(spec, anosov, omega, runs, *, step=DEFAULT_STEP):
+    """Cone invariance, expansion and domination in the uniformly slowed core, per run.
+
+    A run is a dict of `inner_cone_campaign`'s keywords rho0, n_vectors,
+    n_orbits, seed and reverse (the time-reversed flow, whose statistics must
+    reproduce by symmetry).  Orbits run in the blow-up charts, the exceptional
+    set included, where the slowed field is exactly linear: the orbits of all
+    runs are blocks of one RK4 lifted-flow pass, each row with its run's chart
+    rates and rho0, that stops every 0.25 with the steps of one call per
+    segment.  At each checkpoint the disk block is the closed-form tangent map
+    into the chart the flow holds, and the restricted block moves by the exact
+    cocycle.  Each report equals its lone call's: burn-in time after which
+    every sampled unstable-cone boundary vector is strictly inside, minimum
+    expansion exponent over the unstable cone, domination exponent against
+    vectors that stay in the center-stable cone, and backward invariance of
+    that cone.  A row that reaches the unit sphere stops there and keeps its
+    chart, and its run fails with a `domain-escape` violation.  Returns
+    (reports, the pass's counters).
     """
-    model = ProductModel(spec=spec, anosov=anosov)
-    if reverse:
-        model = model.reversed()
-        spec = model.spec
-    (ucone, uframe), (cscone, csframe) = _cones_and_frames(model, omega, n_vectors, seed)
-
     tmax = max(_CAMPAIGN_TIMES)
     # checkpoints every 0.25 time units up to tmax
     grid = [round(0.25 * i, 10) for i in range(1, int(round(tmax / 0.25)) + 1)]
+    model = ProductModel(spec=spec, anosov=anosov)
+    models = [model.reversed() if run["reverse"] else model for run in runs]
     # keep whole segments inside the uniformly slowed core (and the disk)
-    core_radius = min(0.012, 0.5 * math.exp(-rho0 * max(abs(r) for r in spec.rates) * tmax))
-    points = _inner_orbit_points(model, n_orbits, seed + 3, core_radius)
-    flat = saddle.BumpProfile.flat(rho0)
+    radii = [min(0.012, 0.5 * math.exp(-run["rho0"] * max(map(abs, m.spec.rates)) * tmax))
+             for m, run in zip(models, runs)]
+    points = [_inner_orbit_points(m, run["n_orbits"], run["seed"] + 3, r)
+              for m, run, r in zip(models, runs, radii)]
+    sizes = [len(p) for p in points]
+    lifted = blowup.LiftedSaddle(
+        np.repeat([blowup._chart_rate_matrix(m.spec.rates) for m in models], sizes, axis=0),
+        np.repeat([run["rho0"] for run in runs], sizes))
+    nsteps, h = saddle._fixed_steps(0.25, step)
+    _, chart_log, escapes, counters = blowup._lifted_pass(
+        lifted, BlowupPoint(np.concatenate([p.chart for p in points]),
+                            np.vstack([p.u for p in points])), h, nsteps, len(grid))
+    reports, lo = [], 0
+    for m, run, p in zip(models, runs, points):
+        hi = lo + len(p)
+        escaped = [{"type": "domain-escape", "orbit": row - lo, "time": t, "point": x.tolist()}
+                   for t, x, row in escapes if lo <= row < hi]
+        reports.append(_core_report(m, run, omega, p, grid, chart_log[:, lo:hi], escaped))
+        lo = hi
+    return reports, counters
 
-    min_u_exp = math.inf
-    dom_exp = math.inf
-    member_frac = {}
-    burn_in = None
-    violations = []
 
-    here = points
-    for t in grid:
-        here = blowup._lifted_flow_batch(spec, flat, here, 0.25, step=step)
-        M = model.full_maps(blowup.core_tangent_maps(spec, rho0, points, here.chart, t),
+def _core_report(model, run, omega, points, grid, chart_log, escapes):
+    """One run's `CoreConeReport` from its orbits' charts at the checkpoints and its escapes."""
+    spec, rho0 = model.spec, run["rho0"]
+    (ucone, uframe), (cscone, csframe) = _cones_and_frames(model, omega, run["n_vectors"],
+                                                           run["seed"])
+    min_u_exp = dom_exp = math.inf
+    member_frac, burn_in, violations = {}, None, []
+
+    for t, charts in zip(grid, chart_log):
+        M = model.full_maps(blowup.core_tangent_maps(spec, rho0, points, charts, t),
                             np.full(len(points), t))
         ang, growth_u = _frame_pass(M, uframe, ucone)
         inside = ang < omega
@@ -328,7 +352,7 @@ def inner_cone_campaign(spec, anosov, rho0, omega, *, n_vectors=1000, n_orbits=2
         violations.extend({"type": "u-invariance", "time": t, "fraction": member_frac[t]}
                           for t in grid if t > burn_in and member_frac[t] < 1.0)
     return CoreConeReport(burn_in=burn_in, min_u_exponent=min_u_exp,
-                          domination_exponent=dom_exp, violations=violations)
+                          domination_exponent=dom_exp, violations=violations + escapes)
 
 
 def crossing_cone_campaign(spec, profile, anosov, omega, *, n_entries=200,

@@ -448,9 +448,15 @@ def run_cones_suite(cfg: CampaignConfig):
     checks = []
     log_mu = math.log(cfg.mu)
 
-    fwd = cones.inner_cone_campaign(spec, anosov, rho0, cfg.omega,
-                                    n_vectors=cfg.samples, n_orbits=cfg.cone_orbits,
-                                    seed=cfg.seed, step=cfg.step)
+    # the forward, reversed and negative-control core campaigns, in one lifted RK4 pass;
+    # pick_rho0 returns the midpoint of (0, largest rho0 meeting the domination inequality)
+    bad_rho0 = 1.5 * (2 * saddle.pick_rho0(cfg.lam, cfg.mu, spec.lam_prime, spec.mu_prime))
+    run = dict(rho0=rho0, n_vectors=cfg.samples, n_orbits=cfg.cone_orbits, seed=cfg.seed)
+    (fwd, rev, neg), counters = cones.inner_cone_campaigns(spec, anosov, cfg.omega, [
+        {**run, "reverse": False}, {**run, "reverse": True},
+        dict(rho0=bad_rho0, n_vectors=max(cfg.samples // 4, 64),
+             n_orbits=max(cfg.cone_orbits // 2, 8), seed=cfg.seed, reverse=False)],
+        step=cfg.step)
     checks.append(_check(
         "core-cone-campaign",
         fwd.passed(min_exponent=log_mu - tol["expansion_deficit"]),
@@ -463,9 +469,6 @@ def run_cones_suite(cfg: CampaignConfig):
                   "violations": len(fwd.violations)},
         witness={"violations": _one_per_type(fwd.violations)}))
 
-    rev = cones.inner_cone_campaign(spec, anosov, rho0, cfg.omega,
-                                    n_vectors=cfg.samples, n_orbits=cfg.cone_orbits,
-                                    seed=cfg.seed, step=cfg.step, reverse=True)
     # extreme exponents live on the mirror-symmetric invariant axes, so the
     # expansion minima coincide; the domination minimum also sees generic
     # orbits (chart-dependent bookkeeping constants), hence a noise allowance
@@ -492,12 +495,6 @@ def run_cones_suite(cfg: CampaignConfig):
                   "core_center_margin": chain_core["center_margin"]},
         witness={"far": chain_far["witnesses"], "core": chain_core["witnesses"]}))
 
-    # pick_rho0 returns the midpoint of (0, largest rho0 meeting the domination inequality)
-    bad_rho0 = 1.5 * (2 * saddle.pick_rho0(cfg.lam, cfg.mu, spec.lam_prime, spec.mu_prime))
-    neg = cones.inner_cone_campaign(spec, anosov, bad_rho0, cfg.omega,
-                                    n_vectors=max(cfg.samples // 4, 64),
-                                    n_orbits=max(cfg.cone_orbits // 2, 8),
-                                    seed=cfg.seed, step=cfg.step)
     neg_types = {v["type"] for v in neg.violations}
     chain_bound = min(log_mu, -math.log(cfg.lam)) / max(abs(r) for r in spec.rates)
     neg_chain = cones.rate_chain_check(spec, anosov, 1.5 * chain_bound, region="core")
@@ -567,17 +564,20 @@ def run_cones_suite(cfg: CampaignConfig):
     # membership invariances
     rng = np.random.default_rng(cfg.seed)
     ucone = model.unstable_cone(cfg.omega)
-    V = rng.standard_normal((50, model.dim))
+    # vectors around a center axis, spread so that both memberships occur
+    V = ucone.center[:, 0] + math.tan(cfg.omega) / math.sqrt(model.dim) * rng.standard_normal(
+        (50, model.dim))
     inside = cones.in_cone(V, ucone)
+    counts = {"inside": int(inside.sum()), "outside": int((~inside).sum())}
     # a uniform metric weight w scales every vector by sqrt(w); the center's span stays
     scale_ok = bool((inside == cones.in_cone(3.7 * V, ucone)).all()
                     and (inside == cones.in_cone(math.sqrt(2.0) * V, ucone)).all())
     checks.append(_check(
-        "membership-invariance", scale_ok,
+        "membership-invariance", scale_ok and min(counts.values()) > 0,
         "cone membership is scale invariant in the vector and under uniform "
-        "metric reweighting"))
+        "metric reweighting", measured=counts))
 
-    return _suite("cones", checks)
+    return {**_suite("cones", checks), "counters": counters}
 
 
 # ---------------------------------------------------------------------------

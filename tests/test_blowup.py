@@ -227,7 +227,7 @@ def _per_row_switching_flow(spec, profile, points, t, step=saddle.DEFAULT_STEP):
     """
     charts, U = points.chart.copy(), points.u.copy()
     nsteps, h = saddle._fixed_steps(t, step)
-    lifted = blowup.LiftedSaddle(spec, profile)
+    lifted = blowup.LiftedSaddle.of(spec, profile)
     for istep in range(nsteps):
         U[:] = saddle.rk4_step(lambda _, u: lifted.field(charts, u), istep * h, U, h)
         absU = np.abs(U)
@@ -265,10 +265,10 @@ def _lockstep_commutation(spec, profile, n, seed, step):
     X = blowup._blowdown(charts, U)
     nsteps, h = saddle._fixed_steps(1.0, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
-    lifted = blowup.LiftedSaddle(spec, profile)
+    lifted = blowup.LiftedSaddle.of(spec, profile)
     worst, witness = -1.0, None
     for istep in range(1, nsteps + 1):
-        blowup._chart_step(lifted, charts, U, (istep - 1) * h, h)
+        blowup._chart_step(lifted, charts, U, h)
         X = saddle.rk4_step(lambda _, y: saddle._field(spec, profile, y), (istep - 1) * h, X, h)
         due = np.flatnonzero(maturity == istep)
         if not due.size:
@@ -293,12 +293,25 @@ class TestLiftedField:
         return charts, U
 
     def test_rows_match_one_row_calls(self, spec4, profile, batch):
-        lifted = blowup.LiftedSaddle(spec4, profile)
+        lifted = blowup.LiftedSaddle.of(spec4, profile)
         charts, U = batch
         F = lifted.field(charts, U)
         for m in range(len(U)):
             one = slice(m, m + 1)
             assert (lifted.field(charts[one], U[one]) == F[one]).all()
+
+    def test_flat_profile_is_its_constant(self, spec4, batch):
+        # rho0 + 0.0 * |x| is rho0, so the constant skips the blow-down and the
+        # norm without moving a bit; per-row tables and rho0 give each row's own field
+        charts, U = batch
+        flat = BumpProfile.flat(0.5)
+        F = blowup.LiftedSaddle(blowup._chart_rate_matrix(spec4.rates), flat).field(charts, U)
+        lifted = blowup.LiftedSaddle.of(spec4, flat)
+        assert lifted.rho == 0.5
+        assert lifted.field(charts, U).tobytes() == F.tobytes()
+        per_row = blowup.LiftedSaddle(np.repeat([lifted.chart_rates], len(U), axis=0),
+                                      np.full(len(U), 0.5))
+        assert per_row.field(charts, U).tobytes() == F.tobytes()
 
 
 class TestLiftedFlow:
@@ -352,6 +365,21 @@ class TestLiftedFlow:
         assert (charts != points.chart).any()
         assert (end.chart == charts).all()
         assert end.u.tobytes() == U.tobytes()
+
+    def test_pass_stops_an_escaping_row(self, spec2):
+        # the row on the expanding axis reaches the unit sphere near t = log 2
+        # and stays where it was then; the other rows equal their own pass
+        lifted = blowup.LiftedSaddle.of(spec2, BumpProfile.flat(1.0))
+        points = BlowupPoint([1, 0, 1], np.array([[0.0, 0.5], [0.02, 0.3], [0.0, 0.01]]))
+        end, _, escapes, counters = blowup._lifted_pass(lifted, points, 0.01, 200)
+        [(time, x, row)] = escapes
+        assert row == 0 and np.linalg.norm(x) >= 1.0 and time == pytest.approx(0.7)
+        steps = round(time / 0.01)
+        assert counters["row_steps"] == 3 * 200 - (200 - steps)
+        alone, *_ = blowup._lifted_pass(lifted, points[:1], 0.01, steps)
+        assert end.chart[0] == alone.chart[0] and end.u[0].tobytes() == alone.u[0].tobytes()
+        rest, *_ = blowup._lifted_pass(lifted, points[1:], 0.01, 200)
+        assert (end.chart[1:] == rest.chart).all() and end.u[1:].tobytes() == rest.u.tobytes()
 
     def test_atlas_escape(self, spec2):
         flat = BumpProfile.flat(1.0)

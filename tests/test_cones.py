@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from phsurgery import cones, saddle, suites
+from phsurgery import blowup, cli, cones, saddle, suites
+from phsurgery.blowup import BlowupPoint
 from phsurgery.cones import ConeSpec, ProductModel
 from phsurgery.config import CampaignConfig
 from phsurgery.saddle import AnosovModel, BumpProfile, SaddleSpec
@@ -224,8 +225,8 @@ class TestCoreCampaign:
         assert tight.domination_exponent == pytest.approx(1.0, abs=1e-3)
 
     def test_coarse_step_reads_every_checkpoint(self, spec, anosov, campaign):
-        # step 0.3 does not divide the 0.25 checkpoint grid; each segment is
-        # one lifted-flow call, so every checkpoint is read at its own time.
+        # step 0.3 does not divide the 0.25 checkpoint grid; each segment takes
+        # the steps of its own lifted-flow call, so every checkpoint is read at its own time.
         # The expansion minimum lives on the invariant axes, where RK4 error
         # does not enter the closed-form maps.
         coarse = cones.inner_cone_campaign(spec, anosov, 0.5, 0.1,
@@ -368,3 +369,135 @@ def test_membership_invariance_fails_for_a_scale_dependent_angle(monkeypatch):
     assert membership()["passed"]
     monkeypatch.setattr(cones, "angle_to_center", _angle_over_length)
     assert not membership()["passed"]
+
+
+def test_membership_invariance_counts_both_outcomes(monkeypatch):
+    cfg = CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
+                         delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01)
+
+    def membership():
+        checks = suites.run_cones_suite(cfg)["checks"]
+        return next(c for c in checks if c["name"] == "membership-invariance")
+
+    check = membership()
+    assert check["passed"]
+    assert check["measured"]["inside"] > 0 and check["measured"]["outside"] > 0
+    assert check["measured"]["inside"] + check["measured"]["outside"] == 50
+    # scale invariant, but the draws never test an outside vector
+    monkeypatch.setattr(cones, "in_cone", lambda v, cone: np.ones(len(v), dtype=bool))
+    check = membership()
+    assert check["measured"] == {"inside": 50, "outside": 0}
+    assert not check["passed"]
+
+
+# runs shaped like the cones suite's forward, reversed and negative-control campaigns
+_RUNS = [dict(rho0=0.5, n_vectors=64, n_orbits=12, seed=42, reverse=False),
+         dict(rho0=0.5, n_vectors=64, n_orbits=12, seed=42, reverse=True),
+         dict(rho0=1.5, n_vectors=32, n_orbits=10, seed=7, reverse=False)]
+
+
+@pytest.mark.parametrize("k, step", [(4, 0.01), (8, 0.01), (4, 0.3)])
+def test_stacked_campaigns_equal_lone_calls(anosov, k, step):
+    # rows of different rate tables, rho0 and sizes in one pass; step 0.3
+    # does not divide the 0.25 checkpoint grid
+    spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
+    reports, _ = cones.inner_cone_campaigns(spec, anosov, 0.1, _RUNS, step=step)
+    assert not reports[2].passed() and reports[0].passed()
+    for report, run in zip(reports, _RUNS):
+        assert vars(report) == vars(cones.inner_cone_campaign(spec, anosov, omega=0.1,
+                                                              step=step, **run))
+
+
+@pytest.mark.parametrize("step", [0.01, 0.3])
+def test_stacked_pass_equals_one_lifted_call_per_segment(step):
+    # the charts read at each checkpoint, and the end rows bit for bit, are
+    # those of one `_lifted_flow_batch` call per 0.25 segment from the last end
+    spec = SaddleSpec(rates=(-1.0, -1.0, 1.0, 1.0))
+    rev = SaddleSpec(rates=(1.0, 1.0, -1.0, -1.0))
+    rng = np.random.default_rng(3)
+    starts = []
+    for _ in range(2):
+        charts, U = rng.integers(0, 4, size=6), rng.uniform(-0.6, 0.6, size=(6, 4))
+        U[np.arange(6), charts] *= 1e-3  # inside radius 0.001 of the exceptional set
+        starts.append(BlowupPoint(charts, U))
+    lifted = blowup.LiftedSaddle(
+        np.repeat([blowup._chart_rate_matrix(s.rates) for s in (spec, rev)], 6, axis=0),
+        np.repeat([0.5, 1.5], 6))
+    nsteps, h = saddle._fixed_steps(0.25, step)
+    end, log, escapes, counters = blowup._lifted_pass(
+        lifted, BlowupPoint(np.concatenate([p.chart for p in starts]),
+                            np.vstack([p.u for p in starts])), h, nsteps, 16)
+    assert escapes == [] and counters["chart_switches"] > 0
+    assert counters["rk4_iterations"] == 16 * nsteps
+    assert counters["row_steps"] == 12 * 16 * nsteps
+    for block, (s, rho0, here) in enumerate(zip((spec, rev), (0.5, 1.5), starts)):
+        rows = slice(6 * block, 6 * block + 6)
+        for charts in log[:, rows]:
+            here = blowup._lifted_flow_batch(s, BumpProfile.flat(rho0), here, 0.25, step=step)
+            assert (charts == here.chart).all()
+        assert (end.chart[rows] == here.chart).all()
+        assert end.u[rows].tobytes() == here.u.tobytes()
+
+
+_SMALL = dict(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
+
+
+def test_cones_suite_makes_one_stacked_lifted_pass(monkeypatch):
+    calls = []
+    for owner, name in ((blowup, "_lifted_pass"), (blowup, "_lifted_flow_batch"),
+                        (cones, "inner_cone_campaign"), (cones, "inner_cone_campaigns")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kw:
+                            calls.append((_name, args)) or _real(*args, **kw))
+    cfg = CampaignConfig(**_SMALL)
+    report = cli.build_report(cfg, ("cones",))
+    assert [name for name, _ in calls] == ["inner_cone_campaigns", "_lifted_pass"]
+    _, start, h, nsteps, segments = calls[1][1]
+    # forward and reversed orbits, then the negative control's
+    assert len(start) == 2 * cfg.cone_orbits + max(cfg.cone_orbits // 2, 8) == 60
+    assert (h, nsteps, segments) == (0.01, 25, 16)
+    assert report["passed"]
+    assert report["timing"]["counters"] == {
+        "cones": {"rk4_iterations": 400, "row_steps": 400 * 60, "chart_switches": 24}}
+    assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))
+
+
+def test_escaping_control_row_fails_only_its_campaign(monkeypatch):
+    # the last orbit of the negative control starts on an unstable axis at
+    # radius 0.99 and reaches the unit sphere in its first segment; it stops
+    # there, and the forward and reversed campaigns report as before
+    cfg = CampaignConfig(**_SMALL)
+    spec, anosov, rho0 = cfg.saddle_spec(), cfg.anosov_model(), cfg.resolved_rho0()
+    bad_rho0 = 1.5 * (2 * saddle.pick_rho0(cfg.lam, cfg.mu, spec.lam_prime, spec.mu_prime))
+    runs = [dict(rho0=rho0, n_vectors=64, n_orbits=24, seed=0, reverse=False),
+            dict(rho0=rho0, n_vectors=64, n_orbits=24, seed=0, reverse=True),
+            dict(rho0=bad_rho0, n_vectors=64, n_orbits=12, seed=0, reverse=False)]
+    checks = lambda: {c["name"]: c for c in suites.run_cones_suite(cfg)["checks"]}
+    before = cones.inner_cone_campaigns(spec, anosov, 0.1, runs, step=0.01)[0]
+    before_checks = checks()
+    real = cones._inner_orbit_points
+
+    def pushed(model, n_orbits, seed, radius):
+        points = real(model, n_orbits, seed, radius)
+        if n_orbits != 12:
+            return points
+        charts, U, axis = points.chart.copy(), points.u.copy(), int(np.argmax(model.spec.rates))
+        charts[-1], U[-1] = axis, 0.0
+        U[-1, axis] = 0.99
+        return BlowupPoint(charts, U)
+
+    monkeypatch.setattr(cones, "_inner_orbit_points", pushed)
+    (fwd, rev, neg), counters = cones.inner_cone_campaigns(spec, anosov, 0.1, runs, step=0.01)
+    assert vars(fwd) == vars(before[0]) and vars(rev) == vars(before[1])
+    escape = [v for v in neg.violations if v["type"] == "domain-escape"]
+    assert len(escape) == 1 and escape[0]["orbit"] == 11
+    assert 0.0 < escape[0]["time"] <= 0.25
+    assert np.linalg.norm(escape[0]["point"]) >= 1.0
+    assert not neg.passed()
+    # the row stops: it takes no step after the one that reached the sphere
+    steps = round(escape[0]["time"] / 0.01)
+    assert counters["row_steps"] == 400 * 60 - (400 - steps)
+    after = checks()
+    for name in ("core-cone-campaign", "time-symmetry"):
+        assert after[name] == before_checks[name]
+    assert "domain-escape" in after["negative-controls"]["measured"]["violation_types"]
