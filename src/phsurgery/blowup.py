@@ -10,7 +10,8 @@ is diagonal-linear in u with chart rates
 
     du_i/dt = rho * rates_i * u_i,      du_j/dt = rho * (rates_j - rates_i) * u_j,
 
-which extends smoothly across the exceptional set.
+which extends smoothly across the exceptional set.  Its one RK4 loop is
+`_lifted_pass`, which steps the live rows of a batch, each in its own chart.
 
 The radial power atlas (Katok-Lewis) declares u -> |u|^alpha u a chart near
 the origin.  With alpha = -(k-1)/k the pulled-back volume density becomes
@@ -28,7 +29,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .saddle import DEFAULT_STEP, _check_inside, _field, _fixed_steps, _radius, rk4_step
+from .saddle import (DEFAULT_STEP, _fixed_steps, _radius, _raise_first_escape, _rk4_rows,
+                     rk4_step)
 
 _CHART_SWITCH = 1.05  # hysteresis: transition once an affine coordinate passes this
 
@@ -208,6 +210,11 @@ class LiftedSaddle:
         """The lift of `spec` slowed by `profile`; a flat profile is its constant rho0."""
         return cls(_chart_rate_matrix(spec.rates), profile.rho0 if profile.constant else profile)
 
+    def at(self, rows):
+        """The lift of the rows `rows` of a batch: per-row stacks cut to those rows."""
+        d, rho = self.chart_rates, self.rho
+        return LiftedSaddle(d[rows] if d.ndim == 3 else d, rho[rows] if np.ndim(rho) else rho)
+
     def field(self, charts, u):
         """du/dt for an (n, k) batch, row m in chart charts[m]."""
         d = self.chart_rates
@@ -226,63 +233,56 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
     return p.like(_lifted_flow_batch(spec, profile, p.batch(), t, step=step))
 
 
-def _chart_step(lifted, charts, U, h):
-    """Advance the rows U in place by one RK4 step of h in their own charts, then switch.
-
-    A row switches to the dominant chart of its line (the first largest
-    |u_j| off the chart) once that coordinate exceeds the threshold; all
-    switching rows move in one `chart_transition`.  Returns the rows'
-    blow-down after the step, before any switch, and the number of rows that switched.
-    """
-    U[:] = rk4_step(lambda _, u: lifted.field(charts, u), 0.0, U, h)
-    x = _blowdown(charts, U)
-    affine = np.abs(U)
-    affine[np.arange(len(U)), charts] = 0.0
-    switch = np.flatnonzero(affine.max(axis=1) > _CHART_SWITCH)
-    if switch.size:
-        q = chart_transition(BlowupPoint(charts[switch], U[switch]),
-                             affine[switch].argmax(axis=1))
-        charts[switch], U[switch] = q.chart, q.u
-    return x, switch.size
-
-
 def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP):
-    """Fixed-step RK4 on chart coordinates for a batch of points.
+    """The batch `points` after time t, one `_lifted_pass` segment of fixed RK4 steps.
 
-    Chart transitions are applied between steps once an affine coordinate
-    exceeds the switch threshold.  Returns the batch at time t; raises
-    DomainEscape naming the outermost row at the first escape.
+    Raises DomainEscape naming the outermost row at the first escape.
     """
     nsteps, h = _fixed_steps(t, step)
-    lifted = LiftedSaddle.of(spec, profile)
-    end, _, escapes, _ = _lifted_pass(lifted, points, h, nsteps if t else 0)
-    if escapes:
-        _check_inside(np.array([x for s, x, _ in escapes if s == escapes[0][0]]), escapes[0][0])
+    end, _, escapes, _ = _lifted_pass(LiftedSaddle.of(spec, profile), points, h,
+                                      nsteps if t else 0)
+    _raise_first_escape(escapes)
     return end
 
 
 def _lifted_pass(lifted, points: BlowupPoint, h, nsteps, segments=1):
     """One RK4 pass of `segments` runs of nsteps steps of h over the rows of `points`.
 
-    A row whose blow-down reaches the unit sphere stops there: its step
-    becomes 0.  Returns the rows at the end, their charts after each segment
-    as a (segments, n) array, the escapes as (time, blow-down point, row) in
-    step then row order, and the counters.
+    nsteps is one count, or one per row for one segment; only live rows are
+    stepped.  A row moves, in one `chart_transition` with the others, to the
+    dominant chart of its line (the first largest |u_j| off the chart) after a
+    step that takes that coordinate past the threshold.  It stops after its
+    last step, or on the step whose blow-down reaches the unit sphere.
+    Returns the rows at the end, their charts after each segment as a
+    (segments, n) array, the escapes as (time, blow-down point, row) in step
+    then row order, and the counters.
     """
     charts, U = points.chart.copy(), points.u.copy()
+    per_segment = int(np.max(nsteps, initial=0))
     chart_log, escapes = np.empty((segments, len(U)), dtype=int), []
-    stopped = np.zeros(len(U), dtype=bool)
-    hs = h  # one step for every row, a column of per-row steps once a row stops
+    last = np.broadcast_to(nsteps, len(U)) * segments  # the iteration count of each row
+    live, idx = last > 0, np.arange(0)
     counts = np.zeros(3, dtype=int)  # RK4 iterations, row steps, chart switches
-    for i in range(segments * nsteps):
-        x, switched = _chart_step(lifted, charts, U, hs)
-        counts += (1, len(U) - np.count_nonzero(stopped), switched)
-        if (out := (_radius(x) >= 1.0) & ~stopped).any():
-            escapes += [(i * h + h, x[m], int(m)) for m in np.flatnonzero(out)]
-            stopped |= out
-            hs = np.where(stopped, 0.0, h)[:, None]
-        if (i + 1) % nsteps == 0:
-            chart_log[i // nsteps] = charts
+    for i in range(segments * per_segment):
+        if live.sum() != len(idx):
+            idx = np.flatnonzero(live)
+            rows, c, field = np.arange(len(idx)), charts[idx], lifted.at(idx).field
+        u = rk4_step(lambda _, y: field(c, y), 0.0, U[idx], h)
+        x = _blowdown(c, u)  # before the switch
+        affine = np.abs(u)
+        affine[rows, c] = 0.0
+        switch = np.flatnonzero(affine.max(axis=1) > _CHART_SWITCH)
+        if switch.size:
+            q = chart_transition(BlowupPoint(c[switch], u[switch]), affine[switch].argmax(axis=1))
+            c[switch], u[switch] = q.chart, q.u
+        charts[idx], U[idx] = c, u
+        counts += (1, len(idx), switch.size)
+        out = np.flatnonzero(_radius(x) >= 1.0)
+        escapes += [(i * h + h, x[m], int(idx[m])) for m in out]
+        live[idx[out]] = False
+        live &= last > i + 1
+        if (i + 1) % per_segment == 0:
+            chart_log[i // per_segment] = charts
     counters = dict(zip(("rk4_iterations", "row_steps", "chart_switches"), counts.tolist()))
     return BlowupPoint(charts, U), chart_log, escapes, counters
 
@@ -305,12 +305,12 @@ def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
 def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
     """Blow-down commutation over seeded random (point, time) pairs.
 
-    Integrates the lifted flow in charts and the slow-down flow downstairs
-    side by side; each sample steps up to its own maturity time (a step
-    multiple in (0, 1]) and is scored there by |blowdown(lifted end) - disk
-    end|.  A quarter of the samples start on the exceptional set, whose
-    blow-down orbit is the origin.  Returns (max residual, witness dict); the
-    witness is the first sample, in step then sample order, at the maximum.
+    Each sample steps to its own maturity time (a step multiple in (0, 1]),
+    lifted in one `_lifted_pass` and downstairs in one `_rk4_rows` block of
+    blow-downs, and is scored there by |blowdown(lifted end) - disk end|.  A
+    quarter of the samples start on the exceptional set, whose blow-down
+    orbit is the origin.  Returns (max residual, witness dict); the witness
+    is the first sample, in step then sample order, at the maximum.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -329,20 +329,16 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
     nsteps, h = _fixed_steps(1.0, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
 
-    # samples in (maturity, sample) order: the live rows are a suffix, stepped as a view
+    # samples in (maturity, sample) order, where the witness and the escape take the first
     order = np.lexsort((rows, maturity))
-    charts, U, maturity = charts[order], U[order], maturity[order]
-    X = _blowdown(charts, U)
-
-    lifted = LiftedSaddle.of(spec, profile)
-    disk_field = lambda _, y: _field(spec, profile, y)
-    for istep in range(1, int(maturity[-1]) + 1):
-        live = slice(n - int((maturity >= istep).sum()), n)
-        _check_inside(_chart_step(lifted, charts[live], U[live], h)[0], istep * h)
-        X[live] = rk4_step(disk_field, (istep - 1) * h, X[live], h)
-    res = _radius(_blowdown(charts, U) - X)
+    start, maturity = BlowupPoint(charts[order], U[order]), maturity[order]
+    end, _, escapes, _ = _lifted_pass(LiftedSaddle.of(spec, profile), start, h, maturity)
+    _raise_first_escape(escapes)
+    [(X, *_)], _ = _rk4_rows(spec, profile, [(blowdown(start), profile.delta, h, maturity, False)],
+                             tangent=False)
+    res = _radius(blowdown(end) - X)
     i = int(np.argmax(res))
-    return float(res[i]), {"chart": int(charts[i]), "u": U[i].tolist(),
+    return float(res[i]), {"chart": int(end.chart[i]), "u": end.u[i].tolist(),
                            "time": int(maturity[i]) * h, "residual": float(res[i])}
 
 

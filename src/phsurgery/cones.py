@@ -170,14 +170,14 @@ def propagate(state, t, frame, *, spec, anosov, rho0, step=DEFAULT_STEP):
     The disk block is the tangent map of the saddle slowed by the constant
     rho0 at the disk point `state` (rho == rho0 must hold along the orbit);
     the restricted block is the exact cocycle.  frame rows are model tangent
-    vectors; returns the propagated rows.
+    vectors; returns the disk point at time t and the propagated rows.
     """
     model = ProductModel(spec=spec, anosov=anosov)
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     if frame.shape[1] != model.dim:
         raise ValueError(f"frame vectors have dimension {frame.shape[1]}, model {model.dim}")
-    _, J = saddle.variational_flow_slow(spec, saddle.BumpProfile.flat(rho0), state, t, step=step)
-    return frame @ model.full_maps(J[None], [t])[0].T
+    end, J = saddle.variational_flow_slow(spec, saddle.BumpProfile.flat(rho0), state, t, step=step)
+    return end, frame @ model.full_maps(J[None], [t])[0].T
 
 
 def _frame_pass(maps, frame, cone):

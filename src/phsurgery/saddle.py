@@ -9,8 +9,9 @@ Because rho depends on |x| only, the slowed flow is a time change of the
 linear one (Katok's slow-down): x(t) = exp(sigma(t) A) x0 with
 dsigma/dt = rho(|exp(sigma A) x0|).  `time_change_transits` computes every
 annulus transit from that closed-form orbit; the RK4 transit `_transit_batch`,
-one pass of the RK4 row driver `_rk4_rows`, is kept as the measured oracle.
-Both return one `TransitReport`, whose fields are arrays with a row per transit.
+one pass of `_rk4_rows`, is kept as the measured oracle.  Both return one
+`TransitReport`, whose fields are arrays with a row per transit.  `_rk4_rows`
+is the one RK4 loop of the slowed flow, with its tangent map or without.
 
 Scale invariance is the organizing fact: rhobar's transition has width delta
 by construction, so x -> x/delta conjugates the annulus dynamics at scale
@@ -295,11 +296,12 @@ def _radius(x):
     return np.sqrt(np.vecdot(x, x))
 
 
-def _check_inside(x, time):
-    """Raise DomainEscape if the point, or any row of a batch, reached the unit sphere."""
-    r = _radius(x)
-    if (r >= 1.0).any():
-        raise DomainEscape(time, np.atleast_2d(x)[int(np.argmax(r))])
+def _raise_first_escape(escapes):
+    """Raise DomainEscape naming the outermost row at the first of (time, point, ...) escapes."""
+    if escapes:
+        first = min(e[0] for e in escapes)
+        points = np.array([e[1] for e in escapes if e[0] == first])
+        raise DomainEscape(first, points[int(np.argmax(_radius(points)))])
 
 
 def _tangent_field(spec, profile, y):
@@ -310,22 +312,25 @@ def _tangent_field(spec, profile, y):
     return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
 
 
-def _rk4_rows(spec, profile, blocks):
-    """One fixed-step RK4 pass of packed rows [x | vec J], J(0) = Id, over stacked blocks.
+def _rk4_rows(spec, profile, blocks, tangent=True):
+    """One fixed-step RK4 pass of rows over stacked blocks, packed [x | vec J], J(0) = Id.
 
     A block (x, delta, h, nsteps, transit) gives (n, k) points their delta,
-    step, step count and kind.  A transit row (entered on a sphere, moving
-    in) stops on the step after which |x| leaves (delta, 2 delta); after
-    the loop one `_bisect_crossing` call finds every crossing time in
-    (0, h] and one step takes the rows there.  A row stops on reaching the
-    unit sphere.  Returns per block (x, J, t, stop), stop per row "outer",
+    step, step count (one, or one per row) and kind.  A transit row (entered
+    on a sphere, moving in) stops on the step after which |x| leaves (delta,
+    2 delta); after the loop one `_bisect_crossing` call finds every crossing
+    time in (0, h] and one step takes the rows there.  A row stops on reaching
+    the unit sphere.  Without `tangent` a row is its point alone, and J is
+    (n, 0, k).  Returns per block (x, J, t, stop), stop per row "outer",
     "inner", "escape" or "trapped" (all steps taken), and counters.
     """
     sizes = [len(b[0]) for b in blocks]
-    delta, h, nsteps, transit = (np.repeat(c, sizes) for c in list(zip(*blocks))[1:])
+    delta, h, nsteps, transit = (np.concatenate([np.broadcast_to(v, m) for v, m in zip(c, sizes)])
+                                 for c in list(zip(*blocks))[1:])
     x = np.vstack([b[0] for b in blocks]).astype(float)
     n, k = x.shape
-    state = np.hstack([x, np.tile(np.eye(k).ravel(), (n, 1))])
+    state = np.hstack([x, np.tile(np.eye(k).ravel(), (n, 1))]) if tangent else x
+    field = _tangent_field if tangent else _field
     counters = dict.fromkeys(("rk4_iterations", "row_steps", "bisection_steps"), 0)
     t, steps, target = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
     stop = np.where(_radius(x) >= 1.0, "escape", "trapped")
@@ -334,16 +339,17 @@ def _rk4_rows(spec, profile, blocks):
         if live.sum() != len(idx):
             idx = np.flatnonzero(live)
             p, hi, dn = replace(profile, delta=delta[idx]), h[idx, None], delta[idx]
-        sn = rk4_step(lambda _, y: _tangent_field(spec, p, y), 0.0, state[idx], hi)
+        sn = rk4_step(lambda _, y: field(spec, p, y), 0.0, state[idx], hi)
         counters["rk4_iterations"] += 1
         counters["row_steps"] += len(idx)
         if not np.isfinite(sn).all():
-            raise FloatingPointError(f"non-finite tangent state at step {steps[idx].max() + 1}")
+            raise FloatingPointError(f"non-finite state at step {steps[idx].max() + 1}")
         rn = np.linalg.norm(sn[:, :k], axis=1)
         out_hi = rn >= 2 * dn
         crossed = transit[idx] & (out_hi | (rn <= dn))
-        target[idx[crossed]] = np.where(out_hi, 2 * dn, dn)[crossed]
-        stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
+        if crossed.any():
+            target[idx[crossed]] = np.where(out_hi, 2 * dn, dn)[crossed]
+            stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
         moved = idx[~crossed]
         state[moved] = sn[~crossed]
         t[moved] += h[moved]
@@ -353,25 +359,21 @@ def _rk4_rows(spec, profile, blocks):
     if len(rows := np.flatnonzero(target)):
         p = replace(profile, delta=delta[rows])
         tau = _bisect_crossing(spec, p, state[rows, :k], h[rows], target[rows], counters)
-        state[rows] = rk4_step(lambda _, y: _tangent_field(spec, p, y), 0.0, state[rows],
-                               tau[:, None])
+        state[rows] = rk4_step(lambda _, y: field(spec, p, y), 0.0, state[rows], tau[:, None])
         t[rows] += tau
         counters["rk4_iterations"] += 1
         counters["row_steps"] += len(rows)
-    columns = (state[:, :k], state[:, k:].reshape(n, k, k), t, stop)
+    columns = (state[:, :k], state[:, k:].reshape(n, -1, k), t, stop)
     return list(zip(*(np.split(v, np.cumsum(sizes)[:-1]) for v in columns))), counters
 
 
-def _flow_rows(spec, profile, x, t, step):
+def _flow_rows(spec, profile, x, t, step, tangent):
     """(points, J) after time t; DomainEscape names the outermost row at the first escape."""
     x = np.asarray(x, dtype=float)
     nsteps, h = _fixed_steps(t, step)
     [(points, J, times, stop)], _ = _rk4_rows(spec, profile, [
-        (np.atleast_2d(x), profile.delta, h, nsteps if t else 0, False)])
-    out = stop == "escape"
-    if out.any():
-        i = int(np.argmax(np.where(out & (times == times[out].min()), _radius(points), -np.inf)))
-        raise DomainEscape(times[i], points[i])
+        (np.atleast_2d(x), profile.delta, h, nsteps if t else 0, False)], tangent)
+    _raise_first_escape([(times[i], points[i]) for i in np.flatnonzero(stop == "escape")])
     return (points, J) if x.ndim == 2 else (points[0], J[0])
 
 
@@ -379,10 +381,11 @@ def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow of x' = rho(x) X(x) for time t (either sign), fixed-step RK4.
 
     x is a point or an (n, k) batch; each row gives the result of its own
-    one-point call.  Raises DomainEscape as soon as a row reaches the unit
-    sphere.  For rho == 1 this reproduces the closed form exp(t diag(rates)) x.
+    one-point call, and the points of `variational_flow_slow` bit for bit.
+    Raises DomainEscape as soon as a row reaches the unit sphere.  For rho == 1
+    this reproduces the closed form exp(t diag(rates)) x.
     """
-    return _flow_rows(spec, profile, x, t, step)[0]
+    return _flow_rows(spec, profile, x, t, step, tangent=False)[0]
 
 
 def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
@@ -392,7 +395,7 @@ def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     (k, k) or (n, k, k), each row equal to its own one-point call.  J stays
     orientation preserving; non-finite entries abort with diagnostics.
     """
-    points, J = _flow_rows(spec, profile, x, t, step)
+    points, J = _flow_rows(spec, profile, x, t, step, tangent=True)
     if (np.linalg.det(J) <= 0).any():
         raise FloatingPointError("tangent map lost orientation")
     return points, J

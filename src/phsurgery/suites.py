@@ -507,7 +507,8 @@ def run_cones_suite(cfg: CampaignConfig):
         measured={"forced_rho0": bad_rho0,
                   "violation_types": sorted(neg_types),
                   "domination_exponent": neg.domination_exponent,
-                  "chain_forced_rho0": 1.5 * chain_bound}))
+                  "chain_forced_rho0": 1.5 * chain_bound},
+        witness={"violations": _one_per_type(neg.violations)}))
 
     # the crossing campaign, once, at the sweep's first delta; each later delta
     # reruns only the oracle rows of its transits, rescaled (see `_oracle_rows`)
@@ -548,13 +549,10 @@ def run_cones_suite(cfg: CampaignConfig):
     x0 = np.zeros(cfg.k)
     x0[0] = 1e-3
     frame = np.eye(model.dim)[:3]
-    one = cones.propagate(x0, 0.7, frame, spec=spec, anosov=anosov, rho0=rho0, step=cfg.step)
-    flat = saddle.BumpProfile.flat(rho0)
-    mid = saddle.flow_slow(spec, flat, x0, 0.3, step=cfg.step)
-    two = cones.propagate(mid, 0.4,
-                          cones.propagate(x0, 0.3, frame, spec=spec, anosov=anosov,
-                                          rho0=rho0, step=cfg.step),
-                          spec=spec, anosov=anosov, rho0=rho0, step=cfg.step)
+    slowed = dict(spec=spec, anosov=anosov, rho0=rho0, step=cfg.step)
+    _, one = cones.propagate(x0, 0.7, frame, **slowed)
+    mid, part = cones.propagate(x0, 0.3, frame, **slowed)
+    _, two = cones.propagate(mid, 0.4, part, **slowed)
     cocycle = float(np.abs(one - two).max())
     checks.append(_check(
         "cocycle-property", cocycle < 1e-8,

@@ -218,30 +218,38 @@ def _mixed_points():
     return BlowupPoint(charts, U)
 
 
-def _per_row_switching_flow(spec, profile, points, t, step=saddle.DEFAULT_STEP):
-    """Oracle of `_lifted_flow_batch`: the chart switch made row by row.
+def _step_and_switch(lifted, charts, U, h):
+    """One RK4 step of the rows U in their charts, in place, then the chart switch row by row.
 
-    After each RK4 step every row with an affine coordinate past the
-    threshold moves, one at a time, to the first argmax of |line| (chart
-    slot 1.0) by the one-point transition u / t, 1/t, u_target u_chart.
+    Every row with an affine coordinate past the threshold moves, one at a
+    time, to the first argmax of |line| (chart slot 1.0) by the one-point
+    transition u / t, 1/t, u_target u_chart.  Returns the blow-down of the
+    rows after the step, before any switch.
     """
+    U[:] = saddle.rk4_step(lambda _, u: lifted.field(charts, u), 0.0, U, h)
+    x = blowup._blowdown(charts, U)
+    absU = np.abs(U)
+    absU[np.arange(len(U)), charts] = 0.0
+    for m in np.flatnonzero(absU.max(axis=1) > blowup._CHART_SWITCH):
+        i = int(charts[m])
+        line = np.abs(U[m])
+        line[i] = 1.0
+        target = int(np.argmax(line))
+        t_m = U[m, target]
+        u = U[m] / t_m
+        u[i] = 1.0 / t_m
+        u[target] = U[m, target] * U[m, i]
+        charts[m], U[m] = target, u
+    return x
+
+
+def _per_row_switching_flow(spec, profile, points, t, step=saddle.DEFAULT_STEP):
+    """Oracle of `_lifted_flow_batch`: the chart switch made row by row."""
     charts, U = points.chart.copy(), points.u.copy()
     nsteps, h = saddle._fixed_steps(t, step)
     lifted = blowup.LiftedSaddle.of(spec, profile)
-    for istep in range(nsteps):
-        U[:] = saddle.rk4_step(lambda _, u: lifted.field(charts, u), istep * h, U, h)
-        absU = np.abs(U)
-        absU[np.arange(len(U)), charts] = 0.0
-        for m in np.flatnonzero(absU.max(axis=1) > blowup._CHART_SWITCH):
-            i = int(charts[m])
-            line = np.abs(U[m])
-            line[i] = 1.0
-            target = int(np.argmax(line))
-            t_m = U[m, target]
-            u = U[m] / t_m
-            u[i] = 1.0 / t_m
-            u[target] = U[m, target] * U[m, i]
-            charts[m], U[m] = target, u
+    for _ in range(nsteps):
+        _step_and_switch(lifted, charts, U, h)
     return charts, U
 
 
@@ -250,7 +258,9 @@ def _lockstep_commutation(spec, profile, n, seed, step):
 
     The samples are drawn as the campaign draws them; after each step the
     samples maturing there are scored, and the witness is kept when a step's
-    worst residual beats every earlier one.
+    worst residual beats every earlier one.  At the first step where the
+    blow-down of a sample not yet matured reaches the unit sphere, it raises
+    DomainEscape naming the outermost such sample.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -268,7 +278,10 @@ def _lockstep_commutation(spec, profile, n, seed, step):
     lifted = blowup.LiftedSaddle.of(spec, profile)
     worst, witness = -1.0, None
     for istep in range(1, nsteps + 1):
-        blowup._chart_step(lifted, charts, U, h)
+        x = _step_and_switch(lifted, charts, U, h)
+        r = np.where(maturity >= istep, saddle._radius(x), -np.inf)
+        if (r >= 1.0).any():
+            raise saddle.DomainEscape(istep * h, x[int(np.argmax(r))])
         X = saddle.rk4_step(lambda _, y: saddle._field(spec, profile, y), (istep - 1) * h, X, h)
         due = np.flatnonzero(maturity == istep)
         if not due.size:
@@ -349,6 +362,20 @@ class TestLiftedFlow:
         worst, witness = blowup.commutation_campaign(spec, prof, n=300, seed=k, step=0.01)
         assert (worst, witness) == _lockstep_commutation(spec, prof, 300, k, 0.01)
 
+    def test_commutation_escape_matches_lockstep_oracle(self, spec4):
+        # at three times the unslowed speed samples leave the disk before they
+        # mature, two of them at the first escape step: the campaign names that
+        # time and the outer of the two as stepping every sample in lockstep does
+        fast = BumpProfile.flat(3.0)
+        with pytest.raises(saddle.DomainEscape) as oracle:
+            _lockstep_commutation(spec4, fast, 200, 3, 0.01)
+        with pytest.raises(saddle.DomainEscape) as err:
+            blowup.commutation_campaign(spec4, fast, n=200, seed=3, step=0.01)
+        assert 0.0 < oracle.value.time < 1.0
+        assert err.value.time == pytest.approx(oracle.value.time, rel=1e-15)
+        assert err.value.point.tobytes() == oracle.value.point.tobytes()
+        assert str(err.value) == str(oracle.value)
+
     def test_batch_matches_single_points(self, spec4, profile):
         points = _mixed_points()
         end = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
@@ -380,6 +407,31 @@ class TestLiftedFlow:
         assert end.chart[0] == alone.chart[0] and end.u[0].tobytes() == alone.u[0].tobytes()
         rest, *_ = blowup._lifted_pass(lifted, points[1:], 0.01, 200)
         assert (end.chart[1:] == rest.chart).all() and end.u[1:].tobytes() == rest.u.tobytes()
+
+    @pytest.mark.parametrize("per_row", [False, True])
+    def test_per_row_counts_equal_lone_passes(self, spec4, profile, per_row):
+        # each row takes its own count of steps, and ends where its lone pass of
+        # that count ends, bit for bit; per-row rate tables and rho0 are cut to
+        # the live rows as they stop
+        lifted = blowup.LiftedSaddle.of(spec4, profile)
+        if per_row:
+            rev = blowup._chart_rate_matrix(spec4.rates[::-1])
+            lifted = blowup.LiftedSaddle(np.array([lifted.chart_rates, rev] * 6),
+                                         np.linspace(0.4, 0.9, 12))
+        points = _mixed_points()
+        counts = np.array([0, 120, 7, 120, 60, 1, 0, 33, 119, 45, 90, 120])
+        end, log, escapes, counters = blowup._lifted_pass(lifted, points, 0.01, counts)
+        assert escapes == [] and (end.chart != points.chart).any()
+        assert counters["row_steps"] == counts.sum()
+        assert counters["rk4_iterations"] == counts.max()
+        assert (log == end.chart).all()
+        for m, count in enumerate(counts):
+            alone, *_ = blowup._lifted_pass(lifted.at([m]), points[m:m + 1], 0.01, int(count))
+            assert end.chart[m] == alone.chart[0]
+            assert end.u[m].tobytes() == alone.u[0].tobytes()
+        still = counts == 0
+        assert (end.chart[still] == points.chart[still]).all()
+        assert end.u[still].tobytes() == points.u[still].tobytes()
 
     def test_atlas_escape(self, spec2):
         flat = BumpProfile.flat(1.0)

@@ -123,14 +123,14 @@ def test_full_maps_rows_are_block_maps(model, spec, anosov):
 class TestPropagate:
     def test_identity_at_zero(self, spec, anosov, model):
         frame = np.eye(model.dim)[:4]
-        out = cones.propagate(np.array([1e-3, 0, 0, 0]), 0.0, frame,
+        _, out = cones.propagate(np.array([1e-3, 0, 0, 0]), 0.0, frame,
                               spec=spec, anosov=anosov, rho0=0.5)
         assert out == pytest.approx(frame)
 
     def test_pure_unstable_growth(self, spec, anosov, model):
         e_u = np.zeros(model.dim)
         e_u[model.dim - 1] = 1.0
-        out = cones.propagate(np.array([1e-3, 0, 0, 0]), 1.0, e_u,
+        _, out = cones.propagate(np.array([1e-3, 0, 0, 0]), 1.0, e_u,
                               spec=spec, anosov=anosov, rho0=0.5)
         assert np.linalg.norm(out) == pytest.approx(math.exp(2.0), rel=1e-9)
 
@@ -138,7 +138,7 @@ class TestPropagate:
         rho0 = 0.5
         x0 = np.array([1e-3, 1e-3, 0, 0])
         v = np.ones(model.dim) / math.sqrt(model.dim)
-        out = cones.propagate(x0, 1.0, v, spec=spec, anosov=anosov, rho0=rho0)
+        _, out = cones.propagate(x0, 1.0, v, spec=spec, anosov=anosov, rho0=rho0)
         expected = np.concatenate([np.exp(rho0 * np.asarray(spec.rates)),
                                    np.exp(np.asarray(anosov.rates))]) * v
         assert out[0] == pytest.approx(expected, rel=1e-9)
@@ -156,13 +156,11 @@ class TestPropagate:
         rho0 = 0.5
         x0 = np.array([2e-3, 1e-3, 5e-4, 0])
         frame = np.eye(model.dim)[:3]
-        whole = cones.propagate(x0, 0.9, frame, spec=spec, anosov=anosov, rho0=rho0)
-        flat = BumpProfile.flat(rho0)
-        mid = saddle.flow_slow(spec, flat, x0, 0.4)
-        parts = cones.propagate(
-            mid, 0.5,
-            cones.propagate(x0, 0.4, frame, spec=spec, anosov=anosov, rho0=rho0),
-            spec=spec, anosov=anosov, rho0=rho0)
+        _, whole = cones.propagate(x0, 0.9, frame, spec=spec, anosov=anosov, rho0=rho0)
+        mid, part = cones.propagate(x0, 0.4, frame, spec=spec, anosov=anosov, rho0=rho0)
+        # the point the first leg ends at is the flow's own
+        assert mid.tobytes() == saddle.flow_slow(spec, BumpProfile.flat(rho0), x0, 0.4).tobytes()
+        _, parts = cones.propagate(mid, 0.5, part, spec=spec, anosov=anosov, rho0=rho0)
         assert np.abs(whole - parts).max() < 1e-8
 
 
@@ -462,6 +460,22 @@ def test_cones_suite_makes_one_stacked_lifted_pass(monkeypatch):
     assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))
 
 
+def _push_last_control_orbit(monkeypatch):
+    """Start the last orbit of a 12-orbit run on an unstable axis at radius 0.99."""
+    real = cones._inner_orbit_points
+
+    def pushed(model, n_orbits, seed, radius):
+        points = real(model, n_orbits, seed, radius)
+        if n_orbits != 12:
+            return points
+        charts, U, axis = points.chart.copy(), points.u.copy(), int(np.argmax(model.spec.rates))
+        charts[-1], U[-1] = axis, 0.0
+        U[-1, axis] = 0.99
+        return BlowupPoint(charts, U)
+
+    monkeypatch.setattr(cones, "_inner_orbit_points", pushed)
+
+
 def test_escaping_control_row_fails_only_its_campaign(monkeypatch):
     # the last orbit of the negative control starts on an unstable axis at
     # radius 0.99 and reaches the unit sphere in its first segment; it stops
@@ -475,18 +489,7 @@ def test_escaping_control_row_fails_only_its_campaign(monkeypatch):
     checks = lambda: {c["name"]: c for c in suites.run_cones_suite(cfg)["checks"]}
     before = cones.inner_cone_campaigns(spec, anosov, 0.1, runs, step=0.01)[0]
     before_checks = checks()
-    real = cones._inner_orbit_points
-
-    def pushed(model, n_orbits, seed, radius):
-        points = real(model, n_orbits, seed, radius)
-        if n_orbits != 12:
-            return points
-        charts, U, axis = points.chart.copy(), points.u.copy(), int(np.argmax(model.spec.rates))
-        charts[-1], U[-1] = axis, 0.0
-        U[-1, axis] = 0.99
-        return BlowupPoint(charts, U)
-
-    monkeypatch.setattr(cones, "_inner_orbit_points", pushed)
+    _push_last_control_orbit(monkeypatch)
     (fwd, rev, neg), counters = cones.inner_cone_campaigns(spec, anosov, 0.1, runs, step=0.01)
     assert vars(fwd) == vars(before[0]) and vars(rev) == vars(before[1])
     escape = [v for v in neg.violations if v["type"] == "domain-escape"]
@@ -501,3 +504,19 @@ def test_escaping_control_row_fails_only_its_campaign(monkeypatch):
     for name in ("core-cone-campaign", "time-symmetry"):
         assert after[name] == before_checks[name]
     assert "domain-escape" in after["negative-controls"]["measured"]["violation_types"]
+
+
+def test_negative_controls_witness_names_an_escaped_control_row(monkeypatch):
+    # at unstable rate 3.1 the forced rho0 is no longer past the domination
+    # threshold, so the check is red; its witness lists the control's
+    # violations, here the escape of its pushed row with orbit, time and point
+    cfg = CampaignConfig(**_SMALL, anosov_unstable=[3.1])
+    check = lambda: next(c for c in suites.run_cones_suite(cfg)["checks"]
+                         if c["name"] == "negative-controls")
+    assert check()["witness"] == {"violations": []}
+    _push_last_control_orbit(monkeypatch)
+    red = check()
+    assert not red["passed"] and red["measured"]["violation_types"] == ["domain-escape"]
+    [escape] = red["witness"]["violations"]
+    assert escape["type"] == "domain-escape" and escape["orbit"] == 11
+    assert 0.0 < escape["time"] <= 0.25 and np.linalg.norm(escape["point"]) >= 1.0

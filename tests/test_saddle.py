@@ -372,6 +372,27 @@ class TestRowDriver:
             int(np.ceil(t / h - 1e-9)) for (_, _, h, _, _), out in zip(blocks, stacked)
             for t in out[2])
 
+    def test_plain_rows_equal_tangent_points(self, spec4, sixty):
+        # without J the pass takes the same steps, crossings and stops, bit for
+        # bit, here with one step count per row in two blocks
+        profile = BumpProfile(delta=0.1, rho0=0.5)
+        escaping = np.array([[0.0, 0.0, 0.9, 0.1], [0.05, 0.02, 0.1, 0.0]])
+        blocks = [(sixty[:8], 0.1, 0.01, 300, True),
+                  (np.random.default_rng(3).uniform(-0.3, 0.3, (4, 4)), 0.07, 0.005,
+                   np.array([0, 1, 45, 90]), False),
+                  (escaping, 0.1, 0.01, np.array([120, 30]), False)]
+        tangent, counters = saddle._rk4_rows(spec4, profile, blocks)
+        plain, plain_counters = saddle._rk4_rows(spec4, profile, blocks, tangent=False)
+        assert plain_counters == counters
+        for (x, _, t, stop), (px, pJ, pt, pstop) in zip(tangent, plain):
+            assert px.tobytes() == x.tobytes() and pt.tobytes() == t.tobytes()
+            assert pstop.tolist() == stop.tolist() and pJ.shape == (len(x), 0, 4)
+        # a row with count 0 keeps its point at time 0; the others take their own count
+        x, _, t, _ = plain[1]
+        assert x[0].tobytes() == blocks[1][0][0].tobytes()
+        assert t.tolist() == pytest.approx([0.0, 0.005, 0.225, 0.45], abs=1e-15)
+        assert plain[2][3].tolist() == ["escape", "trapped"]
+
     @pytest.mark.parametrize("step", [1e-2, 1e-3])
     def test_deferred_bisection_equals_per_step_bisection(self, spec4, profile, sixty,
                                                           rk4_sixty, step):
