@@ -9,7 +9,8 @@ at probes, not assumed.
 
 The second half implements the equivariant volume normalization for the
 standard 4-dimensional saddle: the invariant primitive eta0, the averaged
-density solution beta, and the normalizing flow map.
+density solution beta, and the normalizing flow map, whose inverse along x1
+is the closed-form primitive y1 beta_alpha(y).
 """
 
 from __future__ import annotations
@@ -367,8 +368,10 @@ class MoserMap:
 
     h = h(1) of the interpolation flow for omega_s = ((1-s) + s*alpha) vol,
     built so that h transports the flat volume to the alpha one:
-    det Dh(x) * alpha(h(x)) = 1.  The generating field Y_s is radial along
-    x1 (the invariant-primitive direction) and commutes with the saddle.
+    det Dh(x) * alpha(h(x)) = 1, so its inverse along x1 is the primitive
+    y1 beta_alpha(y) (`moser_beta`).  The generating field Y_s is radial along
+    x1 (the invariant-primitive direction) and commutes with the saddle when
+    alpha is saddle invariant (checked by the audits, not assumed here).
     Points are one 4-vector or an (n, 4) batch; every row moves on its own.
     """
 
@@ -448,28 +451,6 @@ class MoserMap:
         back = self.inverse(Dual(rows, np.ones(len(rows))))
         a = self.alpha(list(rows.T))
         return y.du * a - 1.0, back.du - a
-
-
-def moser_flow(omega0: Form, omega1: Form, radius, steps=1000) -> MoserMap:
-    """Normalizing map between two 4-d volume forms omega1 = alpha * omega0.
-
-    omega0 must be the standard volume; alpha must be positive on the
-    domain and invariant under the saddle flow with alpha(0) = 1 for the
-    commutation property to hold (checked by the audits, not assumed here).
-    """
-    if omega0.dim != 4 or omega0.degree != 4 or omega1.degree != 4:
-        raise DegreeError("volume normalization is implemented for 4-d volume forms")
-    idx = (0, 1, 2, 3)
-    base = omega0.coeffs.get(idx)
-    if base is None:
-        raise DegreeError("omega0 must be the standard volume")
-    probe = [0.137, -0.071, 0.053, 0.119]
-    if abs(value(base(probe)) - 1.0) > 1e-12:
-        raise DegreeError("omega0 must have unit density")
-    top1 = omega1.coeffs.get(idx)
-    if top1 is None:
-        raise DegreeError("omega1 has no volume coefficient")
-    return MoserMap(alpha=top1, radius=radius, steps=steps)
 
 
 _AUDIT_TIMES = (0.0, 0.5, 1.0)

@@ -4,6 +4,8 @@ A check is a dict with a name, a pass flag, the measured quantities (with a
 human-readable `meaning` naming what the constant instantiates), and witness
 data when it fails.  Suites never raise on a failed check; they embed the
 witness so the caller can decide (the CLI turns any failure into exit 1).
+An RK4 flow that has a closed form (the flat lifted core, the Moser map) is
+checked against it rather than against its own run at half the step.
 """
 
 from __future__ import annotations
@@ -412,7 +414,7 @@ def run_blowup_suite(cfg: CampaignConfig):
 
     # closed-form core tangent map against finite differences of the RK4
     # lifted flow, on the uniformly slowed profile where the closed form
-    # holds, and step halving
+    # holds, and the RK4 end point against the exact orbit exp(rho0 d[0] t) u0
     flat = saddle.BumpProfile.flat(rho0)
     p0 = BlowupPoint(chart=0, u=np.array([0.05] + [0.3] * (k - 1)))
     eps = 1e-6
@@ -425,12 +427,12 @@ def run_blowup_suite(cfg: CampaignConfig):
     same = (charts[1:k + 1] == charts[0]) & (charts[k + 1:] == charts[0])
     rel = np.abs(J - cols).max(axis=0) / np.maximum(np.abs(cols).max(axis=0), 1.0)
     err = float(rel[same].max(initial=0.0))
-    b = blowup.lifted_slow_flow(spec, flat, p0, 1.0, step=cfg.step / 2)
-    rich = float(np.linalg.norm(blowup.blowdown(end[0]) - blowup.blowdown(b)))
+    exact = BlowupPoint(0, p0.u * np.exp(rho0 * blowup._chart_rate_matrix(spec.rates)[0]))
+    rich = float(np.linalg.norm(blowup.blowdown(end[0]) - blowup.blowdown(exact)))
     checks.append(_check(
         "lifted-tangent-oracle", err < tol["jacobian_fd"] and rich < tol["richardson"],
         "closed-form core tangent maps match finite differences of the RK4 "
-        "lifted flow; step halving agrees",
+        "lifted flow; its end point blows down onto the exact flat-core orbit",
         measured={"fd_relative_error": err, "richardson": rich}))
 
     return _suite("blowup", checks)
@@ -586,9 +588,8 @@ def run_volume_suite(cfg: CampaignConfig):
     tol = cfg.tolerances
     checks = []
     k = 4
-    rates = (-1.0, -1.0, 1.0, 1.0)
     profile = saddle.BumpProfile(delta=0.2, rho0=cfg.resolved_rho0())
-    X = [(lambda r, i: lambda x: r * x[i])(r, i) for i, r in enumerate(rates)]
+    X = forms.saddle_field()
 
     def rho(x):
         return profile.value(dsqrt(x[0] * x[0] + x[1] * x[1] + x[2] * x[2] + x[3] * x[3]))
@@ -688,17 +689,16 @@ def run_moser_suite(cfg: CampaignConfig):
     # the normalizing map
     alpha = (lambda s, g0, g3: lambda x: 1.0 + s * (g0(x) + g3(x)))(
         cfg.moser_strength, gens[0], gens[3])
-    om1 = vol.scale(alpha)
     # the maps are defined on |x| < moser_radius only: start points outside
     # it are skipped and counted, and a check left without points fails
     inside = lambda pts: saddle._radius(pts) < cfg.moser_radius
-    h = forms.moser_flow(vol, om1, radius=cfg.moser_radius, steps=cfg.moser_steps)
+    h = forms.MoserMap(alpha=alpha, radius=cfg.moser_radius, steps=cfg.moser_steps)
     starts = probes[:16] * 0.8
     starts = starts[inside(starts)]
 
     # one forward pass of h moves the transport starts (with their tangents),
     # the origin, the commutation points x and a_t x (a_t = exp(t amp)), and
-    # the step-halving start x0 when it is inside; rows move on their own
+    # the closed-form check's start x0 when it is inside; rows move on their own
     tgrid = np.linspace(-1.0, 1.0, 9)
     amp = np.array([-1.0, -1.0, 1.0, 1.0])
     xs = probes[:12] * 0.35
@@ -736,8 +736,7 @@ def run_moser_suite(cfg: CampaignConfig):
                  "skipped_commutation_pairs": 12 * len(tgrid) - len(comm)}))
 
     # identity and negative controls
-    h_id = forms.moser_flow(vol, vol.scale(lambda x: 1.0), radius=cfg.moser_radius,
-                            steps=200)
+    h_id = forms.MoserMap(alpha=lambda x: 1.0, radius=cfg.moser_radius, steps=200)
     starts = probes[:8] * 0.8
     starts = starts[inside(starts)]
     ident = saddle._radius(h_id(starts) - starts)
@@ -753,14 +752,14 @@ def run_moser_suite(cfg: CampaignConfig):
                   "non_invariant_commutator": bad_comm},
         witness={"skipped_identity_probes": 8 - len(ident)}))
 
-    # step-halving for the s-integration
-    rich = math.nan
-    if len(h_x0):
-        h2 = forms.moser_flow(vol, om1, radius=cfg.moser_radius, steps=2 * cfg.moser_steps)
-        rich = float(np.linalg.norm(h_x0[0] - h2(x0)))
+    # the s-integration against the closed-form inverse of h, the primitive
+    # y1 beta_alpha(y) = integral of alpha over [0, y1] (h moves x1 alone)
+    y0 = list(h_x0.T)
+    rich = max(np.abs(y0[0] * forms.moser_beta(alpha)(y0) - x0[0]), default=math.nan)
     checks.append(_check(
         "normalization-richardson", rich < tol["richardson"],
-        "step halving of the interpolation integration agrees",
+        "the RK4 normalizing map matches its closed form: the primitive "
+        "y1 beta_alpha(y) of the density along x1 takes h(x0) back to x0_1",
         measured={"residual": rich},
         witness={"start_point": x0, "moser_radius": cfg.moser_radius}))
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phsurgery import blowup, dualnum, saddle
+from phsurgery import blowup, dualnum, saddle, suites
 from phsurgery.blowup import BlowupPoint, KLStructure
+from phsurgery.config import CampaignConfig
 from phsurgery.saddle import BumpProfile, SaddleSpec
 
 
@@ -597,3 +598,55 @@ class TestDensityRegularity:
     def test_constant_density_smooth(self):
         out = blowup.density_regularity_probe(2, lambda x: 1.0)
         assert max(b for _, b in out["sweep"]) == 0.0
+
+
+def _reduced_config():
+    """The reduced criterion-10 config at step 0.01 and seed 2."""
+    return CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
+                          delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01, seed=2)
+
+
+def _lifted_oracle(cfg):
+    return next(c for c in suites.run_blowup_suite(cfg)["checks"]
+                if c["name"] == "lifted-tangent-oracle")
+
+
+def test_blowup_suite_makes_no_half_step_lifted_pass(monkeypatch):
+    # the suite's lifted passes are the exceptional-invariance and the
+    # tangent-oracle batches, both at the configured step: the oracle's end
+    # point is compared with the exact flat-core orbit, not with a rerun
+    batch, flow, steps, lone = blowup._lifted_flow_batch, blowup.lifted_slow_flow, [], []
+
+    def counted_batch(spec, profile, points, t, step=saddle.DEFAULT_STEP):
+        steps.append(step)
+        return batch(spec, profile, points, t, step=step)
+
+    def counted_lone(*args, **kwargs):
+        lone.append(args)
+        return flow(*args, **kwargs)
+
+    monkeypatch.setattr(blowup, "_lifted_flow_batch", counted_batch)
+    monkeypatch.setattr(blowup, "lifted_slow_flow", counted_lone)
+    cfg = _reduced_config()
+    assert suites.run_blowup_suite(cfg)["passed"]
+    assert lone == [] and steps == [cfg.step, cfg.step]
+
+
+def test_lifted_tangent_oracle_fails_a_scaled_lifted_field(monkeypatch):
+    # a control for `lifted-tangent-oracle`: the lifted field scaled by
+    # 1 + 1e-6 moves its finite differences by about 1e-6, under their 1e-5
+    # bound, and step halving cannot see it, since both runs share it; the
+    # exact orbit of the flat core does
+    cfg = _reduced_config()
+    spec, flat = cfg.saddle_spec(), BumpProfile.flat(cfg.resolved_rho0())
+    p0 = BlowupPoint(0, np.array([0.05, 0.3, 0.3, 0.3]))  # the oracle's start point
+    field = blowup.LiftedSaddle.field
+    monkeypatch.setattr(blowup.LiftedSaddle, "field",
+                        lambda self, charts, u: (1.0 + 1e-6) * field(self, charts, u))
+    check = _lifted_oracle(cfg)
+    ends = [blowup.lifted_slow_flow(spec, flat, p0, 1.0, step=h) for h in (cfg.step, cfg.step / 2)]
+    halving = np.linalg.norm(blowup.blowdown(ends[0]) - blowup.blowdown(ends[1]))
+    tol = cfg.tolerances
+    assert check["measured"]["fd_relative_error"] < tol["jacobian_fd"]
+    assert halving < tol["richardson"] < check["measured"]["richardson"]
+    assert not check["passed"]

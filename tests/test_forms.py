@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 from itertools import combinations
 
 import numpy as np
@@ -400,8 +401,7 @@ class TestBeta:
 def h():
     gens = forms.invariant_products()
     alpha = lambda x: 1.0 + 0.1 * (gens[0](x) + gens[3](x))
-    return forms.moser_flow(Form.volume(4), Form.volume(4).scale(alpha),
-                            radius=0.5, steps=400)
+    return MoserMap(alpha=alpha, radius=0.5, steps=400)
 
 
 def _transport_residuals(h, points):
@@ -440,8 +440,7 @@ def _four_component_integrate(h, x, s0, s1):
 
 class TestMoserMap:
     def test_trivial_density_is_identity(self):
-        h = forms.moser_flow(Form.volume(4), Form.volume(4).scale(lambda x: 1.0),
-                             radius=0.5, steps=100)
+        h = MoserMap(alpha=lambda x: 1.0, radius=0.5, steps=100)
         x = np.array([0.2, -0.1, 0.05, 0.3])
         assert np.linalg.norm(h(x) - x) < 1e-13
 
@@ -589,7 +588,8 @@ class TestMoserMap:
 
     def test_moser_suite_makes_four_passes(self, monkeypatch):
         # one forward pass (transport, origin, commutation and x0 rows), the
-        # inverse transport pass, the identity control and the half-step map
+        # inverse transport pass and the identity control; the closed-form
+        # check of the map makes no pass of its own
         from phsurgery import suites
         from phsurgery.config import CampaignConfig
         integrate, passes = MoserMap._integrate, []
@@ -600,12 +600,28 @@ class TestMoserMap:
 
         monkeypatch.setattr(MoserMap, "_integrate", counted)
         assert suites.run_moser_suite(CampaignConfig(moser_steps=20))["passed"]
-        assert passes == [(20, 0.0, 1.0), (20, 1.0, 0.0), (200, 0.0, 1.0), (40, 0.0, 1.0)]
+        assert passes == [(20, 0.0, 1.0), (20, 1.0, 0.0), (200, 0.0, 1.0)]
 
-    def test_requires_standard_base_volume(self):
-        scaled = Form.volume(4).scale(lambda x: 2.0)
-        with pytest.raises(DegreeError):
-            forms.moser_flow(scaled, Form.volume(4), radius=0.5)
+    def test_normalization_check_fails_a_scaled_moser_field(self, monkeypatch):
+        # a control for `normalization-richardson`: Y_s scaled by 1 + 1e-3 is
+        # a wrong field that step halving cannot see, since both runs share
+        # it; the closed-form inverse of the true map does
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        speed = MoserMap._speed
+        monkeypatch.setattr(MoserMap, "_speed",
+                            lambda self, s, x, theta: (1.0 + 1e-3) * speed(self, s, x, theta))
+        cfg = CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
+                             delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01, seed=2)
+        check = next(c for c in suites.run_moser_suite(cfg)["checks"]
+                     if c["name"] == "normalization-richardson")
+        x0 = np.array([0.1, 0.15, -0.1, 0.2])  # the check's start point
+        h = MoserMap(alpha=lambda x: 1.0 + cfg.moser_strength * (x[0] * x[2] + x[1] * x[3]),
+                     radius=cfg.moser_radius, steps=cfg.moser_steps)
+        halving = np.linalg.norm(h(x0) - replace(h, steps=2 * h.steps)(x0))
+        tol = cfg.tolerances["richardson"]
+        assert halving < tol < check["measured"]["residual"]
+        assert not check["passed"]
 
 
 def _per_point_form_max(form, probes):
