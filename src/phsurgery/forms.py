@@ -7,6 +7,13 @@ closed operations on coefficient closures.  This keeps the volume-form
 bookkeeping honest: the d^2 = 0, Cartan and Leibniz identities are checked
 at probes, not assumed.
 
+`form_max_at` evaluates on a `_Point`: the probe columns with a value cache
+keyed by closure, and one seeded `_Point` per coordinate for the partial
+derivatives, nested seeds included.  Every closure the operations build, and
+every leaf and vector-field component they call, then runs at most once per
+point and seeded point within the call; a plain list of coordinates takes
+the uncached path and gives the same values.
+
 The second half implements the equivariant volume normalization for the
 standard 4-dimensional saddle: the invariant primitive eta0, the averaged
 density solution beta, and the normalizing flow map, whose inverse along x1
@@ -20,7 +27,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dualnum import Dual, partial, seed, tangent, value
+from . import dualnum
+from .dualnum import Dual, seed, tangent, value
 from .saddle import _radius, rk4_step
 
 MAX_DIM = 6
@@ -31,17 +39,61 @@ class DegreeError(ValueError):
 
 
 class PathDegenerate(RuntimeError):
-    """The interpolated volume family lost positivity somewhere."""
+    """The interpolated volume family lost positivity, or a row left the map's radius.
 
-    def __init__(self, s, x, density):
+    An escape gives the radius it left and a NaN density."""
+
+    def __init__(self, s, x, density, radius=None):
         self.s = s
         self.x = np.asarray(x)
         self.density = density
-        super().__init__(f"degenerate density {density:.3g} at s={s:.3f}, x={self.x}")
+        if radius is None:
+            message = f"degenerate density {density:.3g} at s={s:.3f}, x={self.x}"
+        else:
+            message = (f"escaped the radius {radius:g} (|x| = {np.linalg.norm(self.x):.3g}) "
+                       f"at s={s:.3f}, x={self.x}")
+        super().__init__(message)
 
 
 def _const(c):
     return lambda x: c
+
+
+_MISSING = object()
+
+
+class _Point(list):
+    """Coordinates of a point with a per-closure value cache.
+
+    `values` maps a closure to its value here; `seeds` maps a coordinate j
+    to the `_Point` of `seed(self, j)`.  Both live as long as the point."""
+
+    __slots__ = ("values", "seeds")
+
+    def __init__(self, coords):
+        super().__init__(coords)
+        self.values = {}
+        self.seeds = {}
+
+
+def _at(f, x):
+    """f(x), computed once per closure on a `_Point` and every time on anything else."""
+    if type(x) is not _Point:
+        return f(x)
+    v = x.values.get(f, _MISSING)
+    if v is _MISSING:
+        v = x.values[f] = f(x)
+    return v
+
+
+def partial(f, x, i):
+    """`dualnum.partial`, with one seeded `_Point` per coordinate of a `_Point` x."""
+    if type(x) is not _Point:
+        return dualnum.partial(f, x, i)
+    s = x.seeds.get(i)
+    if s is None:
+        s = x.seeds[i] = _Point(seed(x, i))
+    return tangent(_at(f, s))
 
 
 @dataclass
@@ -82,11 +134,11 @@ class Form:
 
     def evaluate(self, x):
         """Coefficient values at x as a dict; x holds floats, probe columns or duals of them."""
-        return {idx: f(x) for idx, f in self.coeffs.items()}
+        return {idx: _at(f, x) for idx, f in self.coeffs.items()}
 
     def coefficient(self, x, idx):
         f = self.coeffs.get(tuple(idx))
-        return f(x) if f is not None else 0.0
+        return _at(f, x) if f is not None else 0.0
 
     def __add__(self, other):
         if (self.dim, self.degree) != (other.dim, other.degree):
@@ -102,7 +154,8 @@ class Form:
         if not callable(g):
             g = _const(g)
         return Form(self.dim, self.degree,
-                    {idx: (lambda f: lambda x: g(x) * f(x))(f) for idx, f in self.coeffs.items()})
+                    {idx: (lambda f: lambda x: _at(g, x) * _at(f, x))(f)
+                     for idx, f in self.coeffs.items()})
 
 
 def _summed(terms):
@@ -117,9 +170,9 @@ def _summed(terms):
 
     def total(fns):
         def coeff(x):
-            acc = fns[0](x)
+            acc = _at(fns[0], x)
             for fn in fns[1:]:
-                acc = acc + fn(x)
+                acc = acc + _at(fn, x)
             return acc
 
         return coeff
@@ -162,7 +215,7 @@ def wedge(a: Form, b: Form) -> Form:
                 continue
             sign = _merge_sign(ia, ib)
             terms.append((tuple(sorted(ia + ib)),
-                          (lambda f, g, s: lambda x: s * f(x) * g(x))(fa, fb, sign)))
+                          (lambda f, g, s: lambda x: s * _at(f, x) * _at(g, x))(fa, fb, sign)))
     return Form(a.dim, a.degree + b.degree, _summed(terms))
 
 
@@ -185,7 +238,8 @@ def interior(X, form: Form) -> Form:
     for idx, f in form.coeffs.items():
         for pos, j in enumerate(idx):
             terms.append((idx[:pos] + idx[pos + 1:],
-                          (lambda f, Xj, s: lambda x: s * Xj(x) * f(x))(f, X[j], (-1) ** pos)))
+                          (lambda f, Xj, s: lambda x: s * _at(Xj, x) * _at(f, x))
+                          (f, X[j], (-1) ** pos)))
     return Form(form.dim, form.degree - 1, _summed(terms))
 
 
@@ -202,7 +256,7 @@ def lie(X, form: Form) -> Form:
         def xf(x, f=f):
             total = 0.0
             for j in range(n):
-                total = total + X[j](x) * partial(f, x, j)
+                total = total + _at(X[j], x) * partial(f, x, j)
             return total
 
         terms.append((idx, xf))
@@ -210,7 +264,7 @@ def lie(X, form: Form) -> Form:
             for j in range(n):
                 # replace slot pos by j with coefficient d_j X^{i_m}
                 if j == im:
-                    terms.append((idx, (lambda f, Xm, j: lambda x: f(x) * partial(Xm, x, j))
+                    terms.append((idx, (lambda f, Xm, j: lambda x: _at(f, x) * partial(Xm, x, j))
                                   (f, X[im], j)))
                     continue
                 if j in idx:
@@ -221,7 +275,8 @@ def lie(X, form: Form) -> Form:
                     continue
                 new_idx, s_ins = ins
                 sgn = (-1) ** pos * s_ins
-                terms.append((new_idx, (lambda f, Xm, j, s: lambda x: s * f(x) * partial(Xm, x, j))
+                terms.append((new_idx, (lambda f, Xm, j, s:
+                                        lambda x: s * _at(f, x) * partial(Xm, x, j))
                               (f, X[im], j, sgn)))
     return Form(n, form.degree, _summed(terms))
 
@@ -236,10 +291,13 @@ def lie_cartan(X, form: Form) -> Form:
 def form_max_at(form: Form, probes) -> float:
     """Largest coefficient magnitude over an (n, dim) batch of probe points, or NaN.
 
-    Every coefficient is evaluated once, on the probe columns."""
+    Every coefficient is evaluated on the probe columns, as one `_Point`: each
+    closure of the form runs at most once on the columns and once on each
+    seeded copy of them that a derivative asks for.  The cache dies with the
+    call."""
     probes = np.asarray(probes, dtype=float)
     values = [np.broadcast_to(value(v), len(probes))
-              for v in form.evaluate(list(probes.T)).values()]
+              for v in form.evaluate(_Point(probes.T)).values()]
     return float(np.max(np.abs(values), initial=0.0))
 
 
@@ -258,8 +316,8 @@ def verify_rho_volume(rho, X, m: Form, probes):
     base = form_max_at(lie(X, m), probes)
     if base > 1e-9:
         raise ValueError(f"input volume is not invariant: max |L_X m| = {base:.3g}")
-    rhoX = [(lambda Xi: lambda x: rho(x) * Xi(x))(Xi) for Xi in X]
-    m_over_rho = m.scale(lambda x: 1.0 / rho(x))
+    rhoX = [(lambda Xi: lambda x: _at(rho, x) * _at(Xi, x))(Xi) for Xi in X]
+    m_over_rho = m.scale(lambda x: 1.0 / _at(rho, x))
     residual = form_max_at(lie(rhoX, m_over_rho), probes)
     control = form_max_at(lie(rhoX, m), probes)
     return residual, control
@@ -378,6 +436,9 @@ class MoserMap:
     alpha: object
     radius: float
     steps: int = 1000
+    # work done by the passes of this map: `_integrate` calls and RK4 steps
+    counters: dict = field(init=False, repr=False, compare=False, default_factory=lambda:
+                           dict.fromkeys(("map_passes", "rk4_steps"), 0))
 
     def velocity(self, s, x):
         """Y_s solving  i_{Y_s} omega_s = -(omega_1 - omega_0) primitive.
@@ -421,13 +482,16 @@ class MoserMap:
         f = lambda s, y: self._speed(s, [y, *rest], theta)
         h = (s1 - s0) / self.steps
         s = s0
+        self.counters["map_passes"] += 1
         for _ in range(self.steps):
             x1 = rk4_step(f, s, x1, h)
+            self.counters["rk4_steps"] += 1
+            s += h
             r = np.sqrt(sum(c * c for c in [value(x1), *rest]))
             if (r > self.radius).any():
                 i = np.argmax(r)
-                raise PathDegenerate(s, [value(x1)[i], *(c[i] for c in rest)], math.nan)
-            s += h
+                raise PathDegenerate(s, [value(x1)[i], *(c[i] for c in rest)], math.nan,
+                                     radius=self.radius)
         rows[:, 0] = value(x1)
         return Dual(out, x1.du) if isinstance(x, Dual) else out
 

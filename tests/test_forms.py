@@ -561,8 +561,12 @@ class TestMoserMap:
         assert (info.value.x[1:] == batch[1, 1:]).all()
         if radius == 0.5:
             assert np.linalg.norm(info.value.x) > radius
+            # an escape names the radius, not a density
+            assert math.isnan(info.value.density)
+            assert str(info.value).startswith("escaped the radius 0.5 (|x| = 0.5")
         else:
             assert info.value.density <= 0.0
+            assert str(info.value).startswith("degenerate density -")
 
     def test_batched_transport_equals_per_row_calls(self, h):
         rng = np.random.default_rng(16)
@@ -601,6 +605,30 @@ class TestMoserMap:
         monkeypatch.setattr(MoserMap, "_integrate", counted)
         assert suites.run_moser_suite(CampaignConfig(moser_steps=20))["passed"]
         assert passes == [(20, 0.0, 1.0), (20, 1.0, 0.0), (200, 0.0, 1.0)]
+
+    def test_map_counters_go_to_timing_and_are_stripped(self):
+        from phsurgery import cli
+        from phsurgery.config import CampaignConfig
+        cfg = CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
+                             delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01, seed=2)
+        report = cli.build_report(cfg, ("moser",))
+        # the forward and inverse passes of h at 40 steps, the identity control at 200
+        assert report["timing"]["counters"] == {"moser": {"map_passes": 3, "rk4_steps": 280}}
+        assert "counters" not in report["suites"]["moser"]
+        assert "map_passes" not in cli.canonical_json(cli.strip_timing(report))
+
+    def test_counters_count_the_steps_taken(self):
+        h = MoserMap(alpha=lambda x: 1.0 + 40.0 * x[0] * x[2], radius=0.5, steps=100)
+        h(np.zeros((2, 4)))
+        h.inverse(np.zeros(4))
+        assert h.counters == {"map_passes": 2, "rk4_steps": 200}
+        # the escaping row stops the pass at the step it leaves the radius;
+        # the escape's s is the time of its point, the end of that step
+        with pytest.raises(PathDegenerate) as info:
+            h(np.array([0.3, 0.0, -0.3, 0.0]))
+        assert h.counters == {"map_passes": 3, "rk4_steps": 200 + round(info.value.s * 100)}
+        # a copy starts from zero
+        assert replace(h, steps=10).counters == {"map_passes": 0, "rk4_steps": 0}
 
     def test_normalization_check_fails_a_scaled_moser_field(self, monkeypatch):
         # a control for `normalization-richardson`: Y_s scaled by 1 + 1e-3 is
@@ -695,6 +723,84 @@ class TestBatchedEvaluation:
     def test_transport_residuals_at_rounding_level(self, h):
         fw, inv = _transport_residuals(h, np.random.default_rng(8).uniform(-0.3, 0.3, (8, 4)))
         assert np.abs(fw).max() < 1e-13 and np.abs(inv).max() < 1e-13
+
+
+def _seeds_of(x):
+    """The coordinates seeded to reach point x, outermost seed first: () for the probes."""
+    path = []
+    while isinstance(x[0], Dual):
+        # `seed` gives the dual parts the floats 1.0 and 0.0
+        path.append(next(j for j, c in enumerate(x) if c.du == 1.0))
+        x = [c.re for c in x]
+    return tuple(path)
+
+
+def _logged(log, name, f):
+    """Leaf f that logs (name, seeds of the point) at every call."""
+    def leaf(x):
+        log.append((name, _seeds_of(x)))
+        return f(x)
+
+    return leaf
+
+
+class TestPointCache:
+    @staticmethod
+    def _forms(log):
+        rng = np.random.default_rng(23)
+        X = [_logged(log, f"X{i}", _random_polynomial(rng, 4)) for i in range(4)]
+        a = Form(4, 1, {idx: _logged(log, f"a{idx}", _random_polynomial(rng, 4))
+                        for idx in [(0,), (1,), (3,)]})
+        b = Form(4, 1, {idx: _logged(log, f"b{idx}", _random_polynomial(rng, 4))
+                        for idx in [(1,), (2,)]})
+        return {"lie-of-wedge": lie(X, wedge(a, b)), "d-of-d": d(d(a))}
+
+    @pytest.mark.parametrize("name", ["lie-of-wedge", "d-of-d"])
+    def test_each_leaf_runs_once_per_point_and_seed(self, name, probes):
+        from collections import Counter
+        log = []
+        form = self._forms(log)[name]
+        cached = forms.form_max_at(form, probes)
+        once = Counter(log)
+        # every (leaf, point) pair once: the probes, or the seeded copies of
+        # them that the form asks for
+        assert set(once.values()) == {1}
+        log.clear()
+        plain = form.evaluate(list(probes.T))
+        assert set(log) == set(once)
+        if name == "lie-of-wedge":
+            # without the cache the Leibniz terms call the same leaves again
+            assert len(log) > 3 * len(once)
+            assert {s for _, s in once} == {(), (0,), (1,), (2,), (3,)}
+        else:
+            # d(d(a)) asks for the leaves only at the twice-seeded points
+            assert {len(s) for _, s in once} == {2}
+        assert cached == max(float(np.max(np.abs(np.broadcast_to(value(v), len(probes)))))
+                             for v in plain.values())
+
+    def test_nothing_is_cached_across_calls(self, probes):
+        log = []
+        form = self._forms(log)["lie-of-wedge"]
+        first = forms.form_max_at(form, probes[:50])
+        calls = list(log)
+        log.clear()
+        second = forms.form_max_at(form, probes[50:])
+        assert log == calls
+        assert second == _per_point_form_max(form, probes[50:])
+        assert first == _per_point_form_max(form, probes[:50])
+
+    def test_plain_list_runs_uncached_with_the_same_values(self, probes):
+        log = []
+        form = self._forms(log)["lie-of-wedge"]
+        cols = list(probes.T)
+        cached = form.evaluate(forms._Point(cols))
+        n_cached = len(log)
+        log.clear()
+        plain = form.evaluate(cols)
+        assert len(log) > n_cached
+        assert list(plain) == list(cached)
+        for idx in plain:
+            _equal_bits(plain[idx], cached[idx])
 
 
 class TestNaNPropagates:
