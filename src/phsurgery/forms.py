@@ -506,15 +506,19 @@ class MoserMap:
 
         y = h(Dual(x, 1)) for a point or an (n, 4) batch x: the images h(x)
         with the tangents dh1/dx1.  forward: det Dh(x) * alpha(h(x)) - 1   (h
-        carries the flat volume to the alpha volume); inverse: det Dh^{-1}(y)
-        - alpha(y) at y = h(x).  det Dh = dh1/dx1, since x2..x4 stay put: the
-        forward pass is the caller's, so one that needs other images of h
-        gets them from the same pass; the inverse pass is made here.
+        carries the flat volume to the alpha volume); det Dh = dh1/dx1, since
+        x2..x4 stay put.  The forward pass is the caller's, so one that needs
+        other images of h gets them from the same pass, and it is the RK4 side
+        that can fail.  inverse: det DA(y) - alpha(y) at y = h(x), where
+        A(y) = y1 beta_alpha(y), the integral of alpha over [0, y1], is the
+        closed-form inverse of h along x1 (`moser_beta`); det DA = dA/dy1 comes
+        from one call of beta seeded on y1, and no inverse pass is made.
         """
         rows = np.reshape(y.re, (-1, 4))
-        back = self.inverse(Dual(rows, np.ones(len(rows))))
-        a = self.alpha(list(rows.T))
-        return y.du * a - 1.0, back.du - a
+        x1, *rest = rows.T
+        a = self.alpha([x1, *rest])
+        y1 = Dual(x1, np.ones(len(rows)))
+        return y.du * a - 1.0, tangent(y1 * moser_beta(self.alpha)([y1, *rest])) - a
 
 
 _AUDIT_TIMES = (0.0, 0.5, 1.0)

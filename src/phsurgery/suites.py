@@ -698,7 +698,10 @@ def run_moser_suite(cfg: CampaignConfig):
 
     # one forward pass of h moves the transport starts (with their tangents),
     # the origin, the commutation points x and a_t x (a_t = exp(t amp)), and
-    # the closed-form check's start x0 when it is inside; rows move on their own
+    # the closed-form check's start x0 when it is inside; rows move on their
+    # own.  A row that leaves the radius, or meets a density that is not
+    # positive, stops the pass: every image is then NaN, so the two checks
+    # that read the pass fail with the stop as witness, and the others report
     tgrid = np.linspace(-1.0, 1.0, 9)
     amp = np.array([-1.0, -1.0, 1.0, 1.0])
     xs = probes[:12] * 0.35
@@ -709,7 +712,12 @@ def run_moser_suite(cfg: CampaignConfig):
     x0 = np.array([0.1, 0.15, -0.1, 0.2])
     x0_rows = x0[None, :] if inside(x0) else np.zeros((0, 4))
     rows = np.concatenate([starts, np.zeros((1, 4)), xs[ok], pairs[keep], x0_rows])
-    y = h(Dual(rows, np.ones(len(rows))))
+    stops = {}
+    try:
+        y = h(Dual(rows, np.ones(len(rows))))
+    except forms.PathDegenerate as exc:
+        y = Dual(np.full_like(rows, math.nan), np.full(len(rows), math.nan))
+        stops = {"forward_pass": _degenerate(exc)}
     m = len(starts)
     fw, inv = h.transport_residuals(Dual(y.re[:m], y.du[:m]))
     tp = np.maximum(np.abs(fw), np.abs(inv))
@@ -719,7 +727,12 @@ def run_moser_suite(cfg: CampaignConfig):
     origin_fixed = float(np.linalg.norm(h_origin))
     comm = saddle._radius(h_pairs - (at * hx[:, None, :])[keep])
     worst_comm = max(comm, default=math.nan)
-    worst_commutator, _ = forms.equivariance_audit(h, X, probes[:20])
+    # the audit evaluates Y_s off the pass, where the density may also fail
+    audit = {}
+    try:
+        worst_commutator, _ = forms.equivariance_audit(h, X, probes[:20])
+    except forms.PathDegenerate as exc:
+        worst_commutator, audit = math.nan, {"generator_audit": _degenerate(exc)}
     checks.append(_check(
         "volume-normalization",
         tp.size and comm.size and max(tp) < tol["moser_transport"] and origin_fixed < 1e-12
@@ -733,10 +746,13 @@ def run_moser_suite(cfg: CampaignConfig):
                   "max_commutation_defect": worst_comm,
                   "max_generator_commutator": worst_commutator},
         witness={"skipped_transport_probes": 16 - len(tp),
-                 "skipped_commutation_pairs": 12 * len(tgrid) - len(comm)}))
+                 "skipped_commutation_pairs": 12 * len(tgrid) - len(comm),
+                 **stops, **audit}))
 
     # identity and negative controls
-    h_id = forms.MoserMap(alpha=lambda x: 1.0, radius=cfg.moser_radius, steps=200)
+    # with alpha = 1 every RK4 stage's speed is exactly 0 (beta sums w * 0.0),
+    # so h_id is the identity at any step count, and one step tests it
+    h_id = forms.MoserMap(alpha=lambda x: 1.0, radius=cfg.moser_radius, steps=1)
     starts = probes[:8] * 0.8
     starts = starts[inside(starts)]
     ident = saddle._radius(h_id(starts) - starts)
@@ -760,11 +776,16 @@ def run_moser_suite(cfg: CampaignConfig):
         "the RK4 normalizing map matches its closed form: the primitive "
         "y1 beta_alpha(y) of the density along x1 takes h(x0) back to x0_1",
         measured={"residual": rich},
-        witness={"start_point": x0, "moser_radius": cfg.moser_radius}))
+        witness={"start_point": x0, "moser_radius": cfg.moser_radius, **stops}))
 
     # h_bad is audited and never integrates: h and the identity control make every pass
     counters = {key: h.counters[key] + h_id.counters[key] for key in h.counters}
     return {**_suite("moser", checks), "dimension": 4, "counters": counters}
+
+
+def _degenerate(exc):
+    """Witness of a `forms.PathDegenerate`: where in s and at which point the map failed."""
+    return {"type": type(exc).__name__, "s": exc.s, "point": exc.x, "message": str(exc)}
 
 
 def _form_identity_probes(rng, probes):

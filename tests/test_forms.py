@@ -578,8 +578,9 @@ class TestMoserMap:
 
     def test_one_forward_pass_serves_transport_and_other_images(self, h):
         # transport starts first, then rows whose plain images are wanted:
-        # one dual pass gives those images bit for bit, and the residuals of
-        # a forward and an inverse pass of their own
+        # one dual pass gives those images bit for bit and the forward
+        # residuals of a pass of their own; the closed-form inverse leg
+        # agrees with an RK4 inverse pass, its oracle, to rounding
         rng = np.random.default_rng(20)
         starts = rng.uniform(-0.3, 0.3, (16, 4))
         others = np.concatenate([np.zeros((1, 4)), rng.uniform(-0.2, 0.2, (40, 4))])
@@ -588,12 +589,13 @@ class TestMoserMap:
         assert (y.re[16:] == h(others)).all()
         fw, inv = h.transport_residuals(Dual(y.re[:16], y.du[:16]))
         fw0, inv0 = _separate_residuals(h, starts)
-        assert (fw == fw0).all() and (inv == inv0).all()
+        assert (fw == fw0).all()
+        assert np.abs(inv - inv0).max() < 1e-13
 
     def test_moser_suite_makes_four_passes(self, monkeypatch):
-        # one forward pass (transport, origin, commutation and x0 rows), the
-        # inverse transport pass and the identity control; the closed-form
-        # check of the map makes no pass of its own
+        # one forward pass (transport, origin, commutation and x0 rows) and
+        # the one-step identity control; the inverse transport leg and the
+        # closed-form check of the map read the primitive and make no pass
         from phsurgery import suites
         from phsurgery.config import CampaignConfig
         integrate, passes = MoserMap._integrate, []
@@ -604,7 +606,7 @@ class TestMoserMap:
 
         monkeypatch.setattr(MoserMap, "_integrate", counted)
         assert suites.run_moser_suite(CampaignConfig(moser_steps=20))["passed"]
-        assert passes == [(20, 0.0, 1.0), (20, 1.0, 0.0), (200, 0.0, 1.0)]
+        assert passes == [(20, 0.0, 1.0), (1, 0.0, 1.0)]
 
     def test_map_counters_go_to_timing_and_are_stripped(self):
         from phsurgery import cli
@@ -612,8 +614,8 @@ class TestMoserMap:
         cfg = CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
                              delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01, seed=2)
         report = cli.build_report(cfg, ("moser",))
-        # the forward and inverse passes of h at 40 steps, the identity control at 200
-        assert report["timing"]["counters"] == {"moser": {"map_passes": 3, "rk4_steps": 280}}
+        # the forward pass of h at 40 steps, the identity control at 1
+        assert report["timing"]["counters"] == {"moser": {"map_passes": 2, "rk4_steps": 41}}
         assert "counters" not in report["suites"]["moser"]
         assert "map_passes" not in cli.canonical_json(cli.strip_timing(report))
 
@@ -650,6 +652,67 @@ class TestMoserMap:
         tol = cfg.tolerances["richardson"]
         assert halving < tol < check["measured"]["residual"]
         assert not check["passed"]
+
+
+    def test_transport_check_fails_a_scaled_primitive(self, monkeypatch, h):
+        # a control for the inverse transport leg: beta scaled by 1 + 1e-3
+        # makes the primitive's derivative 1e-3 alpha too large, while the
+        # forward RK4 leg never reads beta and stays at rounding level
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        beta = forms.moser_beta
+
+        def scaled(gamma):
+            b = beta(gamma)
+            return lambda x: (1.0 + 1e-3) * b(x)
+
+        monkeypatch.setattr(forms, "moser_beta", scaled)
+        fw, inv = _transport_residuals(h, np.random.default_rng(22).uniform(-0.3, 0.3, (8, 4)))
+        assert np.abs(fw).max() < 1e-13
+        assert 5e-4 < np.abs(inv).min() and np.abs(inv).max() < 2e-3
+        cfg = CampaignConfig(samples=64, crossing_entries=40, cone_orbits=8,
+                             delta_sweep=[0.1, 0.01], moser_steps=40, step=0.01, seed=2)
+        check = next(c for c in suites.run_moser_suite(cfg)["checks"]
+                     if c["name"] == "volume-normalization")
+        assert not check["passed"]
+        assert 5e-4 < check["measured"]["max_transport_residual"] < 2e-3
+        assert check["measured"]["max_commutation_defect"] < cfg.tolerances["moser_commutation"]
+
+    def test_identity_control_fails_a_moving_field(self, monkeypatch):
+        # a control for the one-step identity map: an offset of 1e-9 in the
+        # speed moves every start by 1e-9 in the one step
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        speed = MoserMap._speed
+        monkeypatch.setattr(MoserMap, "_speed",
+                            lambda self, s, x, theta: speed(self, s, x, theta) + 1e-9)
+        check = next(c for c in suites.run_moser_suite(CampaignConfig(moser_steps=20))["checks"]
+                     if c["name"] == "normalization-controls")
+        assert not check["passed"]
+        assert check["measured"]["identity_defect"] == pytest.approx(1e-9, rel=1e-6)
+
+    def test_escaping_row_fails_only_the_checks_that_read_the_pass(self):
+        # at strength 40 a forward row leaves the radius 0.5 at s = 0.325, and
+        # the density turns negative at probes of the generator audit: the
+        # two checks that read the pass fail with the stop as witness, and
+        # the other four checks still report
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        cfg = CampaignConfig(moser_strength=40.0, moser_steps=40)
+        checks = {c["name"]: c for c in suites.run_moser_suite(cfg)["checks"]}
+        assert list(checks) == [
+            "exterior-calculus-identities", "invariant-primitive", "averaged-density-solution",
+            "volume-normalization", "normalization-controls", "normalization-richardson"]
+        assert [n for n, c in checks.items() if not c["passed"]] == [
+            "volume-normalization", "normalization-richardson"]
+        for name in ("volume-normalization", "normalization-richardson"):
+            stop = checks[name]["witness"]["forward_pass"]
+            assert stop["type"] == "PathDegenerate" and stop["s"] == pytest.approx(0.325)
+            assert np.linalg.norm(stop["point"]) > cfg.moser_radius
+            assert stop["message"].startswith("escaped the radius 0.5")
+        audit = checks["volume-normalization"]["witness"]["generator_audit"]
+        assert audit["message"].startswith("degenerate density -")
+        assert checks["normalization-richardson"]["measured"]["residual"] == "nan"
 
 
 def _per_point_form_max(form, probes):

@@ -74,11 +74,13 @@ def test_moser_counts_and_form_spans(tracer):
     try:
         rows = np.array([[0.1, 0.2, -0.1, 0.05], [0.0, 0.1, 0.2, 0.1]])
         fw, inv = h.transport_residuals(h(Dual(rows, np.ones(2))))
+        h.inverse(rows)
         forms.form_max_at(forms.Form.volume(4), np.zeros((3, 4)))
     finally:
         traced.restore()
     assert fw.shape == inv.shape == (2,)
-    # one forward and one inverse pass of the map, each of `steps` RK4 steps
+    # one forward and one inverse pass of the map, each of `steps` RK4 steps;
+    # the transport residuals read the closed-form primitive and make none
     assert traced.counts["forms.moser.evals"] == 2
     assert traced.counts["forms.moser.rk4_steps"] == 2 * h.steps
     per_name, _ = traced.summary()
