@@ -233,16 +233,25 @@ def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
     return p.like(_lifted_flow_batch(spec, profile, p.batch(), t, step=step))
 
 
-def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP):
+def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP, counters=None):
     """The batch `points` after time t, one `_lifted_pass` segment of fixed RK4 steps.
 
-    Raises DomainEscape naming the outermost row at the first escape.
+    Adds the pass's counters into the dict `counters`, if given.  Raises
+    DomainEscape naming the outermost row at the first escape.
     """
     nsteps, h = _fixed_steps(t, step)
-    end, _, escapes, _ = _lifted_pass(LiftedSaddle.of(spec, profile), points, h,
-                                      nsteps if t else 0)
+    end, _, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), points, h,
+                                         nsteps if t else 0)
+    _tally(counters, done)
     _raise_first_escape(escapes)
     return end
+
+
+def _tally(counters, counts):
+    """Add the dict counts into the dict counters, if given."""
+    if counters is not None:
+        for name, value in counts.items():
+            counters[name] = counters.get(name, 0) + value
 
 
 def _lifted_pass(lifted, points: BlowupPoint, h, nsteps, segments=1):
@@ -302,7 +311,7 @@ def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
     return transition_jacobian(moved, charts) * G[:, None, :]
 
 
-def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
+def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, counters=None):
     """Blow-down commutation over seeded random (point, time) pairs.
 
     Each sample steps to its own maturity time (a step multiple in (0, 1]),
@@ -310,7 +319,9 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
     blow-downs, and is scored there by |blowdown(lifted end) - disk end|.  A
     quarter of the samples start on the exceptional set, whose blow-down
     orbit is the origin.  Returns (max residual, witness dict); the witness
-    is the first sample, in step then sample order, at the maximum.
+    is the first sample, in step then sample order, at the maximum.  Adds
+    the lifted pass's counters, and the disk block's as `disk_*`, into the
+    dict `counters`, if given.  A DomainEscape names its sample as its row.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -332,10 +343,12 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP):
     # samples in (maturity, sample) order, where the witness and the escape take the first
     order = np.lexsort((rows, maturity))
     start, maturity = BlowupPoint(charts[order], U[order]), maturity[order]
-    end, _, escapes, _ = _lifted_pass(LiftedSaddle.of(spec, profile), start, h, maturity)
-    _raise_first_escape(escapes)
-    [(X, *_)], _ = _rk4_rows(spec, profile, [(blowdown(start), profile.delta, h, maturity, False)],
-                             tangent=False)
+    end, _, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), start, h, maturity)
+    _tally(counters, done)
+    _raise_first_escape([(time, x, int(order[m])) for time, x, m in escapes])
+    [(X, *_)], disk = _rk4_rows(spec, profile, [(blowdown(start), profile.delta, h, maturity, False)],
+                                tangent=False)
+    _tally(counters, {f"disk_{name}": disk[name] for name in ("rk4_iterations", "row_steps")})
     res = _radius(blowdown(end) - X)
     i = int(np.argmax(res))
     return float(res[i]), {"chart": int(end.chart[i]), "u": end.u[i].tolist(),

@@ -39,11 +39,12 @@ _TRANSIT_PANELS = 16  # Gauss-Legendre panels of time_change_transits
 
 
 class DomainEscape(RuntimeError):
-    """Trajectory left the unit disk (or the chart atlas)."""
+    """Trajectory left the unit disk (or the chart atlas); `row` names it in its batch."""
 
-    def __init__(self, time, point):
+    def __init__(self, time, point, row=None):
         self.time = time
         self.point = np.asarray(point)
+        self.row = row
         super().__init__(f"trajectory escaped at t={time:.6g}, |x|={np.linalg.norm(self.point):.6g}")
 
 
@@ -187,19 +188,20 @@ class BumpProfile:
         """(rhobar(s), rhobar'(s)) of floats or arrays, from one pair of exps."""
         if self.constant:
             return self.rho0 + 0.0 * s, np.zeros(np.shape(s))
-        r = (np.asarray(s, dtype=float) - self.delta) / self.delta
-        ri = np.clip(r, 1e-12, 1 - 1e-12)  # where the value rounds as `value`'s
-        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / (1.0 - ri))
-        da, db = a * _TRANSITION_SHARPNESS / ri**2, b * _TRANSITION_SHARPNESS / (1.0 - ri) ** 2
-        inside = (r > 0.0) & (r < 1.0)
-        slope = np.where(inside, (da * b + a * db) / (a + b) ** 2, 0.0)
-        return (self.rho0 + (1.0 - self.rho0) * (a / (a + b) * inside + (r >= 1.0)),
-                (1.0 - self.rho0) / self.delta * slope)
+        r = (s - self.delta) / self.delta
+        # clipped where a or b underflows to 0, so that off (0, 1) the value
+        # is exactly 0 or 1 and the slope exactly 0, as `value`'s
+        ri = np.minimum(np.maximum(r, 1e-12), 1 - 1e-12)
+        ci = 1.0 - ri
+        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
+        da, db = a * _TRANSITION_SHARPNESS / ri**2, b * _TRANSITION_SHARPNESS / ci**2
+        ab = a + b
+        return (self.rho0 + (1.0 - self.rho0) * (a / ab),
+                (1.0 - self.rho0) / self.delta * ((da * b + a * db) / ab**2))
 
     def __call__(self, x):
         """rho(x) = rhobar(|x|) for a point or an (n, k) batch."""
-        x = np.asarray(x, dtype=float)
-        return self.value_and_slope(np.linalg.norm(x, axis=-1))[0]
+        return self.value_and_slope(_norm(np.asarray(x, dtype=float)))[0]
 
 
 def pick_rho0(lam, mu, lam_prime, mu_prime, k=None, volume_mode=False):
@@ -261,7 +263,7 @@ def _field_and_jacobian(spec, profile, x):
 
     r, rho and the profile slope are evaluated once for both.
     """
-    r = np.linalg.norm(x, axis=-1)
+    r = _norm(x)
     rho, slope = profile.value_and_slope(r)
     rates = np.asarray(spec.rates)
     X = rates * x
@@ -296,20 +298,38 @@ def _radius(x):
     return np.sqrt(np.vecdot(x, x))
 
 
+def _norm(x):
+    """|x| along the last axis, equal to `np.linalg.norm(x, axis=-1)` bit for bit: rho's radius."""
+    return np.sqrt(np.add.reduce(x * x, axis=-1))
+
+
 def _raise_first_escape(escapes):
-    """Raise DomainEscape naming the outermost row at the first of (time, point, ...) escapes."""
+    """Raise DomainEscape naming the outermost row at the first of (time, point, row) escapes."""
     if escapes:
-        first = min(e[0] for e in escapes)
-        points = np.array([e[1] for e in escapes if e[0] == first])
-        raise DomainEscape(first, points[int(np.argmax(_radius(points)))])
+        t0 = min(e[0] for e in escapes)
+        first = [e for e in escapes if e[0] == t0]
+        raise DomainEscape(*first[int(np.argmax(_radius(np.array([e[1] for e in first]))))])
 
 
 def _tangent_field(spec, profile, y):
-    """(rho X, D(rho X) J) on packed rows y = [x | vec J] of an (n, k + k*k) batch."""
+    """(rho X, D(rho X) J) on packed rows y = [x | vec J] of an (n, k + k*k) batch.
+
+    D(rho X) J = X (grad rho^T J) + rho diag(rates) J with grad rho = rho'(r) x / r,
+    a rank-one update that a flat profile skips; the x columns are `_field`'s.
+    """
     k = spec.k
-    fx, A = _field_and_jacobian(spec, profile, y[:, :k])
-    J = y[:, k:].reshape(-1, k, k)
-    return np.hstack([fx, np.einsum("nij,njk->nik", A, J).reshape(-1, k * k)])
+    x, J = y[:, :k], y[:, k:].reshape(-1, k, k)
+    r = _norm(x)
+    rho, slope = profile.value_and_slope(r)
+    rates = np.asarray(spec.rates)
+    out = np.empty(y.shape)  # C order: the J columns reshape to a view
+    X = np.multiply(rates, x)
+    np.multiply(X, rho[:, None], out=out[:, :k])
+    DJ = np.multiply((rho[:, None] * rates)[:, :, None], J, out=out[:, k:].reshape(-1, k, k))
+    if not profile.constant:  # slope / r is 0 off the shell, the origin included
+        g = slope / (r + (r == 0.0))
+        DJ += X[:, :, None] * (g[:, None] * np.einsum("nl,nlj->nj", x, J))[:, None, :]
+    return out
 
 
 def _rk4_rows(spec, profile, blocks, tangent=True):
@@ -332,30 +352,37 @@ def _rk4_rows(spec, profile, blocks, tangent=True):
     state = np.hstack([x, np.tile(np.eye(k).ravel(), (n, 1))]) if tangent else x
     field = _tangent_field if tangent else _field
     counters = dict.fromkeys(("rk4_iterations", "row_steps", "bisection_steps"), 0)
-    t, steps, target = np.zeros(n), np.zeros(n, dtype=int), np.zeros(n)
+    t, target = np.zeros(n), np.zeros(n)
     stop = np.where(_radius(x) >= 1.0, "escape", "trapped")
     live, idx = (stop == "trapped") & (nsteps > 0), np.arange(0)
-    while live.any():
+    while live.any():  # every live row has taken one step per iteration
         if live.sum() != len(idx):
             idx = np.flatnonzero(live)
             p, hi, dn = replace(profile, delta=delta[idx]), h[idx, None], delta[idx]
+            tr, left, last = transit[idx], nsteps[idx], nsteps[idx].min()
         sn = rk4_step(lambda _, y: field(spec, p, y), 0.0, state[idx], hi)
         counters["rk4_iterations"] += 1
         counters["row_steps"] += len(idx)
+        it = counters["rk4_iterations"]
         if not np.isfinite(sn).all():
-            raise FloatingPointError(f"non-finite state at step {steps[idx].max() + 1}")
-        rn = np.linalg.norm(sn[:, :k], axis=1)
-        out_hi = rn >= 2 * dn
-        crossed = transit[idx] & (out_hi | (rn <= dn))
-        if crossed.any():
-            target[idx[crossed]] = np.where(out_hi, 2 * dn, dn)[crossed]
-            stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
-        moved = idx[~crossed]
-        state[moved] = sn[~crossed]
-        t[moved] += h[moved]
-        steps[moved] += 1
-        stop[moved[_radius(state[moved, :k]) >= 1.0]] = "escape"
-        live[idx] = (stop[idx] == "trapped") & (steps[idx] < nsteps[idx])
+            raise FloatingPointError(f"non-finite state at step {it}")
+        crossed = tr
+        if tr.any():  # only a transit row crosses
+            rn = _norm(sn[:, :k])
+            out_hi = rn >= 2 * dn
+            crossed = tr & (out_hi | (rn <= dn))
+        escaped = _radius(sn[:, :k]) >= 1.0
+        moved = slice(None)
+        if crossed.any() or escaped.any() or last <= it:
+            # a crossed row keeps its pre-step state for the bisection
+            if crossed.any():
+                target[idx[crossed]] = np.where(out_hi, 2 * dn, dn)[crossed]
+                stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
+            moved = ~crossed
+            stop[idx[moved & escaped]] = "escape"
+            live[idx[crossed | escaped | (left <= it)]] = False
+        state[idx[moved]] = sn[moved]
+        t[idx[moved]] += hi[moved, 0]
     if len(rows := np.flatnonzero(target)):
         p = replace(profile, delta=delta[rows])
         tau = _bisect_crossing(spec, p, state[rows, :k], h[rows], target[rows], counters)
@@ -373,7 +400,7 @@ def _flow_rows(spec, profile, x, t, step, tangent):
     nsteps, h = _fixed_steps(t, step)
     [(points, J, times, stop)], _ = _rk4_rows(spec, profile, [
         (np.atleast_2d(x), profile.delta, h, nsteps if t else 0, False)], tangent)
-    _raise_first_escape([(times[i], points[i]) for i in np.flatnonzero(stop == "escape")])
+    _raise_first_escape([(times[i], points[i], int(i)) for i in np.flatnonzero(stop == "escape")])
     return (points, J) if x.ndim == 2 else (points[0], J[0])
 
 

@@ -287,6 +287,14 @@ def _random_points(rng, n, k, bound, floor=None):
     return p
 
 
+def _escaping(run):
+    """(run(), None), or (None, a `domain-escape` witness) when a row of run() leaves the disk."""
+    try:
+        return run(), None
+    except saddle.DomainEscape as err:
+        return None, {"type": "domain-escape", "row": err.row, "time": err.time, "point": err.point}
+
+
 def _central_points(x, eps=1e-6):
     """The neighbours x +- eps e_i of every row of x, as (2 n k, k) rows [row, sign, i]."""
     shifts = np.array([1.0, -1.0])[:, None, None] * eps * np.eye(x.shape[1])
@@ -326,9 +334,12 @@ def run_blowup_suite(cfg: CampaignConfig):
         "lift/blow-down and chart-transition round trips",
         measured={"lift_roundtrip": worst_rt, "transition_roundtrip": worst_tr}))
 
-    # commutation campaign
-    worst, wit = blowup.commutation_campaign(spec, profile, n=cfg.samples,
-                                             seed=cfg.seed, step=cfg.step)
+    # commutation campaign; a sample that leaves the disk fails this check alone,
+    # as it fails the lifted-flow checks below
+    counters = {}
+    campaign, escape = _escaping(lambda: blowup.commutation_campaign(
+        spec, profile, n=cfg.samples, seed=cfg.seed, step=cfg.step, counters=counters))
+    worst, wit = campaign or (math.inf, escape)
     checks.append(_check(
         "blow-down-commutation", worst < tol["commutation"],
         "lifted flow then blow-down equals blow-down then flow, over random "
@@ -338,10 +349,11 @@ def run_blowup_suite(cfg: CampaignConfig):
     # exceptional set invariance
     starts = _random_points(rng, 50, k, 0.9)
     starts.u[np.arange(50), starts.chart] = 0.0
-    end = blowup._lifted_flow_batch(spec, profile, starts, 1.5, step=cfg.step)
+    end, escape = _escaping(lambda: blowup._lifted_flow_batch(spec, profile, starts, 1.5,
+                                                              step=cfg.step, counters=counters))
     checks.append(_check(
-        "exceptional-invariance", bool((end.radial() == 0.0).all()),
-        "the exceptional set {u_i = 0} is exactly flow invariant"))
+        "exceptional-invariance", end is not None and bool((end.radial() == 0.0).all()),
+        "the exceptional set {u_i = 0} is exactly flow invariant", witness=escape))
 
     # density identities and nondegeneracy floors
     floors = {}
@@ -419,23 +431,25 @@ def run_blowup_suite(cfg: CampaignConfig):
     p0 = BlowupPoint(chart=0, u=np.array([0.05] + [0.3] * (k - 1)))
     eps = 1e-6
     shifts = np.vstack([np.zeros(k), eps * np.eye(k), -eps * np.eye(k)])
-    end = blowup._lifted_flow_batch(spec, flat, BlowupPoint(0, p0.u + shifts), 1.0,
-                                    step=cfg.step)
-    charts, U = end.chart, end.u
-    J = blowup.core_tangent_maps(spec, rho0, p0.batch(), charts[:1], 1.0)[0]
-    cols = (U[1:k + 1] - U[k + 1:]).T / (2 * eps)  # column i: central difference along e_i
-    same = (charts[1:k + 1] == charts[0]) & (charts[k + 1:] == charts[0])
-    rel = np.abs(J - cols).max(axis=0) / np.maximum(np.abs(cols).max(axis=0), 1.0)
-    err = float(rel[same].max(initial=0.0))
-    exact = BlowupPoint(0, p0.u * np.exp(rho0 * blowup._chart_rate_matrix(spec.rates)[0]))
-    rich = float(np.linalg.norm(blowup.blowdown(end[0]) - blowup.blowdown(exact)))
+    end, escape = _escaping(lambda: blowup._lifted_flow_batch(
+        spec, flat, BlowupPoint(0, p0.u + shifts), 1.0, step=cfg.step, counters=counters))
+    err = rich = math.inf
+    if end is not None:
+        charts, U = end.chart, end.u
+        J = blowup.core_tangent_maps(spec, rho0, p0.batch(), charts[:1], 1.0)[0]
+        cols = (U[1:k + 1] - U[k + 1:]).T / (2 * eps)  # column i: central difference along e_i
+        same = (charts[1:k + 1] == charts[0]) & (charts[k + 1:] == charts[0])
+        rel = np.abs(J - cols).max(axis=0) / np.maximum(np.abs(cols).max(axis=0), 1.0)
+        err = float(rel[same].max(initial=0.0))
+        exact = BlowupPoint(0, p0.u * np.exp(rho0 * blowup._chart_rate_matrix(spec.rates)[0]))
+        rich = float(np.linalg.norm(blowup.blowdown(end[0]) - blowup.blowdown(exact)))
     checks.append(_check(
         "lifted-tangent-oracle", err < tol["jacobian_fd"] and rich < tol["richardson"],
         "closed-form core tangent maps match finite differences of the RK4 "
         "lifted flow; its end point blows down onto the exact flat-core orbit",
-        measured={"fd_relative_error": err, "richardson": rich}))
+        measured={"fd_relative_error": err, "richardson": rich}, witness=escape))
 
-    return _suite("blowup", checks)
+    return {**_suite("blowup", checks), "counters": counters}
 
 
 # ---------------------------------------------------------------------------

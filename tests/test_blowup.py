@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from phsurgery import blowup, dualnum, saddle, suites
+from phsurgery import blowup, cli, dualnum, saddle, suites
 from phsurgery.blowup import BlowupPoint, KLStructure
 from phsurgery.config import CampaignConfig
 from phsurgery.saddle import BumpProfile, SaddleSpec
@@ -261,7 +261,7 @@ def _lockstep_commutation(spec, profile, n, seed, step):
     samples maturing there are scored, and the witness is kept when a step's
     worst residual beats every earlier one.  At the first step where the
     blow-down of a sample not yet matured reaches the unit sphere, it raises
-    DomainEscape naming the outermost such sample.
+    DomainEscape naming the outermost such sample and its draw index.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -282,7 +282,8 @@ def _lockstep_commutation(spec, profile, n, seed, step):
         x = _step_and_switch(lifted, charts, U, h)
         r = np.where(maturity >= istep, saddle._radius(x), -np.inf)
         if (r >= 1.0).any():
-            raise saddle.DomainEscape(istep * h, x[int(np.argmax(r))])
+            m = int(np.argmax(r))
+            raise saddle.DomainEscape(istep * h, x[m], m)
         X = saddle.rk4_step(lambda _, y: saddle._field(spec, profile, y), (istep - 1) * h, X, h)
         due = np.flatnonzero(maturity == istep)
         if not due.size:
@@ -375,6 +376,7 @@ class TestLiftedFlow:
         assert 0.0 < oracle.value.time < 1.0
         assert err.value.time == pytest.approx(oracle.value.time, rel=1e-15)
         assert err.value.point.tobytes() == oracle.value.point.tobytes()
+        assert err.value.row == oracle.value.row  # the sample's draw index
         assert str(err.value) == str(oracle.value)
 
     def test_batch_matches_single_points(self, spec4, profile):
@@ -617,9 +619,9 @@ def test_blowup_suite_makes_no_half_step_lifted_pass(monkeypatch):
     # point is compared with the exact flat-core orbit, not with a rerun
     batch, flow, steps, lone = blowup._lifted_flow_batch, blowup.lifted_slow_flow, [], []
 
-    def counted_batch(spec, profile, points, t, step=saddle.DEFAULT_STEP):
+    def counted_batch(spec, profile, points, t, step=saddle.DEFAULT_STEP, **kwargs):
         steps.append(step)
-        return batch(spec, profile, points, t, step=step)
+        return batch(spec, profile, points, t, step=step, **kwargs)
 
     def counted_lone(*args, **kwargs):
         lone.append(args)
@@ -650,3 +652,51 @@ def test_lifted_tangent_oracle_fails_a_scaled_lifted_field(monkeypatch):
     assert check["measured"]["fd_relative_error"] < tol["jacobian_fd"]
     assert halving < tol["richardson"] < check["measured"]["richardson"]
     assert not check["passed"]
+
+
+_BLOWUP_CHECKS = ["chart-round-trips", "blow-down-commutation", "exceptional-invariance",
+                  "density-identities", "density-nondegeneracy", "chart-independence",
+                  "power-atlas-rates", "power-atlas-smoothness", "lifted-tangent-oracle"]
+
+
+def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
+    # a lifted field 40 times too fast takes commutation samples and the
+    # tangent oracle's rows out of the disk: those two checks fail with a
+    # domain-escape witness, and every other check still reports and passes
+    cfg = _reduced_config()
+    field = blowup.LiftedSaddle.field
+    monkeypatch.setattr(blowup.LiftedSaddle, "field",
+                        lambda self, charts, u: 40.0 * field(self, charts, u))
+    out = suites.run_blowup_suite(cfg)
+    checks = {c["name"]: c for c in out["checks"]}
+    assert list(checks) == _BLOWUP_CHECKS
+    failed = [name for name, c in checks.items() if not c["passed"]]
+    assert failed == ["blow-down-commutation", "lifted-tangent-oracle"]
+    for name in failed:
+        witness = checks[name]["witness"]
+        assert witness["type"] == "domain-escape" and 0.0 < witness["time"] <= 1.0
+        assert np.linalg.norm(witness["point"]) >= 1.0 and isinstance(witness["row"], int)
+    assert checks["blow-down-commutation"]["measured"] == {"max_residual": "inf"}
+    # the witness is the campaign's DomainEscape, its row the sample's draw index
+    with pytest.raises(saddle.DomainEscape) as err:
+        blowup.commutation_campaign(cfg.saddle_spec(), cfg.bump_profile(), n=cfg.samples,
+                                    seed=cfg.seed, step=cfg.step)
+    witness = checks["blow-down-commutation"]["witness"]
+    assert (witness["row"], witness["time"]) == (err.value.row, err.value.time)
+    assert witness["point"] == err.value.point.tolist()
+
+
+def test_blowup_counters_count_every_lifted_pass():
+    # the commutation campaign's lifted pass and its disk block step the same
+    # rows to the same maturities; the other two passes are exceptional-
+    # invariance (50 rows, t = 1.5) and lifted-tangent-oracle (2k + 1 rows, t = 1)
+    cfg = _reduced_config()
+    report = cli.build_report(cfg, ("blowup",))
+    counters = report["timing"]["counters"]["blowup"]
+    assert set(counters) == {"rk4_iterations", "row_steps", "chart_switches",
+                             "disk_rk4_iterations", "disk_row_steps"}
+    assert counters["rk4_iterations"] - counters["disk_rk4_iterations"] == 150 + 100
+    assert counters["row_steps"] - counters["disk_row_steps"] == 50 * 150 + (2 * cfg.k + 1) * 100
+    assert 0 < counters["disk_rk4_iterations"] <= 100 and counters["chart_switches"] > 0
+    assert "counters" not in report["suites"]["blowup"]
+    assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))
