@@ -318,10 +318,14 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, count
     lifted in one `_lifted_pass` and downstairs in one `_rk4_rows` block of
     blow-downs, and is scored there by |blowdown(lifted end) - disk end|.  A
     quarter of the samples start on the exceptional set, whose blow-down
-    orbit is the origin.  Returns (max residual, witness dict); the witness
-    is the first sample, in step then sample order, at the maximum.  Adds
-    the lifted pass's counters, and the disk block's as `disk_*`, into the
-    dict `counters`, if given.  A DomainEscape names its sample as its row.
+    orbit is the origin.  Returns (max residual, witness dict, exceptional
+    dict); the witness is the first sample, in step then sample order, at
+    the maximum.  The exceptional dict counts the `samples` that start on
+    the set and those that `left` it (a radial coordinate other than 0 at
+    maturity), and names the first that left, in the same order, with its
+    draw index (`first_left`, None if none did).  Adds the lifted pass's
+    counters, and the disk block's as `disk_*`, into the dict `counters`, if
+    given, before a DomainEscape of the lifted pass names its sample as its row.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -334,25 +338,30 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, count
     max_rate = max(abs(r) for r in spec.rates)
     safe = 0.45 * math.exp(-max_rate)  # the disk orbit stays inside radius 0.45 up to t = 1
     radial = rng.uniform(-1.0, 1.0, size=n) * safe / line_norm
-    radial[rng.random(n) < 0.25] = 0.0
+    on_set = rng.random(n) < 0.25
+    radial[on_set] = 0.0
     U[rows, charts] = radial
 
     nsteps, h = _fixed_steps(1.0, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
 
-    # samples in (maturity, sample) order, where the witness and the escape take the first
+    # samples in (maturity, sample) order, where the witnesses and the escape take the first
     order = np.lexsort((rows, maturity))
-    start, maturity = BlowupPoint(charts[order], U[order]), maturity[order]
+    start, maturity, on_set = BlowupPoint(charts[order], U[order]), maturity[order], on_set[order]
     end, _, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), start, h, maturity)
-    _tally(counters, done)
-    _raise_first_escape([(time, x, int(order[m])) for time, x, m in escapes])
     [(X, *_)], disk = _rk4_rows(spec, profile, [(blowdown(start), profile.delta, h, maturity, False)],
                                 tangent=False)
+    _tally(counters, done)
     _tally(counters, {f"disk_{name}": disk[name] for name in ("rk4_iterations", "row_steps")})
+    _raise_first_escape([(time, x, int(order[m])) for time, x, m in escapes])
+    sample = lambda m: {"chart": int(end.chart[m]), "u": end.u[m].tolist(),
+                        "time": int(maturity[m]) * h}
     res = _radius(blowdown(end) - X)
     i = int(np.argmax(res))
-    return float(res[i]), {"chart": int(end.chart[i]), "u": end.u[i].tolist(),
-                           "time": int(maturity[i]) * h, "residual": float(res[i])}
+    left = np.flatnonzero(on_set & (end.radial() != 0.0))
+    exceptional = {"samples": int(on_set.sum()), "left": len(left), "first_left": (
+        {"sample": int(order[left[0]]), **sample(left[0])} if len(left) else None)}
+    return float(res[i]), {**sample(i), "residual": float(res[i])}, exceptional
 
 
 # ---------------------------------------------------------------------------
@@ -492,48 +501,20 @@ def density_regularity_probe(k, beta):
 # smoothness probes for the power atlas
 
 
-def kl_disk_time_map(spec, kl: KLStructure, rho0, t):
-    """Time-t map of the slowed saddle in the plain power-atlas chart on D^k, on nonzero rows."""
-    amp = np.exp(rho0 * t * np.asarray(spec.rates))
-
-    def F(Y):
-        x = amp * (_radius(Y)[:, None] ** kl.alpha * Y)
-        return _radius(x)[:, None] ** (-kl.alpha / (1.0 + kl.alpha)) * x
-
-    return F
-
-
-def kl_blowup_time_map(spec, kl: KLStructure, rho0, t):
-    """Time-t map of the lifted slowed saddle in power-atlas blow-up chart 0, on (n, k) rows.
-
-    Exact in the uniformly slowed core: affine coordinates move by the
-    projective flow, the radial coordinate by the k-fold-sped power law.
-    """
-    rates = np.asarray(spec.rates)
-
-    def F(u):
-        p = BlowupPoint(0, u)
-        aff = np.exp(rho0 * t * (rates - rates[0])) * p.line()
-        moved = BlowupPoint(0, aff)  # f_alpha reads the affine coordinates only
-        scale = math.exp(rho0 * t * rates[0] / (1.0 + kl.alpha))
-        aff[:, 0] = (p.radial() * scale
-                     * (f_alpha(kl, p) / f_alpha(kl, moved)) ** (1.0 / (1.0 + kl.alpha)))
-        return aff
-
-    return F
-
-
 def kl_smoothness_probe(spec, rho0=0.5):
     """Numerical C^1 comparison of the slowed saddle in the power atlas at t = 1.
 
     Returns, at the scales s = 1e-2, 1e-3, 1e-4, the Gateaux nonlinearity
-    defects |F(s(w1+w2)) - F(s w1) - F(s w2)| / s of the disk map (expected
-    to stabilize at a positive constant: not C^1 at the origin; the alpha = 0
-    control is linear) and second differences across the exceptional set of
-    the blow-up chart map (expected bounded: smooth).
+    defects |F(s(w1+w2)) - F(s w1) - F(s w2)| / s of the disk map F, the
+    time-1 map in the plain power-atlas chart on D^k (expected to stabilize
+    at a positive constant: not C^1 at the origin; the alpha = 0 control is
+    linear) and second differences across the exceptional set of the time-1
+    map in power-atlas blow-up chart 0 (expected bounded: smooth).  Both
+    maps are exact in the uniformly slowed core.
     """
     k = spec.k
     kl = KLStructure.volume_nondegenerate(k)
+    rates = np.asarray(spec.rates)
     scales = np.array([1e-2, 1e-3, 1e-4])
     w1 = np.zeros(k)
     w1[int(np.argmin(spec.rates))] = 1.0
@@ -543,14 +524,19 @@ def kl_smoothness_probe(spec, rho0=0.5):
     Y = (scales[:, None, None] * np.stack([w1 + w2, w1, w2])).reshape(-1, k)
 
     def defects(alpha):
-        F = kl_disk_time_map(spec, KLStructure(k=k, alpha=alpha), rho0, 1.0)(Y)
-        F = F.reshape(len(scales), 3, k)
+        x = np.exp(rho0 * rates) * (_radius(Y)[:, None] ** alpha * Y)
+        F = (_radius(x)[:, None] ** (-alpha / (1.0 + alpha)) * x).reshape(len(scales), 3, k)
         return (_radius(F[:, 0] - F[:, 1] - F[:, 2]) / scales).tolist()
 
-    # rows with u_0 = -s, 0, s at the affine point (0.3, ..., 0.3)
-    U = np.full((3 * len(scales), k), 0.3)
-    U[:, 0] = (scales[:, None] * np.array([-1.0, 0.0, 1.0])).ravel()
-    P = kl_blowup_time_map(spec, kl, rho0, 1.0)(U).reshape(len(scales), 3, k)
+    # rows with u_0 = -s, 0, s at the affine point (0.3, ..., 0.3): the affine
+    # coordinates move by the projective flow, u_0 by the k-fold-sped power law
+    p = BlowupPoint(0, np.full((3 * len(scales), k), 0.3))
+    p.u[:, 0] = (scales[:, None] * np.array([-1.0, 0.0, 1.0])).ravel()
+    P = np.exp(rho0 * (rates - rates[0])) * p.line()
+    moved = BlowupPoint(0, P)  # f_alpha reads the affine coordinates only
+    P[:, 0] = (p.radial() * math.exp(rho0 * rates[0] / (1.0 + kl.alpha))
+               * (f_alpha(kl, p) / f_alpha(kl, moved)) ** (1.0 / (1.0 + kl.alpha)))
+    P = P.reshape(len(scales), 3, k)
     second = _radius(P[:, 0] - 2 * P[:, 1] + P[:, 2]) / scales**2
     return {
         "scales": scales.tolist(),

@@ -17,7 +17,7 @@ import time
 import traceback
 from pathlib import Path
 
-from .config import CampaignConfig, ConfigError, SUITES
+from .config import DEFAULT_TOLERANCES, LOWER_BOUNDS, CampaignConfig, ConfigError, SUITES
 from .suites import SUITE_RUNNERS, _check, _suite
 
 SCHEMA_VERSION = 1
@@ -121,9 +121,8 @@ def main(argv=None):
             data["seed"] = args.seed
             cfg = CampaignConfig.from_dict(data)
         if args.strict:
-            from .config import DEFAULT_TOLERANCES
-            loosened = {k: v for k, v in cfg.tolerances.items()
-                        if v > DEFAULT_TOLERANCES[k]}
+            loosened = [k for k, v in cfg.tolerances.items() if (
+                v < DEFAULT_TOLERANCES[k] if k in LOWER_BOUNDS else v > DEFAULT_TOLERANCES[k])]
             if loosened:
                 raise ConfigError(f"strict mode: loosened tolerances {sorted(loosened)}")
     except ConfigError as exc:

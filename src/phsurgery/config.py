@@ -32,6 +32,8 @@ DEFAULT_TOLERANCES = {
     "horocycle_scaling": 1e-10,
     "t_conjugation": 1e-9,
 }
+# the tolerances a measured value must exceed: lowering one of these loosens it
+LOWER_BOUNDS = frozenset({"volume_control_min"})
 
 
 class ConfigError(ValueError):
@@ -69,7 +71,9 @@ _FIELD_RULES = {
     "mu": _NUMBER,
     "rho0": _AUTO,
     "volume_mode": ("true or false", lambda v: isinstance(v, bool)),
-    "alpha": _AUTO,
+    # the power atlas u -> |u|^alpha u needs alpha in (-1, 0]
+    "alpha": ("a number in (-1, 0] or 'auto'",
+              lambda v: v == "auto" or (_finite_number(v) and -1 < v <= 0)),
     "omega": ("an aperture in (0, pi/4)", _in(0, math.pi / 4)),
     # the transition shell (delta, 2 delta) must lie inside the unit disk
     "delta": ("a number in (0, 0.5)", _in(0, 0.5)),

@@ -288,11 +288,13 @@ def _random_points(rng, n, k, bound, floor=None):
 
 
 def _escaping(run):
-    """(run(), None), or (None, a `domain-escape` witness) when a row of run() leaves the disk."""
+    """(run(), None), or (None, the witness of its DomainEscape or forms.PathDegenerate)."""
     try:
         return run(), None
     except saddle.DomainEscape as err:
         return None, {"type": "domain-escape", "row": err.row, "time": err.time, "point": err.point}
+    except forms.PathDegenerate as exc:
+        return None, {"type": type(exc).__name__, "s": exc.s, "point": exc.x, "message": str(exc)}
 
 
 def _central_points(x, eps=1e-6):
@@ -334,26 +336,22 @@ def run_blowup_suite(cfg: CampaignConfig):
         "lift/blow-down and chart-transition round trips",
         measured={"lift_roundtrip": worst_rt, "transition_roundtrip": worst_tr}))
 
-    # commutation campaign; a sample that leaves the disk fails this check alone,
-    # as it fails the lifted-flow checks below
+    # commutation campaign; exceptional-invariance reads its samples that start on
+    # the exceptional set.  A sample that leaves the disk fails these two checks
+    # alone, as a row that leaves fails the lifted-flow check below
     counters = {}
     campaign, escape = _escaping(lambda: blowup.commutation_campaign(
         spec, profile, n=cfg.samples, seed=cfg.seed, step=cfg.step, counters=counters))
-    worst, wit = campaign or (math.inf, escape)
+    worst, wit, exceptional = campaign or (math.inf, escape, escape)
     checks.append(_check(
         "blow-down-commutation", worst < tol["commutation"],
         "lifted flow then blow-down equals blow-down then flow, over random "
         "(point, time) pairs including chart switches and the transition shell",
         measured={"max_residual": worst}, witness=wit))
-
-    # exceptional set invariance
-    starts = _random_points(rng, 50, k, 0.9)
-    starts.u[np.arange(50), starts.chart] = 0.0
-    end, escape = _escaping(lambda: blowup._lifted_flow_batch(spec, profile, starts, 1.5,
-                                                              step=cfg.step, counters=counters))
     checks.append(_check(
-        "exceptional-invariance", end is not None and bool((end.radial() == 0.0).all()),
-        "the exceptional set {u_i = 0} is exactly flow invariant", witness=escape))
+        "exceptional-invariance",
+        escape is None and exceptional["samples"] > 0 and exceptional["left"] == 0,
+        "the exceptional set {u_i = 0} is exactly flow invariant", witness=exceptional))
 
     # density identities and nondegeneracy floors
     floors = {}
@@ -430,9 +428,9 @@ def run_blowup_suite(cfg: CampaignConfig):
     flat = saddle.BumpProfile.flat(rho0)
     p0 = BlowupPoint(chart=0, u=np.array([0.05] + [0.3] * (k - 1)))
     eps = 1e-6
-    shifts = np.vstack([np.zeros(k), eps * np.eye(k), -eps * np.eye(k)])
+    rows = np.vstack([p0.u, _central_points(p0.u[None], eps)])
     end, escape = _escaping(lambda: blowup._lifted_flow_batch(
-        spec, flat, BlowupPoint(0, p0.u + shifts), 1.0, step=cfg.step, counters=counters))
+        spec, flat, BlowupPoint(0, rows), 1.0, step=cfg.step, counters=counters))
     err = rich = math.inf
     if end is not None:
         charts, U = end.chart, end.u
@@ -726,12 +724,10 @@ def run_moser_suite(cfg: CampaignConfig):
     x0 = np.array([0.1, 0.15, -0.1, 0.2])
     x0_rows = x0[None, :] if inside(x0) else np.zeros((0, 4))
     rows = np.concatenate([starts, np.zeros((1, 4)), xs[ok], pairs[keep], x0_rows])
-    stops = {}
-    try:
-        y = h(Dual(rows, np.ones(len(rows))))
-    except forms.PathDegenerate as exc:
+    y, stop = _escaping(lambda: h(Dual(rows, np.ones(len(rows)))))
+    stops = {"forward_pass": stop} if stop else {}
+    if stop:
         y = Dual(np.full_like(rows, math.nan), np.full(len(rows), math.nan))
-        stops = {"forward_pass": _degenerate(exc)}
     m = len(starts)
     fw, inv = h.transport_residuals(Dual(y.re[:m], y.du[:m]))
     tp = np.maximum(np.abs(fw), np.abs(inv))
@@ -742,11 +738,8 @@ def run_moser_suite(cfg: CampaignConfig):
     comm = saddle._radius(h_pairs - (at * hx[:, None, :])[keep])
     worst_comm = max(comm, default=math.nan)
     # the audit evaluates Y_s off the pass, where the density may also fail
-    audit = {}
-    try:
-        worst_commutator, _ = forms.equivariance_audit(h, X, probes[:20])
-    except forms.PathDegenerate as exc:
-        worst_commutator, audit = math.nan, {"generator_audit": _degenerate(exc)}
+    result, stop = _escaping(lambda: forms.equivariance_audit(h, X, probes[:20]))
+    worst_commutator, audit = (math.nan, {"generator_audit": stop}) if stop else (result[0], {})
     checks.append(_check(
         "volume-normalization",
         tp.size and comm.size and max(tp) < tol["moser_transport"] and origin_fixed < 1e-12
@@ -795,11 +788,6 @@ def run_moser_suite(cfg: CampaignConfig):
     # h_bad is audited and never integrates: h and the identity control make every pass
     counters = {key: h.counters[key] + h_id.counters[key] for key in h.counters}
     return {**_suite("moser", checks), "dimension": 4, "counters": counters}
-
-
-def _degenerate(exc):
-    """Witness of a `forms.PathDegenerate`: where in s and at which point the map failed."""
-    return {"type": type(exc).__name__, "s": exc.s, "point": exc.x, "message": str(exc)}
 
 
 def _form_identity_probes(rng, probes):

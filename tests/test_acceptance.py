@@ -61,8 +61,8 @@ def test_criterion_01_blowdown_commutation(cfg):
     spec = cfg.saddle_spec()
     profile = cfg.bump_profile()
     t0 = time.perf_counter()
-    worst, _ = blowup.commutation_campaign(spec, profile, n=1000, seed=cfg.seed,
-                                           step=cfg.step)
+    worst, _, _ = blowup.commutation_campaign(spec, profile, n=1000, seed=cfg.seed,
+                                              step=cfg.step)
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-7 and elapsed < 30.0
     _line(1, ok, f"max commutation residual {worst:.3e} (< 1e-07) over 1000 "

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -259,8 +260,10 @@ def _lockstep_commutation(spec, profile, n, seed, step):
 
     The samples are drawn as the campaign draws them; after each step the
     samples maturing there are scored, and the witness is kept when a step's
-    worst residual beats every earlier one.  At the first step where the
-    blow-down of a sample not yet matured reaches the unit sphere, it raises
+    worst residual beats every earlier one.  A sample that starts on the
+    exceptional set and is off it at its maturity has left it; the first in
+    step then sample order is named.  At the first step where the blow-down
+    of a sample not yet matured reaches the unit sphere, it raises
     DomainEscape naming the outermost such sample and its draw index.
     """
     rng = np.random.default_rng(seed)
@@ -271,13 +274,14 @@ def _lockstep_commutation(spec, profile, n, seed, step):
     line_norm = np.sqrt(1.0 + np.sum(U**2, axis=1) - U[rows, charts] ** 2)
     safe = 0.45 * math.exp(-max(abs(r) for r in spec.rates))
     radial = rng.uniform(-1.0, 1.0, size=n) * safe / line_norm
-    radial[rng.random(n) < 0.25] = 0.0
+    on_set = rng.random(n) < 0.25
+    radial[on_set] = 0.0
     U[rows, charts] = radial
     X = blowup._blowdown(charts, U)
     nsteps, h = saddle._fixed_steps(1.0, step)
     maturity = rng.integers(1, nsteps + 1, size=n)
     lifted = blowup.LiftedSaddle.of(spec, profile)
-    worst, witness = -1.0, None
+    worst, witness, left = -1.0, None, []
     for istep in range(1, nsteps + 1):
         x = _step_and_switch(lifted, charts, U, h)
         r = np.where(maturity >= istep, saddle._radius(x), -np.inf)
@@ -288,13 +292,16 @@ def _lockstep_commutation(spec, profile, n, seed, step):
         due = np.flatnonzero(maturity == istep)
         if not due.size:
             continue
+        left += [{"sample": int(m), "chart": int(charts[m]), "u": U[m].tolist(), "time": istep * h}
+                 for m in due if on_set[m] and U[m, charts[m]] != 0.0]
         res = saddle._radius(blowup._blowdown(charts[due], U[due]) - X[due])
         i = int(np.argmax(res))
         if res[i] > worst:
             worst = float(res[i])
             witness = {"chart": int(charts[due[i]]), "u": U[due[i]].tolist(),
                        "time": istep * h, "residual": worst}
-    return worst, witness
+    return worst, witness, {"samples": int(on_set.sum()), "left": len(left),
+                            "first_left": left[0] if left else None}
 
 
 class TestLiftedField:
@@ -351,18 +358,20 @@ class TestLiftedFlow:
         assert np.linalg.norm(blowup.blowdown(q) - x) < 1e-10
 
     def test_commutation_campaign(self, spec4, profile):
-        worst, witness = blowup.commutation_campaign(spec4, profile, n=200, seed=1)
+        worst, witness, exceptional = blowup.commutation_campaign(spec4, profile, n=200, seed=1)
         assert worst < 1e-7
         assert witness["residual"] == worst
+        assert exceptional["samples"] > 0
+        assert (exceptional["left"], exceptional["first_left"]) == (0, None)
 
     @pytest.mark.parametrize("k", [4, 8])
     def test_commutation_campaign_matches_lockstep_oracle(self, k):
-        # samples stop at their maturity; the worst residual and its witness
-        # are those of running every sample to t = 1
+        # samples stop at their maturity; the worst residual, its witness and
+        # the exceptional samples are those of running every sample to t = 1
         spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
         prof = BumpProfile(delta=0.2, rho0=0.5)
-        worst, witness = blowup.commutation_campaign(spec, prof, n=300, seed=k, step=0.01)
-        assert (worst, witness) == _lockstep_commutation(spec, prof, 300, k, 0.01)
+        out = blowup.commutation_campaign(spec, prof, n=300, seed=k, step=0.01)
+        assert out == _lockstep_commutation(spec, prof, 300, k, 0.01)
 
     def test_commutation_escape_matches_lockstep_oracle(self, spec4):
         # at three times the unslowed speed samples leave the disk before they
@@ -614,9 +623,9 @@ def _lifted_oracle(cfg):
 
 
 def test_blowup_suite_makes_no_half_step_lifted_pass(monkeypatch):
-    # the suite's lifted passes are the exceptional-invariance and the
-    # tangent-oracle batches, both at the configured step: the oracle's end
-    # point is compared with the exact flat-core orbit, not with a rerun
+    # besides the commutation campaign's, the suite's one lifted pass is the
+    # tangent-oracle batch at the configured step: the oracle's end point is
+    # compared with the exact flat-core orbit, not with a rerun
     batch, flow, steps, lone = blowup._lifted_flow_batch, blowup.lifted_slow_flow, [], []
 
     def counted_batch(spec, profile, points, t, step=saddle.DEFAULT_STEP, **kwargs):
@@ -631,7 +640,7 @@ def test_blowup_suite_makes_no_half_step_lifted_pass(monkeypatch):
     monkeypatch.setattr(blowup, "lifted_slow_flow", counted_lone)
     cfg = _reduced_config()
     assert suites.run_blowup_suite(cfg)["passed"]
-    assert lone == [] and steps == [cfg.step, cfg.step]
+    assert lone == [] and steps == [cfg.step]
 
 
 def test_lifted_tangent_oracle_fails_a_scaled_lifted_field(monkeypatch):
@@ -661,8 +670,10 @@ _BLOWUP_CHECKS = ["chart-round-trips", "blow-down-commutation", "exceptional-inv
 
 def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
     # a lifted field 40 times too fast takes commutation samples and the
-    # tangent oracle's rows out of the disk: those two checks fail with a
-    # domain-escape witness, and every other check still reports and passes
+    # tangent oracle's rows out of the disk: those two checks, and
+    # exceptional-invariance, which reads the commutation pass, fail with a
+    # domain-escape witness, and every other check still reports and passes;
+    # the counters still hold the campaign's disk block
     cfg = _reduced_config()
     field = blowup.LiftedSaddle.field
     monkeypatch.setattr(blowup.LiftedSaddle, "field",
@@ -671,7 +682,9 @@ def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
     checks = {c["name"]: c for c in out["checks"]}
     assert list(checks) == _BLOWUP_CHECKS
     failed = [name for name, c in checks.items() if not c["passed"]]
-    assert failed == ["blow-down-commutation", "lifted-tangent-oracle"]
+    assert failed == ["blow-down-commutation", "exceptional-invariance", "lifted-tangent-oracle"]
+    assert set(out["counters"]) == {"rk4_iterations", "row_steps", "chart_switches",
+                                    "disk_rk4_iterations", "disk_row_steps"}
     for name in failed:
         witness = checks[name]["witness"]
         assert witness["type"] == "domain-escape" and 0.0 < witness["time"] <= 1.0
@@ -681,22 +694,62 @@ def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
     with pytest.raises(saddle.DomainEscape) as err:
         blowup.commutation_campaign(cfg.saddle_spec(), cfg.bump_profile(), n=cfg.samples,
                                     seed=cfg.seed, step=cfg.step)
-    witness = checks["blow-down-commutation"]["witness"]
-    assert (witness["row"], witness["time"]) == (err.value.row, err.value.time)
-    assert witness["point"] == err.value.point.tolist()
+    for name in ("blow-down-commutation", "exceptional-invariance"):
+        witness = checks[name]["witness"]
+        assert (witness["row"], witness["time"]) == (err.value.row, err.value.time)
+        assert witness["point"] == err.value.point.tolist()
+
+
+def test_exceptional_invariance_fails_a_drift_off_the_set(monkeypatch):
+    # a control for `exceptional-invariance`: a drift of 1e-12 in du_c/dt
+    # moves every commutation sample that starts on the exceptional set off
+    # it, which the check names, while the blow-downs move by far less than
+    # the 1e-7 bound of blow-down-commutation
+    cfg = _reduced_config()
+    field = blowup.LiftedSaddle.field
+
+    def drifting(self, charts, u):
+        du = field(self, charts, u)
+        du[np.arange(len(u)), charts] += 1e-12
+        return du
+
+    monkeypatch.setattr(blowup.LiftedSaddle, "field", drifting)
+    checks = {c["name"]: c for c in suites.run_blowup_suite(cfg)["checks"]}
+    check = checks["exceptional-invariance"]
+    assert not check["passed"] and checks["blow-down-commutation"]["passed"]
+    assert checks["blow-down-commutation"]["measured"]["max_residual"] < cfg.tolerances["commutation"]
+    witness = check["witness"]
+    assert 0 < witness["left"] == witness["samples"]
+    _, _, oracle = _lockstep_commutation(cfg.saddle_spec(), cfg.bump_profile(), cfg.samples,
+                                         cfg.seed, cfg.step)
+    assert witness == suites._plain(oracle)
+    first = witness["first_left"]
+    assert first["u"][first["chart"]] != 0.0 and 0.0 < first["time"] <= 1.0
+
+
+def test_exceptional_invariance_fails_without_an_exceptional_sample():
+    # two commutation samples at seed 1 both start off the exceptional set,
+    # so the check has nothing to read and fails with count 0
+    cfg = replace(_reduced_config(), samples=2, seed=1)
+    assert blowup.commutation_campaign(cfg.saddle_spec(), cfg.bump_profile(), n=2, seed=1,
+                                       step=cfg.step)[2]["samples"] == 0
+    check = next(c for c in suites.run_blowup_suite(cfg)["checks"]
+                 if c["name"] == "exceptional-invariance")
+    assert not check["passed"]
+    assert check["witness"] == {"samples": 0, "left": 0, "first_left": None}
 
 
 def test_blowup_counters_count_every_lifted_pass():
     # the commutation campaign's lifted pass and its disk block step the same
-    # rows to the same maturities; the other two passes are exceptional-
-    # invariance (50 rows, t = 1.5) and lifted-tangent-oracle (2k + 1 rows, t = 1)
+    # rows to the same maturities; the other lifted pass is
+    # lifted-tangent-oracle (2k + 1 rows, t = 1)
     cfg = _reduced_config()
     report = cli.build_report(cfg, ("blowup",))
     counters = report["timing"]["counters"]["blowup"]
     assert set(counters) == {"rk4_iterations", "row_steps", "chart_switches",
                              "disk_rk4_iterations", "disk_row_steps"}
-    assert counters["rk4_iterations"] - counters["disk_rk4_iterations"] == 150 + 100
-    assert counters["row_steps"] - counters["disk_row_steps"] == 50 * 150 + (2 * cfg.k + 1) * 100
+    assert counters["rk4_iterations"] - counters["disk_rk4_iterations"] == 100
+    assert counters["row_steps"] - counters["disk_row_steps"] == (2 * cfg.k + 1) * 100
     assert 0 < counters["disk_rk4_iterations"] <= 100 and counters["chart_switches"] > 0
     assert "counters" not in report["suites"]["blowup"]
     assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))

@@ -137,6 +137,9 @@ class TestCli:
         ({"moser_strength": "abc"}, "moser_strength"),
         ({"rho0": True}, "rho0"),
         ({"volume_mode": 3}, "volume_mode"),
+        # the power atlas needs alpha in (-1, 0]; the blowup suite used to raise on it
+        ({"alpha": 0.5}, "alpha"),
+        ({"alpha": -1.0}, "alpha"),
     ])
     def test_exit_2_names_the_model_field(self, tmp_path, capsys, fields, named):
         bad = tmp_path / "bad.yaml"
@@ -314,22 +317,18 @@ class TestCli:
         assert set(report["suites"]) == {"moser"}
 
     def test_strict_rejects_loosened_tolerances(self, tmp_path, capsys):
-        loose = tmp_path / "loose.yaml"
-        loose.write_text(yaml.safe_dump({
-            "samples": 16,
-            "tolerances": {"commutation": 1.0},
-        }), encoding="utf-8")
-        assert cli.main(["verify-volume", "--config", str(loose), "--strict",
-                         "--out", str(tmp_path / "r")]) == 2
-        assert "strict mode" in capsys.readouterr().err
-        # tightening is fine
-        tight = tmp_path / "tight.yaml"
-        tight.write_text(yaml.safe_dump({
-            "samples": 64,
-            "tolerances": {"commutation": 1e-9},
-        }), encoding="utf-8")
-        assert cli.main(["verify-volume", "--config", str(tight), "--strict",
-                         "--out", str(tmp_path / "r2")]) == 0
+        # an upper bound is loosened upwards; volume_control_min, a lower
+        # bound (the volume control must exceed it; it measures 1.14), downwards
+        for name, loose, tight in (("commutation", 1.0, 1e-9),
+                                   ("volume_control_min", 1e-9, 0.1)):
+            for value, code in ((loose, 2), (tight, 0)):
+                cfgpath = tmp_path / f"{name}-{value}.yaml"
+                cfgpath.write_text(yaml.safe_dump({"samples": 16, "tolerances": {name: value}}),
+                                   encoding="utf-8")
+                assert cli.main(["verify-volume", "--config", str(cfgpath), "--strict",
+                                 "--out", str(tmp_path / f"r-{name}-{value}")]) == code
+                err = capsys.readouterr().err
+                assert (f"strict mode: loosened tolerances ['{name}']" in err) == (code == 2)
 
     def test_strict_names_a_non_numeric_tolerance(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
