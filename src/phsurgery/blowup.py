@@ -12,6 +12,9 @@ is diagonal-linear in u with chart rates
 
 which extends smoothly across the exceptional set.  Its one RK4 loop is
 `_lifted_pass`, which steps the live rows of a batch, each in its own chart.
+In the uniformly slowed core the chart dynamics is linear, so
+`core_chart_schedule` reads the pass's chart choices off the exact orbits
+and `core_tangent_maps` gives their tangent maps.
 
 The radial power atlas (Katok-Lewis) declares u -> |u|^alpha u a chart near
 the origin.  With alpha = -(k-1)/k the pulled-back volume density becomes
@@ -29,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .saddle import (DEFAULT_STEP, _fixed_steps, _radius, _raise_first_escape, _rk4_rows,
-                     rk4_step)
+from .saddle import (DEFAULT_STEP, _fixed_steps, _radius, _raise_first_escape, _tally,
+                     rk4_step, slowed_clock)
 
 _CHART_SWITCH = 1.05  # hysteresis: transition once an affine coordinate passes this
 
@@ -196,10 +199,9 @@ def _chart_rate_matrix(rates):
 class LiftedSaddle:
     """Chart dynamics of the slowed saddle on the blown-up disk.
 
-    `chart_rates` is a `_chart_rate_matrix` for every row or an (n, k, k)
-    stack of one per row; `rho` is a profile of the blow-down point, or a
-    constant rho0 for every row or one per row.  Every method takes one
-    chart index per row, so a batch may mix charts.
+    `chart_rates` is the saddle's `_chart_rate_matrix`; `rho` is a profile of
+    the blow-down point, or a constant rho0.  Every method takes one chart
+    index per row, so a batch may mix charts.
     """
 
     chart_rates: np.ndarray
@@ -210,17 +212,10 @@ class LiftedSaddle:
         """The lift of `spec` slowed by `profile`; a flat profile is its constant rho0."""
         return cls(_chart_rate_matrix(spec.rates), profile.rho0 if profile.constant else profile)
 
-    def at(self, rows):
-        """The lift of the rows `rows` of a batch: per-row stacks cut to those rows."""
-        d, rho = self.chart_rates, self.rho
-        return LiftedSaddle(d[rows] if d.ndim == 3 else d, rho[rows] if np.ndim(rho) else rho)
-
     def field(self, charts, u):
         """du/dt for an (n, k) batch, row m in chart charts[m]."""
-        d = self.chart_rates
-        d = d[charts] if d.ndim == 2 else d[np.arange(len(u)), charts]
         rho = self.rho(_blowdown(charts, u)) if callable(self.rho) else self.rho
-        return d * u * np.asarray(rho)[..., None]
+        return self.chart_rates[charts] * u * np.asarray(rho)[..., None]
 
 
 def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
@@ -240,43 +235,32 @@ def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP,
     DomainEscape naming the outermost row at the first escape.
     """
     nsteps, h = _fixed_steps(t, step)
-    end, _, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), points, h,
-                                         nsteps if t else 0)
+    end, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), points, h, nsteps if t else 0)
     _tally(counters, done)
     _raise_first_escape(escapes)
     return end
 
 
-def _tally(counters, counts):
-    """Add the dict counts into the dict counters, if given."""
-    if counters is not None:
-        for name, value in counts.items():
-            counters[name] = counters.get(name, 0) + value
+def _lifted_pass(lifted, points: BlowupPoint, h, nsteps):
+    """One RK4 pass of nsteps steps of h (one count, or one per row) over the rows of `points`.
 
-
-def _lifted_pass(lifted, points: BlowupPoint, h, nsteps, segments=1):
-    """One RK4 pass of `segments` runs of nsteps steps of h over the rows of `points`.
-
-    nsteps is one count, or one per row for one segment; only live rows are
-    stepped.  A row moves, in one `chart_transition` with the others, to the
-    dominant chart of its line (the first largest |u_j| off the chart) after a
-    step that takes that coordinate past the threshold.  It stops after its
-    last step, or on the step whose blow-down reaches the unit sphere.
-    Returns the rows at the end, their charts after each segment as a
-    (segments, n) array, the escapes as (time, blow-down point, row) in step
-    then row order, and the counters.
+    Only live rows are stepped.  A row moves, in one `chart_transition` with
+    the others, to the dominant chart of its line (the first largest |u_j| off
+    the chart) after a step that takes that coordinate past the threshold.  It
+    stops after its last step, or on the step whose blow-down reaches the unit
+    sphere.  Returns the rows at the end, the escapes as (time, blow-down
+    point, row) in step then row order, and the counters.
     """
     charts, U = points.chart.copy(), points.u.copy()
-    per_segment = int(np.max(nsteps, initial=0))
-    chart_log, escapes = np.empty((segments, len(U)), dtype=int), []
-    last = np.broadcast_to(nsteps, len(U)) * segments  # the iteration count of each row
+    escapes = []
+    last = np.broadcast_to(nsteps, len(U))
     live, idx = last > 0, np.arange(0)
     counts = np.zeros(3, dtype=int)  # RK4 iterations, row steps, chart switches
-    for i in range(segments * per_segment):
+    for i in range(int(np.max(nsteps, initial=0))):
         if live.sum() != len(idx):
             idx = np.flatnonzero(live)
-            rows, c, field = np.arange(len(idx)), charts[idx], lifted.at(idx).field
-        u = rk4_step(lambda _, y: field(c, y), 0.0, U[idx], h)
+            rows, c = np.arange(len(idx)), charts[idx]
+        u = rk4_step(lambda _, y: lifted.field(c, y), 0.0, U[idx], h)
         x = _blowdown(c, u)  # before the switch
         affine = np.abs(u)
         affine[rows, c] = 0.0
@@ -290,10 +274,58 @@ def _lifted_pass(lifted, points: BlowupPoint, h, nsteps, segments=1):
         escapes += [(i * h + h, x[m], int(idx[m])) for m in out]
         live[idx[out]] = False
         live &= last > i + 1
-        if (i + 1) % per_segment == 0:
-            chart_log[i // per_segment] = charts
     counters = dict(zip(("rk4_iterations", "row_steps", "chart_switches"), counts.tolist()))
-    return BlowupPoint(charts, U), chart_log, escapes, counters
+    return BlowupPoint(charts, U), escapes, counters
+
+
+def core_chart_schedule(rates, rho0, points: BlowupPoint, h, nsteps, segments):
+    """The charts that `_lifted_pass`'s rule picks along exact core orbits, and their escapes.
+
+    Row m of the batch `points` flows by the saddle of rates[m] slowed by the
+    constant rho0[m] (one each, or one for every row) for `segments` runs of
+    nsteps steps of h.  In the core the lifted flow is linear in every chart:
+    the line of a row is l(t) = l(0) exp(rho0 rates t), coordinate by
+    coordinate, and its chart-c affine coordinates are l_j(t) / l_c(t).  At
+    each step end t_i = i h a row moves to the first largest of them once it
+    passes the switch threshold, as the pass moves it after the step.  A row
+    whose blow-down exp(rho0 rates t_i) x(0) reaches the unit sphere stops
+    there with that step's chart.  Returns the charts after each segment as
+    a (segments, n) array, the escapes as (time, blow-down point, row) in
+    step then row order, and the counter `chart_switches`.
+    """
+    n, k = points.u.shape
+    growth = np.broadcast_to(np.asarray(rho0, dtype=float), n)[:, None] * np.broadcast_to(
+        np.asarray(rates, dtype=float), (n, k))
+    charts, line, x0 = points.chart.copy(), np.abs(points.line()), blowdown(points)
+    radial = np.abs(points.radial())
+    live = np.ones(n, dtype=bool)
+    chart_log, escapes, switches = np.empty((segments, n), dtype=int), [], 0
+    steps = np.arange(nsteps)
+    for seg in range(segments):
+        t = (seg * nsteps + steps) * h + h  # the step ends of the segment, as the pass sums them
+        ell = line[:, None, :] * np.exp(growth[:, None, :] * t[:, None])  # (n, nsteps, k)
+        out = (radial[:, None] * _radius(ell) >= 1.0) & live[:, None]
+        stop = np.where(out.any(axis=1), out.argmax(axis=1), nsteps)  # the last step taken
+        start = np.zeros(n, dtype=int)
+        todo = np.flatnonzero(live)
+        while len(todo):  # each round takes every row's next switch
+            rows = np.arange(len(todo))
+            c = charts[todo]
+            affine = ell[todo] / ell[todo, :, c][:, :, None]
+            affine[rows, :, c] = 0.0
+            over = affine.max(axis=2) > _CHART_SWITCH
+            over &= (steps >= start[todo, None]) & (steps <= stop[todo, None])
+            hit = over.any(axis=1)
+            at = over.argmax(axis=1)[hit]
+            charts[todo[hit]] = affine[rows[hit], at].argmax(axis=1)
+            start[todo[hit]] = at + 1
+            switches += int(hit.sum())
+            todo = todo[hit]
+        for m in np.lexsort((np.arange(n), stop))[:int((stop < nsteps).sum())]:
+            escapes.append((t[stop[m]], x0[m] * np.exp(growth[m] * t[stop[m]]), int(m)))
+        live &= stop == nsteps
+        chart_log[seg] = charts
+    return chart_log, escapes, {"chart_switches": switches}
 
 
 def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
@@ -314,18 +346,18 @@ def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
 def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, counters=None):
     """Blow-down commutation over seeded random (point, time) pairs.
 
-    Each sample steps to its own maturity time (a step multiple in (0, 1]),
-    lifted in one `_lifted_pass` and downstairs in one `_rk4_rows` block of
-    blow-downs, and is scored there by |blowdown(lifted end) - disk end|.  A
-    quarter of the samples start on the exceptional set, whose blow-down
-    orbit is the origin.  Returns (max residual, witness dict, exceptional
-    dict); the witness is the first sample, in step then sample order, at
-    the maximum.  The exceptional dict counts the `samples` that start on
-    the set and those that `left` it (a radial coordinate other than 0 at
-    maturity), and names the first that left, in the same order, with its
-    draw index (`first_left`, None if none did).  Adds the lifted pass's
-    counters, and the disk block's as `disk_*`, into the dict `counters`, if
-    given, before a DomainEscape of the lifted pass names its sample as its row.
+    Each sample steps to its own maturity time (a step multiple in (0, 1])
+    in one `_lifted_pass`, and is scored by |blowdown(lifted end) - exact
+    end|, the exact end being `saddle.slowed_clock` of its blow-down at that
+    time.  A quarter of the samples start on the exceptional set, whose
+    blow-down orbit is the origin.  Returns (max residual, witness dict,
+    exceptional dict); the witness is the first sample, in step then sample
+    order, at the maximum.  The exceptional dict counts the `samples` that
+    start on the set and those that `left` it (a radial coordinate other than
+    0 at maturity), and names the first that left, in the same order, with
+    its draw index (`first_left`, None if none did).  Adds the lifted pass's
+    counters and the clock's into the dict `counters`, if given, before a
+    DomainEscape of the lifted pass names its sample as its row.
     """
     rng = np.random.default_rng(seed)
     k = spec.k
@@ -348,11 +380,9 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, count
     # samples in (maturity, sample) order, where the witnesses and the escape take the first
     order = np.lexsort((rows, maturity))
     start, maturity, on_set = BlowupPoint(charts[order], U[order]), maturity[order], on_set[order]
-    end, _, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), start, h, maturity)
-    [(X, *_)], disk = _rk4_rows(spec, profile, [(blowdown(start), profile.delta, h, maturity, False)],
-                                tangent=False)
+    end, escapes, done = _lifted_pass(LiftedSaddle.of(spec, profile), start, h, maturity)
     _tally(counters, done)
-    _tally(counters, {f"disk_{name}": disk[name] for name in ("rk4_iterations", "row_steps")})
+    X = slowed_clock(spec, profile, blowdown(start), maturity * h, counters)
     _raise_first_escape([(time, x, int(order[m])) for time, x, m in escapes])
     sample = lambda m: {"chart": int(end.chart[m]), "u": end.u[m].tolist(),
                         "time": int(maturity[m]) * h}

@@ -11,9 +11,10 @@ map across the annulus (`saddle.transit_campaign`).
 A batch of tangent maps is one (n, d, d) array: `ProductModel.full_maps`
 builds the block maps from an (n, k, k) stack of disk maps, and
 `_frame_pass` maps a cone frame through the whole stack at once.  The core
-campaigns step their orbits as blocks of one lifted RK4 pass and return a
-`CoreConeReport` each; `crossing_cone_statistics` returns the four
-crossing statistics of any batch of transits as a dict.
+campaigns read the chart of each exact core orbit at every checkpoint from
+one `blowup.core_chart_schedule` call and return a `CoreConeReport` each;
+`crossing_cone_statistics` returns the four crossing statistics of any
+batch of transits as a dict.
 
 The campaigns measure, rather than assume, the three quantities the cone
 criterion needs: invariance of the unstable cone (after a reported burn-in),
@@ -268,17 +269,18 @@ def inner_cone_campaigns(spec, anosov, omega, runs, *, step=DEFAULT_STEP):
     n_orbits, seed and reverse (the time-reversed flow, whose statistics must
     reproduce by symmetry).  Orbits run in the blow-up charts, the exceptional
     set included, where the slowed field is exactly linear: the orbits of all
-    runs are blocks of one RK4 lifted-flow pass, each row with its run's chart
-    rates and rho0, that stops every 0.25 with the steps of one call per
-    segment.  At each checkpoint the disk block is the closed-form tangent map
-    into the chart the flow holds, and the restricted block moves by the exact
+    runs are blocks of one `blowup.core_chart_schedule` call, each row with
+    its run's rates and rho0, which reads the chart the lifted RK4 flow would
+    hold every 0.25, with the steps of one lifted-flow call per segment, off
+    the exact orbit.  At each checkpoint the disk block is the closed-form
+    tangent map into that chart, and the restricted block moves by the exact
     cocycle.  Each report equals its lone call's: burn-in time after which
     every sampled unstable-cone boundary vector is strictly inside, minimum
     expansion exponent over the unstable cone, domination exponent against
     vectors that stay in the center-stable cone, and backward invariance of
     that cone.  A row that reaches the unit sphere stops there and keeps its
     chart, and its run fails with a `domain-escape` violation.  Returns
-    (reports, the pass's counters).
+    (reports, the schedule's counters).
     """
     tmax = max(_CAMPAIGN_TIMES)
     # checkpoints every 0.25 time units up to tmax
@@ -291,13 +293,12 @@ def inner_cone_campaigns(spec, anosov, omega, runs, *, step=DEFAULT_STEP):
     points = [_inner_orbit_points(m, run["n_orbits"], run["seed"] + 3, r)
               for m, run, r in zip(models, runs, radii)]
     sizes = [len(p) for p in points]
-    lifted = blowup.LiftedSaddle(
-        np.repeat([blowup._chart_rate_matrix(m.spec.rates) for m in models], sizes, axis=0),
-        np.repeat([run["rho0"] for run in runs], sizes))
     nsteps, h = saddle._fixed_steps(0.25, step)
-    _, chart_log, escapes, counters = blowup._lifted_pass(
-        lifted, BlowupPoint(np.concatenate([p.chart for p in points]),
-                            np.vstack([p.u for p in points])), h, nsteps, len(grid))
+    chart_log, escapes, counters = blowup.core_chart_schedule(
+        np.repeat([m.spec.rates for m in models], sizes, axis=0),
+        np.repeat([run["rho0"] for run in runs], sizes),
+        BlowupPoint(np.concatenate([p.chart for p in points]), np.vstack([p.u for p in points])),
+        h, nsteps, len(grid))
     reports, lo = [], 0
     for m, run, p in zip(models, runs, points):
         hi = lo + len(p)

@@ -35,7 +35,11 @@ from .dualnum import dexp, value
 # for every rho0 <= 1/2.
 _TRANSITION_SHARPNESS = 0.75
 _TRANSITION_SUP_SLOPE = 1.5617
-_TRANSIT_PANELS = 16  # Gauss-Legendre panels of time_change_transits
+_TRANSIT_PANELS = 16  # Gauss-Legendre panels of the time-change quadrature
+# the 32-point Gauss-Legendre rule on [0, 1] of each panel
+_GL_NODES, _GL_WEIGHTS = np.polynomial.legendre.leggauss(32)
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), 0.5 * _GL_WEIGHTS
+_CLOCK_ITERATIONS = 100  # a bound on the safeguarded Newton loop of `slowed_clock`
 
 
 class DomainEscape(RuntimeError):
@@ -311,6 +315,13 @@ def _raise_first_escape(escapes):
         raise DomainEscape(*first[int(np.argmax(_radius(np.array([e[1] for e in first]))))])
 
 
+def _tally(counters, counts):
+    """Add the dict counts into the dict counters, if given."""
+    if counters is not None:
+        for name, value in counts.items():
+            counters[name] = counters.get(name, 0) + value
+
+
 def _tangent_field(spec, profile, y):
     """(rho X, D(rho X) J) on packed rows y = [x | vec J] of an (n, k + k*k) batch.
 
@@ -568,6 +579,66 @@ def _bisect_root(fn, lo, hi, tol=0.0):
     return 0.5 * (lo + hi)
 
 
+def _panels(x2, a, sigma, profile):
+    """The `_TRANSIT_PANELS` equal panels of [0, sigma] in turn, as (width, e2, r, rho, rho').
+
+    Row m of x2 holds x0**2 of the orbit exp(s A) x0, A = diag(a), and sigma[m]
+    its end; e2 is exp(2 s A) at the panel's 32 Gauss-Legendre nodes s, an
+    (n, 32, k) array, and r, rho and rho' the radii there and the profile at them.
+    """
+    width = sigma / _TRANSIT_PANELS
+    for p in range(_TRANSIT_PANELS):
+        e2 = np.exp(2.0 * a * (width[:, None] * (p + _GL_NODES))[:, :, None])
+        r = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
+        yield width, e2, r, *profile.value_and_slope(r)
+
+
+def _clock_time(x2, a, sigma, profile):
+    """T(sigma) = int_0^sigma ds / rho(|exp(s A) x0|) per row, by the transit quadrature."""
+    T = np.zeros(len(sigma))
+    for width, _, _, rho, _ in _panels(x2, a, sigma, profile):
+        T += width * (_GL_WEIGHTS / rho).sum(axis=1)
+    return T
+
+
+def slowed_clock(spec, profile, x0, t, counters=None):
+    """Exact points of the slowed flow: row m of the (n, k) batch x0 after time t[m].
+
+    t is one time or one per row; a point x0 is its one-row batch.  The
+    orbit is exp(sigma A) x0, and sigma solves T(sigma) = t, where
+    T(sigma) = int_0^sigma ds / rho(|exp(s A) x0|) is evaluated by the
+    quadrature of `time_change_transits`.  rho lies between rho0 and 1, so
+    [rho0 t, t] (ordered) brackets the root.  Newton's step sigma += (t - T) rho
+    starts from rho(|x0|) t; each evaluation narrows the bracket, and a step
+    that leaves it is replaced by bisection.  A row stops once its Newton step
+    is below 1e-9 sigma (the next is below rounding) or its bracket has
+    closed.  A row at the origin stays there.  Adds `clock_rows` and
+    `clock_newton_iterations` (batched iterations) into the dict `counters`,
+    if given.
+    """
+    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    a = np.asarray(spec.rates)
+    x2 = x0 * x0
+    t = np.broadcast_to(np.asarray(t, dtype=float), len(x0))
+    delta = np.broadcast_to(profile.delta, len(x0))[:, None]  # one per row, on (n, 32) radii
+    lo, hi = np.sort([profile.rho0 * t, t], axis=0)
+    sigma = profile.value_and_slope(_norm(x0))[0] * t
+    rows, iterations = np.arange(len(x0)), 0
+    while len(rows) and iterations < _CLOCK_ITERATIONS:
+        iterations += 1
+        p, s = replace(profile, delta=delta[rows]), sigma[rows]
+        f = _clock_time(x2[rows], a, s, p) - t[rows]
+        r = np.sqrt((x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1, keepdims=True))
+        lo[rows], hi[rows] = np.where(f < 0.0, s, lo[rows]), np.where(f < 0.0, hi[rows], s)
+        newton = s - f * p.value_and_slope(r)[0][:, 0]
+        inside = (lo[rows] <= newton) & (newton <= hi[rows])
+        sigma[rows] = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
+        moving = ~inside | (np.abs(newton - s) > 1e-9 * np.abs(newton))
+        rows = rows[moving & (hi[rows] - lo[rows] > 1e-15 * hi[rows])]
+    _tally(counters, {"clock_rows": len(x0), "clock_newton_iterations": iterations})
+    return x0 * np.exp(a * sigma[:, None])
+
+
 def time_change_transits(spec, profile, entries):
     """Exact annulus transits of the slowed saddle; one TransitReport row per entry row.
 
@@ -583,7 +654,7 @@ def time_change_transits(spec, profile, entries):
     at fixed time T is J = exp(sigma* A) + (A x_exit) (x) grad sigma with
     grad sigma = rho(r(sigma*)) int_0^sigma* rho'(r) / (rho^2 r) exp(2 s A) x0 ds.
     Both integrals use composite 32-point Gauss-Legendre on `_TRANSIT_PANELS` equal
-    panels of [0, sigma*], evaluated one panel at a time.  profile.delta is
+    panels of [0, sigma*], evaluated one panel at a time (`_panels`).  profile.delta is
     one number or one per entry row.
     """
     entries = np.asarray(entries, dtype=float)
@@ -619,17 +690,11 @@ def time_change_transits(spec, profile, entries):
     hi = _bracket(lambda s: r2(up, s) >= 4.0 * d2[up], start)
     sigma[up] = _bisect_root(lambda s: r2(up, s) - 4.0 * d2[up], start, hi)
 
-    nodes, weights = np.polynomial.legendre.leggauss(32)
-    nodes, weights = 0.5 * (nodes + 1.0), 0.5 * weights
-    width = sigma / _TRANSIT_PANELS
     T = np.zeros(n)
     grad = np.zeros((n, k))
-    for p in range(_TRANSIT_PANELS):
-        e2 = np.exp(2.0 * a * (width[:, None] * (p + nodes))[:, :, None])  # (n, nodes, k)
-        r = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
-        rho, slope = per_row.value_and_slope(r)
-        T += width * (weights / rho).sum(axis=1)
-        g = weights * slope / (rho * rho * r)
+    for width, e2, r, rho, slope in _panels(x2, a, sigma, per_row):
+        T += width * (_GL_WEIGHTS / rho).sum(axis=1)
+        g = _GL_WEIGHTS * slope / (rho * rho * r)
         grad += width[:, None] * np.einsum("nm,nmk->nk", g, e2)
     scale = np.exp(a * sigma[:, None])
     exits = entries * scale

@@ -462,7 +462,7 @@ def run_cones_suite(cfg: CampaignConfig):
     checks = []
     log_mu = math.log(cfg.mu)
 
-    # the forward, reversed and negative-control core campaigns, in one lifted RK4 pass;
+    # the forward, reversed and negative-control core campaigns, in one chart schedule;
     # pick_rho0 returns the midpoint of (0, largest rho0 meeting the domination inequality)
     bad_rho0 = 1.5 * (2 * saddle.pick_rho0(cfg.lam, cfg.mu, spec.lam_prime, spec.mu_prime))
     run = dict(rho0=rho0, n_vectors=cfg.samples, n_orbits=cfg.cone_orbits, seed=cfg.seed)

@@ -259,7 +259,8 @@ def _lockstep_commutation(spec, profile, n, seed, step):
     """Oracle of `commutation_campaign`: every sample runs all steps to t = 1.
 
     The samples are drawn as the campaign draws them; after each step the
-    samples maturing there are scored, and the witness is kept when a step's
+    samples maturing there are scored against the exact clock of their
+    blow-downs at that time, and the witness is kept when a step's
     worst residual beats every earlier one.  A sample that starts on the
     exceptional set and is off it at its maturity has left it; the first in
     step then sample order is named.  At the first step where the blow-down
@@ -288,13 +289,13 @@ def _lockstep_commutation(spec, profile, n, seed, step):
         if (r >= 1.0).any():
             m = int(np.argmax(r))
             raise saddle.DomainEscape(istep * h, x[m], m)
-        X = saddle.rk4_step(lambda _, y: saddle._field(spec, profile, y), (istep - 1) * h, X, h)
         due = np.flatnonzero(maturity == istep)
         if not due.size:
             continue
         left += [{"sample": int(m), "chart": int(charts[m]), "u": U[m].tolist(), "time": istep * h}
                  for m in due if on_set[m] and U[m, charts[m]] != 0.0]
-        res = saddle._radius(blowup._blowdown(charts[due], U[due]) - X[due])
+        exact = saddle.slowed_clock(spec, profile, X[due], istep * h)
+        res = saddle._radius(blowup._blowdown(charts[due], U[due]) - exact)
         i = int(np.argmax(res))
         if res[i] > worst:
             worst = float(res[i])
@@ -324,16 +325,13 @@ class TestLiftedField:
 
     def test_flat_profile_is_its_constant(self, spec4, batch):
         # rho0 + 0.0 * |x| is rho0, so the constant skips the blow-down and the
-        # norm without moving a bit; per-row tables and rho0 give each row's own field
+        # norm without moving a bit
         charts, U = batch
         flat = BumpProfile.flat(0.5)
         F = blowup.LiftedSaddle(blowup._chart_rate_matrix(spec4.rates), flat).field(charts, U)
         lifted = blowup.LiftedSaddle.of(spec4, flat)
         assert lifted.rho == 0.5
         assert lifted.field(charts, U).tobytes() == F.tobytes()
-        per_row = blowup.LiftedSaddle(np.repeat([lifted.chart_rates], len(U), axis=0),
-                                      np.full(len(U), 0.5))
-        assert per_row.field(charts, U).tobytes() == F.tobytes()
 
 
 class TestLiftedFlow:
@@ -410,7 +408,7 @@ class TestLiftedFlow:
         # and stays where it was then; the other rows equal their own pass
         lifted = blowup.LiftedSaddle.of(spec2, BumpProfile.flat(1.0))
         points = BlowupPoint([1, 0, 1], np.array([[0.0, 0.5], [0.02, 0.3], [0.0, 0.01]]))
-        end, _, escapes, counters = blowup._lifted_pass(lifted, points, 0.01, 200)
+        end, escapes, counters = blowup._lifted_pass(lifted, points, 0.01, 200)
         [(time, x, row)] = escapes
         assert row == 0 and np.linalg.norm(x) >= 1.0 and time == pytest.approx(0.7)
         steps = round(time / 0.01)
@@ -420,25 +418,21 @@ class TestLiftedFlow:
         rest, *_ = blowup._lifted_pass(lifted, points[1:], 0.01, 200)
         assert (end.chart[1:] == rest.chart).all() and end.u[1:].tobytes() == rest.u.tobytes()
 
-    @pytest.mark.parametrize("per_row", [False, True])
-    def test_per_row_counts_equal_lone_passes(self, spec4, profile, per_row):
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_per_row_counts_equal_lone_passes(self, spec4, profile, flat):
         # each row takes its own count of steps, and ends where its lone pass of
-        # that count ends, bit for bit; per-row rate tables and rho0 are cut to
-        # the live rows as they stop
-        lifted = blowup.LiftedSaddle.of(spec4, profile)
-        if per_row:
-            rev = blowup._chart_rate_matrix(spec4.rates[::-1])
-            lifted = blowup.LiftedSaddle(np.array([lifted.chart_rates, rev] * 6),
-                                         np.linspace(0.4, 0.9, 12))
+        # that count ends, bit for bit, with the bump profile or the constant
+        # rho0 of a flat one (rows of other rates and rho0: the chart-schedule
+        # oracle tests in test_cones.py)
+        lifted = blowup.LiftedSaddle.of(spec4, BumpProfile.flat(0.7) if flat else profile)
         points = _mixed_points()
         counts = np.array([0, 120, 7, 120, 60, 1, 0, 33, 119, 45, 90, 120])
-        end, log, escapes, counters = blowup._lifted_pass(lifted, points, 0.01, counts)
+        end, escapes, counters = blowup._lifted_pass(lifted, points, 0.01, counts)
         assert escapes == [] and (end.chart != points.chart).any()
         assert counters["row_steps"] == counts.sum()
         assert counters["rk4_iterations"] == counts.max()
-        assert (log == end.chart).all()
         for m, count in enumerate(counts):
-            alone, *_ = blowup._lifted_pass(lifted.at([m]), points[m:m + 1], 0.01, int(count))
+            alone, *_ = blowup._lifted_pass(lifted, points[m:m + 1], 0.01, int(count))
             assert end.chart[m] == alone.chart[0]
             assert end.u[m].tobytes() == alone.u[0].tobytes()
         still = counts == 0
@@ -673,7 +667,7 @@ def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
     # tangent oracle's rows out of the disk: those two checks, and
     # exceptional-invariance, which reads the commutation pass, fail with a
     # domain-escape witness, and every other check still reports and passes;
-    # the counters still hold the campaign's disk block
+    # the counters still hold the campaign's clock
     cfg = _reduced_config()
     field = blowup.LiftedSaddle.field
     monkeypatch.setattr(blowup.LiftedSaddle, "field",
@@ -684,7 +678,7 @@ def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
     failed = [name for name, c in checks.items() if not c["passed"]]
     assert failed == ["blow-down-commutation", "exceptional-invariance", "lifted-tangent-oracle"]
     assert set(out["counters"]) == {"rk4_iterations", "row_steps", "chart_switches",
-                                    "disk_rk4_iterations", "disk_row_steps"}
+                                    "clock_rows", "clock_newton_iterations"}
     for name in failed:
         witness = checks[name]["witness"]
         assert witness["type"] == "domain-escape" and 0.0 < witness["time"] <= 1.0
@@ -740,16 +734,17 @@ def test_exceptional_invariance_fails_without_an_exceptional_sample():
 
 
 def test_blowup_counters_count_every_lifted_pass():
-    # the commutation campaign's lifted pass and its disk block step the same
-    # rows to the same maturities; the other lifted pass is
-    # lifted-tangent-oracle (2k + 1 rows, t = 1)
+    # the commutation campaign's lifted pass steps every sample to its maturity,
+    # at most 100 steps, and its clock solves one row per sample; the other
+    # lifted pass is lifted-tangent-oracle (2k + 1 rows, t = 1)
     cfg = _reduced_config()
     report = cli.build_report(cfg, ("blowup",))
     counters = report["timing"]["counters"]["blowup"]
     assert set(counters) == {"rk4_iterations", "row_steps", "chart_switches",
-                             "disk_rk4_iterations", "disk_row_steps"}
-    assert counters["rk4_iterations"] - counters["disk_rk4_iterations"] == 100
-    assert counters["row_steps"] - counters["disk_row_steps"] == (2 * cfg.k + 1) * 100
-    assert 0 < counters["disk_rk4_iterations"] <= 100 and counters["chart_switches"] > 0
+                             "clock_rows", "clock_newton_iterations"}
+    assert 100 < counters["rk4_iterations"] <= 200 and counters["chart_switches"] > 0
+    assert counters["row_steps"] - (2 * cfg.k + 1) * 100 <= cfg.samples * 100
+    assert counters["clock_rows"] == cfg.samples
+    assert 0 < counters["clock_newton_iterations"] <= saddle._CLOCK_ITERATIONS
     assert "counters" not in report["suites"]["blowup"]
     assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))

@@ -408,8 +408,9 @@ def test_stacked_campaigns_equal_lone_calls(anosov, k, step):
 
 @pytest.mark.parametrize("step", [0.01, 0.3])
 def test_stacked_pass_equals_one_lifted_call_per_segment(step):
-    # the charts read at each checkpoint, and the end rows bit for bit, are
-    # those of one `_lifted_flow_batch` call per 0.25 segment from the last end
+    # the charts that one stacked `core_chart_schedule` call reads at each
+    # checkpoint, and its switch count, are those of one `_lifted_flow_batch`
+    # call per 0.25 segment from the last end
     spec = SaddleSpec(rates=(-1.0, -1.0, 1.0, 1.0))
     rev = SaddleSpec(rates=(1.0, 1.0, -1.0, -1.0))
     rng = np.random.default_rng(3)
@@ -418,23 +419,94 @@ def test_stacked_pass_equals_one_lifted_call_per_segment(step):
         charts, U = rng.integers(0, 4, size=6), rng.uniform(-0.6, 0.6, size=(6, 4))
         U[np.arange(6), charts] *= 1e-3  # inside radius 0.001 of the exceptional set
         starts.append(BlowupPoint(charts, U))
-    lifted = blowup.LiftedSaddle(
-        np.repeat([blowup._chart_rate_matrix(s.rates) for s in (spec, rev)], 6, axis=0),
-        np.repeat([0.5, 1.5], 6))
     nsteps, h = saddle._fixed_steps(0.25, step)
-    end, log, escapes, counters = blowup._lifted_pass(
-        lifted, BlowupPoint(np.concatenate([p.chart for p in starts]),
-                            np.vstack([p.u for p in starts])), h, nsteps, 16)
+    log, escapes, counters = blowup.core_chart_schedule(
+        np.repeat([spec.rates, rev.rates], 6, axis=0), np.repeat([0.5, 1.5], 6),
+        BlowupPoint(np.concatenate([p.chart for p in starts]), np.vstack([p.u for p in starts])),
+        h, nsteps, 16)
     assert escapes == [] and counters["chart_switches"] > 0
-    assert counters["rk4_iterations"] == 16 * nsteps
-    assert counters["row_steps"] == 12 * 16 * nsteps
+    done = {}
     for block, (s, rho0, here) in enumerate(zip((spec, rev), (0.5, 1.5), starts)):
-        rows = slice(6 * block, 6 * block + 6)
-        for charts in log[:, rows]:
-            here = blowup._lifted_flow_batch(s, BumpProfile.flat(rho0), here, 0.25, step=step)
+        for charts in log[:, 6 * block:6 * block + 6]:
+            here = blowup._lifted_flow_batch(s, BumpProfile.flat(rho0), here, 0.25, step=step,
+                                             counters=done)
             assert (charts == here.chart).all()
-        assert (end.chart[rows] == here.chart).all()
-        assert end.u[rows].tobytes() == here.u.tobytes()
+    assert counters == {"chart_switches": done["chart_switches"]}
+
+
+def _segment_passes(blocks, h, nsteps, segments):
+    """Oracle of `core_chart_schedule`: one `_lifted_pass` per segment and block, from the last end.
+
+    blocks holds (rates, rho0, points); a row that escaped takes no more
+    steps.  Returns the chart log over the stacked rows, the escapes as
+    (step, row, blow-down point) with steps counted from 1 over the whole run,
+    in step then row order, and the chart switches.
+    """
+    logs, escapes, switches, offset = [], [], 0, 0
+    for rates, rho0, points in blocks:
+        lifted = blowup.LiftedSaddle.of(SaddleSpec(rates=tuple(rates)), BumpProfile.flat(rho0))
+        counts, log = np.full(len(points), nsteps), []
+        for segment in range(segments):
+            points, out, counters = blowup._lifted_pass(lifted, points, h, counts)
+            switches += counters["chart_switches"]
+            for time, x, row in out:
+                escapes.append((segment * nsteps + round(time / h), offset + row, x))
+                counts[row] = 0
+            log.append(points.chart)
+        logs.append(np.array(log))
+        offset += len(points)
+    return np.hstack(logs), sorted(escapes, key=lambda e: e[:2]), switches
+
+
+def _append_rows(points, charts, U):
+    return BlowupPoint(np.append(points.chart, charts), np.vstack([points.u, U]))
+
+
+@pytest.mark.parametrize("k, step", [(4, 1e-2), (4, 1e-3), (8, 1e-2), (8, 1e-3)])
+def test_core_chart_schedule_equals_lifted_passes(anosov, k, step):
+    # the core campaigns' orbits at the forward, reversed and negative-control
+    # rates and rho0, and three rows that test the rule's corners: two
+    # unstable coordinates that pass the threshold on the same step (the larger
+    # wins), a row that switches once and later reaches the unit sphere, and
+    # one that switches on the step it escapes (the pass switches it): the
+    # closed-form schedule reads the charts, the switch count and the escapes
+    # of the RK4 passes
+    spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
+    model = ProductModel(spec=spec, anosov=anosov)
+    blocks = []
+    for m, rho0, n_orbits in ((model, 0.5, 12), (model.reversed(), 0.5, 12), (model, 1.5, 10)):
+        p = cones._inner_orbit_points(m, n_orbits, 45, min(0.012, 0.5 * math.exp(-4.0 * rho0)))
+        blocks.append([m.spec.rates, rho0, p])
+    tie, later = np.zeros(k), np.zeros(k)
+    tie[[0, k - 2, k - 1]] = 1e-3, 0.9, 0.90002  # in chart 0, a stable axis
+    blocks[0][2] = _append_rows(blocks[0][2], 0, tie)
+    later[[0, k - 1]] = 0.3, 0.5  # x = (0.3, 0, ..., 0, 0.15) in chart 0: switches near t = 0.25
+    blocks[2][2] = _append_rows(blocks[2][2], 0, later)
+    # rates (-1, 1, 2, ...), rho0 1.5, x on the (1, 2) plane in chart 1: u_2 e^{1.5 t} passes
+    # 1.05 at t = 0.5053 and |x| passes 1 at t = 0.5056, both in the step ending at 0.51 or 0.506
+    u = np.zeros(k)
+    u[2] = 1.05 * math.exp(-1.5 * 0.5053)
+    u[1] = 1.0 / math.sqrt(math.exp(3.0 * 0.5056) + u[2] ** 2 * math.exp(6.0 * 0.5056))
+    blocks.append([(-1.0, 1.0) + (2.0,) * (k - 2), 1.5, BlowupPoint([1], u[None])])
+    nsteps, h = saddle._fixed_steps(0.25, step)
+    log, escapes, counters = blowup.core_chart_schedule(
+        np.vstack([np.broadcast_to(r, (len(p), k)) for r, _, p in blocks]),
+        np.concatenate([np.full(len(p), r0) for _, r0, p in blocks]),
+        BlowupPoint(np.concatenate([p.chart for *_, p in blocks]),
+                    np.vstack([p.u for *_, p in blocks])), h, nsteps, 16)
+    oracle_log, oracle_escapes, switches = _segment_passes(blocks, h, nsteps, 16)
+    assert (log == oracle_log).all()
+    assert counters == {"chart_switches": switches} and switches > 0
+    n = len(log[0])
+    assert log[-1, len(blocks[0][2]) - 1] == k - 1  # the tie row, in the larger coordinate's chart
+    assert ([(round(time / h), row) for time, _, row in escapes]
+            == [(oracle_step, row) for oracle_step, row, _ in oracle_escapes])
+    assert [row for *_, row in escapes] == [n - 1, n - 2]
+    assert 0.505 < escapes[0][0] <= 0.51 and 1.0 < escapes[1][0] < 4.0
+    assert log[-1, n - 2] == k - 1 and log[-1, n - 1] == 2
+    for (_, x, _), (*_, oracle_x) in zip(escapes, oracle_escapes):
+        assert np.linalg.norm(x) >= 1.0 and np.linalg.norm(oracle_x) >= 1.0
+        assert np.abs(x - oracle_x).max() < 1e-6
 
 
 # the disk relabelling that maps the reversed default rates (1, 1, -1, -1)
@@ -477,22 +549,25 @@ _SMALL = dict(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
 
 
 def test_cones_suite_makes_one_stacked_lifted_pass(monkeypatch):
+    # the three core campaigns' orbits are one closed-form chart schedule, and
+    # no lifted RK4 pass runs in the suite
     calls = []
     for owner, name in ((blowup, "_lifted_pass"), (blowup, "_lifted_flow_batch"),
+                        (blowup, "core_chart_schedule"),
                         (cones, "inner_cone_campaign"), (cones, "inner_cone_campaigns")):
         real = getattr(owner, name)
         monkeypatch.setattr(owner, name, lambda *args, _real=real, _name=name, **kw:
                             calls.append((_name, args)) or _real(*args, **kw))
     cfg = CampaignConfig(**_SMALL)
     report = cli.build_report(cfg, ("cones",))
-    assert [name for name, _ in calls] == ["inner_cone_campaigns", "_lifted_pass"]
-    _, start, h, nsteps, segments = calls[1][1]
+    assert [name for name, _ in calls] == ["inner_cone_campaigns", "core_chart_schedule"]
+    _, _, start, h, nsteps, segments = calls[1][1]
     # forward and reversed orbits, then the negative control's
     assert len(start) == 2 * cfg.cone_orbits + max(cfg.cone_orbits // 2, 8) == 60
     assert (h, nsteps, segments) == (0.01, 25, 16)
     assert report["passed"]
-    assert report["timing"]["counters"] == {
-        "cones": {"rk4_iterations": 400, "row_steps": 400 * 60, "chart_switches": 24}}
+    # the 24 switches of the RK4 pass that the schedule replaced
+    assert report["timing"]["counters"] == {"cones": {"chart_switches": 24}}
     assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))
 
 
@@ -533,9 +608,11 @@ def test_escaping_control_row_fails_only_its_campaign(monkeypatch):
     assert 0.0 < escape[0]["time"] <= 0.25
     assert np.linalg.norm(escape[0]["point"]) >= 1.0
     assert not neg.passed()
-    # the row stops: it takes no step after the one that reached the sphere
+    # the row stops on the first step end at which its exact orbit 0.99 exp(rho0 t)
+    # on the unstable axis reaches the sphere
     steps = round(escape[0]["time"] / 0.01)
-    assert counters["row_steps"] == 400 * 60 - (400 - steps)
+    assert steps == np.argmax(0.99 * np.exp(bad_rho0 * 0.01 * np.arange(1, 26)) >= 1.0) + 1
+    assert counters == {"chart_switches": 24}
     after = checks()
     for name in ("core-cone-campaign", "time-symmetry"):
         assert after[name] == before_checks[name]
@@ -556,3 +633,8 @@ def test_negative_controls_witness_names_an_escaped_control_row(monkeypatch):
     [escape] = red["witness"]["violations"]
     assert escape["type"] == "domain-escape" and escape["orbit"] == 11
     assert 0.0 < escape["time"] <= 0.25 and np.linalg.norm(escape["point"]) >= 1.0
+    # the escaped row's step: the first at which 0.99 exp(rho0 t) reaches 1
+    spec = cfg.saddle_spec()
+    bad_rho0 = 1.5 * (2 * saddle.pick_rho0(cfg.lam, cfg.mu, spec.lam_prime, spec.mu_prime))
+    steps = round(escape["time"] / 0.01)
+    assert steps == np.argmax(0.99 * np.exp(bad_rho0 * 0.01 * np.arange(1, 26)) >= 1.0) + 1

@@ -587,6 +587,80 @@ class TestTimeChange:
         assert rk4.crossing_class == "outer->outer"
 
 
+class TestSlowedClock:
+    @pytest.fixture(scope="class")
+    def shell_rows(self, spec4):
+        """40 seeded points at radii 0.05-0.25 and times in (0, 1]: most cross the shell."""
+        rng = np.random.default_rng(5)
+        x0 = rng.standard_normal((40, 4))
+        x0 *= rng.uniform(0.05, 0.25, size=(40, 1)) / np.linalg.norm(x0, axis=1, keepdims=True)
+        return x0, rng.integers(1, 5, size=40) * 0.25
+
+    def test_rk4_error_falls_like_h4(self, spec4, profile, shell_rows):
+        x0, t = shell_rows
+        counters = {}
+        exact = saddle.slowed_clock(spec4, profile, x0, t, counters)
+        assert counters["clock_rows"] == 40 and 1 < counters["clock_newton_iterations"] < 20
+        errors = []
+        for h in (1e-2, 5e-3, 2.5e-3):
+            [(x, *_)], _ = saddle._rk4_rows(spec4, profile, [
+                (x0, profile.delta, h, np.round(t / h).astype(int), False)], tangent=False)
+            errors.append(float(np.abs(x - exact).max()))
+        assert errors[0] < 1e-9
+        for coarse, fine in zip(errors, errors[1:]):
+            assert 12.0 < coarse / fine < 20.0  # 2^4 = 16
+
+    def test_lands_on_the_exit_point_at_the_transit_time(self, spec4, profile, sixty):
+        transits = saddle.time_change_transits(spec4, profile, sixty)
+        x = saddle.slowed_clock(spec4, profile, transits.entry, transits.time)
+        assert np.abs(x - transits.exit).max() < 1e-12 * profile.delta
+
+    def test_origin_and_rows_off_the_shell(self, spec4, profile):
+        # the origin stays there; a core orbit runs at rho0 and a far one at 1
+        a = np.asarray(spec4.rates)
+        core = np.array([[0.02, -0.01, 0.01, 0.005], [0.0, 0.0, 0.03, 0.0]])  # |x(t)| < delta
+        far = np.array([[0.6, -0.5, 0.1, 0.0], [0.0, 0.0, 0.3, -0.3]])  # |x(t)| > 2 delta
+        x0 = np.vstack([np.zeros((2, 4)), core, far])
+        t = np.array([0.7, 0.0, 0.9, 0.5, 0.4, 0.8])
+        x = saddle.slowed_clock(spec4, profile, x0, t)
+        assert (x[:2] == 0.0).all()
+        assert np.abs(x[2:4] - core * np.exp(profile.rho0 * t[2:4, None] * a)).max() < 1e-16
+        assert np.abs(x[4:] - far * np.exp(t[4:, None] * a)).max() < 1e-15
+        assert saddle._radius(x[2:4]).max() < profile.delta < 2 * profile.delta
+        assert saddle._radius(x[4:]).min() > 2 * profile.delta
+
+    def test_bisects_a_newton_cycle(self, spec4):
+        # the orbit starts outside 2 delta and ends in the core; from sigma = t
+        # (rho = 1 at the start) plain Newton jumps between 3 and 0.027 for
+        # ever; the bracket catches it, and the point is the root's to rounding
+        slow = BumpProfile(delta=0.1, rho0=0.37)
+        a = np.asarray(spec4.rates)
+        x0, t = np.array([[0.12, -0.2, 0.013, 0.0045]]), np.array([3.0])
+        time = lambda s: saddle._clock_time(x0 * x0, a, s, slow) - t
+        radius = lambda s: saddle._radius(x0 * np.exp(a * s))
+        first = t - time(t) * slow(x0 * np.exp(a * t))
+        assert first == pytest.approx(0.027, abs=1e-3)
+        assert first - time(first) * slow(x0 * np.exp(a * first)) == pytest.approx(t, rel=1e-9)
+        root = saddle._bisect_root(time, np.array([0.37 * 3.0]), t)
+        x = saddle.slowed_clock(spec4, slow, x0, t)
+        assert np.abs(x - x0 * np.exp(a * root)).max() < 1e-15
+        assert radius(0.0) > 2 * slow.delta > slow.delta > radius(root)
+
+    def test_rows_equal_one_row_calls(self, spec4, profile, shell_rows):
+        x0, t = shell_rows
+        x = saddle.slowed_clock(spec4, profile, x0, t)
+        for m in range(len(x0)):
+            assert _bits(saddle.slowed_clock(spec4, profile, x0[m], t[m])) == _bits(x[m:m + 1])
+
+    def test_quadrature_rule_is_built_once(self, spec4, profile, sixty, monkeypatch):
+        def fail(n):
+            raise AssertionError("leggauss called at run time")
+
+        monkeypatch.setattr(np.polynomial.legendre, "leggauss", fail)
+        transits = saddle.time_change_transits(spec4, profile, sixty)
+        saddle.slowed_clock(spec4, profile, sixty, transits.time)
+
+
 def _bits(a):
     return np.asarray(a, dtype=float).tobytes()
 
