@@ -241,6 +241,18 @@ def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP,
     return end
 
 
+def _chart_switches(affine, charts):
+    """The chart rule of `_lifted_pass` for lines along the trailing k axis.
+
+    affine holds the |affine coordinates| of lines in the chart that
+    `charts` gives each (its own coordinate is ignored).  Returns whether
+    a line has a coordinate past the switch threshold, and the chart it
+    moves to: the first largest coordinate off its chart.
+    """
+    off = np.where(np.arange(affine.shape[-1]) == charts[..., None], 0.0, affine)
+    return off.max(axis=-1) > _CHART_SWITCH, off.argmax(axis=-1)
+
+
 def _lifted_pass(lifted, points: BlowupPoint, h, nsteps):
     """One RK4 pass of nsteps steps of h (one count, or one per row) over the rows of `points`.
 
@@ -259,14 +271,13 @@ def _lifted_pass(lifted, points: BlowupPoint, h, nsteps):
     for i in range(int(np.max(nsteps, initial=0))):
         if live.sum() != len(idx):
             idx = np.flatnonzero(live)
-            rows, c = np.arange(len(idx)), charts[idx]
+            c = charts[idx]
         u = rk4_step(lambda _, y: lifted.field(c, y), 0.0, U[idx], h)
         x = _blowdown(c, u)  # before the switch
-        affine = np.abs(u)
-        affine[rows, c] = 0.0
-        switch = np.flatnonzero(affine.max(axis=1) > _CHART_SWITCH)
+        over, target = _chart_switches(np.abs(u), c)
+        switch = np.flatnonzero(over)
         if switch.size:
-            q = chart_transition(BlowupPoint(c[switch], u[switch]), affine[switch].argmax(axis=1))
+            q = chart_transition(BlowupPoint(c[switch], u[switch]), target[switch])
             c[switch], u[switch] = q.chart, q.u
         charts[idx], U[idx] = c, u
         counts += (1, len(idx), switch.size)
@@ -311,13 +322,11 @@ def core_chart_schedule(rates, rho0, points: BlowupPoint, h, nsteps, segments):
         while len(todo):  # each round takes every row's next switch
             rows = np.arange(len(todo))
             c = charts[todo]
-            affine = ell[todo] / ell[todo, :, c][:, :, None]
-            affine[rows, :, c] = 0.0
-            over = affine.max(axis=2) > _CHART_SWITCH
+            over, target = _chart_switches(ell[todo] / ell[todo, :, c][:, :, None], c[:, None])
             over &= (steps >= start[todo, None]) & (steps <= stop[todo, None])
             hit = over.any(axis=1)
             at = over.argmax(axis=1)[hit]
-            charts[todo[hit]] = affine[rows[hit], at].argmax(axis=1)
+            charts[todo[hit]] = target[rows[hit], at]
             start[todo[hit]] = at + 1
             switches += int(hit.sum())
             todo = todo[hit]

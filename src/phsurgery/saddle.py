@@ -188,16 +188,27 @@ class BumpProfile:
         """rhobar'(s), closed form."""
         return self.value_and_slope(s)[1]
 
-    def value_and_slope(self, s):
-        """(rhobar(s), rhobar'(s)) of floats or arrays, from one pair of exps."""
-        if self.constant:
-            return self.rho0 + 0.0 * s, np.zeros(np.shape(s))
+    def _exps(self, s):
+        """(ri, ci, a, b): the clipped transition coordinate, 1 - ri, and their exps."""
         r = (s - self.delta) / self.delta
         # clipped where a or b underflows to 0, so that off (0, 1) the value
         # is exactly 0 or 1 and the slope exactly 0, as `value`'s
         ri = np.minimum(np.maximum(r, 1e-12), 1 - 1e-12)
         ci = 1.0 - ri
-        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
+        return ri, ci, np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
+
+    def array_value(self, s):
+        """rhobar(s) of floats or arrays, the first value of `value_and_slope` without the slope."""
+        if self.constant:
+            return self.rho0 + 0.0 * s
+        _, _, a, b = self._exps(s)
+        return self.rho0 + (1.0 - self.rho0) * (a / (a + b))
+
+    def value_and_slope(self, s):
+        """(rhobar(s), rhobar'(s)) of floats or arrays, from one pair of exps."""
+        if self.constant:
+            return self.rho0 + 0.0 * s, np.zeros(np.shape(s))
+        ri, ci, a, b = self._exps(s)
         da, db = a * _TRANSITION_SHARPNESS / ri**2, b * _TRANSITION_SHARPNESS / ci**2
         ab = a + b
         return (self.rho0 + (1.0 - self.rho0) * (a / ab),
@@ -579,25 +590,24 @@ def _bisect_root(fn, lo, hi, tol=0.0):
     return 0.5 * (lo + hi)
 
 
-def _panels(x2, a, sigma, profile):
-    """The `_TRANSIT_PANELS` equal panels of [0, sigma] in turn, as (width, e2, r, rho, rho').
+def _panels(x2, a, sigma):
+    """The `_TRANSIT_PANELS` equal panels of [0, sigma] in turn, as (width, e2, r).
 
     Row m of x2 holds x0**2 of the orbit exp(s A) x0, A = diag(a), and sigma[m]
     its end; e2 is exp(2 s A) at the panel's 32 Gauss-Legendre nodes s, an
-    (n, 32, k) array, and r, rho and rho' the radii there and the profile at them.
+    (n, 32, k) array, and r the radii there.
     """
     width = sigma / _TRANSIT_PANELS
     for p in range(_TRANSIT_PANELS):
         e2 = np.exp(2.0 * a * (width[:, None] * (p + _GL_NODES))[:, :, None])
-        r = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
-        yield width, e2, r, *profile.value_and_slope(r)
+        yield width, e2, np.sqrt((x2[:, None, :] * e2).sum(axis=2))
 
 
 def _clock_time(x2, a, sigma, profile):
     """T(sigma) = int_0^sigma ds / rho(|exp(s A) x0|) per row, by the transit quadrature."""
     T = np.zeros(len(sigma))
-    for width, _, _, rho, _ in _panels(x2, a, sigma, profile):
-        T += width * (_GL_WEIGHTS / rho).sum(axis=1)
+    for width, _, r in _panels(x2, a, sigma):
+        T += width * (_GL_WEIGHTS / profile.array_value(r)).sum(axis=1)
     return T
 
 
@@ -620,17 +630,16 @@ def slowed_clock(spec, profile, x0, t, counters=None):
     a = np.asarray(spec.rates)
     x2 = x0 * x0
     t = np.broadcast_to(np.asarray(t, dtype=float), len(x0))
-    delta = np.broadcast_to(profile.delta, len(x0))[:, None]  # one per row, on (n, 32) radii
     lo, hi = np.sort([profile.rho0 * t, t], axis=0)
-    sigma = profile.value_and_slope(_norm(x0))[0] * t
+    sigma = profile.array_value(_norm(x0)) * t
     rows, iterations = np.arange(len(x0)), 0
     while len(rows) and iterations < _CLOCK_ITERATIONS:
         iterations += 1
-        p, s = replace(profile, delta=delta[rows]), sigma[rows]
-        f = _clock_time(x2[rows], a, s, p) - t[rows]
-        r = np.sqrt((x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1, keepdims=True))
+        s = sigma[rows]
+        f = _clock_time(x2[rows], a, s, profile) - t[rows]
+        r = np.sqrt((x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1))
         lo[rows], hi[rows] = np.where(f < 0.0, s, lo[rows]), np.where(f < 0.0, hi[rows], s)
-        newton = s - f * p.value_and_slope(r)[0][:, 0]
+        newton = s - f * profile.array_value(r)
         inside = (lo[rows] <= newton) & (newton <= hi[rows])
         sigma[rows] = np.where(inside, newton, 0.5 * (lo[rows] + hi[rows]))
         moving = ~inside | (np.abs(newton - s) > 1e-9 * np.abs(newton))
@@ -692,7 +701,8 @@ def time_change_transits(spec, profile, entries):
 
     T = np.zeros(n)
     grad = np.zeros((n, k))
-    for width, e2, r, rho, slope in _panels(x2, a, sigma, per_row):
+    for width, e2, r in _panels(x2, a, sigma):
+        rho, slope = per_row.value_and_slope(r)
         T += width * (_GL_WEIGHTS / rho).sum(axis=1)
         g = _GL_WEIGHTS * slope / (rho * rho * r)
         grad += width[:, None] * np.einsum("nm,nmk->nk", g, e2)

@@ -742,9 +742,14 @@ def test_blowup_counters_count_every_lifted_pass():
     counters = report["timing"]["counters"]["blowup"]
     assert set(counters) == {"rk4_iterations", "row_steps", "chart_switches",
                              "clock_rows", "clock_newton_iterations"}
-    assert 100 < counters["rk4_iterations"] <= 200 and counters["chart_switches"] > 0
-    assert counters["row_steps"] - (2 * cfg.k + 1) * 100 <= cfg.samples * 100
-    assert counters["clock_rows"] == cfg.samples
+    campaign = {}
+    blowup.commutation_campaign(cfg.saddle_spec(), cfg.bump_profile(), n=cfg.samples,
+                                seed=cfg.seed, step=cfg.step, counters=campaign)
+    assert counters["rk4_iterations"] - campaign["rk4_iterations"] == 100
+    assert counters["row_steps"] - campaign["row_steps"] == (2 * cfg.k + 1) * 100
+    assert 0 < campaign["rk4_iterations"] <= 100 and counters["chart_switches"] > 0
+    assert counters["clock_rows"] == campaign["clock_rows"] == cfg.samples
+    assert counters["clock_newton_iterations"] == campaign["clock_newton_iterations"]
     assert 0 < counters["clock_newton_iterations"] <= saddle._CLOCK_ITERATIONS
     assert "counters" not in report["suites"]["blowup"]
     assert "chart_switches" not in cli.canonical_json(cli.strip_timing(report))

@@ -130,7 +130,7 @@ class TestBump:
                              1 - 1e-12, 1 - 2e-12, -1e-13, 1 + 1e-13]])
         s = d + d * r
         val, slope = prof.value_and_slope(s)
-        assert val.tobytes() == prof.value(s).tobytes()
+        assert val.tobytes() == prof.value(s).tobytes() == prof.array_value(s).tobytes()
         rs = (s - d) / d
         ri = np.clip(rs, 1e-12, 1 - 1e-12)
         with np.errstate(under="ignore"):
@@ -143,6 +143,7 @@ class TestBump:
         for i in range(len(s) - 12, len(s)):
             v, sl = prof.value_and_slope(float(s[i]))
             assert (v, sl) == (prof.value(float(s[i])), slope[i]) == (val[i], slope[i])
+            assert prof.array_value(float(s[i])) == v
 
     def test_dual_columns_equal_scalar_duals(self, profile):
         from phsurgery.dualnum import Dual
