@@ -212,10 +212,10 @@ class LiftedSaddle:
         """The lift of `spec` slowed by `profile`; a flat profile is its constant rho0."""
         return cls(_chart_rate_matrix(spec.rates), profile.rho0 if profile.constant else profile)
 
-    def field(self, charts, u):
-        """du/dt for an (n, k) batch, row m in chart charts[m]."""
+    def field(self, charts, rates, u):
+        """du/dt of an (n, k) batch, row m in chart charts[m], rates = chart_rates[charts]."""
         rho = self.rho(_blowdown(charts, u)) if callable(self.rho) else self.rho
-        return self.chart_rates[charts] * u * np.asarray(rho)[..., None]
+        return rates * u * np.asarray(rho)[..., None]
 
 
 def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
@@ -272,13 +272,15 @@ def _lifted_pass(lifted, points: BlowupPoint, h, nsteps):
         if live.sum() != len(idx):
             idx = np.flatnonzero(live)
             c = charts[idx]
-        u = rk4_step(lambda _, y: lifted.field(c, y), 0.0, U[idx], h)
+            rates = lifted.chart_rates[c]
+        u = rk4_step(lambda _, y: lifted.field(c, rates, y), 0.0, U[idx], h)
         x = _blowdown(c, u)  # before the switch
         over, target = _chart_switches(np.abs(u), c)
         switch = np.flatnonzero(over)
         if switch.size:
             q = chart_transition(BlowupPoint(c[switch], u[switch]), target[switch])
             c[switch], u[switch] = q.chart, q.u
+            rates[switch] = lifted.chart_rates[q.chart]
         charts[idx], U[idx] = c, u
         counts += (1, len(idx), switch.size)
         out = np.flatnonzero(_radius(x) >= 1.0)
@@ -340,8 +342,9 @@ def core_chart_schedule(rates, rho0, points: BlowupPoint, h, nsteps, segments):
 def core_tangent_maps(spec, rho0, points: BlowupPoint, charts, t):
     """Exact time-t tangent maps of the lift of the saddle slowed by the constant rho0.
 
-    One (k, k) map per row p = (chart c, u) of the batch `points`, read from
-    chart c into the chart charts[m] that a flow of p holds at time t.  In
+    One (k, k) map per row p = (chart c, u) of the batch `points` (t one
+    time, or an (n, 1) column of one per row), read from chart c into the
+    chart charts[m] that a flow of p holds at time t.  In
     chart c the flow is u -> g u with g = exp(rho0 d[c] t), and chart c's
     domain is invariant under it; chart transitions compose, so whatever
     charts the orbit passed through, the map is
@@ -359,12 +362,13 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, count
     in one `_lifted_pass`, and is scored by |blowdown(lifted end) - exact
     end|, the exact end being `saddle.slowed_clock` of its blow-down at that
     time.  A quarter of the samples start on the exceptional set, whose
-    blow-down orbit is the origin.  Returns (max residual, witness dict,
-    exceptional dict); the witness is the first sample, in step then sample
-    order, at the maximum.  The exceptional dict counts the `samples` that
-    start on the set and those that `left` it (a radial coordinate other than
-    0 at maturity), and names the first that left, in the same order, with
-    its draw index (`first_left`, None if none did).  Adds the lifted pass's
+    blow-down orbit is the origin (sample 0 if the draw puts none there).
+    Returns (max residual, witness dict, exceptional dict); the witness is
+    the first sample, in step then sample order, at the maximum.  The
+    exceptional dict counts the `samples` that start on the set and those
+    that `left` it (a radial coordinate other than 0 at maturity), and names
+    the first that left, in the same order, with its draw index
+    (`first_left`, None if none did).  Adds the lifted pass's
     counters and the clock's into the dict `counters`, if given, before a
     DomainEscape of the lifted pass names its sample as its row.
     """
@@ -380,6 +384,7 @@ def commutation_campaign(spec, profile, n=1000, seed=0, step=DEFAULT_STEP, count
     safe = 0.45 * math.exp(-max_rate)  # the disk orbit stays inside radius 0.45 up to t = 1
     radial = rng.uniform(-1.0, 1.0, size=n) * safe / line_norm
     on_set = rng.random(n) < 0.25
+    on_set[0] |= not on_set.any()  # exceptional-invariance always has a sample to read
     radial[on_set] = 0.0
     U[rows, charts] = radial
 

@@ -171,14 +171,18 @@ def propagate(state, t, frame, *, spec, anosov, rho0, step=DEFAULT_STEP):
     The disk block is the tangent map of the saddle slowed by the constant
     rho0 at the disk point `state` (rho == rho0 must hold along the orbit);
     the restricted block is the exact cocycle.  frame rows are model tangent
-    vectors; returns the disk point at time t and the propagated rows.
+    vectors; returns the disk point at time t and the propagated rows.  An
+    (n, k) batch of states (t one time or one per row) is one RK4 pass and
+    returns n points and n propagated frames, each its one-state call's.
     """
     model = ProductModel(spec=spec, anosov=anosov)
     frame = np.atleast_2d(np.asarray(frame, dtype=float))
     if frame.shape[1] != model.dim:
         raise ValueError(f"frame vectors have dimension {frame.shape[1]}, model {model.dim}")
     end, J = saddle.variational_flow_slow(spec, saddle.BumpProfile.flat(rho0), state, t, step=step)
-    return end, frame @ model.full_maps(J[None], [t])[0].T
+    J = np.reshape(J, (-1, spec.k, spec.k))
+    images = np.stack([frame @ M.T for M in model.full_maps(J, np.broadcast_to(t, len(J)))])
+    return end, images if np.ndim(state) == 2 else images[0]
 
 
 def _frame_pass(maps, frame, cone):
@@ -316,18 +320,21 @@ def _core_report(model, run, omega, points, grid, chart_log, escapes):
                                                            run["seed"])
     min_u_exp = dom_exp = math.inf
     member_frac, burn_in, violations = {}, None, []
+    n, times = len(points), np.repeat(grid, len(points))  # every checkpoint's maps, one stack
+    tiled = BlowupPoint(np.tile(points.chart, len(grid)), np.tile(points.u, (len(grid), 1)))
+    maps = model.full_maps(blowup.core_tangent_maps(spec, rho0, tiled, chart_log.ravel(),
+                                                    times[:, None]), times)
+    maps = maps.reshape(len(grid), n, model.dim, model.dim)
 
-    for t, charts in zip(grid, chart_log):
-        M = model.full_maps(blowup.core_tangent_maps(spec, rho0, points, charts, t),
-                            np.full(len(points), t))
+    for t, M, M_inv in zip(grid, maps, np.linalg.inv(maps)):
         ang, growth_u = _frame_pass(M, uframe, ucone)
         inside = ang < omega
         member_frac[t] = float(inside.mean(axis=1).min())
         if inside.all() and burn_in is None:
             burn_in = t
-        angb, _ = _frame_pass(np.linalg.inv(M), csframe, cscone)
+        angb, _ = _frame_pass(M_inv, csframe, cscone)
         back_bad = ~(angb < omega + 1e-12).all(axis=1)
-        gap = np.full(len(points), math.inf)
+        gap = np.full(n, math.inf)
         if t in _CAMPAIGN_TIMES:
             expo_u = np.log(growth_u).min(axis=1) / t
             min_u_exp = min(min_u_exp, float(expo_u.min()))

@@ -111,16 +111,22 @@ def algebra_element(A, v, D, n):
     return B
 
 
-def random_algebra_element(n, rng):
-    """Seeded generic member of the split-form algebra (entries of scale 0.3)."""
-    X = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
-    A = 0.3 * 0.5 * (X - X.conj().T)
-    v = 0.3 * (rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
-    b, c = rng.standard_normal(2) * 0.3
-    re_a = rng.standard_normal() * 0.3
-    a = re_a - 0.5j * np.trace(A).imag
-    D = np.array([[a, 1j * b], [1j * c, -np.conj(a)]], dtype=complex)
-    return algebra_element(A, v, D, n)
+def random_algebra_element(n, rng, count=None):
+    """Seeded generic member of the split-form algebra (entries of scale 0.3), or a stack of count.
+
+    A stack draws one block of normals: those of count single calls, in their order.
+    """
+    m = n - 1
+    Z = rng.standard_normal((1 if count is None else count, 2 * m * m + 4 * m + 3))
+    X, Y, V, W = np.split(Z[:, :-3], np.cumsum([m * m, m * m, 2 * m]), axis=1)
+    X = X.reshape(-1, m, m) + 1j * Y.reshape(-1, m, m)
+    A = 0.3 * 0.5 * (X - X.conj().swapaxes(1, 2))
+    v = 0.3 * (V.reshape(-1, m, 2) + 1j * W.reshape(-1, m, 2))
+    b, c, re_a = (Z[:, -3:] * 0.3).T
+    a = re_a - 0.5j * np.trace(A, axis1=1, axis2=2).imag
+    D = np.stack([a, 1j * b, 1j * c, -np.conj(a)], axis=1).reshape(-1, 2, 2)
+    B = algebra_element(A, v, D, n)
+    return B[0] if count is None else B
 
 
 def group_invariant_defect(g, n, kind="split"):
@@ -171,7 +177,7 @@ def conjugate_forms_check(n, seed=0):
     T = conjugator(n)
     rel = float(_max_abs(_h(T) @ form_matrix(n, "diag") @ T - form_matrix(n, "split")))
     rng = np.random.default_rng(seed)
-    g_split = taylor_expm(np.stack([random_algebra_element(n, rng) for _ in range(20)]))
+    g_split = taylor_expm(random_algebra_element(n, rng, 20))
     g_diag = T @ g_split @ np.linalg.inv(T)
     return rel, float(group_invariant_defect(g_diag, n, "diag").max())
 

@@ -216,7 +216,7 @@ class BumpProfile:
 
     def __call__(self, x):
         """rho(x) = rhobar(|x|) for a point or an (n, k) batch."""
-        return self.value_and_slope(_norm(np.asarray(x, dtype=float)))[0]
+        return self.array_value(_norm(np.asarray(x, dtype=float)))
 
 
 def pick_rho0(lam, mu, lam_prime, mu_prime, k=None, volume_mode=False):
@@ -381,8 +381,14 @@ def _rk4_rows(spec, profile, blocks, tangent=True):
         if live.sum() != len(idx):
             idx = np.flatnonzero(live)
             p, hi, dn = replace(profile, delta=delta[idx]), h[idx, None], delta[idx]
+            half, sixth = 0.5 * hi, hi / 6.0  # `rk4_step`'s stage factors, once per row set
             tr, left, last = transit[idx], nsteps[idx], nsteps[idx].min()
-        sn = rk4_step(lambda _, y: field(spec, p, y), 0.0, state[idx], hi)
+        y = state[idx]
+        k1 = field(spec, p, y)
+        k2 = field(spec, p, y + half * k1)
+        k3 = field(spec, p, y + half * k2)
+        k4 = field(spec, p, y + hi * k3)
+        sn = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         counters["rk4_iterations"] += 1
         counters["row_steps"] += len(idx)
         it = counters["rk4_iterations"]
@@ -417,11 +423,12 @@ def _rk4_rows(spec, profile, blocks, tangent=True):
 
 
 def _flow_rows(spec, profile, x, t, step, tangent):
-    """(points, J) after time t; DomainEscape names the outermost row at the first escape."""
+    """(points, J) after time t, one or one per row; DomainEscape names the first escape."""
     x = np.asarray(x, dtype=float)
-    nsteps, h = _fixed_steps(t, step)
+    t = np.broadcast_to(t, len(np.atleast_2d(x)))
+    nsteps, h = np.array([_fixed_steps(s, step) if s else (0, 0.0) for s in t]).T
     [(points, J, times, stop)], _ = _rk4_rows(spec, profile, [
-        (np.atleast_2d(x), profile.delta, h, nsteps if t else 0, False)], tangent)
+        (np.atleast_2d(x), profile.delta, h, nsteps.astype(int), False)], tangent)
     _raise_first_escape([(times[i], points[i], int(i)) for i in np.flatnonzero(stop == "escape")])
     return (points, J) if x.ndim == 2 else (points[0], J[0])
 
@@ -429,8 +436,8 @@ def _flow_rows(spec, profile, x, t, step, tangent):
 def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow of x' = rho(x) X(x) for time t (either sign), fixed-step RK4.
 
-    x is a point or an (n, k) batch; each row gives the result of its own
-    one-point call, and the points of `variational_flow_slow` bit for bit.
+    x is a point or an (n, k) batch, t one time or one per row; each row gives
+    its own one-point call's result, and `variational_flow_slow`'s points, bit for bit.
     Raises DomainEscape as soon as a row reaches the unit sphere.  For rho == 1
     this reproduces the closed form exp(t diag(rates)) x.
     """
@@ -440,9 +447,9 @@ def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
 def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow together with its tangent map J(t), J' = D(rho X) J, J(0) = Id.
 
-    x is a point or an (n, k) batch; returns (point, J) with J of shape
-    (k, k) or (n, k, k), each row equal to its own one-point call.  J stays
-    orientation preserving; non-finite entries abort with diagnostics.
+    x is a point or an (n, k) batch, t one time or one per row; returns (point, J)
+    with J of shape (k, k) or (n, k, k), each row equal to its own one-point call.
+    J stays orientation preserving; non-finite entries abort with diagnostics.
     """
     points, J = _flow_rows(spec, profile, x, t, step, tangent=True)
     if (np.linalg.det(J) <= 0).any():

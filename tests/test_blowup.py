@@ -228,7 +228,8 @@ def _step_and_switch(lifted, charts, U, h):
     transition u / t, 1/t, u_target u_chart.  Returns the blow-down of the
     rows after the step, before any switch.
     """
-    U[:] = saddle.rk4_step(lambda _, u: lifted.field(charts, u), 0.0, U, h)
+    U[:] = saddle.rk4_step(lambda _, u: lifted.field(charts, lifted.chart_rates[charts], u),
+                           0.0, U, h)
     x = blowup._blowdown(charts, U)
     absU = np.abs(U)
     absU[np.arange(len(U)), charts] = 0.0
@@ -276,6 +277,7 @@ def _lockstep_commutation(spec, profile, n, seed, step):
     safe = 0.45 * math.exp(-max(abs(r) for r in spec.rates))
     radial = rng.uniform(-1.0, 1.0, size=n) * safe / line_norm
     on_set = rng.random(n) < 0.25
+    on_set[0] |= not on_set.any()
     radial[on_set] = 0.0
     U[rows, charts] = radial
     X = blowup._blowdown(charts, U)
@@ -318,20 +320,23 @@ class TestLiftedField:
     def test_rows_match_one_row_calls(self, spec4, profile, batch):
         lifted = blowup.LiftedSaddle.of(spec4, profile)
         charts, U = batch
-        F = lifted.field(charts, U)
+        rates = lifted.chart_rates[charts]
+        F = lifted.field(charts, rates, U)
         for m in range(len(U)):
             one = slice(m, m + 1)
-            assert (lifted.field(charts[one], U[one]) == F[one]).all()
+            assert (lifted.field(charts[one], rates[one], U[one]) == F[one]).all()
 
     def test_flat_profile_is_its_constant(self, spec4, batch):
         # rho0 + 0.0 * |x| is rho0, so the constant skips the blow-down and the
         # norm without moving a bit
         charts, U = batch
         flat = BumpProfile.flat(0.5)
-        F = blowup.LiftedSaddle(blowup._chart_rate_matrix(spec4.rates), flat).field(charts, U)
+        table = blowup._chart_rate_matrix(spec4.rates)
+        rates = table[charts]
+        F = blowup.LiftedSaddle(table, flat).field(charts, rates, U)
         lifted = blowup.LiftedSaddle.of(spec4, flat)
         assert lifted.rho == 0.5
-        assert lifted.field(charts, U).tobytes() == F.tobytes()
+        assert lifted.field(charts, rates, U).tobytes() == F.tobytes()
 
 
 class TestLiftedFlow:
@@ -417,6 +422,25 @@ class TestLiftedFlow:
         assert end.chart[0] == alone.chart[0] and end.u[0].tobytes() == alone.u[0].tobytes()
         rest, *_ = blowup._lifted_pass(lifted, points[1:], 0.01, 200)
         assert (end.chart[1:] == rest.chart).all() and end.u[1:].tobytes() == rest.u.tobytes()
+
+    @pytest.mark.parametrize("flat", [False, True])
+    def test_pass_equals_stepping_with_rates_gathered_per_stage(self, spec4, profile, flat):
+        # the pass gathers each row's chart rates once for a step's four stages
+        # and again after a switch; `rk4_step` on the field, which gathers them
+        # in every stage, gives the same rows bit for bit, for mixed charts,
+        # switches and per-row step counts
+        lifted = blowup.LiftedSaddle.of(spec4, BumpProfile.flat(0.7) if flat else profile)
+        points = _mixed_points()
+        counts = np.array([0, 120, 7, 120, 60, 1, 0, 33, 119, 45, 90, 120])
+        end, _, counters = blowup._lifted_pass(lifted, points, 0.01, counts)
+        charts, U = points.chart.copy(), points.u.copy()
+        for i in range(counts.max()):
+            live = counts > i
+            c, u = charts[live], U[live]
+            _step_and_switch(lifted, c, u, 0.01)
+            charts[live], U[live] = c, u
+        assert counters["chart_switches"] > 0 and len(set(points.chart)) == 4
+        assert (end.chart == charts).all() and end.u.tobytes() == U.tobytes()
 
     @pytest.mark.parametrize("flat", [False, True])
     def test_per_row_counts_equal_lone_passes(self, spec4, profile, flat):
@@ -646,8 +670,8 @@ def test_lifted_tangent_oracle_fails_a_scaled_lifted_field(monkeypatch):
     spec, flat = cfg.saddle_spec(), BumpProfile.flat(cfg.resolved_rho0())
     p0 = BlowupPoint(0, np.array([0.05, 0.3, 0.3, 0.3]))  # the oracle's start point
     field = blowup.LiftedSaddle.field
-    monkeypatch.setattr(blowup.LiftedSaddle, "field",
-                        lambda self, charts, u: (1.0 + 1e-6) * field(self, charts, u))
+    monkeypatch.setattr(blowup.LiftedSaddle, "field", lambda self, charts, rates, u:
+                        (1.0 + 1e-6) * field(self, charts, rates, u))
     check = _lifted_oracle(cfg)
     ends = [blowup.lifted_slow_flow(spec, flat, p0, 1.0, step=h) for h in (cfg.step, cfg.step / 2)]
     halving = np.linalg.norm(blowup.blowdown(ends[0]) - blowup.blowdown(ends[1]))
@@ -671,7 +695,7 @@ def test_escaping_lifted_rows_fail_only_their_checks(monkeypatch):
     cfg = _reduced_config()
     field = blowup.LiftedSaddle.field
     monkeypatch.setattr(blowup.LiftedSaddle, "field",
-                        lambda self, charts, u: 40.0 * field(self, charts, u))
+                        lambda self, charts, rates, u: 40.0 * field(self, charts, rates, u))
     out = suites.run_blowup_suite(cfg)
     checks = {c["name"]: c for c in out["checks"]}
     assert list(checks) == _BLOWUP_CHECKS
@@ -702,8 +726,8 @@ def test_exceptional_invariance_fails_a_drift_off_the_set(monkeypatch):
     cfg = _reduced_config()
     field = blowup.LiftedSaddle.field
 
-    def drifting(self, charts, u):
-        du = field(self, charts, u)
+    def drifting(self, charts, rates, u):
+        du = field(self, charts, rates, u)
         du[np.arange(len(u)), charts] += 1e-12
         return du
 
@@ -721,16 +745,22 @@ def test_exceptional_invariance_fails_a_drift_off_the_set(monkeypatch):
     assert first["u"][first["chart"]] != 0.0 and 0.0 < first["time"] <= 1.0
 
 
-def test_exceptional_invariance_fails_without_an_exceptional_sample():
-    # two commutation samples at seed 1 both start off the exceptional set,
-    # so the check has nothing to read and fails with count 0
-    cfg = replace(_reduced_config(), samples=2, seed=1)
-    assert blowup.commutation_campaign(cfg.saddle_spec(), cfg.bump_profile(), n=2, seed=1,
-                                       step=cfg.step)[2]["samples"] == 0
-    check = next(c for c in suites.run_blowup_suite(cfg)["checks"]
-                 if c["name"] == "exceptional-invariance")
-    assert not check["passed"]
-    assert check["witness"] == {"samples": 0, "left": 0, "first_left": None}
+def test_exceptional_invariance_never_lacks_a_sample():
+    # at seed 1 the draw puts no commutation sample on the exceptional set at
+    # samples 1, 2 and 4; sample 0 is put there, without a further draw, so
+    # the check reads one sample and does not fail for a count of 0
+    cfg = replace(_reduced_config(), seed=1)
+    for n in range(1, 17):
+        draw = np.random.default_rng(1)  # the campaign's draws up to the exceptional set
+        draw.integers(0, cfg.k, size=n), draw.uniform(-1.0, 1.0, size=(n, cfg.k))
+        draw.uniform(-1.0, 1.0, size=n)
+        drawn = int((draw.random(n) < 0.25).sum())
+        checks = {c["name"]: c for c in suites.run_blowup_suite(replace(cfg, samples=n))["checks"]}
+        assert checks["exceptional-invariance"]["passed"], n
+        _, _, exceptional = blowup.commutation_campaign(cfg.saddle_spec(), cfg.bump_profile(),
+                                                        n=n, seed=1, step=cfg.step)
+        assert exceptional == {"samples": max(drawn, 1), "left": 0, "first_left": None}
+        assert (drawn == 0) == (n in (1, 2, 4))
 
 
 def test_blowup_counters_count_every_lifted_pass():

@@ -162,6 +162,14 @@ class TestPropagate:
         assert mid.tobytes() == saddle.flow_slow(spec, BumpProfile.flat(rho0), x0, 0.4).tobytes()
         _, parts = cones.propagate(mid, 0.5, part, spec=spec, anosov=anosov, rho0=rho0)
         assert np.abs(whole - parts).max() < 1e-8
+        # both legs from x0 as rows of one pass, on a frame that the restricted
+        # block moves too: each row is its one-state call's
+        slowed = dict(spec=spec, anosov=anosov, rho0=rho0)
+        full = np.eye(model.dim)
+        ends, images = cones.propagate(np.stack([x0, x0]), [0.9, 0.4], full, **slowed)
+        for t, end, image in zip((0.9, 0.4), ends, images):
+            one_end, one_image = cones.propagate(x0, t, full, **slowed)
+            assert end.tobytes() == one_end.tobytes() and image.tobytes() == one_image.tobytes()
 
 
 @pytest.fixture(scope="module")

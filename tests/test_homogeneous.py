@@ -18,6 +18,18 @@ def _stack(draw, m=5):
     return np.stack([draw() for _ in range(m)])
 
 
+def _one_algebra_element(n, rng):
+    """One element drawn call by call: the reference of `random_algebra_element`'s stack."""
+    X = rng.standard_normal((n - 1, n - 1)) + 1j * rng.standard_normal((n - 1, n - 1))
+    A = 0.3 * 0.5 * (X - X.conj().T)
+    v = 0.3 * (rng.standard_normal((n - 1, 2)) + 1j * rng.standard_normal((n - 1, 2)))
+    b, c = rng.standard_normal(2) * 0.3
+    re_a = rng.standard_normal() * 0.3
+    a = re_a - 0.5j * np.trace(A).imag
+    D = np.array([[a, 1j * b], [1j * c, -np.conj(a)]], dtype=complex)
+    return hg.algebra_element(A, v, D, n)
+
+
 class TestFormsAndAlgebra:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_signatures(self, n):
@@ -52,6 +64,21 @@ class TestFormsAndAlgebra:
         assert np.abs(hg.algebra_element(A, v, D, n) - B).max() < 1e-14
         # lower-left is determined by the column pair
         assert np.abs(B[:, n - 1:, : n - 1] + hg.J0 @ v.conj().swapaxes(-1, -2)).max() == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    @pytest.mark.parametrize("m", [1, 20])
+    def test_stacked_draw_equals_single_calls(self, n, m):
+        # one block of normals, in the order of m single calls: the same
+        # elements bit for bit, and the generator left in the same state
+        stacked, single = np.random.default_rng(5), np.random.default_rng(5)
+        B = hg.random_algebra_element(n, stacked, m)
+        assert B.shape == (m, n + 1, n + 1)
+        assert B.tobytes() == _stack(lambda: _one_algebra_element(n, single), m).tobytes()
+        assert stacked.bit_generator.state == single.bit_generator.state
+        one = hg.random_algebra_element(n, stacked)
+        assert one.shape == (n + 1, n + 1)
+        assert one.tobytes() == _one_algebra_element(n, single).tobytes()
+        assert stacked.bit_generator.state == single.bit_generator.state
 
     def test_hermitian_perturbation_rejected(self, rng):
         B = _stack(lambda: hg.random_algebra_element(3, rng))

@@ -284,6 +284,22 @@ class TestVariational:
             p1, J1 = saddle.variational_flow_slow(spec4, profile, row, 0.8, step=0.01)
             assert (p == p1).all() and (Jm == J1).all()
 
+    def test_per_row_times_match_single_points(self, spec4, profile):
+        # one pass over rows of their own times, zero and negative included;
+        # an escape names its row and time, as a lone call's
+        x = np.random.default_rng(10).uniform(-0.15, 0.15, size=(4, 4))
+        times = [0.8, 0.3, 0.0, -0.5]
+        points, J = saddle.variational_flow_slow(spec4, profile, x, times, step=0.01)
+        for row, t, p, Jm in zip(x, times, points, J):
+            p1, J1 = saddle.variational_flow_slow(spec4, profile, row, t, step=0.01)
+            assert p.tobytes() == p1.tobytes() and Jm.tobytes() == J1.tobytes()
+        far = np.array([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5]])
+        with pytest.raises(DomainEscape) as err:
+            saddle.variational_flow_slow(spec4, BumpProfile.flat(1.0), far, [0.1, 2.0])
+        with pytest.raises(DomainEscape) as lone:
+            saddle.variational_flow_slow(spec4, BumpProfile.flat(1.0), far[1], 2.0)
+        assert (err.value.row, err.value.time) == (1, lone.value.time)
+
     @pytest.mark.parametrize("k", [4, 8])
     @pytest.mark.parametrize("flat", [False, True], ids=["bump", "flat"])
     def test_points_equal_flow_slow(self, k, flat):
@@ -914,6 +930,9 @@ class _FixedWidthShell(BumpProfile):
             return super().value_and_slope(s)
         # the profile of width 0.05, shifted from 0.05 to delta
         return BumpProfile(0.05, self.rho0).value_and_slope(np.asarray(s) - self.delta + 0.05)
+
+    def array_value(self, s):
+        return self.value_and_slope(s)[0]
 
 
 def test_shell_not_proportional_to_delta_fails_the_rescaling_leg(monkeypatch):
