@@ -20,9 +20,8 @@ The radial power atlas (Katok-Lewis) declares u -> |u|^alpha u a chart near
 the origin.  With alpha = -(k-1)/k the pulled-back volume density becomes
 bounded away from zero on the exceptional set.
 
-Every operation takes a `BlowupPoint` that is one point or a batch, and has
-one formula, written for a batch: a point is computed as its one-row batch,
-so each row of a batch equals its one-point call bit for bit.
+Every operation takes a `BlowupPoint` batch and returns one value per row;
+the rows are independent, so each equals its one-row call bit for bit.
 """
 
 from __future__ import annotations
@@ -40,66 +39,50 @@ _CHART_SWITCH = 1.05  # hysteresis: transition once an affine coordinate passes 
 
 @dataclass(frozen=True)
 class BlowupPoint:
-    """Chart-indexed point of the blown-up disk, or a batch of them.
+    """A batch of chart-indexed points of the blown-up disk.
 
-    A point is an int `chart`, the 0-based index of the radial coordinate,
-    with `u` of shape (k,).  A batch has one chart per row (an int applies
-    to every row) and `u` of shape (n, k); len() is its row count and
-    indexing picks rows.  Under the canonical chart-selection rule
-    (dominant coordinate of the underlying line, ties to the smallest
-    index) the affine coordinates satisfy |u_j| <= 1.
+    `u` has shape (n, k), and `chart` holds the 0-based index of each row's
+    radial coordinate (an int applies to every row).  len() is the row
+    count, and a slice, mask or index array picks rows.  Under the
+    canonical chart-selection rule (dominant coordinate of the underlying
+    line, ties to the smallest index) the affine coordinates satisfy
+    |u_j| <= 1.
     """
 
-    chart: int | np.ndarray
+    chart: np.ndarray
     u: np.ndarray
 
     def __post_init__(self):
         u = np.asarray(self.u, dtype=float)
-        if u.ndim not in (1, 2):
-            raise ValueError(f"u must have shape (k,) or (n, k), not {u.shape}")
-        chart = int(self.chart) if u.ndim == 1 else np.broadcast_to(
-            np.asarray(self.chart, dtype=int), u.shape[:1])
+        if u.ndim != 2:
+            raise ValueError(f"u must have shape (n, k), not {u.shape}")
+        chart = np.broadcast_to(np.asarray(self.chart, dtype=int), u.shape[:1])
         object.__setattr__(self, "u", u)
         object.__setattr__(self, "chart", chart)
-        charts = np.atleast_1d(chart)
-        bad = (charts < 0) | (charts >= u.shape[-1])
+        bad = (chart < 0) | (chart >= u.shape[1])
         if bad.any():
             m = int(np.argmax(bad))
-            raise ValueError(f"chart index {charts[m]} of row {m} out of range for "
-                             f"k={u.shape[-1]}")
+            raise ValueError(f"chart index {chart[m]} of row {m} out of range for k={u.shape[1]}")
 
     @property
     def k(self):
-        return self.u.shape[-1]
+        return self.u.shape[1]
 
     def __len__(self):
-        if self.u.ndim == 1:
-            raise TypeError("a single BlowupPoint has no len(); use .batch()")
         return len(self.u)
 
     def __getitem__(self, rows):
-        """Row m of a batch as a point; a slice, mask or index array as a batch."""
         return BlowupPoint(self.chart[rows], self.u[rows])
-
-    def batch(self):
-        """A point as its one-row batch; a batch as it is."""
-        return self if self.u.ndim == 2 else BlowupPoint(np.array([self.chart]), self.u[None])
-
-    def like(self, values):
-        """Per-row values of `batch()` in the shape of self: a point keeps row 0."""
-        return values if self.u.ndim == 2 else values[0]
 
     def radial(self):
         """The radial coordinate u_chart of each row."""
-        b = self.batch()
-        return self.like(b.u[np.arange(len(b)), b.chart])
+        return self.u[np.arange(len(self)), self.chart]
 
     def line(self):
         """Homogeneous line coordinates (1 in the chart slot)."""
-        b = self.batch()
-        ell = b.u.copy()
-        ell[np.arange(len(b)), b.chart] = 1.0
-        return self.like(ell)
+        ell = self.u.copy()
+        ell[np.arange(len(self)), self.chart] = 1.0
+        return ell
 
 
 def _blowdown(charts, U):
@@ -112,17 +95,15 @@ def _blowdown(charts, U):
 
 def blowdown(p: BlowupPoint) -> np.ndarray:
     """Project to D^k: x_j = u_j u_i, x_i = u_i.  Collapses {u_i = 0} to 0."""
-    b = p.batch()
-    return p.like(_blowdown(b.chart, b.u))
+    return _blowdown(p.chart, p.u)
 
 
 def lift(x) -> BlowupPoint:
-    """Canonical chart representative of a nonzero point of D^k, or of each row of a batch.
+    """Canonical chart representative of each row of an (n, k) batch of points of D^k.
 
     Raises ValueError naming the first row at the origin.
     """
-    x = np.asarray(x, dtype=float)
-    X = np.atleast_2d(x)
+    X = np.asarray(x, dtype=float)
     origin = ~X.any(axis=1)
     if origin.any():
         raise ValueError(f"row {int(np.argmax(origin))} is the origin, which has no "
@@ -131,8 +112,7 @@ def lift(x) -> BlowupPoint:
     charts = np.argmax(np.abs(X), axis=1)  # argmax takes the smallest index on ties
     u = X / X[rows, charts][:, None]
     u[rows, charts] = X[rows, charts]
-    p = BlowupPoint(charts, u)
-    return p if x.ndim == 2 else p[0]
+    return BlowupPoint(charts, u)
 
 
 def chart_transition(p: BlowupPoint, target) -> BlowupPoint:
@@ -143,21 +123,20 @@ def chart_transition(p: BlowupPoint, target) -> BlowupPoint:
     its coordinates.  Raises ValueError naming the first row whose
     u[target] vanishes.
     """
-    b = p.batch()
-    rows = np.arange(len(b))
-    target = np.broadcast_to(np.asarray(target, dtype=int), len(b))
-    stay = target == b.chart
-    t = b.u[rows, target]
+    rows = np.arange(len(p))
+    target = np.broadcast_to(np.asarray(target, dtype=int), len(p))
+    stay = target == p.chart
+    t = p.u[rows, target]
     vanish = (t == 0.0) & ~stay
     if vanish.any():
         m = int(np.argmax(vanish))
         raise ValueError(f"row {m}: line coordinate u[{target[m]}] vanishes; "
                          f"chart {target[m]} undefined here")
     t = np.where(stay, 1.0, t)
-    u = b.u / t[:, None]
-    u[rows, b.chart] = 1.0 / t
-    u[rows, target] = t * b.u[rows, b.chart]
-    return p.like(BlowupPoint(target, u))
+    u = p.u / t[:, None]
+    u[rows, p.chart] = 1.0 / t
+    u[rows, target] = t * p.u[rows, p.chart]
+    return BlowupPoint(target, u)
 
 
 def transition_jacobian(p: BlowupPoint, target) -> np.ndarray:
@@ -166,21 +145,20 @@ def transition_jacobian(p: BlowupPoint, target) -> np.ndarray:
     With t = u[target]: row target holds t and u_chart, column target -line / t^2,
     the other diagonal entries 1/t (0 at the chart); a row that stays gets the identity.
     """
-    b = p.batch()
-    n, k = b.u.shape
+    n, k = p.u.shape
     rows, diag = np.arange(n), np.arange(k)
     target = np.broadcast_to(np.asarray(target, dtype=int), n)
-    stay = b.chart == target
-    t = np.where(stay, 1.0, b.u[rows, target])[:, None]
+    stay = p.chart == target
+    t = np.where(stay, 1.0, p.u[rows, target])[:, None]
     J = np.zeros((n, k, k))
     J[:, diag, diag] = 1.0 / t
-    J[rows, b.chart, b.chart] = 0.0
-    J[rows, :, target] = -b.line() / t**2
+    J[rows, p.chart, p.chart] = 0.0
+    J[rows, :, target] = -p.line() / t**2
     J[rows, target, :] = 0.0
-    J[rows, target, target] = b.u[rows, b.chart]
-    J[rows, target, b.chart] = t[:, 0]
+    J[rows, target, target] = p.u[rows, p.chart]
+    J[rows, target, p.chart] = t[:, 0]
     J[stay] = np.eye(k)
-    return p.like(J)
+    return J
 
 
 # ---------------------------------------------------------------------------
@@ -219,13 +197,13 @@ class LiftedSaddle:
 
 
 def lifted_slow_flow(spec, profile, p: BlowupPoint, t, step=DEFAULT_STEP):
-    """Flow the blown-up slow-down field for time t, switching charts as needed.
+    """Flow the batch p by the blown-up slow-down field for time t, switching charts as needed.
 
     Commutes with the flow downstairs through the blow-down map; the
     exceptional set is invariant (u_i multiplies its own derivative, so
     u_i = 0 is preserved exactly, stage by stage).
     """
-    return p.like(_lifted_flow_batch(spec, profile, p.batch(), t, step=step))
+    return _lifted_flow_batch(spec, profile, p, t, step=step)
 
 
 def _lifted_flow_batch(spec, profile, points: BlowupPoint, t, step=DEFAULT_STEP, counters=None):
@@ -418,7 +396,7 @@ def pullback_volume_density(p: BlowupPoint):
     Signed: the sign records the chart orientation.  Equals the determinant
     of the blow-down Jacobian.
     """
-    return p.like(p.batch().radial() ** (p.k - 1))
+    return p.radial() ** (p.k - 1)
 
 
 @dataclass(frozen=True)
@@ -440,9 +418,8 @@ class KLStructure:
 
 def f_alpha(kl: KLStructure, p: BlowupPoint):
     """(1 + sum of affine coordinate squares)^(alpha/2)."""
-    b = p.batch()
-    s2 = np.sum(b.u**2, axis=1) - b.radial() ** 2
-    return p.like((1.0 + s2) ** (kl.alpha / 2.0))
+    s2 = np.sum(p.u**2, axis=1) - p.radial() ** 2
+    return (1.0 + s2) ** (kl.alpha / 2.0)
 
 
 def kl_density(kl: KLStructure, p: BlowupPoint):
@@ -454,8 +431,7 @@ def kl_density(kl: KLStructure, p: BlowupPoint):
     is 1 when the powers cancel, else 0 or inf by the sign of the power.
     """
     k, a = kl.k, kl.alpha
-    b = p.batch()
-    ui = b.radial()
+    ui = p.radial()
     power = k * a + k - 1
     cancel = abs(power) < 1e-12
     exceptional = 1.0 if cancel else 0.0 if power > 0 else math.inf
@@ -463,22 +439,19 @@ def kl_density(kl: KLStructure, p: BlowupPoint):
         radial = np.where(ui == 0.0, exceptional,
                           np.sign(ui) ** (k - 1) if cancel
                           else np.abs(ui) ** (k * a) * ui ** (k - 1))
-    return p.like((a + 1.0) * f_alpha(kl, b) ** k * radial)
+    return (a + 1.0) * f_alpha(kl, p) ** k * radial
 
 
 def kl_chart_map(kl: KLStructure, p: BlowupPoint) -> np.ndarray:
     """Disk coordinates of the power-atlas chart: f |u_i|^alpha * blowdown."""
-    b = p.batch()
-    ui = b.radial()
-    scale = f_alpha(kl, b) * np.abs(ui) ** (1.0 + kl.alpha) * np.sign(ui)
-    return p.like(scale[:, None] * b.line())
+    ui = p.radial()
+    scale = f_alpha(kl, p) * np.abs(ui) ** (1.0 + kl.alpha) * np.sign(ui)
+    return scale[:, None] * p.line()
 
 
 def new_norm(kl: KLStructure, x):
-    """Length |x|^(1+alpha) in the power atlas of a disk point, or of each row of a batch."""
-    x = np.asarray(x, dtype=float)
-    r = _radius(np.atleast_2d(x)) ** (1.0 + kl.alpha)
-    return r if x.ndim == 2 else r[0]
+    """Length |x|^(1+alpha) in the power atlas of each row of an (n, k) batch of disk points."""
+    return _radius(np.asarray(x, dtype=float)) ** (1.0 + kl.alpha)
 
 
 def kl_rate_check(spec, kl: KLStructure, rho0, seed=0):
@@ -504,7 +477,7 @@ def kl_rate_check(spec, kl: KLStructure, rho0, seed=0):
     # pure fastest-expansion direction for the regression
     e = np.zeros(k)
     e[int(np.argmax(spec.rates))] = 1e-3
-    logratio = np.log(new_norm(kl, amp * e) / new_norm(kl, e))
+    logratio = np.log(new_norm(kl, amp * e) / new_norm(kl, e[None]))
     return {
         "per_time_lower": float(per_time.min()),
         "per_time_upper": float(per_time.max()),

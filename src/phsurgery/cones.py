@@ -59,20 +59,17 @@ class ConeSpec:
 
 
 def angle_to_center(v, cone: ConeSpec):
-    """Product-metric angle between v (or rows of v) and the cone's center subspace."""
+    """Product-metric angle between each row of v and the cone's center subspace."""
     v = np.asarray(v, dtype=float)
-    single = v.ndim == 1
-    V = np.atleast_2d(v)
-    norms = np.linalg.norm(V, axis=1)
+    norms = np.linalg.norm(v, axis=1)
     if (norms == 0).any():
         raise ValueError("zero vector has no direction")
-    proj = np.linalg.norm(V @ cone.center, axis=1)
-    ang = np.arccos(np.clip(proj / norms, 0.0, 1.0))
-    return float(ang[0]) if single else ang
+    proj = np.linalg.norm(v @ cone.center, axis=1)
+    return np.arccos(np.clip(proj / norms, 0.0, 1.0))
 
 
 def in_cone(v, cone: ConeSpec):
-    """Whether v (or each row of v) lies strictly inside the cone."""
+    """Whether each row of v lies strictly inside the cone."""
     return angle_to_center(v, cone) < cone.aperture
 
 
@@ -169,20 +166,19 @@ def propagate(state, t, frame, *, spec, anosov, rho0, step=DEFAULT_STEP):
     """Apply the block tangent map of the uniformly slowed product to a frame.
 
     The disk block is the tangent map of the saddle slowed by the constant
-    rho0 at the disk point `state` (rho == rho0 must hold along the orbit);
-    the restricted block is the exact cocycle.  frame rows are model tangent
-    vectors; returns the disk point at time t and the propagated rows.  An
-    (n, k) batch of states (t one time or one per row) is one RK4 pass and
-    returns n points and n propagated frames, each its one-state call's.
+    rho0 at each disk point of the (n, k) batch `state` (rho == rho0 must
+    hold along the orbit); the restricted block is the exact cocycle.  frame
+    rows are model tangent vectors.  One RK4 pass (t one time or one per
+    row) returns the n points at their times and the n propagated frames,
+    each its one-row call's.
     """
     model = ProductModel(spec=spec, anosov=anosov)
-    frame = np.atleast_2d(np.asarray(frame, dtype=float))
-    if frame.shape[1] != model.dim:
-        raise ValueError(f"frame vectors have dimension {frame.shape[1]}, model {model.dim}")
+    frame = np.asarray(frame, dtype=float)
+    if frame.ndim != 2 or frame.shape[1] != model.dim:
+        raise ValueError(f"frame must hold rows of dimension {model.dim}, not shape {frame.shape}")
     end, J = saddle.variational_flow_slow(spec, saddle.BumpProfile.flat(rho0), state, t, step=step)
-    J = np.reshape(J, (-1, spec.k, spec.k))
     images = np.stack([frame @ M.T for M in model.full_maps(J, np.broadcast_to(t, len(J)))])
-    return end, images if np.ndim(state) == 2 else images[0]
+    return end, images
 
 
 def _frame_pass(maps, frame, cone):

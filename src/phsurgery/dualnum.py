@@ -110,9 +110,3 @@ def tangent(y):
 def partial(f, x, i):
     """Exact partial derivative of scalar f at point x (whose entries may be duals)."""
     return tangent(f(seed(x, i)))
-
-
-def jacobian(fs, x):
-    """Jacobian rows = component functions fs, columns = coordinates."""
-    n = len(x)
-    return [[tangent(f(seed(x, j))) for j in range(n)] for f in fs]

@@ -136,10 +136,6 @@ class Form:
         """Coefficient values at x as a dict; x holds floats, probe columns or duals of them."""
         return {idx: _at(f, x) for idx, f in self.coeffs.items()}
 
-    def coefficient(self, x, idx):
-        f = self.coeffs.get(tuple(idx))
-        return _at(f, x) if f is not None else 0.0
-
     def __add__(self, other):
         if (self.dim, self.degree) != (other.dim, other.degree):
             raise DegreeError("can only add forms of equal dimension and degree")

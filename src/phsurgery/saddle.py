@@ -11,7 +11,7 @@ dsigma/dt = rho(|exp(sigma A) x0|).  `time_change_transits` computes every
 annulus transit from that closed-form orbit; the RK4 transit `_transit_batch`,
 one pass of `_rk4_rows`, is kept as the measured oracle.  Both return one
 `TransitReport`, whose fields are arrays with a row per transit.  `_rk4_rows`
-is the one RK4 loop of the slowed flow, with its tangent map or without.
+is the one RK4 loop of the slowed flow and its tangent map.
 
 Scale invariance is the organizing fact: rhobar's transition has width delta
 by construction, so x -> x/delta conjugates the annulus dynamics at scale
@@ -267,10 +267,8 @@ DEFAULT_STEP = 1e-3  # time units; the slowed field has O(1) time derivatives
 
 
 def _field(spec, profile, x):
-    """rho(x) X(x) for a single point or an (n, k) batch."""
-    x = np.asarray(x, dtype=float)
-    rho = profile(x)
-    return (np.asarray(spec.rates) * x) * (rho[..., None] if np.ndim(rho) else rho)
+    """rho(x) X(x) on an (n, k) batch."""
+    return (np.asarray(spec.rates) * x) * profile(x)[:, None]
 
 
 def _field_and_jacobian(spec, profile, x):
@@ -354,7 +352,7 @@ def _tangent_field(spec, profile, y):
     return out
 
 
-def _rk4_rows(spec, profile, blocks, tangent=True):
+def _rk4_rows(spec, profile, blocks):
     """One fixed-step RK4 pass of rows over stacked blocks, packed [x | vec J], J(0) = Id.
 
     A block (x, delta, h, nsteps, transit) gives (n, k) points their delta,
@@ -362,17 +360,15 @@ def _rk4_rows(spec, profile, blocks, tangent=True):
     on a sphere, moving in) stops on the step after which |x| leaves (delta,
     2 delta); after the loop one `_bisect_crossing` call finds every crossing
     time in (0, h] and one step takes the rows there.  A row stops on reaching
-    the unit sphere.  Without `tangent` a row is its point alone, and J is
-    (n, 0, k).  Returns per block (x, J, t, stop), stop per row "outer",
-    "inner", "escape" or "trapped" (all steps taken), and counters.
+    the unit sphere.  Returns per block (x, J, t, stop), stop per row
+    "outer", "inner", "escape" or "trapped" (all steps taken), and counters.
     """
     sizes = [len(b[0]) for b in blocks]
     delta, h, nsteps, transit = (np.concatenate([np.broadcast_to(v, m) for v, m in zip(c, sizes)])
                                  for c in list(zip(*blocks))[1:])
     x = np.vstack([b[0] for b in blocks]).astype(float)
     n, k = x.shape
-    state = np.hstack([x, np.tile(np.eye(k).ravel(), (n, 1))]) if tangent else x
-    field = _tangent_field if tangent else _field
+    state = np.hstack([x, np.tile(np.eye(k).ravel(), (n, 1))])
     counters = dict.fromkeys(("rk4_iterations", "row_steps", "bisection_steps"), 0)
     t, target = np.zeros(n), np.zeros(n)
     stop = np.where(_radius(x) >= 1.0, "escape", "trapped")
@@ -384,10 +380,10 @@ def _rk4_rows(spec, profile, blocks, tangent=True):
             half, sixth = 0.5 * hi, hi / 6.0  # `rk4_step`'s stage factors, once per row set
             tr, left, last = transit[idx], nsteps[idx], nsteps[idx].min()
         y = state[idx]
-        k1 = field(spec, p, y)
-        k2 = field(spec, p, y + half * k1)
-        k3 = field(spec, p, y + half * k2)
-        k4 = field(spec, p, y + hi * k3)
+        k1 = _tangent_field(spec, p, y)
+        k2 = _tangent_field(spec, p, y + half * k1)
+        k3 = _tangent_field(spec, p, y + half * k2)
+        k4 = _tangent_field(spec, p, y + hi * k3)
         sn = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         counters["rk4_iterations"] += 1
         counters["row_steps"] += len(idx)
@@ -414,44 +410,50 @@ def _rk4_rows(spec, profile, blocks, tangent=True):
     if len(rows := np.flatnonzero(target)):
         p = replace(profile, delta=delta[rows])
         tau = _bisect_crossing(spec, p, state[rows, :k], h[rows], target[rows], counters)
-        state[rows] = rk4_step(lambda _, y: field(spec, p, y), 0.0, state[rows], tau[:, None])
+        state[rows] = rk4_step(lambda _, y: _tangent_field(spec, p, y), 0.0, state[rows],
+                               tau[:, None])
         t[rows] += tau
         counters["rk4_iterations"] += 1
         counters["row_steps"] += len(rows)
-    columns = (state[:, :k], state[:, k:].reshape(n, -1, k), t, stop)
+    columns = (state[:, :k], state[:, k:].reshape(n, k, k), t, stop)
     return list(zip(*(np.split(v, np.cumsum(sizes)[:-1]) for v in columns))), counters
 
 
-def _flow_rows(spec, profile, x, t, step, tangent):
-    """(points, J) after time t, one or one per row; DomainEscape names the first escape."""
+def _flow_rows(spec, profile, x, t, step):
+    """(points, J) of the (n, k) rows x after time t, one or one per row.
+
+    DomainEscape names the first escape.
+    """
     x = np.asarray(x, dtype=float)
-    t = np.broadcast_to(t, len(np.atleast_2d(x)))
+    t = np.broadcast_to(t, len(x))
     nsteps, h = np.array([_fixed_steps(s, step) if s else (0, 0.0) for s in t]).T
     [(points, J, times, stop)], _ = _rk4_rows(spec, profile, [
-        (np.atleast_2d(x), profile.delta, h, nsteps.astype(int), False)], tangent)
+        (x, profile.delta, h, nsteps.astype(int), False)])
     _raise_first_escape([(times[i], points[i], int(i)) for i in np.flatnonzero(stop == "escape")])
-    return (points, J) if x.ndim == 2 else (points[0], J[0])
+    return points, J
 
 
 def flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow of x' = rho(x) X(x) for time t (either sign), fixed-step RK4.
 
-    x is a point or an (n, k) batch, t one time or one per row; each row gives
-    its own one-point call's result, and `variational_flow_slow`'s points, bit for bit.
-    Raises DomainEscape as soon as a row reaches the unit sphere.  For rho == 1
-    this reproduces the closed form exp(t diag(rates)) x.
+    The points of `variational_flow_slow`, without its orientation check: x is
+    an (n, k) batch and t one time or one per row, and each row equals its
+    one-row call bit for bit.  Raises DomainEscape as soon as a row reaches
+    the unit sphere.  For rho == 1 this reproduces the closed form
+    exp(t diag(rates)) x.
     """
-    return _flow_rows(spec, profile, x, t, step, tangent=False)[0]
+    return _flow_rows(spec, profile, x, t, step)[0]
 
 
 def variational_flow_slow(spec, profile, x, t, step=DEFAULT_STEP):
     """Flow together with its tangent map J(t), J' = D(rho X) J, J(0) = Id.
 
-    x is a point or an (n, k) batch, t one time or one per row; returns (point, J)
-    with J of shape (k, k) or (n, k, k), each row equal to its own one-point call.
-    J stays orientation preserving; non-finite entries abort with diagnostics.
+    x is an (n, k) batch and t one time or one per row; returns the (n, k)
+    points and the (n, k, k) maps, each row equal to its one-row call bit for
+    bit.  J stays orientation preserving; non-finite entries abort with
+    diagnostics.
     """
-    points, J = _flow_rows(spec, profile, x, t, step, tangent=True)
+    points, J = _flow_rows(spec, profile, x, t, step)
     if (np.linalg.det(J) <= 0).any():
         raise FloatingPointError("tangent map lost orientation")
     return points, J
@@ -621,19 +623,18 @@ def _clock_time(x2, a, sigma, profile):
 def slowed_clock(spec, profile, x0, t, counters=None):
     """Exact points of the slowed flow: row m of the (n, k) batch x0 after time t[m].
 
-    t is one time or one per row; a point x0 is its one-row batch.  The
-    orbit is exp(sigma A) x0, and sigma solves T(sigma) = t, where
-    T(sigma) = int_0^sigma ds / rho(|exp(s A) x0|) is evaluated by the
-    quadrature of `time_change_transits`.  rho lies between rho0 and 1, so
-    [rho0 t, t] (ordered) brackets the root.  Newton's step sigma += (t - T) rho
-    starts from rho(|x0|) t; each evaluation narrows the bracket, and a step
-    that leaves it is replaced by bisection.  A row stops once its Newton step
-    is below 1e-9 sigma (the next is below rounding) or its bracket has
-    closed.  A row at the origin stays there.  Adds `clock_rows` and
-    `clock_newton_iterations` (batched iterations) into the dict `counters`,
-    if given.
+    t is one time or one per row.  The orbit is exp(sigma A) x0, and sigma
+    solves T(sigma) = t, where T(sigma) = int_0^sigma ds / rho(|exp(s A) x0|)
+    is evaluated by the quadrature of `time_change_transits`.  rho lies
+    between rho0 and 1, so [rho0 t, t] (ordered) brackets the root.  Newton's
+    step sigma += (t - T) rho starts from rho(|x0|) t; each evaluation
+    narrows the bracket, and a step that leaves it is replaced by bisection.
+    A row stops once its Newton step is below 1e-9 sigma (the next is below
+    rounding) or its bracket has closed.  A row at the origin stays there.
+    Adds `clock_rows` and `clock_newton_iterations` (batched iterations)
+    into the dict `counters`, if given.
     """
-    x0 = np.atleast_2d(np.asarray(x0, dtype=float))
+    x0 = np.asarray(x0, dtype=float)
     a = np.asarray(spec.rates)
     x2 = x0 * x0
     t = np.broadcast_to(np.asarray(t, dtype=float), len(x0))
@@ -784,18 +785,15 @@ def transit_campaign(spec, profile, n_entries, seed):
 
 
 def shear_bound_margin(spec, profile, x, v):
-    """Margin of <D(rho X) v, v> <= (C2 |grad rho| |x| + C3) |v|^2 at a point or per row.
+    """Margin of <D(rho X) v, v> <= (C2 |grad rho| |x| + C3) |v|^2 per row of (n, k) x and v.
 
-    x and v are one point and vector, or (n, k) rows of each.  C2 =
-    max|rates| and C3 = log(mu') depend only on the saddle.  Returns rhs -
-    lhs (nonnegative when the bound holds), one per row of a batch.
+    C2 = max|rates| and C3 = log(mu') depend only on the saddle.  Returns
+    rhs - lhs per row (nonnegative where the bound holds).
     """
-    x = np.asarray(x, dtype=float)
-    X, V = np.atleast_2d(x), np.atleast_2d(np.asarray(v, dtype=float))
-    A = _field_and_jacobian(spec, profile, X)[1]
-    lhs = (V[:, None, :] @ A @ V[:, :, None])[:, 0, 0]
-    r = _radius(X)
+    x, v = np.asarray(x, dtype=float), np.asarray(v, dtype=float)
+    A = _field_and_jacobian(spec, profile, x)[1]
+    lhs = (v[:, None, :] @ A @ v[:, :, None])[:, 0, 0]
+    r = _radius(x)
     c2 = max(abs(np.asarray(spec.rates)))
     c3 = math.log(spec.mu_prime)
-    margin = (c2 * np.abs(profile.slope(r)) * r + c3) * np.vecdot(V, V) - lhs
-    return margin if x.ndim == 2 else float(margin[0])
+    return (c2 * np.abs(profile.slope(r)) * r + c3) * np.vecdot(v, v) - lhs

@@ -28,62 +28,60 @@ def profile():
 
 class TestCharts:
     def test_blowdown_formula(self):
-        p = BlowupPoint(chart=0, u=np.array([0.1, 0.5]))
-        assert blowup.blowdown(p) == pytest.approx([0.1, 0.05])
+        p = BlowupPoint(chart=0, u=np.array([[0.1, 0.5]]))
+        assert blowup.blowdown(p)[0] == pytest.approx([0.1, 0.05])
 
     def test_exceptional_collapses(self):
-        p = BlowupPoint(chart=1, u=np.array([0.7, 0.0, -0.2]))
-        assert blowup.blowdown(p) == pytest.approx([0.0, 0.0, 0.0])
+        p = BlowupPoint(chart=1, u=np.array([[0.7, 0.0, -0.2]]))
+        assert blowup.blowdown(p)[0] == pytest.approx([0.0, 0.0, 0.0])
 
     def test_lift_formula_and_ties(self):
-        q = blowup.lift(np.array([0.3, 0.1]))
-        assert q.chart == 0
-        assert q.u == pytest.approx([0.3, 1 / 3])
-        tie = blowup.lift(np.array([0.1, 0.1]))
-        assert tie.chart == 0
+        q = blowup.lift(np.array([[0.3, 0.1], [0.1, 0.1]]))
+        assert q.chart.tolist() == [0, 0]  # row 1 is a tie
+        assert q.u[0] == pytest.approx([0.3, 1 / 3])
 
     def test_lift_rejects_origin(self):
         with pytest.raises(ValueError):
-            blowup.lift(np.zeros(3))
+            blowup.lift(np.zeros((1, 3)))
 
     def test_transition_example(self):
-        p = BlowupPoint(chart=0, u=np.array([0.1, 0.5]))
+        p = BlowupPoint(chart=0, u=np.array([[0.1, 0.5]]))
         q = blowup.chart_transition(p, 1)
-        assert q.chart == 1
-        assert q.u == pytest.approx([2.0, 0.05])
-        assert blowup.blowdown(q) == pytest.approx(blowup.blowdown(p))
+        assert q.chart[0] == 1
+        assert q.u[0] == pytest.approx([2.0, 0.05])
+        assert blowup.blowdown(q)[0] == pytest.approx(blowup.blowdown(p)[0])
 
     def test_transition_identity_and_inverse(self):
-        p = BlowupPoint(chart=0, u=np.array([0.1, 0.5, -0.3]))
+        p = BlowupPoint(chart=0, u=np.array([[0.1, 0.5, -0.3]]))
         same = blowup.chart_transition(p, 0)
-        assert same.u == pytest.approx(p.u)
+        assert same.u[0] == pytest.approx(p.u[0])
         q = blowup.chart_transition(blowup.chart_transition(p, 2), 0)
-        assert q.u == pytest.approx(p.u, abs=1e-12)
+        assert q.u[0] == pytest.approx(p.u[0], abs=1e-12)
 
     def test_transition_rejects_vanishing_line(self):
-        p = BlowupPoint(chart=0, u=np.array([0.1, 0.0]))
+        p = BlowupPoint(chart=0, u=np.array([[0.1, 0.0]]))
         with pytest.raises(ValueError):
             blowup.chart_transition(p, 1)
 
     @settings(max_examples=100, derandomize=True)
     @given(st.lists(st.floats(min_value=-0.7, max_value=0.7), min_size=2, max_size=4))
     def test_roundtrip_property(self, coords):
-        x = np.asarray(coords)
+        x = np.asarray([coords])
         if np.linalg.norm(x) < 1e-6 or np.linalg.norm(x) >= 1:
             return
         p = blowup.lift(x)
         assert np.linalg.norm(blowup.blowdown(p) - x) < 1e-14
-        assert np.abs(np.delete(p.u, p.chart)).max() <= 1 + 1e-12
+        assert np.abs(np.delete(p.u[0], p.chart[0])).max() <= 1 + 1e-12
 
     def test_transition_jacobian_matches_fd(self):
-        p = BlowupPoint(chart=0, u=np.array([0.2, 0.5, -0.4]))
-        J = blowup.transition_jacobian(p, 1)
+        p = BlowupPoint(chart=0, u=np.array([[0.2, 0.5, -0.4]]))
+        J = blowup.transition_jacobian(p, 1)[0]
         eps = 1e-7
         for i in range(3):
             e = np.zeros(3)
             e[i] = eps
             col = (blowup.chart_transition(BlowupPoint(0, p.u + e), 1).u
-                   - blowup.chart_transition(BlowupPoint(0, p.u - e), 1).u) / (2 * eps)
+                   - blowup.chart_transition(BlowupPoint(0, p.u - e), 1).u)[0] / (2 * eps)
             assert J[:, i] == pytest.approx(col, abs=1e-6)
 
     def test_transition_jacobians_equal_entrywise_formula(self):
@@ -104,8 +102,8 @@ class TestCharts:
                 else:
                     ref[l, l], ref[l, tgt] = 1.0 / t, -U[m, l] / t**2
             assert (J[m] == ref).all()
-            one = blowup.transition_jacobian(BlowupPoint(int(i), U[m]), int(tgt))
-            assert (one == J[m]).all()
+            one = blowup.transition_jacobian(BlowupPoint(int(i), U[m:m + 1]), int(tgt))
+            assert (one[0] == J[m]).all()
 
     @pytest.mark.parametrize("rates", [(-1.0, 1.0), (-1.0, -1.0, 1.0, 1.0),
                                        (-1.0,) * 4 + (1.0,) * 4, (-1.3, 0.7, 0.2, -0.4)])
@@ -117,7 +115,7 @@ class TestCharts:
         d = blowup._chart_rate_matrix(rates)
         for i in range(k):
             phi = [lambda u, m=m: u[m] * u[i] if m != i else u[i] for m in range(k)]
-            J = np.array(dualnum.jacobian(phi, probe))
+            J = np.array([[dualnum.partial(f, probe, j) for j in range(k)] for f in phi])
             x = np.array([f(probe) for f in phi])
             udot = np.linalg.solve(J, np.asarray(rates) * x)
             assert np.abs(udot / np.asarray(probe) - d[i]).max() < 1e-12
@@ -128,7 +126,7 @@ def _bits(a):
 
 
 class TestPointOrBatch:
-    """Every operation on a batch equals its rows' one-point calls bit for bit."""
+    """Every operation on a batch equals its rows' one-row calls bit for bit."""
 
     @pytest.fixture()
     def batch(self):
@@ -161,14 +159,14 @@ class TestPointOrBatch:
         rows = fn(p)
         assert len(rows) == len(p)
         for m in range(len(p)):
-            assert _bits(fn(p[m])) == _bits(rows[m])
+            assert _bits(fn(p[m:m + 1])) == _bits(rows[m])
 
     def test_exceptional_rows_of_kl_density(self, batch):
         p, _ = batch
         assert blowup.kl_density(KLStructure(4, -0.9), p)[3] == math.inf
         assert blowup.kl_density(KLStructure(4, 0.0), p)[3] == 0.0
         cancel = blowup.kl_density(KLStructure.volume_nondegenerate(4), p)[3]
-        assert cancel == 0.25 * blowup.f_alpha(KLStructure.volume_nondegenerate(4), p[3]) ** 4
+        assert cancel == 0.25 * blowup.f_alpha(KLStructure.volume_nondegenerate(4), p[3:4])[0] ** 4
 
     def test_transitions_and_jacobians(self, batch):
         p, targets = batch
@@ -176,9 +174,9 @@ class TestPointOrBatch:
         J = blowup.transition_jacobian(p, targets)
         assert (q.chart == targets).all()
         for m in range(len(p)):
-            one = blowup.chart_transition(p[m], int(targets[m]))
-            assert one.chart == q.chart[m] and _bits(one.u) == _bits(q.u[m])
-            assert _bits(blowup.transition_jacobian(p[m], int(targets[m]))) == _bits(J[m])
+            one = blowup.chart_transition(p[m:m + 1], int(targets[m]))
+            assert one.chart[0] == q.chart[m] and _bits(one.u) == _bits(q.u[m])
+            assert _bits(blowup.transition_jacobian(p[m:m + 1], int(targets[m]))) == _bits(J[m])
         assert _bits(q.u[:4]) == _bits(p.u[:4])  # target == chart keeps the row
         assert q.radial()[5] == 0.0  # the exceptional set maps to itself
 
@@ -189,9 +187,9 @@ class TestPointOrBatch:
         x = x[np.abs(x).max(axis=1) > 0]
         lifted, norms = blowup.lift(x), blowup.new_norm(kl, x)
         for m in range(len(x)):
-            one = blowup.lift(x[m])
-            assert one.chart == lifted.chart[m] and _bits(one.u) == _bits(lifted.u[m])
-            assert _bits(blowup.new_norm(kl, x[m])) == _bits(norms[m])
+            one = blowup.lift(x[m:m + 1])
+            assert one.chart[0] == lifted.chart[m] and _bits(one.u) == _bits(lifted.u[m])
+            assert _bits(blowup.new_norm(kl, x[m:m + 1])) == _bits(norms[m])
 
     def test_errors_name_the_first_bad_row(self):
         p = BlowupPoint([0, 1, 1, 1], [[0.1, 0.5], [0.2, 0.3], [0.0, 0.4], [0.0, 0.1]])
@@ -203,11 +201,14 @@ class TestPointOrBatch:
             BlowupPoint([0, 2], np.zeros((2, 2)))
 
     def test_len_and_rows(self, batch):
+        # a point is a one-row batch: u of shape (k,), and so an int row index, is refused
         p, _ = batch
-        assert len(p) == 12 and len(p[2:5]) == 3 and p[7].chart == 3
-        with pytest.raises(TypeError):
-            len(p[0])
-        assert p[0].batch().u.shape == (1, 4)
+        assert len(p) == 12 and len(p[2:5]) == 3 and p[7:8].chart.tolist() == [3]
+        assert p[:1].u.shape == (1, 4)
+        with pytest.raises(ValueError, match=r"shape \(n, k\), not \(4,\)"):
+            p[0]
+        with pytest.raises(ValueError, match=r"shape \(n, k\), not \(2,\)"):
+            BlowupPoint(0, np.array([0.1, 0.5]))
 
 
 def _mixed_points():
@@ -341,23 +342,23 @@ class TestLiftedField:
 
 class TestLiftedFlow:
     def test_exceptional_invariance(self, spec2, profile):
-        p = BlowupPoint(chart=0, u=np.array([0.0, 0.4]))
+        p = BlowupPoint(chart=0, u=np.array([[0.0, 0.4]]))
         q = blowup.lifted_slow_flow(spec2, profile, p, 2.0)
-        assert q.u[q.chart] == 0.0
+        assert q.radial()[0] == 0.0
 
     def test_chart_closed_form_unperturbed(self, spec2):
         # chart of the contracting axis: radial rate -1, affine rate +2
         flat = BumpProfile.flat(1.0)
-        p = BlowupPoint(chart=0, u=np.array([0.01, 0.2]))
+        p = BlowupPoint(chart=0, u=np.array([[0.01, 0.2]]))
         q = blowup.lifted_slow_flow(spec2, flat, p, 0.5)
-        assert q.u[0] == pytest.approx(0.01 * math.exp(-0.5), rel=1e-10)
-        assert q.u[1] == pytest.approx(0.2 * math.exp(1.0), rel=1e-10)
+        assert q.u[0, 0] == pytest.approx(0.01 * math.exp(-0.5), rel=1e-10)
+        assert q.u[0, 1] == pytest.approx(0.2 * math.exp(1.0), rel=1e-10)
 
     def test_commutation_with_chart_switch(self, spec2, profile):
-        p = BlowupPoint(chart=0, u=np.array([0.02, 0.9]))
+        p = BlowupPoint(chart=0, u=np.array([[0.02, 0.9]]))
         q = blowup.lifted_slow_flow(spec2, profile, p, 1.2)
         x = saddle.flow_slow(spec2, profile, blowup.blowdown(p), 1.2)
-        assert q.chart == 1  # the expanding affine coordinate took over
+        assert q.chart[0] == 1  # the expanding affine coordinate took over
         assert np.linalg.norm(blowup.blowdown(q) - x) < 1e-10
 
     def test_commutation_campaign(self, spec4, profile):
@@ -396,9 +397,9 @@ class TestLiftedFlow:
         end = blowup._lifted_flow_batch(spec4, profile, points, 1.2)
         assert (end.chart != points.chart).any()
         for m in range(len(points)):
-            q = blowup.lifted_slow_flow(spec4, profile, points[m], 1.2)
-            assert q.chart == end.chart[m]
-            assert (q.u == end.u[m]).all()
+            q = blowup.lifted_slow_flow(spec4, profile, points[m:m + 1], 1.2)
+            assert q.chart[0] == end.chart[m]
+            assert (q.u[0] == end.u[m]).all()
 
     def test_batched_switch_equals_per_row_switch(self, spec4, profile):
         points = _mixed_points()
@@ -465,23 +466,23 @@ class TestLiftedFlow:
 
     def test_atlas_escape(self, spec2):
         flat = BumpProfile.flat(1.0)
-        p = BlowupPoint(chart=1, u=np.array([0.0, 0.5]))
+        p = BlowupPoint(chart=1, u=np.array([[0.0, 0.5]]))
         with pytest.raises(saddle.DomainEscape):
             blowup.lifted_slow_flow(spec2, flat, p, 2.0)
 
     def test_variational_against_fd(self, spec2, profile):
         # the orbit stays inside |x| < delta, where rho == rho0 and the
         # closed form holds
-        p = BlowupPoint(chart=0, u=np.array([0.05, 0.3]))
+        p = BlowupPoint(chart=0, u=np.array([[0.05, 0.3]]))
         q = blowup.lifted_slow_flow(spec2, profile, p, 1.0)
-        J = blowup.core_tangent_maps(spec2, profile.rho0, p.batch(), [q.chart], 1.0)[0]
+        J = blowup.core_tangent_maps(spec2, profile.rho0, p, q.chart, 1.0)[0]
         eps = 1e-6
         for i in range(2):
             e = np.zeros(2)
             e[i] = eps
             qa = blowup.lifted_slow_flow(spec2, profile, BlowupPoint(0, p.u + e), 1.0)
             qb = blowup.lifted_slow_flow(spec2, profile, BlowupPoint(0, p.u - e), 1.0)
-            col = (qa.u - qb.u) / (2 * eps)
+            col = (qa.u - qb.u)[0] / (2 * eps)
             assert J[:, i] == pytest.approx(col, rel=1e-5, abs=1e-7)
 
     def test_core_tangent_maps_match_central_differences(self, spec4):
@@ -510,12 +511,12 @@ class TestLiftedFlow:
 
 class TestDensities:
     def test_pullback_value(self):
-        p = BlowupPoint(chart=1, u=np.array([0.5, 0.1, 0.2]))
-        assert blowup.pullback_volume_density(p) == pytest.approx(0.01)
+        p = BlowupPoint(chart=1, u=np.array([[0.5, 0.1, 0.2]]))
+        assert blowup.pullback_volume_density(p)[0] == pytest.approx(0.01)
 
     def test_pullback_vanishes_on_exceptional(self):
-        p = BlowupPoint(chart=0, u=np.array([0.0, 0.3, 0.3]))
-        assert blowup.pullback_volume_density(p) == 0.0
+        p = BlowupPoint(chart=0, u=np.array([[0.0, 0.3, 0.3]]))
+        assert blowup.pullback_volume_density(p)[0] == 0.0
 
     def test_pullback_matches_jacobian(self):
         # the blow-down Jacobian by dual numbers, from the chart formula
@@ -523,24 +524,22 @@ class TestDensities:
         for _ in range(50):
             k = int(rng.integers(2, 5))
             u = rng.uniform(-0.9, 0.9, size=k)
-            p = BlowupPoint(chart=int(rng.integers(0, k)), u=u)
-            i = p.chart
+            i = int(rng.integers(0, k))
+            p = BlowupPoint(chart=i, u=u[None])
             phi = [lambda w, m=m: w[m] * w[i] if m != i else w[i] for m in range(k)]
-            det = np.linalg.det(np.array(dualnum.jacobian(phi, list(u))))
-            assert abs(det - blowup.pullback_volume_density(p)) < 1e-8
+            J = [[dualnum.partial(f, list(u), j) for j in range(k)] for f in phi]
+            assert abs(np.linalg.det(np.array(J)) - blowup.pullback_volume_density(p)[0]) < 1e-8
 
     def test_kl_density_cancellation(self):
         kl = KLStructure(k=2, alpha=-0.5)
-        p = BlowupPoint(chart=0, u=np.array([0.3, 0.0]))
-        assert blowup.kl_density(kl, p) == pytest.approx(0.5)
-        pneg = BlowupPoint(chart=0, u=np.array([-0.3, 0.0]))
-        assert blowup.kl_density(kl, pneg) == pytest.approx(-0.5)
+        p = BlowupPoint(chart=0, u=np.array([[0.3, 0.0], [-0.3, 0.0]]))
+        assert blowup.kl_density(kl, p) == pytest.approx([0.5, -0.5])
 
     def test_alpha_zero_reduces_to_pullback(self):
         kl = KLStructure(k=3, alpha=0.0)
-        p = BlowupPoint(chart=0, u=np.array([0.4, 0.2, -0.1]))
-        assert blowup.kl_density(kl, p) == pytest.approx(
-            blowup.pullback_volume_density(p))
+        p = BlowupPoint(chart=0, u=np.array([[0.4, 0.2, -0.1]]))
+        assert blowup.kl_density(kl, p)[0] == pytest.approx(
+            blowup.pullback_volume_density(p)[0])
 
     def test_kl_density_matches_chart_jacobian(self):
         rng = np.random.default_rng(1)
@@ -549,35 +548,35 @@ class TestDensities:
             u = rng.uniform(-0.9, 0.9, size=3)
             if abs(u[0]) < 0.05:
                 u[0] = 0.2
-            p = BlowupPoint(chart=0, u=u)
+            p = BlowupPoint(chart=0, u=u[None])
             eps = 1e-6
             J = np.zeros((3, 3))
             for i in range(3):
                 e = np.zeros(3)
                 e[i] = eps
-                J[:, i] = (blowup.kl_chart_map(kl, BlowupPoint(0, u + e))
-                           - blowup.kl_chart_map(kl, BlowupPoint(0, u - e))) / (2 * eps)
-            assert abs(np.linalg.det(J) - blowup.kl_density(kl, p)) < 1e-6
+                J[:, i] = (blowup.kl_chart_map(kl, BlowupPoint(0, p.u + e))
+                           - blowup.kl_chart_map(kl, BlowupPoint(0, p.u - e)))[0] / (2 * eps)
+            assert abs(np.linalg.det(J) - blowup.kl_density(kl, p)[0]) < 1e-6
 
     def test_box_infimum(self):
         for k in (2, 3, 4):
             kl = KLStructure.volume_nondegenerate(k)
-            corner = BlowupPoint(chart=0, u=np.ones(k))
+            corner = BlowupPoint(chart=0, u=np.ones((1, k)))
             expected = (1.0 / k) * k ** (-(k - 1) / 2.0)
-            assert abs(blowup.kl_density(kl, corner)) == pytest.approx(expected)
+            assert abs(blowup.kl_density(kl, corner)[0]) == pytest.approx(expected)
 
 
 class TestNewNorm:
     def test_values(self):
         kl = KLStructure(k=2, alpha=-0.5)
-        assert blowup.new_norm(kl, [1.0, 0.0]) == 1.0
-        assert blowup.new_norm(kl, [0.04, 0.0]) == pytest.approx(0.2)
+        values = blowup.new_norm(kl, [[1.0, 0.0], [0.04, 0.0]])
+        assert values[0] == 1.0 and values[1] == pytest.approx(0.2)
 
     def test_monotone(self):
         kl = KLStructure(k=4, alpha=-0.75)
-        r = np.linspace(0.01, 1.0, 50)
-        vals = [blowup.new_norm(kl, [ri, 0.0, 0.0, 0.0]) for ri in r]
-        assert (np.diff(vals) > 0).all()
+        x = np.zeros((50, 4))
+        x[:, 0] = np.linspace(0.01, 1.0, 50)
+        assert (np.diff(blowup.new_norm(kl, x)) > 0).all()
 
     def test_alpha_range_enforced(self):
         with pytest.raises(ValueError):
@@ -668,7 +667,7 @@ def test_lifted_tangent_oracle_fails_a_scaled_lifted_field(monkeypatch):
     # exact orbit of the flat core does
     cfg = _reduced_config()
     spec, flat = cfg.saddle_spec(), BumpProfile.flat(cfg.resolved_rho0())
-    p0 = BlowupPoint(0, np.array([0.05, 0.3, 0.3, 0.3]))  # the oracle's start point
+    p0 = BlowupPoint(0, np.array([[0.05, 0.3, 0.3, 0.3]]))  # the oracle's start point
     field = blowup.LiftedSaddle.field
     monkeypatch.setattr(blowup.LiftedSaddle, "field", lambda self, charts, rates, u:
                         (1.0 + 1e-6) * field(self, charts, rates, u))
@@ -761,6 +760,20 @@ def test_exceptional_invariance_never_lacks_a_sample():
                                                         n=n, seed=1, step=cfg.step)
         assert exceptional == {"samples": max(drawn, 1), "left": 0, "first_left": None}
         assert (drawn == 0) == (n in (1, 2, 4))
+
+
+def test_commutation_fails_without_a_sample_off_the_set():
+    # at samples 1 the one commutation sample is put on the exceptional set,
+    # where both sides blow down to the origin: no disk orbit is compared, so
+    # blow-down-commutation fails, alone, with the count of samples off the
+    # set in its witness, and its residual reads 0
+    for seed in (0, 1, 2):
+        cfg = replace(_reduced_config(), samples=1, seed=seed)
+        checks = {c["name"]: c for c in suites.run_blowup_suite(cfg)["checks"]}
+        check = checks["blow-down-commutation"]
+        assert [name for name, c in checks.items() if not c["passed"]] == [check["name"]]
+        assert check["witness"]["samples_off_the_set"] == 0
+        assert check["measured"]["max_residual"] == 0.0
 
 
 def test_blowup_counters_count_every_lifted_pass():

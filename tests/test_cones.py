@@ -29,11 +29,11 @@ def model(spec, anosov):
 class TestMembership:
     def test_center_vector_always_inside(self, model):
         uc = model.unstable_cone(0.1)
-        assert cones.in_cone(model.axes("u")[:, 0], uc)
+        assert cones.in_cone(model.axes("u").T, uc).tolist() == [True]
 
     def test_orthogonal_vector_outside(self, model):
         uc = model.unstable_cone(0.1)
-        assert not cones.in_cone(model.axes("s")[:, 0], uc)
+        assert cones.in_cone(model.axes("s").T, uc).tolist() == [False]
 
     def test_half_and_double_tilt(self, model):
         uc = model.unstable_cone(0.1)
@@ -41,12 +41,11 @@ class TestMembership:
         e_s = model.axes("s")[:, 0]
         inside = math.cos(0.05) * e_u + math.sin(0.05) * e_s
         outside = math.cos(0.2) * e_u + math.sin(0.2) * e_s
-        assert cones.in_cone(inside, uc)
-        assert not cones.in_cone(outside, uc)
+        assert cones.in_cone(np.stack([inside, outside]), uc).tolist() == [True, False]
 
     def test_zero_vector_rejected(self, model):
         with pytest.raises(ValueError):
-            cones.in_cone(np.zeros(model.dim), model.unstable_cone(0.1))
+            cones.in_cone(np.zeros((1, model.dim)), model.unstable_cone(0.1))
 
     def test_scaling_invariances(self, model):
         # a uniform metric weight 3 scales every vector by sqrt(3); the center's span stays
@@ -56,7 +55,7 @@ class TestMembership:
         assert base.shape == (100,) and base.any() and not base.all()
         assert (base == cones.in_cone(7.3 * V, uc)).all()
         assert (base == cones.in_cone(math.sqrt(3.0) * V, uc)).all()
-        assert base.tolist() == [cones.in_cone(v, uc) for v in V]
+        assert base.tolist() == [cones.in_cone(V[m:m + 1], uc)[0] for m in range(len(V))]
 
     def test_rotated_center_matches_qr_angles(self, model):
         # the angle is read off the validated orthonormal center as given; for
@@ -123,30 +122,37 @@ def test_full_maps_rows_are_block_maps(model, spec, anosov):
 class TestPropagate:
     def test_identity_at_zero(self, spec, anosov, model):
         frame = np.eye(model.dim)[:4]
-        _, out = cones.propagate(np.array([1e-3, 0, 0, 0]), 0.0, frame,
-                              spec=spec, anosov=anosov, rho0=0.5)
+        _, (out,) = cones.propagate(np.array([[1e-3, 0, 0, 0]]), 0.0, frame,
+                                    spec=spec, anosov=anosov, rho0=0.5)
         assert out == pytest.approx(frame)
 
     def test_pure_unstable_growth(self, spec, anosov, model):
-        e_u = np.zeros(model.dim)
-        e_u[model.dim - 1] = 1.0
-        _, out = cones.propagate(np.array([1e-3, 0, 0, 0]), 1.0, e_u,
-                              spec=spec, anosov=anosov, rho0=0.5)
+        e_u = np.zeros((1, model.dim))
+        e_u[0, model.dim - 1] = 1.0
+        _, (out,) = cones.propagate(np.array([[1e-3, 0, 0, 0]]), 1.0, e_u,
+                                    spec=spec, anosov=anosov, rho0=0.5)
         assert np.linalg.norm(out) == pytest.approx(math.exp(2.0), rel=1e-9)
 
     def test_mixed_vector_matches_blocks(self, spec, anosov, model):
         rho0 = 0.5
-        x0 = np.array([1e-3, 1e-3, 0, 0])
-        v = np.ones(model.dim) / math.sqrt(model.dim)
-        _, out = cones.propagate(x0, 1.0, v, spec=spec, anosov=anosov, rho0=rho0)
+        x0 = np.array([[1e-3, 1e-3, 0, 0]])
+        v = np.ones((1, model.dim)) / math.sqrt(model.dim)
+        _, (out,) = cones.propagate(x0, 1.0, v, spec=spec, anosov=anosov, rho0=rho0)
         expected = np.concatenate([np.exp(rho0 * np.asarray(spec.rates)),
-                                   np.exp(np.asarray(anosov.rates))]) * v
+                                   np.exp(np.asarray(anosov.rates))]) * v[0]
         assert out[0] == pytest.approx(expected, rel=1e-9)
+
+    def test_frame_must_be_rows_of_the_model_dimension(self, spec, anosov, model):
+        slowed = dict(spec=spec, anosov=anosov, rho0=0.5)
+        x0 = np.array([[1e-3, 0, 0, 0]])
+        for frame in (np.eye(model.dim)[0], np.eye(model.dim + 1)[:2]):
+            with pytest.raises(ValueError, match=f"rows of dimension {model.dim}"):
+                cones.propagate(x0, 1.0, frame, **slowed)
 
     def test_lifted_kind(self, spec):
         from phsurgery.blowup import BlowupPoint, core_tangent_maps
-        p = BlowupPoint(chart=0, u=np.zeros(4))
-        J = core_tangent_maps(spec, 0.5, p.batch(), [0], 1.0)[0]
+        p = BlowupPoint(chart=0, u=np.zeros((1, 4)))
+        J = core_tangent_maps(spec, 0.5, p, [0], 1.0)[0]
         # chart of a contracting axis: radial -rho0, affine spreads
         growth = np.linalg.norm(J, axis=0)
         assert growth[0] == pytest.approx(math.exp(-0.5), rel=1e-14)
@@ -154,21 +160,21 @@ class TestPropagate:
 
     def test_cocycle_property(self, spec, anosov, model):
         rho0 = 0.5
-        x0 = np.array([2e-3, 1e-3, 5e-4, 0])
+        x0 = np.array([[2e-3, 1e-3, 5e-4, 0]])
         frame = np.eye(model.dim)[:3]
         _, whole = cones.propagate(x0, 0.9, frame, spec=spec, anosov=anosov, rho0=rho0)
-        mid, part = cones.propagate(x0, 0.4, frame, spec=spec, anosov=anosov, rho0=rho0)
+        mid, (part,) = cones.propagate(x0, 0.4, frame, spec=spec, anosov=anosov, rho0=rho0)
         # the point the first leg ends at is the flow's own
         assert mid.tobytes() == saddle.flow_slow(spec, BumpProfile.flat(rho0), x0, 0.4).tobytes()
         _, parts = cones.propagate(mid, 0.5, part, spec=spec, anosov=anosov, rho0=rho0)
         assert np.abs(whole - parts).max() < 1e-8
         # both legs from x0 as rows of one pass, on a frame that the restricted
-        # block moves too: each row is its one-state call's
+        # block moves too: each row is its one-row call's
         slowed = dict(spec=spec, anosov=anosov, rho0=rho0)
         full = np.eye(model.dim)
-        ends, images = cones.propagate(np.stack([x0, x0]), [0.9, 0.4], full, **slowed)
+        ends, images = cones.propagate(np.vstack([x0, x0]), [0.9, 0.4], full, **slowed)
         for t, end, image in zip((0.9, 0.4), ends, images):
-            one_end, one_image = cones.propagate(x0, t, full, **slowed)
+            (one_end,), (one_image,) = cones.propagate(x0, t, full, **slowed)
             assert end.tobytes() == one_end.tobytes() and image.tobytes() == one_image.tobytes()
 
 

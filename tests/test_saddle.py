@@ -12,9 +12,9 @@ from phsurgery.saddle import (AnosovModel, BumpProfile, DomainEscape, Infeasible
 
 
 def _scalar_bisection(spec, profile, x0, h, target, tol=1e-10):
-    """Crossing time of one orbit by scalar bisection: the oracle for the batched locator."""
+    """Crossing time of one orbit x0 by scalar bisection: the oracle for the batched locator."""
     f = lambda _, z: saddle._field(spec, profile, z)
-    radius = lambda tau: np.linalg.norm(saddle.rk4_step(f, 0.0, x0.copy(), tau))
+    radius = lambda tau: np.linalg.norm(saddle.rk4_step(f, 0.0, x0[None], tau))
     lo, hi = 0.0, h
     sign_hi = radius(h) - target
     for _ in range(200):
@@ -206,11 +206,11 @@ class TestPickRho0:
 class TestFlow:
     def test_linear_closed_form(self, spec2):
         flat = BumpProfile.flat(1.0)
-        y = saddle.flow_slow(spec2, flat, np.array([1e-2, 1e-3]), 1.0)
+        y = saddle.flow_slow(spec2, flat, np.array([[1e-2, 1e-3]]), 1.0)[0]
         assert y == pytest.approx([math.exp(-1) * 1e-2, math.exp(1) * 1e-3], rel=1e-9)
 
     def test_core_product_form(self, spec2, profile):
-        x = np.array([0.02, 0.01])
+        x = np.array([[0.02, 0.01]])
         y = saddle.flow_slow(spec2, profile, x, 0.5)
         exact = np.exp(0.5 * 0.5 * np.array([-1.0, 1.0])) * x
         assert y == pytest.approx(exact, rel=1e-12)
@@ -218,20 +218,21 @@ class TestFlow:
     def test_escape_reported(self, spec2):
         flat = BumpProfile.flat(1.0)
         with pytest.raises(DomainEscape) as err:
-            saddle.flow_slow(spec2, flat, np.array([0.0, 0.5]), 2.0)
+            saddle.flow_slow(spec2, flat, np.array([[0.0, 0.5]]), 2.0)
         assert err.value.time > 0
 
     def test_richardson_annulus_crossing(self, spec4, profile):
-        x = np.zeros(4)
-        x[2] = 0.09
-        x[0] = 0.03
+        x = np.zeros((1, 4))
+        x[0, 2] = 0.09
+        x[0, 0] = 0.03
         half = saddle.flow_slow(spec4, profile, x, 1.5, step=saddle.DEFAULT_STEP / 2)
         assert np.linalg.norm(saddle.flow_slow(spec4, profile, x, 1.5) - half) < 1e-8
 
     def test_batch_matches_single_points(self, spec4, profile):
         x = np.random.default_rng(8).uniform(-0.3, 0.3, size=(12, 4))
         batch = saddle.flow_slow(spec4, profile, x, 0.7)
-        single = np.array([saddle.flow_slow(spec4, profile, row, 0.7) for row in x])
+        single = np.vstack([saddle.flow_slow(spec4, profile, x[m:m + 1], 0.7)
+                            for m in range(len(x))])
         assert (batch == single).all()
 
     def test_batch_escape_names_the_row(self, spec2):
@@ -243,7 +244,7 @@ class TestFlow:
         assert err.value.point[0] == 0.0 and np.linalg.norm(err.value.point) >= 1.0
 
     def test_negative_time(self, spec2, profile):
-        x = np.array([0.03, 0.02])
+        x = np.array([[0.03, 0.02]])
         y = saddle.flow_slow(spec2, profile, x, 0.4)
         back = saddle.flow_slow(spec2, profile, y, -0.4)
         assert back == pytest.approx(x, abs=1e-12)
@@ -267,12 +268,12 @@ class TestRk4Step:
 
 class TestVariational:
     def test_identity_at_zero_time(self, spec2, profile):
-        _, J = saddle.variational_flow_slow(spec2, profile, np.array([0.05, 0.01]), 0.0)
+        _, (J,) = saddle.variational_flow_slow(spec2, profile, np.array([[0.05, 0.01]]), 0.0)
         assert J == pytest.approx(np.eye(2))
 
     def test_constant_rho_diagonal(self, spec2):
         flat = BumpProfile.flat(0.5)
-        _, J = saddle.variational_flow_slow(spec2, flat, np.array([1e-3, 1e-3]), 2.0)
+        _, (J,) = saddle.variational_flow_slow(spec2, flat, np.array([[1e-3, 1e-3]]), 2.0)
         assert J == pytest.approx(np.diag(np.exp(0.5 * 2.0 * np.array([-1.0, 1.0]))),
                                   rel=1e-10)
 
@@ -280,8 +281,8 @@ class TestVariational:
         x = np.random.default_rng(9).uniform(-0.15, 0.15, size=(5, 4))
         points, J = saddle.variational_flow_slow(spec4, profile, x, 0.8, step=0.01)
         assert points.shape == (5, 4) and J.shape == (5, 4, 4)
-        for row, p, Jm in zip(x, points, J):
-            p1, J1 = saddle.variational_flow_slow(spec4, profile, row, 0.8, step=0.01)
+        for m, (p, Jm) in enumerate(zip(points, J)):
+            (p1,), (J1,) = saddle.variational_flow_slow(spec4, profile, x[m:m + 1], 0.8, step=0.01)
             assert (p == p1).all() and (Jm == J1).all()
 
     def test_per_row_times_match_single_points(self, spec4, profile):
@@ -290,29 +291,28 @@ class TestVariational:
         x = np.random.default_rng(10).uniform(-0.15, 0.15, size=(4, 4))
         times = [0.8, 0.3, 0.0, -0.5]
         points, J = saddle.variational_flow_slow(spec4, profile, x, times, step=0.01)
-        for row, t, p, Jm in zip(x, times, points, J):
-            p1, J1 = saddle.variational_flow_slow(spec4, profile, row, t, step=0.01)
+        for m, (t, p, Jm) in enumerate(zip(times, points, J)):
+            p1, J1 = saddle.variational_flow_slow(spec4, profile, x[m:m + 1], t, step=0.01)
             assert p.tobytes() == p1.tobytes() and Jm.tobytes() == J1.tobytes()
         far = np.array([[0.0, 0.0, 0.0, 0.5], [0.0, 0.0, 0.0, 0.5]])
         with pytest.raises(DomainEscape) as err:
             saddle.variational_flow_slow(spec4, BumpProfile.flat(1.0), far, [0.1, 2.0])
         with pytest.raises(DomainEscape) as lone:
-            saddle.variational_flow_slow(spec4, BumpProfile.flat(1.0), far[1], 2.0)
+            saddle.variational_flow_slow(spec4, BumpProfile.flat(1.0), far[1:], 2.0)
         assert (err.value.row, err.value.time) == (1, lone.value.time)
 
     @pytest.mark.parametrize("k", [4, 8])
     @pytest.mark.parametrize("flat", [False, True], ids=["bump", "flat"])
     def test_points_equal_flow_slow(self, k, flat):
         # the saddle suite's step-halving check reads these points in place of a
-        # flow_slow call at the same step
+        # flow_slow call at the same step; a one-row call gives its row
         spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
         prof = BumpProfile.flat(0.5) if flat else BumpProfile(delta=0.1, rho0=0.5)
         x = np.random.default_rng(k).uniform(-0.05, 0.05, size=(6, k))
         points, _ = saddle.variational_flow_slow(spec, prof, x, 1.0, step=0.01)
         assert points.tobytes() == saddle.flow_slow(spec, prof, x, 1.0, step=0.01).tobytes()
-        point, _ = saddle.variational_flow_slow(spec, prof, x[0], 1.0, step=0.01)
-        assert point.shape == (k,)
-        assert point.tobytes() == saddle.flow_slow(spec, prof, x[0], 1.0, step=0.01).tobytes()
+        point, _ = saddle.variational_flow_slow(spec, prof, x[:1], 1.0, step=0.01)
+        assert point.tobytes() == points[:1].tobytes()
 
     def test_matches_finite_differences(self, spec4, profile):
         rng = np.random.default_rng(3)
@@ -417,26 +417,24 @@ class TestRowDriver:
             int(np.ceil(t / h - 1e-9)) for (_, _, h, _, _), out in zip(blocks, stacked)
             for t in out[2])
 
-    def test_plain_rows_equal_tangent_points(self, spec4, sixty):
-        # without J the pass takes the same steps, crossings and stops, bit for
-        # bit, here with one step count per row in two blocks
+    def test_per_row_counts_escape_and_trap(self, spec4, sixty):
+        # one step count per row in two blocks, next to a block of transits: a
+        # row with count 0 keeps its point and identity map at time 0, the
+        # others take their own count, and an escaping row stops while its
+        # neighbour runs on to its count
         profile = BumpProfile(delta=0.1, rho0=0.5)
         escaping = np.array([[0.0, 0.0, 0.9, 0.1], [0.05, 0.02, 0.1, 0.0]])
         blocks = [(sixty[:8], 0.1, 0.01, 300, True),
                   (np.random.default_rng(3).uniform(-0.3, 0.3, (4, 4)), 0.07, 0.005,
                    np.array([0, 1, 45, 90]), False),
                   (escaping, 0.1, 0.01, np.array([120, 30]), False)]
-        tangent, counters = saddle._rk4_rows(spec4, profile, blocks)
-        plain, plain_counters = saddle._rk4_rows(spec4, profile, blocks, tangent=False)
-        assert plain_counters == counters
-        for (x, _, t, stop), (px, pJ, pt, pstop) in zip(tangent, plain):
-            assert px.tobytes() == x.tobytes() and pt.tobytes() == t.tobytes()
-            assert pstop.tolist() == stop.tolist() and pJ.shape == (len(x), 0, 4)
-        # a row with count 0 keeps its point at time 0; the others take their own count
-        x, _, t, _ = plain[1]
-        assert x[0].tobytes() == blocks[1][0][0].tobytes()
+        out, _ = saddle._rk4_rows(spec4, profile, blocks)
+        x, J, t, stop = out[1]
+        assert x[0].tobytes() == blocks[1][0][0].tobytes() and (J[0] == np.eye(4)).all()
         assert t.tolist() == pytest.approx([0.0, 0.005, 0.225, 0.45], abs=1e-15)
-        assert plain[2][3].tolist() == ["escape", "trapped"]
+        assert stop.tolist() == ["trapped"] * 4
+        assert out[2][3].tolist() == ["escape", "trapped"]
+        assert np.linalg.norm(out[2][0][0]) >= 1.0 and out[2][2][1] == pytest.approx(0.3)
 
     @pytest.mark.parametrize("step", [1e-2, 1e-3])
     def test_deferred_bisection_equals_per_step_bisection(self, spec4, profile, sixty,
@@ -531,10 +529,10 @@ class TestTransit:
         rng = np.random.default_rng(5)
         for _ in range(200):
             r = rng.uniform(0.1, 0.2)
-            x = rng.standard_normal(4)
+            x = rng.standard_normal((1, 4))
             x *= r / np.linalg.norm(x)
-            v = rng.standard_normal(4)
-            assert saddle.shear_bound_margin(spec4, profile, x, v) >= -1e-12
+            v = rng.standard_normal((1, 4))
+            assert saddle.shear_bound_margin(spec4, profile, x, v)[0] >= -1e-12
 
 
 class TestTimeChange:
@@ -621,7 +619,7 @@ class TestSlowedClock:
         errors = []
         for h in (1e-2, 5e-3, 2.5e-3):
             [(x, *_)], _ = saddle._rk4_rows(spec4, profile, [
-                (x0, profile.delta, h, np.round(t / h).astype(int), False)], tangent=False)
+                (x0, profile.delta, h, np.round(t / h).astype(int), False)])
             errors.append(float(np.abs(x - exact).max()))
         assert errors[0] < 1e-9
         for coarse, fine in zip(errors, errors[1:]):
@@ -667,7 +665,7 @@ class TestSlowedClock:
         x0, t = shell_rows
         x = saddle.slowed_clock(spec4, profile, x0, t)
         for m in range(len(x0)):
-            assert _bits(saddle.slowed_clock(spec4, profile, x0[m], t[m])) == _bits(x[m:m + 1])
+            assert _bits(saddle.slowed_clock(spec4, profile, x0[m:m + 1], t[m])) == _bits(x[m])
 
     def test_quadrature_rule_is_built_once(self, spec4, profile, sixty, monkeypatch):
         def fail(n):
