@@ -609,7 +609,7 @@ def _panels(x2, a, sigma):
     width = sigma / _TRANSIT_PANELS
     for p in range(_TRANSIT_PANELS):
         e2 = np.exp(2.0 * a * (width[:, None] * (p + _GL_NODES))[:, :, None])
-        yield width, e2, np.sqrt((x2[:, None, :] * e2).sum(axis=2))
+        yield width, e2, np.sqrt(np.einsum("nk,nmk->nm", x2, e2))
 
 
 def _clock_time(x2, a, sigma, profile):

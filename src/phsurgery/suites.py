@@ -193,33 +193,34 @@ def run_saddle_suite(cfg: CampaignConfig):
         measured={"class_counts": ref.class_counts}))
 
     # one stacked RK4 pass: the oracle rows as transits at the first delta; at
-    # the configured delta the probes, their central-difference neighbours and
-    # the probes at half the step.  A probe whose rows reach the unit sphere
-    # has error inf; the first such row of each block is the witness.
+    # the configured delta the probes and their central-difference neighbours.
+    # The probes' end points are compared with the exact slowed clock.  A probe
+    # whose rows reach the unit sphere has error inf; the first such row of
+    # each block is the witness.
     probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], cfg.k),
                        np.resize([0.05, -0.15, 0.11, -0.03], cfg.k),
                        e_u * 1.2])
-    flow = lambda x, step: (x, cfg.delta, *saddle._fixed_steps(1.0, step)[::-1], False)
+    flow = lambda x: (x, cfg.delta, *saddle._fixed_steps(1.0, cfg.step)[::-1], False)
     [(exits, J_rk4, t_rk4, stop), *flows], counters = saddle._rk4_rows(spec, profile, [
         (picked.entry, d0, cfg.step, saddle._transit_steps(spec, rho0, cfg.step), True),
-        flow(probes, cfg.step), flow(_central_points(probes), cfg.step),
-        flow(probes, cfg.step / 2)])
-    out = {n: b[3] == "escape" for n, b in zip(("probes", "neighbours", "half-step"), flows)}
+        flow(probes), flow(_central_points(probes))])
+    out = {n: b[3] == "escape" for n, b in zip(("probes", "neighbours"), flows)}
     escapes = {name: {"row": int(i), "time": t[i], "point": x[i]} for (name, gone), (x, _, t, _)
                in zip(out.items(), flows) for i in np.flatnonzero(gone)[:1]}
     witness = {"escapes": escapes} if escapes else None
-    (ends, J, *_), (fd_ends, *_), (half, *_) = flows
+    (ends, J, *_), (fd_ends, *_) = flows
     Jfd = _central_jacobians(lambda _: fd_ends, probes)
     fd_errs = np.where(out["probes"] | out["neighbours"].reshape(len(probes), -1).any(axis=1),
                        np.inf, [np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(J, Jfd)])
-    rich = np.where(out["probes"] | out["half-step"], np.inf, saddle._radius(ends - half))
+    exact = saddle.slowed_clock(spec, profile, probes, 1.0, counters)
+    rich = np.where(out["probes"], np.inf, saddle._radius(ends - exact))
     checks.append(_check(
         "tangent-map-oracle", fd_errs.max() < tol["jacobian_fd"],
         "variational tangent maps match central finite differences",
         measured={"max_relative_error": float(fd_errs.max())}, witness=witness))
     checks.append(_check(
         "richardson", rich.max() < tol["richardson"],
-        "step-halving agreement of the fixed-step integrator",
+        "the fixed-step integrator's end points match the exact slowed clock",
         measured={"max_residual": float(rich.max())}, witness=witness))
 
     # the RK4 oracle rows at the first delta; at each later delta the same

@@ -213,8 +213,8 @@ def test_criterion_09_oracle_equivalence(cfg, saddle_suite, blowup_suite, moser_
     _line(9, ok, f"tangent maps vs finite differences "
                  f"{tangent['measured']['max_relative_error']:.2e} (< 1e-5) and "
                  f"{lifted['measured']['fd_relative_error']:.2e} (< 1e-5); "
-                 f"step-halving residual {rich['measured']['max_residual']:.2e}; "
-                 f"closed-form residuals {lifted['measured']['richardson']:.2e} (lifted core) "
+                 f"closed-form residuals {rich['measured']['max_residual']:.2e} (slowed saddle), "
+                 f"{lifted['measured']['richardson']:.2e} (lifted core) "
                  f"and {moser_rich['measured']['residual']:.2e} (Moser map); each < 1e-8")
     assert ok
 

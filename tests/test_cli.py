@@ -221,9 +221,11 @@ class TestCli:
         cfg = CampaignConfig(samples=64, step=0.01, delta_sweep=[0.1, 0.01, 0.001])
         report = cli.build_report(cfg, ("saddle", "volume"))
         # 307 steps of the slowest oracle transit and the crossing step; one
-        # bisection of 28 steps for all crossings
+        # bisection of 28 steps for all crossings; the exact clock of the 3
+        # probes
         assert report["timing"]["counters"] == {
-            "saddle": {"rk4_iterations": 308, "row_steps": 4347, "bisection_steps": 28}}
+            "saddle": {"rk4_iterations": 308, "row_steps": 3747, "bisection_steps": 28,
+                       "clock_rows": 3, "clock_newton_iterations": 3}}
         assert "counters" not in report["suites"]["saddle"]
         assert "rk4_iterations" not in cli.canonical_json(cli.strip_timing(report))
 

@@ -304,7 +304,7 @@ class TestVariational:
     @pytest.mark.parametrize("k", [4, 8])
     @pytest.mark.parametrize("flat", [False, True], ids=["bump", "flat"])
     def test_points_equal_flow_slow(self, k, flat):
-        # the saddle suite's step-halving check reads these points in place of a
+        # the saddle suite's `richardson` reads these points in place of a
         # flow_slow call at the same step; a one-row call gives its row
         spec = SaddleSpec(rates=(-1.0,) * (k // 2) + (1.0,) * (k // 2))
         prof = BumpProfile.flat(0.5) if flat else BumpProfile(delta=0.1, rho0=0.5)
@@ -602,6 +602,19 @@ class TestTimeChange:
         assert rk4.crossing_class == "outer->outer"
 
 
+@pytest.mark.parametrize("k", [4, 8])
+def test_panel_radii_match_the_summed_squares(k):
+    # `_panels` contracts the k axis with einsum; its radii agree with the
+    # summed squares to rounding, though the order of the sum may differ
+    rng = np.random.default_rng(3)
+    x2 = rng.standard_normal((254, k)) ** 2 * 0.01
+    a = np.repeat([-1.0, 1.0], k // 2)
+    sigma = rng.uniform(0.1, 4.0, size=254)
+    for _, e2, r in saddle._panels(x2, a, sigma):
+        summed = np.sqrt((x2[:, None, :] * e2).sum(axis=2))
+        assert (np.abs(r - summed) <= 1e-14 * summed).all()
+
+
 class TestSlowedClock:
     @pytest.fixture(scope="class")
     def shell_rows(self, spec4):
@@ -779,58 +792,95 @@ def test_saddle_suite_runs_rk4_transits_once(monkeypatch):
     assert check["measured"]["max_rescaling_error"] < 1e-9
 
 
+def _probes(cfg):
+    """The saddle suite's three probes of `tangent-map-oracle` and `richardson`."""
+    e_u = np.zeros(cfg.k)
+    e_u[int(np.argmax(cfg.saddle_spec().rates))] = cfg.delta
+    return np.array([np.resize([0.12, 0.05, -0.04, 0.02], cfg.k),
+                     np.resize([0.05, -0.15, 0.11, -0.03], cfg.k), e_u * 1.2])
+
+
+def _richardson(cfg):
+    return next(c for c in suites.run_saddle_suite(cfg)["checks"] if c["name"] == "richardson")
+
+
 def test_saddle_suite_runs_flow_slow_twice(monkeypatch):
-    # the slow flow runs at two steps, as blocks of the one stacked pass: at the
-    # configured delta and step the 3 probes and their 6k central-difference
-    # neighbours, then the 3 probes at half the step for the step-halving residual
+    # the slow flow runs as two blocks of the one stacked pass, at the
+    # configured delta and step: the 3 probes and their 6k central-difference
+    # neighbours; no block reruns the probes at half the step, since
+    # `richardson` reads the exact slowed clock
     cfg = CampaignConfig(**_SMALL, delta=0.05)
-    (_, probes, neighbours, half), checks = _counted_saddle_suite(monkeypatch, cfg)
+    blocks, checks = _counted_saddle_suite(monkeypatch, cfg)
+    assert len(blocks) == 3
+    _, probes, neighbours = blocks
     assert probes[1:] == neighbours[1:] == (0.05, 0.01, 100, False)
-    assert half[1:] == (0.05, 0.005, 200, False)
-    assert (len(probes[0]), len(neighbours[0]), len(half[0])) == (3, 6 * cfg.k, 3)
-    assert (half[0] == probes[0]).all()
+    assert (len(probes[0]), len(neighbours[0])) == (3, 6 * cfg.k)
+    assert all(block[2] == cfg.step for block in blocks)
     assert checks["richardson"]["passed"] and checks["tangent-map-oracle"]["passed"]
+
+
+def test_no_probe_block_outlasts_the_oracle_transits(monkeypatch):
+    # at step 0.01 (saddle-default sizes, seed 2) the stacked pass lasts as
+    # long as its slowest oracle transit: its steps up to and including the
+    # crossing step, then the one step to the bisected crossing time
+    cfg = CampaignConfig(samples=250, step=0.01, seed=2)
+    real, passes = saddle._rk4_rows, []
+    monkeypatch.setattr(saddle, "_rk4_rows", lambda *args: passes.append(real(*args)) or passes[-1])
+    counters = suites.run_saddle_suite(cfg)["counters"]
+    [([(_, _, t_oracle, stop), *_], _)] = passes
+    assert set(stop) <= {"inner", "outer"}
+    longest = int(np.ceil(t_oracle / cfg.step).max())
+    assert counters["rk4_iterations"] == longest + 1
+    assert longest > saddle._fixed_steps(1.0, cfg.step)[0]
 
 
 def test_saddle_report_with_delta_off_the_sweep_equals_the_reference():
     # the probes run at delta 0.05 and the oracle rows at 0.1 in the one pass;
-    # the values equal those of one RK4 call per row set (recorded before the
-    # stacked pass, and recomputed here from the thin calls)
+    # the values equal those of one RK4 call per row set and of the exact
+    # slowed clock (recorded from the stacked pass, and recomputed here from
+    # the thin calls)
     cfg = CampaignConfig(samples=64, step=0.01, delta=0.05, delta_sweep=[0.1, 0.01])
     checks = {c["name"]: c for c in suites.run_saddle_suite(cfg)["checks"]}
     assert checks["tangent-map-oracle"]["measured"] == {"max_relative_error": 5.529497525463891e-10}
-    assert checks["richardson"]["measured"] == {"max_residual": 1.24634941256474e-10}
+    assert checks["richardson"]["measured"] == {"max_residual": 1.3294898515425757e-10}
     assert checks["time-change-oracle"]["measured"] == {
         "max_time_error": 2.338854443451055e-09, "max_exit_error_over_delta": 8.993192701315644e-11,
-        "max_jacobian_rel_error": 7.611300549815804e-10, "class_mismatches": 0,
+        "max_jacobian_rel_error": 7.611299432138014e-10, "class_mismatches": 0,
         "rows_by_delta": {"0.1": 8}, "max_rescaling_error": 5.489961307248299e-16}
-    spec, profile, k = cfg.saddle_spec(), cfg.bump_profile(), cfg.k
-    e_u = np.zeros(k)
-    e_u[int(np.argmax(spec.rates))] = profile.delta
-    probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], k),
-                       np.resize([0.05, -0.15, 0.11, -0.03], k), e_u * 1.2])
+    spec, profile, probes = cfg.saddle_spec(), cfg.bump_profile(), _probes(cfg)
     ends, J = saddle.variational_flow_slow(spec, profile, probes, 1.0, step=cfg.step)
     Jfd = suites._central_jacobians(
         lambda x: saddle.flow_slow(spec, profile, x, 1.0, step=cfg.step), probes)
     assert max(np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(J, Jfd)) == (
         checks["tangent-map-oracle"]["measured"]["max_relative_error"])
-    half = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step / 2)
-    assert saddle._radius(ends - half).max() == checks["richardson"]["measured"]["max_residual"]
+    exact = saddle.slowed_clock(spec, profile, probes, 1.0)
+    assert saddle._radius(ends - exact).max() == checks["richardson"]["measured"]["max_residual"]
 
 
 @pytest.mark.parametrize("rates", [[-1.0, -1.0, 1.0, 1.0], [-1.0] * 4 + [1.0] * 4],
                          ids=["k4", "k8"])
-def test_richardson_equals_two_flow_residual(rates):
+def test_richardson_equals_clock_residual(rates):
     cfg = CampaignConfig(**_SMALL, saddle_rates=rates)
-    spec, profile, k = cfg.saddle_spec(), cfg.bump_profile(), cfg.k
-    e_u = np.zeros(k)
-    e_u[int(np.argmax(spec.rates))] = profile.delta
-    probes = np.array([np.resize([0.12, 0.05, -0.04, 0.02], k),
-                       np.resize([0.05, -0.15, 0.11, -0.03], k), e_u * 1.2])
-    a = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step)
-    b = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step / 2)
-    check = next(c for c in suites.run_saddle_suite(cfg)["checks"] if c["name"] == "richardson")
-    assert check["measured"]["max_residual"] == float(saddle._radius(a - b).max())
+    spec, profile, probes = cfg.saddle_spec(), cfg.bump_profile(), _probes(cfg)
+    ends = saddle.flow_slow(spec, profile, probes, 1.0, step=cfg.step)
+    exact = saddle.slowed_clock(spec, profile, probes, 1.0)
+    assert _richardson(cfg)["measured"]["max_residual"] == float(saddle._radius(ends - exact).max())
+
+
+def test_richardson_fails_a_scaled_tangent_field(monkeypatch):
+    # a control for `richardson`: the slowed field scaled by 1 + 1e-6 moves
+    # the probes' RK4 end points by about 3e-7, which the exact clock sees;
+    # step halving cannot see it, since both of its runs share the field
+    cfg = CampaignConfig(**_SMALL)
+    spec, profile, probes = cfg.saddle_spec(), cfg.bump_profile(), _probes(cfg)
+    field = saddle._tangent_field
+    monkeypatch.setattr(saddle, "_tangent_field",
+                        lambda spec, profile, y: (1.0 + 1e-6) * field(spec, profile, y))
+    check = _richardson(cfg)
+    a, b = (saddle.flow_slow(spec, profile, probes, 1.0, step=h) for h in (cfg.step, cfg.step / 2))
+    halving = float(saddle._radius(a - b).max())
+    assert halving < cfg.tolerances["richardson"] < check["measured"]["max_residual"]
+    assert not check["passed"]
 
 
 def test_transit_closed_forms_fail_when_axis_times_are_off(monkeypatch):
