@@ -7,12 +7,12 @@ closed operations on coefficient closures.  This keeps the volume-form
 bookkeeping honest: the d^2 = 0, Cartan and Leibniz identities are checked
 at probes, not assumed.
 
-`form_max_at` evaluates on a `_Point`: the probe columns with a value cache
-keyed by closure, and one seeded `_Point` per coordinate for the partial
-derivatives, nested seeds included.  Every closure the operations build, and
-every leaf and vector-field component they call, then runs at most once per
-point and seeded point within the call; a plain list of coordinates takes
-the uncached path and gives the same values.
+`forms_max_at` evaluates a batch of forms on one `_Point`: the probe columns
+with a value cache keyed by closure, and one seeded `_Point` per coordinate
+for the partial derivatives, nested seeds included.  Every closure the forms
+build, and every leaf and vector-field component they call, then runs at most
+once per point and seeded point within the call; a plain list of coordinates
+takes the uncached path and gives the same values.
 
 The second half implements the equivariant volume normalization for the
 standard 4-dimensional saddle: the invariant primitive eta0, the averaged
@@ -284,17 +284,23 @@ def lie_cartan(X, form: Form) -> Form:
     return first + second
 
 
-def form_max_at(form: Form, probes) -> float:
-    """Largest coefficient magnitude over an (n, dim) batch of probe points, or NaN.
+def forms_max_at(forms, probes) -> list[float]:
+    """Largest coefficient magnitude of each form over an (n, dim) batch of probe points.
 
-    Every coefficient is evaluated on the probe columns, as one `_Point`: each
-    closure of the form runs at most once on the columns and once on each
-    seeded copy of them that a derivative asks for.  The cache dies with the
-    call."""
+    Every coefficient of every form is evaluated on the probe columns, as one
+    shared `_Point`: each closure runs at most once on the columns and once on
+    each seeded copy of them that a derivative asks for, however many forms
+    hold it.  A NaN value makes its form's entry NaN.  The cache dies with the call."""
     probes = np.asarray(probes, dtype=float)
-    values = [np.broadcast_to(value(v), len(probes))
-              for v in form.evaluate(_Point(probes.T)).values()]
-    return float(np.max(np.abs(values), initial=0.0))
+    point = _Point(probes.T)
+    return [float(np.max(np.abs([np.broadcast_to(value(v), len(probes))
+                                 for v in form.evaluate(point).values()]), initial=0.0))
+            for form in forms]
+
+
+def form_max_at(form: Form, probes) -> float:
+    """`forms_max_at` of one form."""
+    return forms_max_at([form], probes)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -304,18 +310,17 @@ def form_max_at(form: Form, probes) -> float:
 def verify_rho_volume(rho, X, m: Form, probes):
     """Residuals of the slow-down volume identity at probe points.
 
-    Checks first that L_X m = 0 (the input volume is invariant), then
-    returns (max |L_{rho X} (m/rho)|, max |L_{rho X} m|): the first is the
+    Returns (max |L_{rho X} (m/rho)|, max |L_{rho X} m|): the first is the
     identity under test, the second its negative control (dividing by rho
-    is what makes the slowed flow volume preserving).
+    is what makes the slowed flow volume preserving).  Raises ValueError
+    unless L_X m = 0 (the input volume is invariant).
     """
-    base = form_max_at(lie(X, m), probes)
-    if base > 1e-9:
-        raise ValueError(f"input volume is not invariant: max |L_X m| = {base:.3g}")
     rhoX = [(lambda Xi: lambda x: _at(rho, x) * _at(Xi, x))(Xi) for Xi in X]
     m_over_rho = m.scale(lambda x: 1.0 / _at(rho, x))
-    residual = form_max_at(lie(rhoX, m_over_rho), probes)
-    control = form_max_at(lie(rhoX, m), probes)
+    base, residual, control = forms_max_at(
+        [lie(X, m), lie(rhoX, m_over_rho), lie(rhoX, m)], probes)
+    if base > 1e-9:
+        raise ValueError(f"input volume is not invariant: max |L_X m| = {base:.3g}")
     return residual, control
 
 
@@ -398,22 +403,26 @@ def _node(g, nd, k):
     return g[k] if np.ndim(g) > nd else g
 
 
-def _node_sum(g, nd, out=0.0):
+def _node_sum(g, nd, start=0.0):
     """Gauss-Legendre weighted sum of g over its leading node axis.
 
     Runs component by component into duals; a component without the node
     axis is constant over the nodes.  One broadcast multiply by the weights,
-    then a left fold in node order: a numpy reduction would reorder the adds
-    for some shapes.  Only the innermost real part starts from 0: `sum` adds
-    its start 0 to a dual's innermost real part alone."""
+    then a left fold in node order from `start`: 0.0 for the innermost real
+    part, as `sum` starts, and -0.0, which keeps the first term, for a dual
+    part.  numpy's reduction is that fold bit for bit, signed zeros included,
+    with two or more elements per node; (8,) and (8, 1) arrays it sums
+    pairwise, so those keep the Python fold."""
     if isinstance(g, Dual):
-        return Dual(_node_sum(g.re, nd, out), _node_sum(g.du, nd, None))
+        return Dual(_node_sum(g.re, nd, start), _node_sum(g.du, nd, -0.0))
     ndim = np.ndim(g)
     # the weights ahead of g's own axes, or of all but its node axis
-    weights = _node_axis(_WEIGHT, ndim - 1 if ndim > nd else ndim)
-    for term in weights * g:
-        out = term if out is None else out + term
-    return out
+    terms = _node_axis(_WEIGHT, ndim - 1 if ndim > nd else ndim) * g
+    if terms[0].size > 1:
+        return np.add.reduce(terms, axis=0, initial=start)
+    for term in terms:
+        start = start + term
+    return start
 
 
 @dataclass

@@ -682,30 +682,33 @@ def time_change_transits(spec, profile, entries):
     d2 = np.float_power(np.broadcast_to(profile.delta, n), 2)  # libm pow, as delta**2 rounds
     per_row = replace(profile, delta=np.reshape(profile.delta, (-1, 1)))  # on (n, m) radii
 
-    def r2(rows, s):
-        return (x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+    # r^2 and d(r^2)/dsigma / 2 of rows x2r of x2, gathered once per root find
+    def r2(x2r, s):
+        return (x2r * np.exp(2.0 * a * s[:, None])).sum(axis=1)
 
-    def half_dr2(rows, s):
-        return (a * x2[rows] * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+    def half_dr2(x2r, s):
+        return (a * x2r * np.exp(2.0 * a * s[:, None])).sum(axis=1)
 
     # outer entries: the radial minimum sigma_min is the root of the increasing
     # d(r^2)/dsigma; an orbit that drops below delta first needs no minimum
     outer = np.flatnonzero(~inner)
-    hi = _bracket(lambda s: (half_dr2(outer, s) > 0) | (r2(outer, s) < d2[outer]),
-                  np.zeros(len(outer)))
+    x2o, d2o = x2[outer], d2[outer]
+    hi = _bracket(lambda s: (half_dr2(x2o, s) > 0) | (r2(x2o, s) < d2o), np.zeros(len(outer)))
     s_min = hi.copy()
-    turned = half_dr2(outer, hi) > 0
-    rows = outer[turned]
-    s_min[turned] = _bisect_root(lambda s: half_dr2(rows, s), np.zeros(len(rows)), hi[turned])
-    dips = r2(outer, s_min) < d2[outer]
+    turned = half_dr2(x2o, hi) > 0
+    x2t = x2o[turned]
+    s_min[turned] = _bisect_root(lambda s: half_dr2(x2t, s), np.zeros(len(x2t)), hi[turned])
+    dips = r2(x2o, s_min) < d2o
 
     sigma = np.empty(n)
     down = outer[dips]
-    sigma[down] = _bisect_root(lambda s: d2[down] - r2(down, s), np.zeros(len(down)), s_min[dips])
+    x2d, d2d = x2[down], d2[down]
+    sigma[down] = _bisect_root(lambda s: d2d - r2(x2d, s), np.zeros(len(down)), s_min[dips])
     up = np.concatenate([np.flatnonzero(inner), outer[~dips]])
     start = np.concatenate([np.zeros(int(inner.sum())), s_min[~dips]])
-    hi = _bracket(lambda s: r2(up, s) >= 4.0 * d2[up], start)
-    sigma[up] = _bisect_root(lambda s: r2(up, s) - 4.0 * d2[up], start, hi)
+    x2u, exit2 = x2[up], 4.0 * d2[up]
+    hi = _bracket(lambda s: r2(x2u, s) >= exit2, start)
+    sigma[up] = _bisect_root(lambda s: r2(x2u, s) - exit2, start, hi)
 
     T = np.zeros(n)
     grad = np.zeros((n, k))

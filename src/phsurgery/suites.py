@@ -675,8 +675,13 @@ def run_moser_suite(cfg: CampaignConfig):
 
     eta0 = forms.moser_eta0()
     vol = forms.Form.volume(4)
-    d_defect = forms.form_max_at(forms.d(eta0) - vol, probes)
-    invariance_defect = forms.form_max_at(forms.lie(X, eta0), probes)
+    gens = forms.invariant_products()
+    gamma = lambda x: cfg.moser_strength * (gens[0](x) + gens[3](x))
+    beta = forms.moser_beta(gamma)
+    # the primitive's two defects and X beta, on one shared probe point
+    d_defect, invariance_defect, worst_inv = forms.forms_max_at(
+        [forms.d(eta0) - vol, forms.lie(X, eta0), forms.lie(X, forms.Form.from_scalar(4, beta))],
+        probes)
     checks.append(_check(
         "invariant-primitive",
         d_defect < tol["moser_identity"] and invariance_defect < tol["moser_identity"],
@@ -689,10 +694,6 @@ def run_moser_suite(cfg: CampaignConfig):
     beta_p = forms.moser_beta(lambda x: x[0] * x[2])
     exact_ok = (abs(beta_c([0.3, 0.1, 0.2, 0.4]) - 3.7) < 1e-12
                 and abs(beta_p([0.3, 0.1, 0.2, 0.4]) - 0.03) < 1e-12)
-    gens = forms.invariant_products()
-    gamma = lambda x: cfg.moser_strength * (gens[0](x) + gens[3](x))
-    beta = forms.moser_beta(gamma)
-    worst_inv = forms.form_max_at(forms.lie(X, forms.Form.from_scalar(4, beta)), probes)
     # the corrected product-rule identity: d(beta eta0) = beta vol + dbeta ^ eta0
     lhs = forms.d(eta0.scale(beta))
     rhs = vol.scale(beta) + forms.wedge(forms.d(forms.Form.from_scalar(4, beta)), eta0)
@@ -813,23 +814,25 @@ def _form_identity_probes(rng, probes):
         return forms.Form(dim, degree, {idxs[i]: rand_poly() for i in picks})
 
     X = [rand_poly() for _ in range(dim)]
-    dd, cartan, leibniz = [], [], []
+    defects = []  # (identity, defect form) pairs
     for degree in (0, 1, 2):
         a = rand_form(degree)
         if degree + 2 <= dim:
-            dd.append(forms.form_max_at(forms.d(forms.d(a)), probes))
-        cartan.append(forms.form_max_at(forms.lie(X, a) - forms.lie_cartan(X, a), probes))
+            defects.append(("dd", forms.d(forms.d(a))))
+        defects.append(("cartan", forms.lie(X, a) - forms.lie_cartan(X, a)))
         b = rand_form(1)
         if degree + 1 <= dim:
             lhs = forms.d(forms.wedge(a, b))
             rhs = forms.wedge(forms.d(a), b) + forms.wedge(a, forms.d(b)).scale(
                 (-1.0) ** degree)
-            leibniz.append(forms.form_max_at(lhs - rhs, probes))
+            defects.append(("leibniz", lhs - rhs))
             lhs2 = forms.lie(X, forms.wedge(a, b))
             rhs2 = forms.wedge(forms.lie(X, a), b) + forms.wedge(a, forms.lie(X, b))
-            leibniz.append(forms.form_max_at(lhs2 - rhs2, probes))
+            defects.append(("leibniz", lhs2 - rhs2))
+    sizes = forms.forms_max_at([form for _, form in defects], probes)
     # np.max keeps a NaN defect, where max() would drop it
-    return tuple(float(np.max(v)) for v in (dd, cartan, leibniz))
+    return tuple(float(np.max([v for (name, _), v in zip(defects, sizes) if name == key]))
+                 for key in ("dd", "cartan", "leibniz"))
 
 
 # ---------------------------------------------------------------------------

@@ -619,6 +619,29 @@ class TestMoserMap:
         assert "counters" not in report["suites"]["moser"]
         assert "map_passes" not in cli.canonical_json(cli.strip_timing(report))
 
+    def test_moser_report_equals_the_reference(self):
+        # every measured value of the six checks at moser_steps 200, seed 42
+        # (the moser-default workload), bit for bit: repr gives the shortest
+        # round-trip digits and tells -0.0 from 0.0
+        from phsurgery import suites
+        from phsurgery.config import CampaignConfig
+        report = suites.run_moser_suite(CampaignConfig(moser_steps=200, seed=42))
+        assert report["passed"]
+        assert repr({c["name"]: c["measured"] for c in report["checks"]}) == repr({
+            "exterior-calculus-identities": {"d_squared": 2.7755575615628914e-17,
+                                             "cartan": 2.220446049250313e-16,
+                                             "leibniz": 2.220446049250313e-16},
+            "invariant-primitive": {"d_defect": 0.0, "invariance_defect": 0.0},
+            "averaged-density-solution": {"max_X_beta": 5.204170427930421e-18,
+                                          "product_rule_defect": 0.0},
+            "volume-normalization": {"max_transport_residual": 1.5543122344752192e-15,
+                                     "origin_image": 0.0,
+                                     "max_commutation_defect": 2.7755575615628914e-16,
+                                     "max_generator_commutator": 8.673617379884035e-19},
+            "normalization-controls": {"identity_defect": 0.0,
+                                       "non_invariant_commutator": 0.012054960867364047},
+            "normalization-richardson": {"residual": 4.163336342344337e-17}})
+
     def test_counters_count_the_steps_taken(self):
         h = MoserMap(alpha=lambda x: 1.0 + 40.0 * x[0] * x[2], radius=0.5, steps=100)
         h(np.zeros((2, 4)))
@@ -747,20 +770,21 @@ class TestBatchedEvaluation:
     def test_form_max_at_equals_per_point_loop(self, monkeypatch, probes):
         from phsurgery import suites
         from phsurgery.config import CampaignConfig
-        batched, seen = forms.form_max_at, []
+        batched, seen = forms.forms_max_at, []
 
-        def checked(form, pts):
-            got = batched(form, pts)
-            assert got == _per_point_form_max(form, pts)
+        def checked(batch, pts):
+            got = batched(batch, pts)
+            assert got == [_per_point_form_max(form, pts) for form in batch]
             seen.append(got)
             return got
 
-        monkeypatch.setattr(forms, "form_max_at", checked)
+        # each caller evaluates its forms in one call
+        monkeypatch.setattr(forms, "forms_max_at", checked)
         suites._form_identity_probes(np.random.default_rng(4), probes[:30])
-        assert len(seen) == 12
+        assert [len(got) for got in seen] == [12]
         # the slowed-volume forms, transition shell included
         assert suites.run_volume_suite(CampaignConfig(samples=60))["passed"]
-        assert len(seen) == 15 and max(seen[12:]) > 1e-3
+        assert [len(got) for got in seen] == [12, 3] and max(seen[1]) > 1e-3
 
     def test_audit_equals_per_point_loop(self, h, X):
         rng = np.random.default_rng(10)
@@ -816,7 +840,8 @@ class TestPointCache:
                         for idx in [(0,), (1,), (3,)]})
         b = Form(4, 1, {idx: _logged(log, f"b{idx}", _random_polynomial(rng, 4))
                         for idx in [(1,), (2,)]})
-        return {"lie-of-wedge": lie(X, wedge(a, b)), "d-of-d": d(d(a))}
+        return {"lie-of-wedge": lie(X, wedge(a, b)), "d-of-d": d(d(a)),
+                "d-of-wedge": d(wedge(a, b))}
 
     @pytest.mark.parametrize("name", ["lie-of-wedge", "d-of-d"])
     def test_each_leaf_runs_once_per_point_and_seed(self, name, probes):
@@ -840,6 +865,24 @@ class TestPointCache:
             assert {len(s) for _, s in once} == {2}
         assert cached == max(float(np.max(np.abs(np.broadcast_to(value(v), len(probes)))))
                              for v in plain.values())
+
+    def test_one_call_runs_each_leaf_once_across_its_forms(self, probes):
+        from collections import Counter
+        log = []
+        batch = self._forms(log)
+        together = forms.forms_max_at(list(batch.values()), probes)
+        once = Counter(log)
+        assert set(once.values()) == {1}
+        apart, pairs = [], []
+        for form in batch.values():
+            log.clear()
+            apart.append(forms.form_max_at(form, probes))
+            pairs.append(set(log))
+        assert together == apart
+        assert set(once) == set().union(*pairs)
+        # d(a ^ b) asks for the leaves of a and b at the probes and their
+        # seeded copies, as lie(X, a ^ b) does: the shared point runs them once
+        assert pairs[0] & pairs[2]
 
     def test_nothing_is_cached_across_calls(self, probes):
         log = []
@@ -876,6 +919,10 @@ class TestNaNPropagates:
     def test_form_max_at(self, probes, nan_probe):
         assert math.isnan(forms.form_max_at(Form(4, 0, {(): lambda x: math.nan}), probes))
         assert math.isnan(forms.form_max_at(Form(4, 1, {(2,): lambda x: x[1]}), nan_probe))
+        # in a batch the NaN stays with its own form
+        nan_first, fine = forms.forms_max_at(
+            [Form(4, 1, {(2,): lambda x: x[1]}), Form(4, 0, {(): lambda x: x[0]})], nan_probe)
+        assert math.isnan(nan_first) and fine == np.abs(nan_probe[:, 0]).max()
 
     def test_x_beta_reduction(self, X, nan_probe):
         # the reduction of the averaged-density-solution check
@@ -892,13 +939,14 @@ class TestNaNPropagates:
 
     def test_form_identity_defects(self, monkeypatch, probes):
         from phsurgery import suites
-        batched, calls = forms.form_max_at, []
+        batched = forms.forms_max_at
 
-        def nan_second(form, pts):
-            calls.append(form)
-            return math.nan if len(calls) == 2 else batched(form, pts)
+        def nan_second(batch, pts):
+            sizes = batched(batch, pts)
+            sizes[1] = math.nan
+            return sizes
 
         # the second form is degree 0's Cartan defect
-        monkeypatch.setattr(forms, "form_max_at", nan_second)
+        monkeypatch.setattr(forms, "forms_max_at", nan_second)
         dd, cartan, leibniz = suites._form_identity_probes(np.random.default_rng(4), probes[:10])
         assert math.isnan(cartan) and dd < 1e-10 and leibniz < 1e-10
