@@ -3,7 +3,9 @@
 Components are generic: nesting Dual inside Dual yields exact second
 derivatives, which is what the exterior-calculus layer relies on for
 its d^2 = 0 probes, and numpy columns make one Dual a whole batch of
-points.
+points.  A dual part may also carry leading direction axes (vector
+forward mode, `forms._seeded`): each direction then goes through the
+same operations as a scalar seed.
 """
 
 from __future__ import annotations

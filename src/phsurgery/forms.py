@@ -8,11 +8,11 @@ bookkeeping honest: the d^2 = 0, Cartan and Leibniz identities are checked
 at probes, not assumed.
 
 `forms_max_at` evaluates a batch of forms on one `_Point`: the probe columns
-with a value cache keyed by closure, and one seeded `_Point` per coordinate
-for the partial derivatives, nested seeds included.  Every closure the forms
-build, and every leaf and vector-field component they call, then runs at most
-once per point and seeded point within the call; a plain list of coordinates
-takes the uncached path and gives the same values.
+with a value cache keyed by closure, and one vector-seeded `_Point` per
+derivative level (`_seeded`), each seeded once more by a nested partial.  Every
+closure the forms build, and every leaf and vector-field component they call,
+then runs at most once per point and seeded point within the call; a plain list
+takes the scalar-seeded, uncached path and gives the same values bit for bit.
 
 The second half implements the equivariant volume normalization for the
 standard 4-dimensional saddle: the invariant primitive eta0, the averaged
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import dualnum
-from .dualnum import Dual, seed, tangent, value
+from .dualnum import Dual, tangent, value
 from .saddle import _radius, rk4_step
 
 MAX_DIM = 6
@@ -65,15 +65,15 @@ _MISSING = object()
 class _Point(list):
     """Coordinates of a point with a per-closure value cache.
 
-    `values` maps a closure to its value here; `seeds` maps a coordinate j
-    to the `_Point` of `seed(self, j)`.  Both live as long as the point."""
+    `values` maps a closure to its value here; `seeded` is the `_Point` of
+    `_seeded(self)`, made on first use.  Both live as long as the point."""
 
-    __slots__ = ("values", "seeds")
+    __slots__ = ("values", "seeded")
 
     def __init__(self, coords):
         super().__init__(coords)
         self.values = {}
-        self.seeds = {}
+        self.seeded = None
 
 
 def _at(f, x):
@@ -86,14 +86,22 @@ def _at(f, x):
     return v
 
 
+def _seeded(x):
+    """Copy of x with coordinate j = Dual(c_j, E[j]), E[j] one-hot ahead of x's axes.
+
+    Vector forward mode: direction i of every dual part is the dual part at
+    `dualnum.seed(x, i)`, by the same floating-point operations."""
+    e = np.eye(len(x)).reshape(len(x), len(x), *[1] * _width(x))
+    return [Dual(c, ej) for c, ej in zip(x, e)]
+
+
 def partial(f, x, i):
-    """`dualnum.partial`, with one seeded `_Point` per coordinate of a `_Point` x."""
+    """`dualnum.partial`; on a `_Point`, direction i of f at its seeded copy (0.0 if constant)."""
     if type(x) is not _Point:
         return dualnum.partial(f, x, i)
-    s = x.seeds.get(i)
-    if s is None:
-        s = x.seeds[i] = _Point(seed(x, i))
-    return tangent(_at(f, s))
+    if x.seeded is None:
+        x.seeded = _Point(_seeded(x))
+    return _lead(tangent(_at(f, x.seeded)), _width(x), i)
 
 
 @dataclass
@@ -394,12 +402,12 @@ def _on_nodes(theta, x):
     return [theta * x1, *rest]
 
 
-def _node(g, nd, k):
-    """Node k (an index or a slice) of g, component by component into duals.
+def _lead(g, nd, k):
+    """Entry k (an index or a slice) of g's leading axis ahead of nd axes, into duals.
 
-    A component without the node axis is constant over the nodes."""
+    The axis holds nodes or directions; a component without it is constant along it."""
     if isinstance(g, Dual):
-        return Dual(_node(g.re, nd, k), _node(g.du, nd, k))
+        return Dual(_lead(g.re, nd, k), _lead(g.du, nd, k))
     return g[k] if np.ndim(g) > nd else g
 
 
@@ -411,8 +419,9 @@ def _node_sum(g, nd, start=0.0):
     then a left fold in node order from `start`: 0.0 for the innermost real
     part, as `sum` starts, and -0.0, which keeps the first term, for a dual
     part.  numpy's reduction is that fold bit for bit, signed zeros included,
-    with two or more elements per node; (8,) and (8, 1) arrays it sums
-    pairwise, so those keep the Python fold."""
+    with two or more elements per node, as in the (8, 4, n) and (8, 4, 1) dual
+    parts of `_seeded` points; (8,) and (8, 1) arrays it sums pairwise, so
+    those keep the Python fold."""
     if isinstance(g, Dual):
         return Dual(_node_sum(g.re, nd, start), _node_sum(g.du, nd, -0.0))
     ndim = np.ndim(g)
@@ -462,13 +471,13 @@ class MoserMap:
         1.0 * x1 is exact, so node 0 is alpha(x) bit for bit."""
         nd = theta.ndim - 1
         a = self.alpha(_on_nodes(theta, x))
-        den = (1.0 - s) + s * _node(a, nd, 0)
+        den = (1.0 - s) + s * _lead(a, nd, 0)
         bad = np.asarray(value(den)) <= 0.0
         if bad.any():
             i = np.flatnonzero(bad)[0]
             point = np.array([value(c) for c in x], dtype=float).reshape(4, -1)[:, i]
             raise PathDegenerate(s, point, np.ravel(value(den))[i])
-        beta = _node_sum(_node(a, nd, slice(1, None)) - 1.0, nd)
+        beta = _node_sum(_lead(a, nd, slice(1, None)) - 1.0, nd)
         return -beta * x[0] / den
 
     def _integrate(self, x, s0, s1):
@@ -534,19 +543,22 @@ def equivariance_audit(h: MoserMap, X, probes):
 
     [X, Y](x) = DY(x) X(x) - DX(x) Y(x), assembled with dual numbers on the
     probe columns; zero exactly when the normalizing field commutes with the
-    saddle.  The witness is the first (s, probe) at the maximum; a NaN
-    commutator is the maximum.
+    saddle.  The Jacobians come from one evaluation of each X component, and
+    one velocity call per s, on the vector-seeded probe columns (`_seeded`).
+    The witness is the first (s, probe) at the maximum; a NaN commutator is
+    the maximum.
     """
     probes = np.asarray(probes, dtype=float).reshape(-1, 4)
     x, n = list(probes.T), len(probes)
-    DX = _per_probe([[partial(X[i], x, j) for j in range(4)] for i in range(4)], n)
+    seeded = _seeded(x)
+    # row i of the Jacobian of v is direction j = 0..3 of v_i's dual part
+    jacobian = lambda v: _per_probe([[_lead(tangent(vi), 1, j) for j in range(4)] for vi in v], n)
+    DX = jacobian([Xi(seeded) for Xi in X])
     Xx = _per_probe([Xi(x) for Xi in X], n)
     sizes, comms = [], []
     for s in _AUDIT_TIMES:
         Yx = _per_probe(h.velocity(s, x), n)
-        # one seeded velocity call per column j gives all four rows of DY
-        DY = np.stack([_per_probe([tangent(v) for v in h.velocity(s, seed(x, j))], n)
-                       for j in range(4)], axis=-1)
+        DY = jacobian(h.velocity(s, seeded))
         comm = (DY @ Xx[..., None] - DX @ Yx[..., None])[..., 0]
         comms.append(comm)
         sizes.append(_radius(comm))

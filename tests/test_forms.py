@@ -813,13 +813,24 @@ class TestBatchedEvaluation:
 
 
 def _seeds_of(x):
-    """The coordinates seeded to reach point x, outermost seed first: () for the probes."""
+    """The seeds that reach point x, outermost first: () for the probes.
+
+    A seed gives every coordinate a one-hot dual part, 1.0 and 0.0 along its
+    directions: one direction for `dualnum.seed(x, j)`, four on a leading axis
+    for the vector seed of a `forms._Point`.  Its entry lists the coordinate
+    each direction seeds: (j,) for the former, (0, 1, 2, 3) for the latter.
+    """
     path = []
     while isinstance(x[0], Dual):
-        # `seed` gives the dual parts the floats 1.0 and 0.0
-        path.append(next(j for j, c in enumerate(x) if c.du == 1.0))
+        # rows are coordinates, columns directions
+        dirs = np.array([np.ravel(c.du) for c in x])
+        assert (np.sort(dirs, axis=0) == np.eye(len(x))[:, -1:]).all()
+        path.append(tuple(int(j) for j in np.argmax(dirs, axis=0)))
         x = [c.re for c in x]
     return tuple(path)
+
+
+_ALL = (0, 1, 2, 3)
 
 
 def _logged(log, name, f):
@@ -855,14 +866,18 @@ class TestPointCache:
         assert set(once.values()) == {1}
         log.clear()
         plain = form.evaluate(list(probes.T))
-        assert set(log) == set(once)
+        # the plain path asks the same leaves at the same derivative levels,
+        # one scalar seed per direction of the cached vector seeds
+        depths = lambda pairs: {(leaf, len(s)) for leaf, s in pairs}
+        assert depths(log) == depths(once)
         if name == "lie-of-wedge":
             # without the cache the Leibniz terms call the same leaves again
             assert len(log) > 3 * len(once)
-            assert {s for _, s in once} == {(), (0,), (1,), (2,), (3,)}
+            assert {s for _, s in once} == {(), (_ALL,)}
+            assert {s for _, s in log} == {(), ((0,),), ((1,),), ((2,),), ((3,),)}
         else:
-            # d(d(a)) asks for the leaves only at the twice-seeded points
-            assert {len(s) for _, s in once} == {2}
+            # d(d(a)) asks for the leaves only at the twice-seeded copy
+            assert {s for _, s in once} == {(_ALL, _ALL)}
         assert cached == max(float(np.max(np.abs(np.broadcast_to(value(v), len(probes)))))
                              for v in plain.values())
 
@@ -907,6 +922,70 @@ class TestPointCache:
         assert list(plain) == list(cached)
         for idx in plain:
             _equal_bits(plain[idx], cached[idx])
+
+
+def _scalar_seeded_audit(h, X, probes):
+    """`equivariance_audit` built column by column: one scalar seed per Jacobian column."""
+    from phsurgery.dualnum import seed, tangent
+    per_probe = forms._per_probe
+    probes = np.asarray(probes, dtype=float).reshape(-1, 4)
+    x, n = list(probes.T), len(probes)
+    DX = per_probe([[partial(X[i], x, j) for j in range(4)] for i in range(4)], n)
+    Xx = per_probe([Xi(x) for Xi in X], n)
+    sizes, comms = [], []
+    for s in forms._AUDIT_TIMES:
+        Yx = per_probe(h.velocity(s, x), n)
+        DY = np.stack([per_probe([tangent(v) for v in h.velocity(s, seed(x, j))], n)
+                       for j in range(4)], axis=-1)
+        comm = (DY @ Xx[..., None] - DX @ Yx[..., None])[..., 0]
+        comms.append(comm)
+        sizes.append(forms._radius(comm))
+    worst = float(np.max(sizes, initial=0.0))
+    if worst == 0.0:
+        return worst, None
+    k, i = np.unravel_index(np.argmax(sizes), np.shape(sizes))
+    return worst, {"s": forms._AUDIT_TIMES[k], "x": probes[i].tolist(),
+                   "commutator": comms[k][i].tolist()}
+
+
+class TestVectorSeeds:
+    """One vector-seeded copy per derivative level gives the scalar seeds' bits."""
+
+    @pytest.mark.parametrize("rows", [1, 2, 100])
+    def test_point_equals_plain_list_bit_for_bit(self, X, probes, rows):
+        rng = np.random.default_rng(31)
+        batch = TestPointCache._forms([])
+        # the Moser suite's averaged density solution: gamma on the node stack
+        beta = forms.moser_beta(_random_polynomial(rng, 4))
+        batch["lie-of-beta"] = lie(X, Form.from_scalar(4, beta))
+        # exact zero derivatives, whose sign follows the seeds' 0.0
+        batch["d-of-x1-squared"] = d(Form(4, 1, {(0,): lambda x: x[0] * x[0]}))
+        cols = list(probes[:rows].T)
+        for name, form in batch.items():
+            cached, plain = form.evaluate(forms._Point(cols)), form.evaluate(cols)
+            assert list(cached) == list(plain), name
+            for idx in plain:
+                _equal_bits(cached[idx], plain[idx])
+
+    def test_audit_equals_scalar_seeded_audit(self, h, X, probes):
+        bad = MoserMap(alpha=lambda x: 1.0 + 0.2 * x[0], radius=0.5)
+        for hh in (h, bad):
+            for pts in (probes[:20], probes[:1]):
+                assert forms.equivariance_audit(hh, X, pts) == _scalar_seeded_audit(hh, X, pts)
+
+    def test_audit_raises_the_same_path_degenerate(self, X, probes):
+        # the verify-moser density at moser_strength: 40 goes negative
+        gens = forms.invariant_products()
+        h40 = MoserMap(alpha=lambda x: 1.0 + 40.0 * (gens[0](x) + gens[3](x)), radius=0.5)
+        raised = []
+        for audit in (forms.equivariance_audit, _scalar_seeded_audit):
+            with pytest.raises(PathDegenerate) as exc:
+                audit(h40, X, probes[:20])
+            raised.append(exc.value)
+        vector, scalar = raised
+        assert (vector.s, str(vector)) == (scalar.s, str(scalar))
+        _equal_bits(vector.x, scalar.x)
+        _equal_bits(vector.density, scalar.density)
 
 
 class TestNaNPropagates:
