@@ -78,6 +78,8 @@ class SaddleSpec:
     def __post_init__(self):
         rates = tuple(float(r) for r in self.rates)
         object.__setattr__(self, "rates", rates)
+        object.__setattr__(self, "rate_array", np.array(rates))  # the rates, built once
+        self.rate_array.flags.writeable = False
         if len(rates) < 2:
             raise InfeasibleRates("saddle dimension must be >= 2")
         if not any(r < 0 for r in rates) or not any(r > 0 for r in rates):
@@ -160,6 +162,7 @@ class BumpProfile:
     def __post_init__(self):
         if not np.all(np.asarray(self.delta) > 0):  # one delta, or one per row of a batch
             raise ValueError("delta must be positive")
+        object.__setattr__(self, "_slope_scale", (1.0 - self.rho0) / self.delta)
         if self.constant:
             if not self.rho0 > 0:
                 raise ValueError("constant profile needs rho0 > 0")
@@ -188,31 +191,27 @@ class BumpProfile:
         """rhobar'(s), closed form."""
         return self.value_and_slope(s)[1]
 
-    def _exps(self, s):
-        """(ri, ci, a, b): the clipped transition coordinate, 1 - ri, and their exps."""
-        r = (s - self.delta) / self.delta
-        # clipped where a or b underflows to 0, so that off (0, 1) the value
-        # is exactly 0 or 1 and the slope exactly 0, as `value`'s
-        ri = np.minimum(np.maximum(r, 1e-12), 1 - 1e-12)
-        ci = 1.0 - ri
-        return ri, ci, np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
-
     def array_value(self, s):
         """rhobar(s) of floats or arrays, the first value of `value_and_slope` without the slope."""
         if self.constant:
             return self.rho0 + 0.0 * s
-        _, _, a, b = self._exps(s)
+        ri = np.minimum(np.maximum((s - self.delta) / self.delta, 1e-12), 1 - 1e-12)
+        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / (1.0 - ri))
         return self.rho0 + (1.0 - self.rho0) * (a / (a + b))
 
     def value_and_slope(self, s):
         """(rhobar(s), rhobar'(s)) of floats or arrays, from one pair of exps."""
         if self.constant:
             return self.rho0 + 0.0 * s, np.zeros(np.shape(s))
-        ri, ci, a, b = self._exps(s)
+        # the transition coordinate, clipped where a or b underflows to 0, so
+        # that off (0, 1) the value is exactly 0 or 1 and the slope exactly 0
+        ri = np.minimum(np.maximum((s - self.delta) / self.delta, 1e-12), 1 - 1e-12)
+        ci = 1.0 - ri
+        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
         da, db = a * _TRANSITION_SHARPNESS / ri**2, b * _TRANSITION_SHARPNESS / ci**2
         ab = a + b
         return (self.rho0 + (1.0 - self.rho0) * (a / ab),
-                (1.0 - self.rho0) / self.delta * ((da * b + a * db) / ab**2))
+                self._slope_scale * ((da * b + a * db) / ab**2))
 
     def __call__(self, x):
         """rho(x) = rhobar(|x|) for a point or an (n, k) batch."""
@@ -268,7 +267,7 @@ DEFAULT_STEP = 1e-3  # time units; the slowed field has O(1) time derivatives
 
 def _field(spec, profile, x):
     """rho(x) X(x) on an (n, k) batch."""
-    return (np.asarray(spec.rates) * x) * profile(x)[:, None]
+    return (spec.rate_array * x) * profile(x)[:, None]
 
 
 def _field_and_jacobian(spec, profile, x):
@@ -278,7 +277,7 @@ def _field_and_jacobian(spec, profile, x):
     """
     r = _norm(x)
     rho, slope = profile.value_and_slope(r)
-    rates = np.asarray(spec.rates)
+    rates = spec.rate_array
     X = rates * x
     with np.errstate(invalid="ignore", divide="ignore"):
         gradrho = np.where(r[:, None] > 0, slope[:, None] * x / r[:, None], 0.0)
@@ -341,7 +340,7 @@ def _tangent_field(spec, profile, y):
     x, J = y[:, :k], y[:, k:].reshape(-1, k, k)
     r = _norm(x)
     rho, slope = profile.value_and_slope(r)
-    rates = np.asarray(spec.rates)
+    rates = spec.rate_array
     out = np.empty(y.shape)  # C order: the J columns reshape to a view
     X = np.multiply(rates, x)
     np.multiply(X, rho[:, None], out=out[:, :k])
@@ -360,8 +359,10 @@ def _rk4_rows(spec, profile, blocks):
     on a sphere, moving in) stops on the step after which |x| leaves (delta,
     2 delta); after the loop one `_bisect_crossing` call finds every crossing
     time in (0, h] and one step takes the rows there.  A row stops on reaching
-    the unit sphere.  Returns per block (x, J, t, stop), stop per row
-    "outer", "inner", "escape" or "trapped" (all steps taken), and counters.
+    the unit sphere.  The live rows' state and times stay in loop-local
+    arrays until an event step (a crossing, an escape or a last step) writes
+    them back.  Returns per block (x, J, t, stop), stop per row "outer",
+    "inner", "escape" or "trapped" (all steps taken), and counters.
     """
     sizes = [len(b[0]) for b in blocks]
     delta, h, nsteps, transit = (np.concatenate([np.broadcast_to(v, m) for v, m in zip(c, sizes)])
@@ -372,41 +373,42 @@ def _rk4_rows(spec, profile, blocks):
     counters = dict.fromkeys(("rk4_iterations", "row_steps", "bisection_steps"), 0)
     t, target = np.zeros(n), np.zeros(n)
     stop = np.where(_radius(x) >= 1.0, "escape", "trapped")
-    live, idx = (stop == "trapped") & (nsteps > 0), np.arange(0)
-    while live.any():  # every live row has taken one step per iteration
-        if live.sum() != len(idx):
-            idx = np.flatnonzero(live)
-            p, hi, dn = replace(profile, delta=delta[idx]), h[idx, None], delta[idx]
-            half, sixth = 0.5 * hi, hi / 6.0  # `rk4_step`'s stage factors, once per row set
-            tr, left, last = transit[idx], nsteps[idx], nsteps[idx].min()
-        y = state[idx]
-        k1 = _tangent_field(spec, p, y)
-        k2 = _tangent_field(spec, p, y + half * k1)
-        k3 = _tangent_field(spec, p, y + half * k2)
-        k4 = _tangent_field(spec, p, y + hi * k3)
-        sn = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        counters["rk4_iterations"] += 1
-        counters["row_steps"] += len(idx)
-        it = counters["rk4_iterations"]
-        if not np.isfinite(sn).all():
-            raise FloatingPointError(f"non-finite state at step {it}")
-        crossed = tr
-        if tr.any():  # only a transit row crosses
-            rn = _norm(sn[:, :k])
-            out_hi = rn >= 2 * dn
-            crossed = tr & (out_hi | (rn <= dn))
-        escaped = _radius(sn[:, :k]) >= 1.0
-        moved = slice(None)
-        if crossed.any() or escaped.any() or last <= it:
-            # a crossed row keeps its pre-step state for the bisection
-            if crossed.any():
-                target[idx[crossed]] = np.where(out_hi, 2 * dn, dn)[crossed]
-                stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
-            moved = ~crossed
-            stop[idx[moved & escaped]] = "escape"
-            live[idx[crossed | escaped | (left <= it)]] = False
-        state[idx[moved]] = sn[moved]
-        t[idx[moved]] += hi[moved, 0]
+    live = (stop == "trapped") & (nsteps > 0)
+    while live.any():  # one row set; every live row takes one step per iteration
+        idx = np.flatnonzero(live)
+        p, hi, dn, dn2 = replace(profile, delta=delta[idx]), h[idx, None], delta[idx], 2 * delta[idx]
+        half, sixth = 0.5 * hi, hi / 6.0  # `rk4_step`'s stage factors, once per row set
+        tr, left, last, crossing = transit[idx], nsteps[idx], nsteps[idx].min(), transit[idx].any()
+        y, ti = state[idx], t[idx]  # the live rows' state and times, kept here until an event
+        while True:
+            k1 = _tangent_field(spec, p, y)
+            k2 = _tangent_field(spec, p, y + half * k1)
+            k3 = _tangent_field(spec, p, y + half * k2)
+            k4 = _tangent_field(spec, p, y + hi * k3)
+            sn = y + sixth * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+            counters["rk4_iterations"] += 1
+            counters["row_steps"] += len(idx)
+            it = counters["rk4_iterations"]
+            if not np.isfinite(sn).all():
+                raise FloatingPointError(f"non-finite state at step {it}")
+            crossed = tr
+            if crossing:  # only a transit row crosses
+                rn = _norm(sn[:, :k])
+                out_hi = rn >= dn2
+                crossed = tr & (out_hi | (rn <= dn))
+            escaped = _radius(sn[:, :k]) >= 1.0
+            tn = ti + hi[:, 0]
+            if crossed.any() or escaped.any() or last <= it:
+                break
+            y, ti = sn, tn
+        # the event step, written back; a crossed row keeps its pre-step state for the bisection
+        if crossed.any():
+            target[idx[crossed]] = np.where(out_hi, dn2, dn)[crossed]
+            stop[idx[crossed]] = np.where(out_hi, "outer", "inner")[crossed]
+        stop[idx[~crossed & escaped]] = "escape"
+        live[idx[crossed | escaped | (left <= it)]] = False
+        state[idx] = np.where(crossed[:, None], y, sn)
+        t[idx] = np.where(crossed, ti, tn)
     if len(rows := np.flatnonzero(target)):
         p = replace(profile, delta=delta[rows])
         tau = _bisect_crossing(spec, p, state[rows, :k], h[rows], target[rows], counters)
@@ -515,7 +517,7 @@ def _entry_spheres(spec, profile, entries):
     r0 = np.linalg.norm(entries, axis=1)
     inner = np.abs(r0 - delta) < np.abs(r0 - 2 * delta)
     # d|x|/dt has the sign of the quadratic form sum(rates_i * x_i^2)
-    q = np.sum(np.asarray(spec.rates) * entries * entries, axis=1)
+    q = np.sum(spec.rate_array * entries * entries, axis=1)
     off_sphere = np.abs(r0 - np.where(inner, delta, 2 * delta)) > 1e-8 * delta
     wrong_way = np.where(inner, q <= 0, q >= 0)
     if (off_sphere | wrong_way).any():
@@ -570,32 +572,48 @@ def _bisect_crossing(spec, profile, x0, h, target, counters=None):
                         tol=1e-10)
 
 
-def _bracket(done, start):
-    """Per row, start + w with w = 1, 2, 4, ... the first width at which `done` holds."""
+def _bracket(done, start, counters=None):
+    """Per row, start + w with w = 1, 2, 4, ... the first width at which `done` holds.
+
+    Adds its calls of `done` to counters["transit_root_iterations"], if given.
+    """
     width = np.ones_like(start)
-    for _ in range(64):
+    for calls in range(1, 65):
         ok = done(start + width)
         if ok.all():
+            _tally(counters, {"transit_root_iterations": calls})
             return start + width
         width = np.where(ok, width, 2.0 * width)
     raise NonExitingOrbit("an annulus orbit never reaches a boundary sphere")
 
 
-def _bisect_root(fn, lo, hi, tol=0.0):
+def _bisect_root(fn, lo, hi, tol=0.0, counters=None):
     """Per row, the root of an increasing fn with fn(lo) <= 0 < fn(hi).
 
     The brackets halve together; a row stops once its bracket is shorter
     than tol, and the loop ends when no midpoint of a running row lies
-    strictly inside its bracket.  tol 0 bisects to the last bit of the root.
+    strictly inside its bracket.  tol 0 bisects to the last bit of the root
+    with every row running: a row whose midpoint is an end of its bracket
+    keeps it, as fn(lo) <= 0 < fn(hi).  Adds its calls of fn to
+    counters["transit_root_iterations"], if given.
     """
-    for _ in range(200):
+    calls = 0
+    while calls < 200:
         mid = 0.5 * (lo + hi)
-        active = hi - lo >= tol
-        if not (active & (lo < mid) & (mid < hi)).any():
+        inside = (lo < mid) & (mid < hi)
+        if tol:
+            active = hi - lo >= tol
+            inside &= active
+        if not inside.any():
             break
         up = fn(mid) > 0
-        hi = np.where(active & up, mid, hi)
-        lo = np.where(active & ~up, mid, lo)
+        calls += 1
+        if tol:  # a stopped row keeps its bracket
+            lo, up = np.where(active & ~up, mid, lo), active & up
+        else:
+            lo = np.where(up, lo, mid)
+        hi = np.where(up, mid, hi)
+    _tally(counters, {"transit_root_iterations": calls})
     return 0.5 * (lo + hi)
 
 
@@ -604,11 +622,17 @@ def _panels(x2, a, sigma):
 
     Row m of x2 holds x0**2 of the orbit exp(s A) x0, A = diag(a), and sigma[m]
     its end; e2 is exp(2 s A) at the panel's 32 Gauss-Legendre nodes s, an
-    (n, 32, k) array, and r the radii there.
+    (n, 32, k) array, and r the radii there.  The exp runs once per distinct
+    rate and is copied to that rate's columns: e2 stays C-contiguous, so
+    einsum rounds as on a k-column exp (on a transposed gather it would not).
     """
-    width = sigma / _TRANSIT_PANELS
+    rates, column = np.unique(a, return_inverse=True)
+    width, two_a = sigma / _TRANSIT_PANELS, 2.0 * rates[:, None, None]
     for p in range(_TRANSIT_PANELS):
-        e2 = np.exp(2.0 * a * (width[:, None] * (p + _GL_NODES))[:, :, None])
+        e = np.exp(two_a * (width[:, None] * (p + _GL_NODES)))
+        e2 = np.empty(e.shape[1:] + column.shape)
+        for j, c in enumerate(column):
+            e2[:, :, j] = e[c]
         yield width, e2, np.sqrt(np.einsum("nk,nmk->nm", x2, e2))
 
 
@@ -635,7 +659,7 @@ def slowed_clock(spec, profile, x0, t, counters=None):
     into the dict `counters`, if given.
     """
     x0 = np.asarray(x0, dtype=float)
-    a = np.asarray(spec.rates)
+    a = spec.rate_array
     x2 = x0 * x0
     t = np.broadcast_to(np.asarray(t, dtype=float), len(x0))
     lo, hi = np.sort([profile.rho0 * t, t], axis=0)
@@ -656,7 +680,7 @@ def slowed_clock(spec, profile, x0, t, counters=None):
     return x0 * np.exp(a * sigma[:, None])
 
 
-def time_change_transits(spec, profile, entries):
+def time_change_transits(spec, profile, entries, counters=None):
     """Exact annulus transits of the slowed saddle; one TransitReport row per entry row.
 
     The orbit of x0 is exp(sigma A) x0, A = diag(rates), run at the clock
@@ -672,43 +696,49 @@ def time_change_transits(spec, profile, entries):
     grad sigma = rho(r(sigma*)) int_0^sigma* rho'(r) / (rho^2 r) exp(2 s A) x0 ds.
     Both integrals use composite 32-point Gauss-Legendre on `_TRANSIT_PANELS` equal
     panels of [0, sigma*], evaluated one panel at a time (`_panels`).  profile.delta is
-    one number or one per entry row.
+    one number or one per entry row.  Adds `transit_rows` and
+    `transit_root_iterations` (batched root-finding evaluations) into the dict
+    `counters`, if given.
     """
     entries = np.asarray(entries, dtype=float)
     inner = _entry_spheres(spec, profile, entries)
-    a = np.asarray(spec.rates)
+    a = spec.rate_array
     x2 = entries * entries
     n, k = entries.shape
     d2 = np.float_power(np.broadcast_to(profile.delta, n), 2)  # libm pow, as delta**2 rounds
     per_row = replace(profile, delta=np.reshape(profile.delta, (-1, 1)))  # on (n, m) radii
+    _tally(counters, {"transit_rows": n})
 
-    # r^2 and d(r^2)/dsigma / 2 of rows x2r of x2, gathered once per root find
-    def r2(x2r, s):
-        return (x2r * np.exp(2.0 * a * s[:, None])).sum(axis=1)
-
-    def half_dr2(x2r, s):
-        return (a * x2r * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+    # per row sum_i c_i exp(2 a_i s): r^2 for c = x0^2, d(r^2)/dsigma / 2 for c = a x0^2
+    two_a = 2.0 * a
+    exp_sum = lambda c, s: (c * np.exp(two_a * s[:, None])).sum(axis=1)
 
     # outer entries: the radial minimum sigma_min is the root of the increasing
     # d(r^2)/dsigma; an orbit that drops below delta first needs no minimum
     outer = np.flatnonzero(~inner)
-    x2o, d2o = x2[outer], d2[outer]
-    hi = _bracket(lambda s: (half_dr2(x2o, s) > 0) | (r2(x2o, s) < d2o), np.zeros(len(outer)))
+    x2o, ax2o, d2o = x2[outer], a * x2[outer], d2[outer]
+    hi = _bracket(lambda s: (exp_sum(ax2o, s) > 0) | (exp_sum(x2o, s) < d2o),
+                  np.zeros(len(outer)), counters)
     s_min = hi.copy()
-    turned = half_dr2(x2o, hi) > 0
-    x2t = x2o[turned]
-    s_min[turned] = _bisect_root(lambda s: half_dr2(x2t, s), np.zeros(len(x2t)), hi[turned])
-    dips = r2(x2o, s_min) < d2o
+    turned = exp_sum(ax2o, hi) > 0
+    ax2t = ax2o[turned]
+    s_min[turned] = _bisect_root(lambda s: exp_sum(ax2t, s), np.zeros(len(ax2t)), hi[turned],
+                                 counters=counters)
+    dips = exp_sum(x2o, s_min) < d2o
 
-    sigma = np.empty(n)
-    down = outer[dips]
-    x2d, d2d = x2[down], d2[down]
-    sigma[down] = _bisect_root(lambda s: d2d - r2(x2d, s), np.zeros(len(down)), s_min[dips])
-    up = np.concatenate([np.flatnonzero(inner), outer[~dips]])
-    start = np.concatenate([np.zeros(int(inner.sum())), s_min[~dips]])
+    # the exits, in one bisection of sign (r^2 - level): "down" rows reach the
+    # inner sphere from [0, sigma_min] (sign -1), "up" rows the outer one
+    down, up = outer[dips], np.concatenate([np.flatnonzero(inner), outer[~dips]])
+    start = np.concatenate([np.zeros(len(down) + int(inner.sum())), s_min[~dips]])
     x2u, exit2 = x2[up], 4.0 * d2[up]
-    hi = _bracket(lambda s: r2(x2u, s) >= exit2, start)
-    sigma[up] = _bisect_root(lambda s: r2(x2u, s) - exit2, start, hi)
+    hi = np.concatenate([s_min[dips], _bracket(lambda s: exp_sum(x2u, s) >= exit2,
+                                               start[len(down):], counters)])
+    rows = np.concatenate([down, up])
+    x2r, level = x2[rows], np.concatenate([d2[down], exit2])
+    sign = np.repeat([-1.0, 1.0], [len(down), len(up)])
+    sigma = np.empty(n)
+    sigma[rows] = _bisect_root(lambda s: sign * (exp_sum(x2r, s) - level), start, hi,
+                               counters=counters)
 
     T = np.zeros(n)
     grad = np.zeros((n, k))
@@ -760,7 +790,7 @@ def sample_entries(spec, delta, n, rng):
     crossings are always sampled.
     """
     k = spec.k
-    rates = np.asarray(spec.rates)
+    rates = spec.rate_array
     # radial entries: unstable axes on the inner sphere, stable ones on the outer
     axes = np.diag(np.where(rates > 0, delta, 2 * delta))
     n_inner = n // 2
@@ -776,15 +806,16 @@ def sample_entries(spec, delta, n, rng):
     return np.vstack([axes, inner, outer])
 
 
-def transit_campaign(spec, profile, n_entries, seed):
+def transit_campaign(spec, profile, n_entries, seed, counters=None):
     """Exact transits (`time_change_transits`) of seeded entries, one TransitReport row each.
 
     No class is "trapped", and its count is kept at zero in `class_counts`.
     One seed draws the same directions at every delta (`sample_entries`), so
     the campaign at c delta is this one with entries and exits scaled by c.
+    `counters` goes to `time_change_transits`.
     """
     entries = sample_entries(spec, profile.delta, n_entries, np.random.default_rng(seed))
-    return time_change_transits(spec, profile, entries)
+    return time_change_transits(spec, profile, entries, counters=counters)
 
 
 def shear_bound_margin(spec, profile, x, v):
@@ -797,6 +828,6 @@ def shear_bound_margin(spec, profile, x, v):
     A = _field_and_jacobian(spec, profile, x)[1]
     lhs = (v[:, None, :] @ A @ v[:, :, None])[:, 0, 0]
     r = _radius(x)
-    c2 = max(abs(np.asarray(spec.rates)))
+    c2 = max(abs(spec.rate_array))
     c3 = math.log(spec.mu_prime)
     return (c2 * np.abs(profile.slope(r)) * r + c3) * np.vecdot(v, v) - lhs

@@ -145,15 +145,16 @@ def run_saddle_suite(cfg: CampaignConfig):
                           "domination inequalities"}))
 
     # closed-form transit times of the exact kernel, one axis row per call
+    exact_counters = {}  # the exact kernel's, ahead of the RK4 pass's
     e_u = np.zeros(cfg.k)
     e_u[int(np.argmax(spec.rates))] = profile.delta
     rep_u, = saddle.time_change_transits(spec, saddle.BumpProfile.flat(rho0, profile.delta),
-                                         e_u[None, :])
+                                         e_u[None, :], counters=exact_counters)
     expected_u = math.log(2.0) / (rho0 * max(spec.rates))
     e_s = np.zeros(cfg.k)
     e_s[int(np.argmin(spec.rates))] = 2 * profile.delta
     rep_s, = saddle.time_change_transits(spec, saddle.BumpProfile.flat(1.0, profile.delta),
-                                         e_s[None, :])
+                                         e_s[None, :], counters=exact_counters)
     expected_s = math.log(2.0) / abs(min(spec.rates))
     checks.append(_check(
         "transit-closed-forms",
@@ -166,8 +167,8 @@ def run_saddle_suite(cfg: CampaignConfig):
     # delta reruns only the RK4 oracle's rows, rescaled (see `_oracle_rows`)
     d0 = cfg.delta_sweep[0]
     ref = saddle.transit_campaign(spec, saddle.BumpProfile(delta=d0, rho0=rho0),
-                                  cfg.samples, cfg.seed)
-    row_sets = _oracle_rows(spec, rho0, ref, cfg.delta_sweep)
+                                  cfg.samples, cfg.seed, counters=exact_counters)
+    row_sets = _oracle_rows(spec, rho0, ref, cfg.delta_sweep, exact_counters)
     picked = row_sets[d0]
     by_delta = {str(d): saddle.distortions(t.jacobian) for d, t in row_sets.items()}
     ratio, ratio_inv = (max(v) / min(v) for v in zip(*by_delta.values()))
@@ -213,6 +214,7 @@ def run_saddle_suite(cfg: CampaignConfig):
     fd_errs = np.where(out["probes"] | out["neighbours"].reshape(len(probes), -1).any(axis=1),
                        np.inf, [np.linalg.norm(a - b) / np.linalg.norm(b) for a, b in zip(J, Jfd)])
     exact = saddle.slowed_clock(spec, profile, probes, 1.0, counters)
+    counters.update(exact_counters)
     rich = np.where(out["probes"], np.inf, saddle._radius(ends - exact))
     checks.append(_check(
         "tangent-map-oracle", fd_errs.max() < tol["jacobian_fd"],
@@ -250,14 +252,15 @@ def run_saddle_suite(cfg: CampaignConfig):
     return {**_suite("saddle", checks), "counters": counters}
 
 
-def _oracle_rows(spec, rho0, reports, deltas):
+def _oracle_rows(spec, rho0, reports, deltas, counters=None):
     """{delta: transits} of the RK4 oracle subsample of a transit campaign at deltas[0].
 
     The rows are the first two non-axis rows of each crossing class, then
     the axis rows (the first k, see `saddle.sample_entries`), 12 at most.
     x -> c x maps slowed orbits at delta onto orbits at c delta with the
     same times and tangent maps, so one exact-kernel call reruns these rows
-    at every later delta, entries scaled by delta / deltas[0].
+    at every later delta, entries scaled by delta / deltas[0]; `counters`
+    goes to that call.
     """
     k = spec.k
     cls = reports.crossing_class[k:]
@@ -266,7 +269,8 @@ def _oracle_rows(spec, rho0, reports, deltas):
     rows = np.sort(np.concatenate([picked, np.arange(min(k, 12 - len(picked)))]))
     later = np.repeat(deltas[1:], len(rows))
     rescaled = saddle.time_change_transits(spec, saddle.BumpProfile(delta=later, rho0=rho0), (
-        np.tile(reports.entry[rows], (len(deltas) - 1, 1)) * (later / deltas[0])[:, None]))
+        np.tile(reports.entry[rows], (len(deltas) - 1, 1)) * (later / deltas[0])[:, None]),
+        counters=counters)
     return {deltas[0]: reports[rows], **{d: rescaled[i * len(rows):(i + 1) * len(rows)]
                                          for i, d in enumerate(deltas[1:])}}
 

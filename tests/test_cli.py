@@ -222,10 +222,12 @@ class TestCli:
         report = cli.build_report(cfg, ("saddle", "volume"))
         # 307 steps of the slowest oracle transit and the crossing step; one
         # bisection of 28 steps for all crossings; the exact clock of the 3
-        # probes
+        # probes; the exact kernel's 86 transits (2 axis rows, 68 campaign rows
+        # and 8 oracle rows at each later delta) and its root finding
         assert report["timing"]["counters"] == {
             "saddle": {"rk4_iterations": 308, "row_steps": 3747, "bisection_steps": 28,
-                       "clock_rows": 3, "clock_newton_iterations": 3}}
+                       "clock_rows": 3, "clock_newton_iterations": 3,
+                       "transit_rows": 86, "transit_root_iterations": 345}}
         assert "counters" not in report["suites"]["saddle"]
         assert "rk4_iterations" not in cli.canonical_json(cli.strip_timing(report))
 

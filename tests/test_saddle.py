@@ -615,6 +615,118 @@ def test_panel_radii_match_the_summed_squares(k):
         assert (np.abs(r - summed) <= 1e-14 * summed).all()
 
 
+def _masked_bisection(fn, lo, hi):
+    """Per row, the root of an increasing fn by halving to the last bit, with per-row masks."""
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        active = hi - lo >= 0.0
+        if not (active & (lo < mid) & (mid < hi)).any():
+            break
+        up = fn(mid) > 0
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
+    return 0.5 * (lo + hi)
+
+
+def _two_loop_transits(spec, profile, entries):
+    """(exits, times, maps, inner exits) of the exact kernel, one root loop per exit class.
+
+    The reference for `time_change_transits`: the down exits (to the inner
+    sphere) and the up exits are bisected in two loops, and each panel takes
+    one exp per column of the (n, 32, k) node array.
+    """
+    inner = saddle._entry_spheres(spec, profile, entries)
+    a = np.asarray(spec.rates)
+    x2 = entries * entries
+    n, k = entries.shape
+    d2 = np.float_power(np.broadcast_to(profile.delta, n), 2)
+    per_row = replace(profile, delta=np.reshape(profile.delta, (-1, 1)))
+    r2 = lambda x2r, s: (x2r * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+    half_dr2 = lambda x2r, s: (a * x2r * np.exp(2.0 * a * s[:, None])).sum(axis=1)
+    outer = np.flatnonzero(~inner)
+    x2o, d2o = x2[outer], d2[outer]
+    hi = saddle._bracket(lambda s: (half_dr2(x2o, s) > 0) | (r2(x2o, s) < d2o),
+                         np.zeros(len(outer)))
+    s_min = hi.copy()
+    turned = half_dr2(x2o, hi) > 0
+    x2t = x2o[turned]
+    s_min[turned] = _masked_bisection(lambda s: half_dr2(x2t, s), np.zeros(len(x2t)), hi[turned])
+    dips = r2(x2o, s_min) < d2o
+    sigma = np.empty(n)
+    down = outer[dips]
+    x2d, d2d = x2[down], d2[down]
+    sigma[down] = _masked_bisection(lambda s: d2d - r2(x2d, s), np.zeros(len(down)), s_min[dips])
+    up = np.concatenate([np.flatnonzero(inner), outer[~dips]])
+    start = np.concatenate([np.zeros(int(inner.sum())), s_min[~dips]])
+    x2u, exit2 = x2[up], 4.0 * d2[up]
+    hi = saddle._bracket(lambda s: r2(x2u, s) >= exit2, start)
+    sigma[up] = _masked_bisection(lambda s: r2(x2u, s) - exit2, start, hi)
+    T, grad = np.zeros(n), np.zeros((n, k))
+    width = sigma / saddle._TRANSIT_PANELS
+    for p in range(saddle._TRANSIT_PANELS):
+        e2 = np.exp(2.0 * a * (width[:, None] * (p + saddle._GL_NODES))[:, :, None])
+        r = np.sqrt(np.einsum("nk,nmk->nm", x2, e2))
+        rho, slope = per_row.value_and_slope(r)
+        T += width * (saddle._GL_WEIGHTS / rho).sum(axis=1)
+        g = saddle._GL_WEIGHTS * slope / (rho * rho * r)
+        grad += width[:, None] * np.einsum("nm,nmk->nk", g, e2)
+    scale = np.exp(a * sigma[:, None])
+    exits = entries * scale
+    grad *= entries * per_row.value_and_slope(np.linalg.norm(exits, axis=1, keepdims=True))[0]
+    J = scale[:, :, None] * np.eye(k) + (a * exits)[:, :, None] * grad[:, None, :]
+    return exits, T, J, np.isin(np.arange(n), down)
+
+
+def _grazing_entries(rates, delta, eps, rng):
+    """Outer entries, one per delta, whose radial minimum is delta * sqrt(1 + eps).
+
+    The stable mass sits on the rate -1 axes and the unstable mass on the
+    rate +1 axes, each in a seeded direction, so that r^2(sigma) = S exp(-2
+    sigma) + U exp(2 sigma) with S + U = 4 delta^2 and 2 sqrt(S U) = delta^2 (1 + eps).
+    """
+    rates = np.asarray(rates)
+    rows = np.zeros((len(delta), len(rates)))
+    for row, d, e in zip(rows, delta, eps):
+        plus, minus = math.sqrt(4 * d * d + d * d * (1 + e)), math.sqrt(4 * d * d - d * d * (1 + e))
+        for rate, length in ((-1.0, (plus + minus) / 2), (1.0, (plus - minus) / 2)):
+            v = rng.standard_normal(int((rates == rate).sum()))
+            row[rates == rate] = length * v / np.linalg.norm(v)
+    return rows
+
+
+@pytest.mark.parametrize("rates", [(-1.0, -1.0, 1.0, 1.0), (-1.0,) * 4 + (1.0,) * 4,
+                                   (-1.0, -0.5, 1.0, 2.0)], ids=["k4", "k8", "k4-distinct"])
+def test_one_root_loop_equals_the_two_loop_kernel(rates):
+    # inner rows, outer rows that dip below delta or do not, and grazing outer
+    # rows whose radial minimum lies within a few ulps of delta, one delta per
+    # row: exits, times and tangent maps equal the two-loop kernel's bit for
+    # bit.  The reference takes one exp per column, so it also holds `_panels`
+    # to a C-contiguous node array: on a transposed gather einsum rounds
+    # differently.
+    spec = SaddleSpec(rates)
+    rng = np.random.default_rng(8)
+    sampled = saddle.sample_entries(spec, 1.0, 120, rng)
+    eps = np.arange(-6, 7) * np.finfo(float).eps
+    delta = np.concatenate([rng.uniform(0.01, 0.2, len(sampled)), np.full(len(eps), 0.1),
+                            rng.uniform(0.01, 0.2, len(eps))])
+    grazing = _grazing_entries(rates, delta[len(sampled):], np.tile(eps, 2), rng)
+    entries = np.vstack([sampled * delta[:len(sampled), None], grazing])
+    profile = BumpProfile(delta=delta, rho0=0.5)
+    counters = {}
+    got = saddle.time_change_transits(spec, profile, entries, counters=counters)
+    exits, T, J, down = _two_loop_transits(spec, profile, entries)
+    assert _bits(got.exit) == _bits(exits) and _bits(got.time) == _bits(T)
+    assert _bits(got.jacobian) == _bits(J)
+    assert ((got.exit_sphere == "inner") == down).all()
+    classes = got.crossing_class
+    assert {"inner->outer", "outer->inner", "outer->outer"} <= set(classes[:len(sampled)])
+    assert {"outer->inner", "outer->outer"} == set(classes[len(sampled):])
+    assert counters["transit_rows"] == len(entries) and counters["transit_root_iterations"] > 0
+    assert not spec.rate_array.flags.writeable
+    with pytest.raises(ValueError):
+        spec.rate_array[0] = 0.0
+
+
 class TestSlowedClock:
     @pytest.fixture(scope="class")
     def shell_rows(self, spec4):
