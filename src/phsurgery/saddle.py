@@ -376,8 +376,8 @@ def _rk4_rows(spec, profile, blocks):
     live = (stop == "trapped") & (nsteps > 0)
     while live.any():  # one row set; every live row takes one step per iteration
         idx = np.flatnonzero(live)
-        p, hi, dn, dn2 = replace(profile, delta=delta[idx]), h[idx, None], delta[idx], 2 * delta[idx]
-        half, sixth = 0.5 * hi, hi / 6.0  # `rk4_step`'s stage factors, once per row set
+        p, hi, dn = replace(profile, delta=delta[idx]), h[idx, None], delta[idx]
+        half, sixth, dn2 = 0.5 * hi, hi / 6.0, 2 * dn  # `rk4_step`'s stage factors and 2 delta
         tr, left, last, crossing = transit[idx], nsteps[idx], nsteps[idx].min(), transit[idx].any()
         y, ti = state[idx], t[idx]  # the live rows' state and times, kept here until an event
         while True:
