@@ -191,23 +191,27 @@ class BumpProfile:
         """rhobar'(s), closed form."""
         return self.value_and_slope(s)[1]
 
+    def _exps(self, s):
+        """(ri, ci, a, b): the clipped transition coordinate, 1 - ri, and their exps."""
+        r = (s - self.delta) / self.delta
+        # clipped where a or b underflows to 0, so that off (0, 1) the value
+        # is exactly 0 or 1 and the slope exactly 0, as `value`'s
+        ri = np.minimum(np.maximum(r, 1e-12), 1 - 1e-12)
+        ci = 1.0 - ri
+        return ri, ci, np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
+
     def array_value(self, s):
         """rhobar(s) of floats or arrays, the first value of `value_and_slope` without the slope."""
         if self.constant:
             return self.rho0 + 0.0 * s
-        ri = np.minimum(np.maximum((s - self.delta) / self.delta, 1e-12), 1 - 1e-12)
-        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / (1.0 - ri))
+        _, _, a, b = self._exps(s)
         return self.rho0 + (1.0 - self.rho0) * (a / (a + b))
 
     def value_and_slope(self, s):
         """(rhobar(s), rhobar'(s)) of floats or arrays, from one pair of exps."""
         if self.constant:
             return self.rho0 + 0.0 * s, np.zeros(np.shape(s))
-        # the transition coordinate, clipped where a or b underflows to 0, so
-        # that off (0, 1) the value is exactly 0 or 1 and the slope exactly 0
-        ri = np.minimum(np.maximum((s - self.delta) / self.delta, 1e-12), 1 - 1e-12)
-        ci = 1.0 - ri
-        a, b = np.exp(-_TRANSITION_SHARPNESS / ri), np.exp(-_TRANSITION_SHARPNESS / ci)
+        ri, ci, a, b = self._exps(s)
         da, db = a * _TRANSITION_SHARPNESS / ri**2, b * _TRANSITION_SHARPNESS / ci**2
         ab = a + b
         return (self.rho0 + (1.0 - self.rho0) * (a / ab),
@@ -572,48 +576,32 @@ def _bisect_crossing(spec, profile, x0, h, target, counters=None):
                         tol=1e-10)
 
 
-def _bracket(done, start, counters=None):
-    """Per row, start + w with w = 1, 2, 4, ... the first width at which `done` holds.
-
-    Adds its calls of `done` to counters["transit_root_iterations"], if given.
-    """
+def _bracket(done, start):
+    """Per row, start + w with w = 1, 2, 4, ... the first width at which `done` holds."""
     width = np.ones_like(start)
-    for calls in range(1, 65):
+    for _ in range(64):
         ok = done(start + width)
         if ok.all():
-            _tally(counters, {"transit_root_iterations": calls})
             return start + width
         width = np.where(ok, width, 2.0 * width)
     raise NonExitingOrbit("an annulus orbit never reaches a boundary sphere")
 
 
-def _bisect_root(fn, lo, hi, tol=0.0, counters=None):
+def _bisect_root(fn, lo, hi, tol=0.0):
     """Per row, the root of an increasing fn with fn(lo) <= 0 < fn(hi).
 
     The brackets halve together; a row stops once its bracket is shorter
     than tol, and the loop ends when no midpoint of a running row lies
-    strictly inside its bracket.  tol 0 bisects to the last bit of the root
-    with every row running: a row whose midpoint is an end of its bracket
-    keeps it, as fn(lo) <= 0 < fn(hi).  Adds its calls of fn to
-    counters["transit_root_iterations"], if given.
+    strictly inside its bracket.  tol 0 bisects to the last bit of the root.
     """
-    calls = 0
-    while calls < 200:
+    for _ in range(200):
         mid = 0.5 * (lo + hi)
-        inside = (lo < mid) & (mid < hi)
-        if tol:
-            active = hi - lo >= tol
-            inside &= active
-        if not inside.any():
+        active = hi - lo >= tol
+        if not (active & (lo < mid) & (mid < hi)).any():
             break
         up = fn(mid) > 0
-        calls += 1
-        if tol:  # a stopped row keeps its bracket
-            lo, up = np.where(active & ~up, mid, lo), active & up
-        else:
-            lo = np.where(up, lo, mid)
-        hi = np.where(up, mid, hi)
-    _tally(counters, {"transit_root_iterations": calls})
+        hi = np.where(active & up, mid, hi)
+        lo = np.where(active & ~up, mid, lo)
     return 0.5 * (lo + hi)
 
 
@@ -622,17 +610,11 @@ def _panels(x2, a, sigma):
 
     Row m of x2 holds x0**2 of the orbit exp(s A) x0, A = diag(a), and sigma[m]
     its end; e2 is exp(2 s A) at the panel's 32 Gauss-Legendre nodes s, an
-    (n, 32, k) array, and r the radii there.  The exp runs once per distinct
-    rate and is copied to that rate's columns: e2 stays C-contiguous, so
-    einsum rounds as on a k-column exp (on a transposed gather it would not).
+    (n, 32, k) array, and r the radii there.
     """
-    rates, column = np.unique(a, return_inverse=True)
-    width, two_a = sigma / _TRANSIT_PANELS, 2.0 * rates[:, None, None]
+    width = sigma / _TRANSIT_PANELS
     for p in range(_TRANSIT_PANELS):
-        e = np.exp(two_a * (width[:, None] * (p + _GL_NODES)))
-        e2 = np.empty(e.shape[1:] + column.shape)
-        for j, c in enumerate(column):
-            e2[:, :, j] = e[c]
+        e2 = np.exp(2.0 * a * (width[:, None] * (p + _GL_NODES))[:, :, None])
         yield width, e2, np.sqrt(np.einsum("nk,nmk->nm", x2, e2))
 
 
@@ -713,17 +695,23 @@ def time_change_transits(spec, profile, entries, counters=None):
     two_a = 2.0 * a
     exp_sum = lambda c, s: (c * np.exp(two_a * s[:, None])).sum(axis=1)
 
+    def counted(fn):  # fn, adding each batched root-finding evaluation to counters
+        def tallied(s):
+            _tally(counters, {"transit_root_iterations": 1})
+            return fn(s)
+        return tallied
+
     # outer entries: the radial minimum sigma_min is the root of the increasing
     # d(r^2)/dsigma; an orbit that drops below delta first needs no minimum
     outer = np.flatnonzero(~inner)
     x2o, ax2o, d2o = x2[outer], a * x2[outer], d2[outer]
-    hi = _bracket(lambda s: (exp_sum(ax2o, s) > 0) | (exp_sum(x2o, s) < d2o),
-                  np.zeros(len(outer)), counters)
+    hi = _bracket(counted(lambda s: (exp_sum(ax2o, s) > 0) | (exp_sum(x2o, s) < d2o)),
+                  np.zeros(len(outer)))
     s_min = hi.copy()
     turned = exp_sum(ax2o, hi) > 0
     ax2t = ax2o[turned]
-    s_min[turned] = _bisect_root(lambda s: exp_sum(ax2t, s), np.zeros(len(ax2t)), hi[turned],
-                                 counters=counters)
+    s_min[turned] = _bisect_root(counted(lambda s: exp_sum(ax2t, s)), np.zeros(len(ax2t)),
+                                 hi[turned])
     dips = exp_sum(x2o, s_min) < d2o
 
     # the exits, in one bisection of sign (r^2 - level): "down" rows reach the
@@ -731,14 +719,13 @@ def time_change_transits(spec, profile, entries, counters=None):
     down, up = outer[dips], np.concatenate([np.flatnonzero(inner), outer[~dips]])
     start = np.concatenate([np.zeros(len(down) + int(inner.sum())), s_min[~dips]])
     x2u, exit2 = x2[up], 4.0 * d2[up]
-    hi = np.concatenate([s_min[dips], _bracket(lambda s: exp_sum(x2u, s) >= exit2,
-                                               start[len(down):], counters)])
+    hi = np.concatenate([s_min[dips], _bracket(counted(lambda s: exp_sum(x2u, s) >= exit2),
+                                               start[len(down):])])
     rows = np.concatenate([down, up])
     x2r, level = x2[rows], np.concatenate([d2[down], exit2])
     sign = np.repeat([-1.0, 1.0], [len(down), len(up)])
     sigma = np.empty(n)
-    sigma[rows] = _bisect_root(lambda s: sign * (exp_sum(x2r, s) - level), start, hi,
-                               counters=counters)
+    sigma[rows] = _bisect_root(counted(lambda s: sign * (exp_sum(x2r, s) - level)), start, hi)
 
     T = np.zeros(n)
     grad = np.zeros((n, k))

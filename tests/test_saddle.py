@@ -632,8 +632,7 @@ def _two_loop_transits(spec, profile, entries):
     """(exits, times, maps, inner exits) of the exact kernel, one root loop per exit class.
 
     The reference for `time_change_transits`: the down exits (to the inner
-    sphere) and the up exits are bisected in two loops, and each panel takes
-    one exp per column of the (n, 32, k) node array.
+    sphere) and the up exits are bisected in two loops.
     """
     inner = saddle._entry_spheres(spec, profile, entries)
     a = np.asarray(spec.rates)
@@ -700,9 +699,7 @@ def test_one_root_loop_equals_the_two_loop_kernel(rates):
     # inner rows, outer rows that dip below delta or do not, and grazing outer
     # rows whose radial minimum lies within a few ulps of delta, one delta per
     # row: exits, times and tangent maps equal the two-loop kernel's bit for
-    # bit.  The reference takes one exp per column, so it also holds `_panels`
-    # to a C-contiguous node array: on a transposed gather einsum rounds
-    # differently.
+    # bit
     spec = SaddleSpec(rates)
     rng = np.random.default_rng(8)
     sampled = saddle.sample_entries(spec, 1.0, 120, rng)
